@@ -12,6 +12,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import clustering, tensor as T
+from .atomic import write_atomic
 from .config import RunConfig
 from .errors import ConfigError, DataError, FrozenViolationError, ShapeError
 from .optim import cosine_warmup_lr, make_optimizer
@@ -80,6 +81,25 @@ def _head_logits_var(tape, head: HeadState, feats):
     return T.take_columns(feats, head.indices), None
 
 
+def prompt_step(images: np.ndarray, prompt_values: np.ndarray, labels: np.ndarray,
+                encoder, head: HeadState):
+    """One forward and backward pass of the prompted batch images + p against
+    the frozen encoder; the step that adaptation and the meta inner loop share.
+
+    Returns (loss, logits, input gradient summed over the batch, head
+    gradients as (weight, bias) or None for an untrained head). A non-finite
+    loss or gradient raises DataError, so a diverged run writes nothing."""
+    tape = T.Tape()
+    xv = tape.var(images + prompt_values[None], requires_grad=True)
+    logits, head_vars = _head_logits_var(tape, head, encoder.features_var(tape, xv))
+    loss = T.cross_entropy(logits, labels)
+    T.backward(loss)
+    grad = xv.grad.sum(axis=0)
+    head_grads = None if head_vars is None else (head_vars[0].grad, head_vars[1].grad)
+    T.require_finite("prompt training", loss.value, grad, *(head_grads or ()))
+    return float(loss.value), logits.value, grad, head_grads
+
+
 def check_frozen(encoder):
     for name, arr in encoder.weights.items():
         if arr.flags.writeable:
@@ -109,8 +129,7 @@ class Metrics:
         return "\n".join(lines) + "\n"
 
     def write_csv(self, path: str):
-        with open(path, "w") as fh:
-            fh.write(self.to_csv())
+        write_atomic(path, self.to_csv().encode("utf-8"))
 
 
 @dataclass
@@ -137,6 +156,10 @@ def evaluate(dataset, bundle: PromptBundle, encoder) -> EvalResult:
             f"got {encoder.fingerprint:#x}")
     if len(dataset) == 0:
         raise DataError("cannot evaluate an empty dataset")
+    top = int(dataset.labels.max())
+    if top >= bundle.head.k:
+        raise DataError(f"dataset has labels up to {top}, bundle head emits "
+                        f"{bundle.head.k} logits")
     feats = encoder.forward_features(dataset.images)
     routes = clustering.route_features(feats, bundle.prototypes)
     hist = np.bincount(routes, minlength=bundle.n)
@@ -247,23 +270,15 @@ def adapt(train, encoder, cfg: RunConfig, mode: HeadMode, seed: int = 0,
             head_grads = None
             for t in np.unique(assign[batch]):
                 sub = batch[assign[batch] == t]
-                xp = train.images[sub] + prompts[t].values[None]
-                tape = T.Tape(seed)
-                xv = tape.var(xp, requires_grad=True)
-                feats = encoder.features_var(tape, xv)
-                logits, head_vars = _head_logits_var(tape, head, feats)
-                loss = T.cross_entropy(logits, train.labels[sub])
-                T.backward(loss)
-                prompts[t].grad_step(opt, f"prompt{t}", xv.grad.sum(axis=0))
-                if head_vars is not None:
-                    gw, gb = head_vars[0].grad, head_vars[1].grad
-                    if head_grads is None:
-                        head_grads = [gw, gb]
-                    else:
-                        head_grads[0] = head_grads[0] + gw
-                        head_grads[1] = head_grads[1] + gb
-                epoch_loss += float(loss.value) * len(sub)
-                epoch_hits += int((np.argmax(logits.value, axis=1) == train.labels[sub]).sum())
+                labels = train.labels[sub]
+                loss, logits, grad, grads = prompt_step(train.images[sub], prompts[t].values,
+                                                        labels, encoder, head)
+                prompts[t].grad_step(opt, f"prompt{t}", grad)
+                if grads is not None:
+                    head_grads = grads if head_grads is None else (
+                        head_grads[0] + grads[0], head_grads[1] + grads[1])
+                epoch_loss += loss * len(sub)
+                epoch_hits += int((np.argmax(logits, axis=1) == labels).sum())
             if head_grads is not None:
                 # one shared head update per minibatch
                 head.weight = opt.step("head_w", head.weight, head_grads[0])

@@ -14,13 +14,13 @@ import hashlib
 import json
 import os
 import sys
-import tempfile
 
 import numpy as np
 
 from . import __version__, kernels
 from . import adapt as adapt_mod
 from . import clustering, data, diversity, encoder as encoder_mod, meta as meta_mod
+from .atomic import write_atomic
 from .config import RunConfig, load_config
 from .errors import ConfigError, DataError, FramePromptError
 from .prompt import PromptBundle, load_bundle, save_bundle
@@ -33,19 +33,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-def write_atomic(path: str, blob: bytes):
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(blob)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _sha(blob: bytes) -> str:

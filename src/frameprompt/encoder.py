@@ -3,7 +3,9 @@
 Architecture is fixed: conv3x3(C->16) / relu / pool2 / conv3x3(16->32) /
 relu / pool2 / flatten / linear -> 64-d feature, plus a 16-way linear head
 used only during pretraining and by the head-freezing adaptation mode.
-Spatial dims must be divisible by 4 (two pooling stages).
+Spatial dims must be divisible by 4 (two pooling stages). The architecture is
+written once, in _encode; inference, prompt training (frozen weights, input
+on a tape) and pretraining (trainable weights on a tape) all run it.
 
 Weights live in an ordered dict of read-only float64 arrays. The on-disk
 format is magic "DAMW", u32 version, u32 record count, then per array a u32
@@ -20,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
 from . import tensor as T
+from .atomic import write_atomic
 from .errors import (BadMagicError, DataError, FingerprintMismatchError,
                      FormatError, ShapeError, TruncatedFileError)
 
@@ -82,6 +84,18 @@ def _freeze_arrays(weights: dict) -> dict:
     return out
 
 
+def _encode(x, params: dict):
+    """Features of a (B, C, H, W) batch. x and params may be plain ndarrays
+    (nothing is taped) or Vars on one tape (gradients reach trainable Vars)."""
+    y = x
+    for layer in ("conv1", "conv2"):
+        # nested so the conv output is freed before relu allocates
+        y = T.bias_add(T.conv2d(y, params[layer + "_w"], 1, 1), params[layer + "_b"])
+        y = T.maxpool2d(T.relu(y))
+    flat = T.reshape(y, (y.shape[0], -1))
+    return T.bias_add(T.matmul(flat, params["fc_w"]), params["fc_b"])
+
+
 class FrozenEncoder:
     """Immutable trained encoder. All forward passes are pure."""
 
@@ -103,19 +117,6 @@ class FrozenEncoder:
         self.tau_star: float | None = None
         self.f0 = self.forward_features(np.zeros((spec.in_channels, spec.height, spec.width)))
 
-    # pure ndarray path; bit-identical to the Var path because both run the
-    # same kernel calls and numpy broadcast expressions in the same order
-    def _features_batch(self, x: np.ndarray) -> np.ndarray:
-        w = self.weights
-        y = kernels.conv2d_forward(x, w["conv1_w"], 1, 1) + w["conv1_b"][None, :, None, None]
-        y = np.where(y > 0, y, 0.0)
-        y, _ = kernels.maxpool2_forward(y)
-        y = kernels.conv2d_forward(y, w["conv2_w"], 1, 1) + w["conv2_b"][None, :, None, None]
-        y = np.where(y > 0, y, 0.0)
-        y, _ = kernels.maxpool2_forward(y)
-        flat = y.reshape(y.shape[0], -1)
-        return flat @ w["fc_w"] + w["fc_b"]
-
     def _check_input(self, x: np.ndarray) -> np.ndarray:
         s = self.spec
         x = np.ascontiguousarray(x, dtype=np.float64)
@@ -129,23 +130,14 @@ class FrozenEncoder:
     def forward_features(self, x: np.ndarray, chunk: int = 128) -> np.ndarray:
         squeeze = np.asarray(x).ndim == 3
         x = self._check_input(x)
-        parts = [self._features_batch(x[i:i + chunk]) for i in range(0, len(x), chunk)]
+        # untaped, so each chunk's intermediates are freed as it goes
+        parts = [_encode(x[i:i + chunk], self.weights) for i in range(0, len(x), chunk)]
         feats = np.concatenate(parts) if len(parts) > 1 else parts[0]
         return feats[0] if squeeze else feats
 
     def features_var(self, tape: T.Tape, x_var: T.Var) -> T.Var:
         """Feature forward on tape input (gradient flows to x_var only)."""
-        w = self.weights
-        y = T.conv2d(x_var, w["conv1_w"], 1, 1)
-        y = T.bias_add(y, w["conv1_b"])
-        y = T.relu(y)
-        y = T.maxpool2d(y)
-        y = T.conv2d(y, w["conv2_w"], 1, 1)
-        y = T.bias_add(y, w["conv2_b"])
-        y = T.relu(y)
-        y = T.maxpool2d(y)
-        flat = T.reshape(y, (y.shape[0], -1))
-        return T.bias_add(T.matmul(flat, w["fc_w"]), w["fc_b"])
+        return _encode(x_var, self.weights)
 
     def head_logits(self, feats: np.ndarray) -> np.ndarray:
         return feats @ self.weights["head_w"] + self.weights["head_b"]
@@ -165,8 +157,7 @@ class FrozenEncoder:
         body = _records_bytes(self.weights)
         blob = MAGIC + struct.pack("<II", VERSION, len(PARAM_ORDER)) + body
         blob += struct.pack("<Q", self.fingerprint)
-        with open(path, "wb") as fh:
-            fh.write(blob)
+        write_atomic(path, blob)
         meta = {
             "in_channels": self.spec.in_channels, "height": self.spec.height,
             "width": self.spec.width, "feature_dim": self.spec.feature_dim,
@@ -177,8 +168,8 @@ class FrozenEncoder:
             "seed": self.seed,
             "f0": [float(v) for v in self.f0],
         }
-        with open(meta_path(path), "w") as fh:
-            json.dump(meta, fh, indent=1, sort_keys=True)
+        write_atomic(meta_path(path),
+                     json.dumps(meta, indent=1, sort_keys=True).encode("utf-8"))
 
 
 def meta_path(weights_path: str) -> str:
@@ -292,17 +283,7 @@ def _init_params(spec: EncoderSpec, seed: int) -> dict:
 
 def _logits_var(tape: T.Tape, params: dict, x: np.ndarray):
     pvars = {k: tape.var(v, requires_grad=True) for k, v in params.items()}
-    xv = tape.var(x)
-    y = T.conv2d(xv, pvars["conv1_w"], 1, 1)
-    y = T.bias_add(y, pvars["conv1_b"])
-    y = T.relu(y)
-    y = T.maxpool2d(y)
-    y = T.conv2d(y, pvars["conv2_w"], 1, 1)
-    y = T.bias_add(y, pvars["conv2_b"])
-    y = T.relu(y)
-    y = T.maxpool2d(y)
-    flat = T.reshape(y, (y.shape[0], -1))
-    feats = T.bias_add(T.matmul(flat, pvars["fc_w"]), pvars["fc_b"])
+    feats = _encode(tape.var(x), pvars)
     logits = T.bias_add(T.matmul(feats, pvars["head_w"]), pvars["head_b"])
     return logits, pvars
 
@@ -341,6 +322,8 @@ def pretrain(dataset, epochs: int, seed: int, lr: float = 1e-3,
             logits, pvars = _logits_var(tape, params, xb)
             loss = T.cross_entropy(logits, yb)
             T.backward(loss)
+            T.require_finite(f"pretraining epoch {epoch}", loss.value,
+                             *(pvars[name].grad for name in PARAM_ORDER))
             for name in PARAM_ORDER:
                 params[name] = opt.step(name, params[name], pvars[name].grad)
     enc = FrozenEncoder(spec, params, pretrain_dataset_id=dataset.id, seed=seed)

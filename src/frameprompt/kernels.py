@@ -1,8 +1,9 @@
-"""Reference conv/pool kernels in pure numpy.
+"""Conv/pool forward and backward kernels in pure numpy.
 
 Shared shape conventions: images are (B, C, H, W) float64 C-contiguous,
 conv weights are (Cout, Cin, kh, kw). All functions are allocation-heavy but
-vectorized; the compiled backend in _fast.pyx mirrors their semantics.
+vectorized. This is the only kernel set: runs reproduce bit for bit wherever
+numpy and its BLAS are the same. BACKEND names it in run manifests.
 """
 
 import numpy as np

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import clustering, tensor as T
-from .adapt import HeadMode, _head_logits_var, build_head, check_frozen, resolve_tau
+from . import clustering
+from .adapt import HeadMode, build_head, check_frozen, prompt_step, resolve_tau
 from .config import RunConfig
 from .errors import DataError, ShapeError
 from .optim import Adam
@@ -91,16 +91,10 @@ def inner_update(prompt: PromptFrame, images: np.ndarray, labels: np.ndarray,
     p = prompt.copy()
     first_loss = 0.0
     for s in range(steps):
-        xp = images + p.values[None]
-        tape = T.Tape(0)
-        xv = tape.var(xp, requires_grad=True)
-        feats = encoder.features_var(tape, xv)
-        logits, _ = _head_logits_var(tape, head, feats)
-        loss = T.cross_entropy(logits, labels)
-        T.backward(loss)
+        loss, _, grad, _ = prompt_step(images, p.values, labels, encoder, head)
         if s == 0:
-            first_loss = float(loss.value)
-        p.sgd_step(eta, xv.grad.sum(axis=0))
+            first_loss = loss
+        p.sgd_step(eta, grad)
     return p, first_loss
 
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .atomic import write_atomic
 from .clustering import PrototypeSet
 from .errors import (BadMagicError, FingerprintMismatchError, FormatError,
                      ShapeError, TruncatedFileError)
@@ -178,8 +179,7 @@ def save_bundle(path: str, bundle: PromptBundle):
     snap = bundle.config_snapshot.encode("utf-8")
     out.append(struct.pack("<I", len(snap)))
     out.append(snap)
-    with open(path, "wb") as fh:
-        fh.write(b"".join(out))
+    write_atomic(path, b"".join(out))
 
 
 def load_bundle(path: str) -> PromptBundle:

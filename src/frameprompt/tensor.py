@@ -4,10 +4,13 @@ A Tape records every Var produced during a forward pass. backward() walks the
 tape in reverse creation order, accumulating cotangents into a table keyed by
 node id. Gradients are materialized only along paths that end in a leaf
 created with requires_grad=True; frozen operands (plain ndarrays) never get
-gradient buffers.
+gradient buffers. An op whose operands are all plain ndarrays records nothing
+and returns the plain result, so one forward definition serves inference as
+well as training.
 
-All values are float64 and C-contiguous. Replaying a tape-seeded program with
-the same seed is bit-identical: nothing here consults global RNG state.
+All taped values are float64 and C-contiguous. Replaying a tape-seeded
+program with the same seed is bit-identical: nothing here consults global
+RNG state.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import kernels
-from .errors import ShapeError
+from .errors import DataError, ShapeError
 
 
 def _f64(value) -> np.ndarray:
@@ -83,7 +86,10 @@ class Var:
 
 
 def _record(tape, value, parents_and_grads, op):
-    """parents_and_grads: list of (Var, fn(g) -> grad contribution)."""
+    """parents_and_grads: list of (Var, fn(g) -> grad contribution). Without
+    a tape (no operand is a Var) the plain value is returned, untaped."""
+    if tape is None:
+        return value
     live = [(p, fn) for p, fn in parents_and_grads if isinstance(p, Var)]
     out = tape.var(value, requires_grad=any(p.requires_grad for p, _ in live), op=op,
                    parents=[p.node_id for p, _ in live])
@@ -94,15 +100,17 @@ def _record(tape, value, parents_and_grads, op):
     return out
 
 
-def _tape_of(*args) -> Tape:
+def _tape_of(*args) -> Tape | None:
     for a in args:
         if isinstance(a, Var):
             return a.tape
-    raise TypeError("at least one operand must be a Var")
+    return None
 
 
 def _val(x):
-    return x.value if isinstance(x, Var) else _f64(x)
+    # no contiguity copy for plain operands: untaped inference keeps the
+    # kernels' own output layout, as a hand-written ndarray forward would
+    return x.value if isinstance(x, Var) else np.asarray(x, dtype=np.float64)
 
 
 def add(a, b) -> Var:
@@ -300,6 +308,14 @@ def backward(loss: Var) -> dict[int, np.ndarray]:
             var.grad = g
             out[var.node_id] = g
     return out
+
+
+def require_finite(what: str, *values):
+    """DataError unless every value is finite: a diverged loss or gradient
+    must stop a run before it writes an artifact."""
+    for v in values:
+        if not np.all(np.isfinite(v)):
+            raise DataError(f"{what} diverged: non-finite loss or gradient")
 
 
 def zeros(shape) -> np.ndarray:

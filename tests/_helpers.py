@@ -77,6 +77,109 @@ def oracle_agglomerate(features):
     return merges
 
 
+def oracle_conv2d_forward(x, w, stride, pad):
+    """Direct-loop cross-correlation; out-of-range taps read as zero."""
+    b, ci, h, wd = x.shape
+    co, _, kh, kw = w.shape
+    ho = (h + 2 * pad - kh) // stride + 1
+    wo = (wd + 2 * pad - kw) // stride + 1
+    y = np.zeros((b, co, ho, wo))
+    for n in range(b):
+        for o in range(co):
+            for oy in range(ho):
+                for ox in range(wo):
+                    acc = 0.0
+                    for c in range(ci):
+                        for ky in range(kh):
+                            iy = oy * stride + ky - pad
+                            if iy < 0 or iy >= h:
+                                continue
+                            for kx in range(kw):
+                                ix = ox * stride + kx - pad
+                                if 0 <= ix < wd:
+                                    acc += x[n, c, iy, ix] * w[o, c, ky, kx]
+                    y[n, o, oy, ox] = acc
+    return y
+
+
+def oracle_conv2d_backward_input(dy, w, stride, pad, in_h, in_w):
+    """Direct loops over every input pixel and every output tap reading it."""
+    b, co, ho, wo = dy.shape
+    _, ci, kh, kw = w.shape
+    dx = np.zeros((b, ci, in_h, in_w))
+    for n in range(b):
+        for c in range(ci):
+            for iy in range(in_h):
+                for ix in range(in_w):
+                    acc = 0.0
+                    for o in range(co):
+                        for ky in range(kh):
+                            ty = iy + pad - ky
+                            if ty < 0 or ty % stride or ty // stride >= ho:
+                                continue
+                            for kx in range(kw):
+                                tx = ix + pad - kx
+                                if tx < 0 or tx % stride or tx // stride >= wo:
+                                    continue
+                                acc += dy[n, o, ty // stride, tx // stride] * w[o, c, ky, kx]
+                    dx[n, c, iy, ix] = acc
+    return dx
+
+
+def oracle_conv2d_backward_weight(x, dy, stride, pad, kh, kw):
+    b, ci, h, wd = x.shape
+    _, co, ho, wo = dy.shape
+    dw = np.zeros((co, ci, kh, kw))
+    for o in range(co):
+        for c in range(ci):
+            for ky in range(kh):
+                for kx in range(kw):
+                    acc = 0.0
+                    for n in range(b):
+                        for oy in range(ho):
+                            iy = oy * stride + ky - pad
+                            if iy < 0 or iy >= h:
+                                continue
+                            for ox in range(wo):
+                                ix = ox * stride + kx - pad
+                                if 0 <= ix < wd:
+                                    acc += x[n, c, iy, ix] * dy[n, o, oy, ox]
+                    dw[o, c, ky, kx] = acc
+    return dw
+
+
+def oracle_maxpool2_forward(x):
+    """2x2 stride-2 max pool scanning each window in row-major order; only a
+    strictly larger value displaces the best, so ties keep the lowest offset."""
+    b, c, h, w = x.shape
+    y = np.empty((b, c, h // 2, w // 2))
+    idx = np.empty((b, c, h // 2, w // 2), dtype=np.int8)
+    for n in range(b):
+        for ch in range(c):
+            for oy in range(h // 2):
+                for ox in range(w // 2):
+                    best, best_k = x[n, ch, 2 * oy, 2 * ox], 0
+                    for k in range(1, 4):
+                        v = x[n, ch, 2 * oy + (k >> 1), 2 * ox + (k & 1)]
+                        if v > best:
+                            best, best_k = v, k
+                    y[n, ch, oy, ox] = best
+                    idx[n, ch, oy, ox] = best_k
+    return y, idx
+
+
+def oracle_maxpool2_backward(dy, idx):
+    b, c, ho, wo = dy.shape
+    dx = np.zeros((b, c, 2 * ho, 2 * wo))
+    for n in range(b):
+        for ch in range(c):
+            for oy in range(ho):
+                for ox in range(wo):
+                    k = idx[n, ch, oy, ox]
+                    dx[n, ch, 2 * oy + (k >> 1), 2 * ox + (k & 1)] = dy[n, ch, oy, ox]
+    return dx
+
+
 def make_modemix(modes, classes_per_mode, samples_per_class, jitter, seed,
                  size=32):
     """Synthetic dataset standardized by its own channel statistics."""

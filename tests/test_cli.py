@@ -3,10 +3,11 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from frameprompt import cli
-from frameprompt.prompt import load_bundle
+from frameprompt.prompt import HEAD_HARDCODED, HeadState, load_bundle, save_bundle
 
 CONFIG = {"pretrain_epochs": 2, "epochs": 2, "batch_size": 16, "lr": 0.05,
           "warmup_epochs": 1, "probe_size": 128, "pairs": 200,
@@ -194,6 +195,36 @@ def test_contract_violations_exit_2(pipeline, tmp_path, capsys):
                    "--mode", "active", "--out", str(tmp_path / "z.dampb"),
                    "--config", str(pipeline["config"])])
     assert rc == 2
+    # a 2-logit head cannot score the 4-class downstream data
+    bundle = load_bundle(pipeline["dam_bundle"])
+    bundle.head = HeadState(HEAD_HARDCODED, 2, indices=np.arange(2))
+    small = str(tmp_path / "k2.dampb")
+    save_bundle(small, bundle)
+    capsys.readouterr()
+    rc = cli.main(["eval", "--data", pipeline["down"], "--bundle", small,
+                   "--encoder", pipeline["enc"], "--out", str(tmp_path / "k2.json"),
+                   "--config", str(pipeline["config"])])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: DataError:")
+    assert not os.path.exists(tmp_path / "k2.json")
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_divergence_exits_2_and_writes_nothing(pipeline, tmp_path, capsys):
+    bad = tmp_path / "diverge.json"
+    bad.write_text(json.dumps({**CONFIG, "optimizer": "sgd", "lr": 1e300,
+                               "pretrain_lr": 1e300}))
+    runs = [["adapt", "--data", pipeline["down"], "--encoder", pipeline["enc"],
+             "--mode", "tuning", "--out", str(tmp_path / "d.dampb"), "--seed", "1"],
+            ["pretrain", "--data", pipeline["pre"], "--out", str(tmp_path / "e.damw")]]
+    for argv in runs:
+        capsys.readouterr()
+        assert cli.main(argv + ["--config", str(bad)]) == 2, argv[0]
+        err = capsys.readouterr().err
+        assert err.startswith("error: DataError:") and "diverged" in err
+    assert os.listdir(tmp_path) == ["diverge.json"]
 
 
 def test_descriptor_parse_error_exits_2(tmp_path, pipeline, capsys):

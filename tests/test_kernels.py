@@ -1,18 +1,12 @@
-"""Backend agreement: the compiled kernels and the numpy fallback must agree
-to float64 working precision on every contract, and the discrete pooling
-choices must match exactly."""
+"""Kernel contracts: the numpy kernels must agree with direct-loop oracles
+to float64 working precision, and the discrete pooling choices must match
+exactly."""
 
 import numpy as np
 import pytest
 
-from frameprompt.kernels import _ref
-
-try:
-    from frameprompt.kernels import _fast
-except ImportError:
-    _fast = None
-
-needs_ext = pytest.mark.skipif(_fast is None, reason="compiled kernels not built")
+import _helpers as H
+from frameprompt import kernels
 
 CASES = [
     dict(x=(2, 3, 8, 8), w=(4, 3, 3, 3), stride=1, pad=1),
@@ -22,47 +16,48 @@ CASES = [
 ]
 
 
-@needs_ext
 @pytest.mark.parametrize("case", CASES)
-def test_conv_kernels_agree(case):
+def test_conv_kernels_match_oracle(case):
     rng = np.random.default_rng(42)
     x = rng.standard_normal(case["x"])
     w = rng.standard_normal(case["w"])
     s, p = case["stride"], case["pad"]
-    ya = _ref.conv2d_forward(x, w, s, p)
-    yb = _fast.conv2d_forward(x, w, s, p)
+    ya = kernels.conv2d_forward(x, w, s, p)
+    yb = H.oracle_conv2d_forward(x, w, s, p)
     assert ya.shape == yb.shape
     assert np.allclose(ya, yb, rtol=1e-12, atol=1e-12)
     dy = rng.standard_normal(ya.shape)
-    dxa = _ref.conv2d_backward_input(dy, w, s, p, x.shape[2], x.shape[3])
-    dxb = _fast.conv2d_backward_input(dy, w, s, p, x.shape[2], x.shape[3])
+    dxa = kernels.conv2d_backward_input(dy, w, s, p, x.shape[2], x.shape[3])
+    dxb = H.oracle_conv2d_backward_input(dy, w, s, p, x.shape[2], x.shape[3])
+    assert dxa.shape == dxb.shape
     assert np.allclose(dxa, dxb, rtol=1e-12, atol=1e-12)
-    dwa = _ref.conv2d_backward_weight(x, dy, s, p, w.shape[2], w.shape[3])
-    dwb = _fast.conv2d_backward_weight(x, dy, s, p, w.shape[2], w.shape[3])
+    dwa = kernels.conv2d_backward_weight(x, dy, s, p, w.shape[2], w.shape[3])
+    dwb = H.oracle_conv2d_backward_weight(x, dy, s, p, w.shape[2], w.shape[3])
+    assert dwa.shape == dwb.shape
     assert np.allclose(dwa, dwb, rtol=1e-12, atol=1e-12)
 
 
-@needs_ext
-def test_maxpool_kernels_agree_exactly():
+def test_maxpool_kernels_match_oracle_exactly():
     rng = np.random.default_rng(43)
     x = rng.standard_normal((3, 5, 8, 6))
-    # inject exact ties to exercise the lowest-offset rule in both backends
+    # inject exact ties to exercise the lowest-offset rule
     x[0, 0, 0:2, 0:2] = 1.5
     x[1, 2, 4:6, 2:4] = -0.25
-    ya, ia = _ref.maxpool2_forward(x)
-    yb, ib = _fast.maxpool2_forward(x)
+    ya, ia = kernels.maxpool2_forward(x)
+    yb, ib = H.oracle_maxpool2_forward(x)
     assert np.array_equal(ya, yb)
     assert np.array_equal(ia, ib)
+    assert ib[0, 0, 0, 0] == 0 and ib[1, 2, 2, 1] == 0
     dy = rng.standard_normal(ya.shape)
-    assert np.array_equal(_ref.maxpool2_backward(dy, ia),
-                          _fast.maxpool2_backward(dy, ib))
+    assert np.array_equal(kernels.maxpool2_backward(dy, ia),
+                          H.oracle_maxpool2_backward(dy, ib))
 
 
 def test_conv_forward_matches_direct_sum():
     rng = np.random.default_rng(44)
     x = rng.standard_normal((1, 2, 5, 5))
     w = rng.standard_normal((3, 2, 3, 3))
-    y = _ref.conv2d_forward(x, w, 1, 1)
+    y = kernels.conv2d_forward(x, w, 1, 1)
     xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
     want = np.zeros_like(y)
     for o in range(3):
@@ -77,26 +72,15 @@ def test_backward_input_zeroes_dead_tail():
     rng = np.random.default_rng(45)
     x = rng.standard_normal((1, 1, 10, 10))
     w = rng.standard_normal((1, 1, 3, 3))
-    y = _ref.conv2d_forward(x, w, 2, 0)
+    y = kernels.conv2d_forward(x, w, 2, 0)
     dy = np.ones_like(y)
-    dx = _ref.conv2d_backward_input(dy, w, 2, 0, 10, 10)
+    dx = kernels.conv2d_backward_input(dy, w, 2, 0, 10, 10)
     assert np.all(dx[:, :, 9, :] == 0.0)
     assert np.all(dx[:, :, :, 9] == 0.0)
-    if _fast is not None:
-        dxf = _fast.conv2d_backward_input(dy, w, 2, 0, 10, 10)
-        assert np.allclose(dx, dxf, rtol=1e-12, atol=1e-12)
 
 
 def test_default_backend_exported():
-    import os
-
-    from frameprompt import kernels
-    assert kernels.BACKEND in ("numpy", "cython", "mixed")
+    assert kernels.BACKEND == "numpy"
     have = {"conv2d_forward", "conv2d_backward_input", "conv2d_backward_weight",
             "maxpool2_forward", "maxpool2_backward"}
     assert have <= set(dir(kernels))
-    if not os.environ.get("FRAMEPROMPT_BACKEND", "").strip() and _fast is not None:
-        # unforced default: BLAS-backed conv, compiled pooling
-        assert kernels.BACKEND == "mixed"
-        assert kernels.conv2d_forward is _ref.conv2d_forward
-        assert kernels.maxpool2_forward is _fast.maxpool2_forward
