@@ -47,8 +47,7 @@ def build_head(encoder, mode: HeadMode) -> HeadState:
     if mode.kind == "tuning":
         rng = np.random.default_rng([mode.seed, 0x7EAD])
         w = 0.01 * rng.standard_normal((d, mode.k))
-        return HeadState(HEAD_TUNING, mode.k, weight=w, bias=np.zeros(mode.k),
-                         trainable=True)
+        return HeadState(HEAD_TUNING, mode.k, weight=w, bias=np.zeros(mode.k))
     if mode.kind == "freezing":
         if mode.k > encoder.spec.head_dim:
             raise ConfigError(f"freezing head supports k <= {encoder.spec.head_dim}, "
@@ -65,20 +64,12 @@ def build_head(encoder, mode: HeadMode) -> HeadState:
     return HeadState(HEAD_ACTIVE, mode.k, indices=order[: mode.k].astype(np.int64))
 
 
-def head_logits_nd(head: HeadState, feats: np.ndarray) -> np.ndarray:
+def head_logits(head: HeadState, feats):
+    """Logits of a (B, d) feature batch. feats and the head's arrays may be
+    plain ndarrays (nothing is taped) or Vars on one tape."""
     if head.tag in (HEAD_TUNING, HEAD_FREEZING):
-        return feats @ head.weight + head.bias
-    return feats[:, head.indices]
-
-
-def _head_logits_var(tape, head: HeadState, feats):
-    if head.tag in (HEAD_TUNING, HEAD_FREEZING):
-        if head.trainable:
-            hw = tape.var(head.weight, requires_grad=True)
-            hb = tape.var(head.bias, requires_grad=True)
-            return T.bias_add(T.matmul(feats, hw), hb), (hw, hb)
-        return T.bias_add(T.matmul(feats, head.weight), head.bias), None
-    return T.take_columns(feats, head.indices), None
+        return T.bias_add(T.matmul(feats, head.weight), head.bias)
+    return T.take_columns(feats, head.indices)
 
 
 def prompt_step(images: np.ndarray, prompt_values: np.ndarray, labels: np.ndarray,
@@ -91,11 +82,14 @@ def prompt_step(images: np.ndarray, prompt_values: np.ndarray, labels: np.ndarra
     loss or gradient raises DataError, so a diverged run writes nothing."""
     tape = T.Tape()
     xv = tape.var(images + prompt_values[None], requires_grad=True)
-    logits, head_vars = _head_logits_var(tape, head, encoder.features_var(tape, xv))
+    if head.trainable:
+        head = replace(head, weight=tape.var(head.weight, requires_grad=True),
+                       bias=tape.var(head.bias, requires_grad=True))
+    logits = head_logits(head, encoder.features_var(tape, xv))
     loss = T.cross_entropy(logits, labels)
     T.backward(loss)
     grad = xv.grad.sum(axis=0)
-    head_grads = None if head_vars is None else (head_vars[0].grad, head_vars[1].grad)
+    head_grads = (head.weight.grad, head.bias.grad) if head.trainable else None
     T.require_finite("prompt training", loss.value, grad, *(head_grads or ()))
     return float(loss.value), logits.value, grad, head_grads
 
@@ -169,7 +163,7 @@ def evaluate(dataset, bundle: PromptBundle, encoder) -> EvalResult:
         for start in range(0, len(sub), 256):
             ids = sub[start:start + 256]
             xp = bundle.prompts[t].apply(dataset.images[ids])
-            logits = head_logits_nd(bundle.head, encoder.forward_features(xp))
+            logits = head_logits(bundle.head, encoder.forward_features(xp))
             loss, hits = _ce_and_top1(logits, dataset.labels[ids])
             total_loss += loss
             total_hits += hits
@@ -201,27 +195,22 @@ def merge_empty_prototypes(protos, all_feats: np.ndarray):
         new_cents[new_pos] = merged
         new_sizes[new_pos] = sizes[e] + sizes[j]
         log.warning("prototype %d captured no training samples; merged into %d", e, j)
-        protos = clustering.PrototypeSet(new_cents, protos.threshold,
-                                         protos.encoder_fingerprint, new_sizes)
+        protos = clustering.PrototypeSet(new_cents, protos.encoder_fingerprint, new_sizes)
         assign = clustering.route_features(all_feats, protos)
     return protos, assign
 
 
 def _build_prototypes(train, encoder, cfg: RunConfig, seed: int):
     """Cluster a probe subset of the training features; returns the prototype
-    set and the full-set assignment after empty-subset remediation."""
-    ids = clustering.probe_indices(len(train), cfg.probe_size, [seed, _PROBE])
+    set and the full-set assignment after empty-subset remediation. The forced
+    single prompt needs no threshold, so it runs on an uncalibrated encoder."""
     all_feats = encoder.forward_features(train.images)
-    probe_feats = all_feats[ids]
-    if cfg.force_single_prompt:
-        labels = np.zeros(len(ids), dtype=np.int64)
-        cut_result = clustering.ClusterCut(labels, 1, float("inf"))
-    else:
+    tau, cap = float("inf"), 1
+    if not cfg.force_single_prompt:
         tau = resolve_tau(cfg, encoder)
-        dend = clustering.agglomerate(probe_feats)
         cap = cfg.max_clusters if cfg.max_clusters is not None else train.class_count
-        cut_result = clustering.cut(dend, tau, max_clusters=cap)
-    protos = clustering.prototypes(probe_feats, cut_result, encoder.fingerprint)
+    protos = clustering.fit_prototypes(all_feats, tau, cap, cfg.probe_size,
+                                       [seed, _PROBE], encoder.fingerprint)
     return merge_empty_prototypes(protos, all_feats)
 
 

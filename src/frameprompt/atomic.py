@@ -1,13 +1,22 @@
-"""The one artifact writer: every file the package writes goes through
-write_atomic, so a crash or a failed run never leaves a half-written file."""
+"""The one artifact writer and reader.
+
+Every file the package writes goes through write_atomic, so a crash or a
+failed run never leaves a half-written file, and the file gets the mode that
+open(path, "wb") would give it (0666 less the umask). Both binary loaders
+(.damw weights and .dampb bundles) parse through Reader, so a file that ends
+early raises TruncatedFileError and one with trailing bytes FormatError."""
 
 import os
-import tempfile
+import struct
+
+from .errors import FormatError, TruncatedFileError
 
 
 def write_atomic(path: str, blob: bytes):
     d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
+    tmp = os.path.join(d, f".tmp-{os.urandom(8).hex()}")
+    # exclusive create, as mkstemp does, but with the umask applied as by open()
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(blob)
@@ -16,3 +25,29 @@ def write_atomic(path: str, blob: bytes):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+class Reader:
+    """Cursor over a whole artifact; every value is little-endian."""
+
+    def __init__(self, path: str):
+        with open(path, "rb") as fh:
+            self.blob = fh.read()
+        self.path = path
+        self.pos = 0
+
+    def take(self, n: int) -> bytes:
+        if self.pos + n > len(self.blob):
+            raise TruncatedFileError(f"{self.path}: ends at byte {len(self.blob)}, "
+                                     f"needed {self.pos + n}")
+        out = self.blob[self.pos:self.pos + n]
+        self.pos += n
+        return out
+
+    def unpack(self, fmt: str) -> tuple:
+        fmt = "<" + fmt
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def end(self):
+        if self.pos != len(self.blob):
+            raise FormatError(f"{self.path}: {len(self.blob) - self.pos} trailing bytes")

@@ -177,8 +177,7 @@ def cmd_meta_train(args) -> int:
         if _base_id(ds.id) == _base_id(enc.pretrain_dataset_id):
             raise DataError(f"meta dataset {ds.id} equals the pretraining dataset")
     result = meta_mod.meta_train(datasets, enc, cfg, seed=args.seed)
-    protos = clustering.PrototypeSet(np.zeros((1, enc.spec.feature_dim)), 0.0,
-                                     enc.fingerprint)
+    protos = clustering.PrototypeSet(np.zeros((1, enc.spec.feature_dim)), enc.fingerprint)
     head = adapt_mod.build_head(enc, adapt_mod.HeadMode("hardcoded", 1))
     snapshot = json.dumps({"meta_dataset_ids": result.dataset_ids,
                            "config": json.loads(cfg.snapshot()),

@@ -1,10 +1,13 @@
-"""Feature-space partitioning.
+"""Feature-space partitioning: the one clustering path and the one router.
 
-Bottom-up agglomerative clustering with average linkage over Euclidean
-distances. Cluster ids follow the usual dendrogram convention: leaves are
-0..n-1, the merge at step t creates id n+t. Linkage is maintained as a matrix
-of summed pairwise point distances so a merge is exact addition, which keeps
-the engine's merge sequence aligned with a brute-force oracle.
+fit_prototypes draws a probe of the features, builds its bottom-up
+agglomerative tree with average linkage over Euclidean distances, cuts it at
+tau and down to a cluster cap, and returns the cluster means; route_features
+sends each feature row to its nearest prototype. Cluster ids follow the usual
+dendrogram convention: leaves are 0..n-1, the merge at step t creates id n+t.
+Linkage is maintained as a matrix of summed pairwise point distances so a
+merge is exact addition, which keeps the engine's merge sequence aligned with
+a brute-force oracle.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, FingerprintMismatchError, ShapeError
+from .errors import DataError, ShapeError
 
 log = logging.getLogger(__name__)
 
@@ -42,13 +45,11 @@ class Dendrogram:
 class ClusterCut:
     labels: np.ndarray
     n_clusters: int
-    threshold: float
 
 
 @dataclass(frozen=True)
 class PrototypeSet:
     centroids: np.ndarray  # (N, d)
-    threshold: float
     encoder_fingerprint: int
     sizes: np.ndarray = field(default=None)
 
@@ -136,7 +137,7 @@ def cut(dendrogram: Dendrogram, tau: float, max_clusters: int | None = None) -> 
             order[r] = len(order)
     # harmless relabeling: clusters numbered by smallest member id
     labels = np.asarray([order[r] for r in roots], dtype=np.int64)
-    return ClusterCut(labels, len(order), float(tau))
+    return ClusterCut(labels, len(order))
 
 
 def prototypes(features: np.ndarray, cut_result: ClusterCut,
@@ -150,37 +151,19 @@ def prototypes(features: np.ndarray, cut_result: ClusterCut,
         members = cut_result.labels == c
         sizes[c] = members.sum()
         cents[c] = x[members].mean(axis=0)
-    return PrototypeSet(cents, cut_result.threshold, encoder_fingerprint, sizes)
-
-
-def route(feature: np.ndarray, protos: PrototypeSet) -> int:
-    """Nearest prototype by squared Euclidean distance, ties to lowest index."""
-    return int(route_batch(np.asarray(feature, dtype=np.float64)[None, :], protos)[0])
-
-
-def route_batch(features: np.ndarray, protos: PrototypeSet) -> np.ndarray:
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != protos.centroids.shape[1]:
-        raise ShapeError(f"features {x.shape} vs prototypes {protos.centroids.shape}")
-    diff = x[:, None, :] - protos.centroids[None, :, :]
-    d2 = (diff * diff).sum(axis=2)
-    return np.argmin(d2, axis=1).astype(np.int64)
-
-
-def partition(dataset, encoder, protos: PrototypeSet) -> np.ndarray:
-    """Assign every sample to a prototype using prompt-free features."""
-    if protos.encoder_fingerprint and protos.encoder_fingerprint != encoder.fingerprint:
-        raise FingerprintMismatchError(
-            f"prototypes built against encoder {protos.encoder_fingerprint:#x}, "
-            f"got {encoder.fingerprint:#x}")
-    feats = encoder.forward_features(dataset.images)
-    return route_features(feats, protos)
+    return PrototypeSet(cents, encoder_fingerprint, sizes)
 
 
 def route_features(feats: np.ndarray, protos: PrototypeSet) -> np.ndarray:
-    out = np.empty(feats.shape[0], dtype=np.int64)
-    for start in range(0, feats.shape[0], 512):
-        out[start:start + 512] = route_batch(feats[start:start + 512], protos)
+    """Nearest prototype per row by squared Euclidean distance, ties to the
+    lowest index. Rows go 512 at a time to bound the (rows, N, d) difference."""
+    x = np.asarray(feats, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != protos.centroids.shape[1]:
+        raise ShapeError(f"features {x.shape} vs prototypes {protos.centroids.shape}")
+    out = np.empty(x.shape[0], dtype=np.int64)
+    for start in range(0, x.shape[0], 512):
+        diff = x[start:start + 512, None, :] - protos.centroids[None, :, :]
+        out[start:start + 512] = np.argmin((diff * diff).sum(axis=2), axis=1)
     return out
 
 
@@ -189,6 +172,19 @@ def probe_indices(n: int, probe_size: int, seed) -> np.ndarray:
     if take == n:
         return np.arange(n, dtype=np.int64)
     return np.sort(np.random.default_rng(seed).choice(n, size=take, replace=False))
+
+
+def fit_prototypes(feats: np.ndarray, tau: float, cap: int, probe_size: int, seed,
+                   encoder_fingerprint: int) -> PrototypeSet:
+    """Means of the clusters of a probe of feats: the probe's dendrogram cut
+    at tau and then down to cap clusters. cap == 1 gives one cluster whatever
+    the dendrogram, so that cut is built directly, without the O(n^3) linkage."""
+    probe = feats[probe_indices(len(feats), probe_size, seed)]
+    if cap == 1:
+        cut_result = ClusterCut(np.zeros(len(probe), dtype=np.int64), 1)
+    else:
+        cut_result = cut(agglomerate(probe), tau, max_clusters=cap)
+    return prototypes(probe, cut_result, encoder_fingerprint)
 
 
 def calibrate_threshold(encoder, reference, probe_size: int = 1000,

@@ -10,7 +10,7 @@ on a tape) and pretraining (trainable weights on a tape) all run it.
 Weights live in an ordered dict of read-only float64 arrays. The on-disk
 format is magic "DAMW", u32 version, u32 record count, then per array a u32
 rank, rank u32 extents and the raw little-endian float64 payload, finished
-by a u64 fingerprint of the record bytes.
+by a u64 fingerprint of the record bytes and nothing else.
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .atomic import write_atomic
+from .atomic import Reader, write_atomic
 from .errors import (BadMagicError, DataError, FingerprintMismatchError,
-                     FormatError, ShapeError, TruncatedFileError)
+                     FormatError, ShapeError)
 
 MAGIC = b"DAMW"
 VERSION = 1
@@ -70,9 +70,12 @@ def _records_bytes(weights: dict) -> bytes:
     return b"".join(chunks)
 
 
+def _digest64(body: bytes) -> int:
+    return struct.unpack("<Q", hashlib.sha256(body).digest()[:8])[0]
+
+
 def fingerprint_of(weights: dict) -> int:
-    digest = hashlib.sha256(_records_bytes(weights)).digest()
-    return struct.unpack("<Q", digest[:8])[0]
+    return _digest64(_records_bytes(weights))
 
 
 def _freeze_arrays(weights: dict) -> dict:
@@ -182,53 +185,30 @@ def calib_path(weights_path: str) -> str:
     return stem + ".calib.json"
 
 
-class _Reader:
-    def __init__(self, blob: bytes):
-        self.blob = blob
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.blob):
-            raise TruncatedFileError(f"file ends at byte {len(self.blob)}, "
-                                     f"needed {self.pos + n}")
-        out = self.blob[self.pos:self.pos + n]
-        self.pos += n
-        return out
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
-
-
 def load_weights(path: str) -> tuple[dict, int]:
     """Parse a DAMW file; returns (weights dict, fingerprint)."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    r = _Reader(blob)
+    r = Reader(path)
     if r.take(4) != MAGIC:
         raise BadMagicError(f"bad magic in {path}")
-    version = r.u32()
+    (version,) = r.unpack("I")
     if version != VERSION:
         raise FormatError(f"unsupported weight file version {version}")
-    count = r.u32()
+    (count,) = r.unpack("I")
     if count != len(PARAM_ORDER):
         raise FormatError(f"expected {len(PARAM_ORDER)} arrays, file has {count}")
     body_start = r.pos
     weights = {}
     for name in PARAM_ORDER:
-        rank = r.u32()
+        (rank,) = r.unpack("I")
         if rank > 8:
             raise FormatError(f"{name}: implausible rank {rank}")
-        extents = struct.unpack(f"<{rank}I", r.take(4 * rank))
+        extents = r.unpack(f"{rank}I")
         n = int(np.prod(extents, dtype=np.int64)) if rank else 1
         payload = r.take(8 * n)
         weights[name] = np.frombuffer(payload, dtype="<f8").reshape(extents).copy()
-    body_end = r.pos
-    stored = r.u64()
-    digest = hashlib.sha256(blob[body_start:body_end]).digest()
-    actual = struct.unpack("<Q", digest[:8])[0]
+    actual = _digest64(r.blob[body_start:r.pos])
+    (stored,) = r.unpack("Q")
+    r.end()
     if stored != actual:
         raise FingerprintMismatchError(
             f"fingerprint mismatch: stored {stored:#x}, computed {actual:#x}")

@@ -47,11 +47,9 @@ def build_groups(datasets, encoder, tau: float, probe_size: int, seed: int,
     for di, ds in enumerate(datasets):
         if len(ds) == 0:
             raise DataError(f"meta dataset {ds.id} is empty")
-        ids = clustering.probe_indices(len(ds), probe_size, [seed, _GROUP, di])
         all_feats = encoder.forward_features(ds.images)
-        dend = clustering.agglomerate(all_feats[ids])
-        cut_result = clustering.cut(dend, tau, max_clusters=ds.class_count)
-        protos = clustering.prototypes(all_feats[ids], cut_result, encoder.fingerprint)
+        protos = clustering.fit_prototypes(all_feats, tau, ds.class_count, probe_size,
+                                           [seed, _GROUP, di], encoder.fingerprint)
         assign = clustering.route_features(all_feats, protos)
         head = build_head(encoder, HeadMode("active", ds.class_count,
                                             noise_count=noise_count, seed=seed))

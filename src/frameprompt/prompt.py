@@ -16,16 +16,14 @@ Bundle format "DAMP" v1, all integers little-endian:
 
 from __future__ import annotations
 
-import hashlib
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .atomic import write_atomic
+from .atomic import Reader, write_atomic
 from .clustering import PrototypeSet
-from .errors import (BadMagicError, FingerprintMismatchError, FormatError,
-                     ShapeError, TruncatedFileError)
+from .errors import BadMagicError, FormatError, ShapeError
 
 MAGIC = b"DAMP"
 VERSION = 1
@@ -127,7 +125,11 @@ class HeadState:
     weight: np.ndarray | None = None
     bias: np.ndarray | None = None
     indices: np.ndarray | None = None
-    trainable: bool = False
+
+    @property
+    def trainable(self) -> bool:
+        # only the tuning head learns; the tag alone decides
+        return self.tag == HEAD_TUNING
 
 
 @dataclass
@@ -183,52 +185,39 @@ def save_bundle(path: str, bundle: PromptBundle):
 
 
 def load_bundle(path: str) -> PromptBundle:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    pos = 0
-
-    def take(n):
-        nonlocal pos
-        if pos + n > len(blob):
-            raise TruncatedFileError(f"{path}: ends at {len(blob)}, needed {pos + n}")
-        chunk = blob[pos:pos + n]
-        pos += n
-        return chunk
-
-    if take(4) != MAGIC:
+    r = Reader(path)
+    if r.take(4) != MAGIC:
         raise BadMagicError(f"{path}: bad magic")
-    version, n = struct.unpack("<II", take(8))
+    version, n = r.unpack("II")
     if version != VERSION:
         raise FormatError(f"{path}: unsupported bundle version {version}")
     if n < 1:
         raise FormatError(f"{path}: empty bundle")
-    c, h, w, border, reserved = struct.unpack("<5I", take(20))
+    c, h, w, border, reserved = r.unpack("5I")
     if reserved != 0:
         raise FormatError(f"{path}: reserved field is {reserved}, expected 0")
     spec = FrameSpec(c, h, w, border)
-    d = struct.unpack("<I", take(4))[0]
-    cents = np.frombuffer(take(8 * n * d), dtype="<f8").reshape(n, d).copy()
-    tag, flags, k = struct.unpack("<BBI", take(6))
+    (d,) = r.unpack("I")
+    cents = np.frombuffer(r.take(8 * n * d), dtype="<f8").reshape(n, d).copy()
+    tag, flags, k = r.unpack("BBI")
     if tag not in (HEAD_TUNING, HEAD_FREEZING, HEAD_HARDCODED, HEAD_ACTIVE):
         raise FormatError(f"{path}: unknown head tag {tag}")
     if flags & ~1:
         raise FormatError(f"{path}: unknown flag bits {flags:#x}")
     if tag in (HEAD_TUNING, HEAD_FREEZING):
-        feat = struct.unpack("<I", take(4))[0]
-        weight = np.frombuffer(take(8 * feat * k), dtype="<f8").reshape(feat, k).copy()
-        bias = np.frombuffer(take(8 * k), dtype="<f8").copy()
-        head = HeadState(tag, k, weight=weight, bias=bias, trainable=tag == HEAD_TUNING)
+        (feat,) = r.unpack("I")
+        weight = np.frombuffer(r.take(8 * feat * k), dtype="<f8").reshape(feat, k).copy()
+        bias = np.frombuffer(r.take(8 * k), dtype="<f8").copy()
+        head = HeadState(tag, k, weight=weight, bias=bias)
     else:
-        idx = np.frombuffer(take(8 * k), dtype="<i8").astype(np.int64)
+        idx = np.frombuffer(r.take(8 * k), dtype="<i8").astype(np.int64)
         head = HeadState(tag, k, indices=idx)
-    fp = struct.unpack("<Q", take(8))[0]
+    (fp,) = r.unpack("Q")
     prompts = []
     for _ in range(n):
-        vals = np.frombuffer(take(8 * c * h * w), dtype="<f8").reshape(c, h, w).copy()
+        vals = np.frombuffer(r.take(8 * c * h * w), dtype="<f8").reshape(c, h, w).copy()
         prompts.append(PromptFrame(spec, vals))
-    snap_len = struct.unpack("<I", take(4))[0]
-    snap = take(snap_len).decode("utf-8")
-    if pos != len(blob):
-        raise FormatError(f"{path}: {len(blob) - pos} trailing bytes")
-    protos = PrototypeSet(cents, 0.0, fp)
-    return PromptBundle(prompts, protos, head, fp, snap, bool(flags & 1))
+    (snap_len,) = r.unpack("I")
+    snap = r.take(snap_len).decode("utf-8")
+    r.end()
+    return PromptBundle(prompts, PrototypeSet(cents, fp), head, fp, snap, bool(flags & 1))

@@ -163,7 +163,7 @@ def test_prototypes_and_routing_are_exact():
     rng = np.random.default_rng(96)
     feats = rng.standard_normal((500, 16))
     labels = np.concatenate([np.arange(7), rng.integers(0, 7, size=493)])
-    cut = C.ClusterCut(labels.astype(np.int64), 7, 1.0)
+    cut = C.ClusterCut(labels.astype(np.int64), 7)
     protos = C.prototypes(feats, cut, encoder_fingerprint=0)
     for t in range(7):
         want = feats[labels == t].mean(axis=0)
@@ -171,7 +171,7 @@ def test_prototypes_and_routing_are_exact():
         assert protos.sizes[t] == (labels == t).sum()
 
     queries = rng.standard_normal((1000, 16))
-    got = C.route_batch(queries, protos)
+    got = C.route_features(queries, protos)
     for i in range(1000):
         d2 = ((protos.centroids - queries[i]) ** 2).sum(axis=1)
         best, scan = 0, d2[0]
@@ -179,7 +179,7 @@ def test_prototypes_and_routing_are_exact():
             if d2[j] < scan:
                 best, scan = j, d2[j]
         assert got[i] == best, f"query {i}"
-        assert C.route(queries[i], protos) == best
+        assert C.route_features(queries[i:i + 1], protos)[0] == best
     elapsed = time.perf_counter() - t0
     assert elapsed < 5, f"exactness checks took {elapsed:.1f}s"
     print(f"criterion 3 PASS: means exact, 1000 routes exact, {elapsed:.1f}s")

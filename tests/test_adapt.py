@@ -8,6 +8,7 @@ import pytest
 
 from frameprompt import adapt as A
 from frameprompt import clustering as C
+from frameprompt import tensor as T
 from frameprompt.config import RunConfig
 from frameprompt.data import SyntheticSpec, generate_modemix, split_dataset
 from frameprompt.errors import (ConfigError, DataError, FrozenViolationError,
@@ -104,10 +105,32 @@ def test_head_logits_nd_matches_manual(tiny_encoder):
     enc, ds = tiny_encoder
     feats = enc.forward_features(ds.images[:6])
     affine = A.build_head(enc, A.HeadMode("tuning", 4, seed=1))
-    assert np.array_equal(A.head_logits_nd(affine, feats),
+    assert np.array_equal(A.head_logits(affine, feats),
                           feats @ affine.weight + affine.bias)
     mapped = A.build_head(enc, A.HeadMode("hardcoded", 3))
-    assert np.array_equal(A.head_logits_nd(mapped, feats), feats[:, :3])
+    assert np.array_equal(A.head_logits(mapped, feats), feats[:, :3])
+
+
+def test_head_logits_on_tape_matches_plain_path(tiny_encoder):
+    enc, ds = tiny_encoder
+    feats = enc.forward_features(ds.images[:6])
+    affine = A.build_head(enc, A.HeadMode("tuning", 4, seed=1))
+    tape = T.Tape()
+    fv = tape.var(feats, requires_grad=True)
+    taped = dataclasses.replace(affine, weight=tape.var(affine.weight, requires_grad=True),
+                                bias=tape.var(affine.bias, requires_grad=True))
+    logits = A.head_logits(taped, fv)
+    assert np.array_equal(logits.value, A.head_logits(affine, feats))
+    T.backward(T.reduce_sum(logits))
+    assert np.array_equal(taped.weight.grad, feats.T @ np.ones((6, 4)))
+    assert np.array_equal(taped.bias.grad, np.full(4, 6.0))
+    assert np.array_equal(fv.grad, np.ones((6, 4)) @ affine.weight.T)
+    mapped = A.build_head(enc, A.HeadMode("hardcoded", 3))
+    fv = T.Tape().var(feats, requires_grad=True)
+    T.backward(T.reduce_sum(A.head_logits(mapped, fv)))
+    want = np.zeros_like(feats)
+    want[:, :3] = 1.0
+    assert np.array_equal(fv.grad, want)
 
 
 # ------------------------------------------------------------------- metrics
@@ -135,7 +158,7 @@ def test_evaluate_matches_manual_cross_entropy(tiny_encoder):
     spec = FrameSpec.for_input(3, 16, 16)
     bundle = PromptBundle(
         [PromptFrame(spec)],
-        C.PrototypeSet(np.zeros((1, enc.spec.feature_dim)), 0.0, enc.fingerprint),
+        C.PrototypeSet(np.zeros((1, enc.spec.feature_dim)), enc.fingerprint),
         A.build_head(enc, A.HeadMode("hardcoded", ds.class_count)),
         enc.fingerprint, "{}")
     res = A.evaluate(sub, bundle, enc)
@@ -154,7 +177,7 @@ def test_evaluate_rejects_fingerprint_mismatch(tiny_encoder):
     spec = FrameSpec.for_input(3, 16, 16)
     bundle = PromptBundle(
         [PromptFrame(spec)],
-        C.PrototypeSet(np.zeros((1, enc.spec.feature_dim)), 0.0, enc.fingerprint + 1),
+        C.PrototypeSet(np.zeros((1, enc.spec.feature_dim)), enc.fingerprint + 1),
         A.build_head(enc, A.HeadMode("hardcoded", 4)),
         enc.fingerprint + 1, "{}")
     with pytest.raises(FrozenViolationError):
@@ -170,7 +193,7 @@ def test_evaluate_rejects_fingerprint_mismatch(tiny_encoder):
 def test_merge_empty_prototypes_folds_into_nearest(caplog):
     feats = np.array([[0.0, 0.0], [1.0, 0.0]])
     protos = C.PrototypeSet(np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 5.0]]),
-                            0.5, 0, sizes=np.array([1.0, 1.0, 1.0]))
+                            0, sizes=np.array([1.0, 1.0, 1.0]))
     with caplog.at_level(logging.WARNING, logger="frameprompt.adapt"):
         merged, assign = A.merge_empty_prototypes(protos, feats)
     assert "captured no training samples" in caplog.text
@@ -185,7 +208,7 @@ def test_merge_empty_prototypes_folds_into_nearest(caplog):
 
 def test_merge_empty_prototypes_no_op_when_all_captured():
     feats = np.array([[0.0, 0.0], [4.0, 0.0]])
-    protos = C.PrototypeSet(np.array([[0.0, 0.0], [4.0, 0.0]]), 1.0, 0,
+    protos = C.PrototypeSet(np.array([[0.0, 0.0], [4.0, 0.0]]), 0,
                             sizes=np.array([1.0, 1.0]))
     merged, assign = A.merge_empty_prototypes(protos, feats)
     assert merged.n == 2

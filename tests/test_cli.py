@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -208,6 +209,20 @@ def test_contract_violations_exit_2(pipeline, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: DataError:")
     assert not os.path.exists(tmp_path / "k2.json")
+    # a weight file with bytes after its fingerprint is refused
+    padded = tmp_path / "padded.damw"
+    shutil.copy(pipeline["enc"], padded)
+    with open(padded, "ab") as fh:
+        fh.write(b"\x00\x01")
+    shutil.copy(pipeline["enc"] + ".meta.json", str(padded) + ".meta.json")
+    rc = cli.main(["eval", "--data", pipeline["down"], "--bundle", pipeline["dam_bundle"],
+                   "--encoder", str(padded), "--out", str(tmp_path / "padded.json"),
+                   "--config", str(pipeline["config"])])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: FormatError:")
+    assert "trailing bytes" in err
+    assert not os.path.exists(tmp_path / "padded.json")
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",

@@ -130,59 +130,82 @@ def test_prototypes_are_exact_means():
     assert protos.sizes.sum() == 50
 
 
+def _route_one(feature, protos):
+    return int(C.route_features(np.asarray(feature, dtype=np.float64)[None, :], protos)[0])
+
+
 def test_route_nearest_and_tie_to_lowest():
-    protos = C.PrototypeSet(np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]]), 1.0, 0)
-    assert C.route(np.array([0.1, 0.0]), protos) == 0
-    assert C.route(np.array([1.9, 0.1]), protos) == 1
+    protos = C.PrototypeSet(np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]]), 0)
+    assert _route_one(np.array([0.1, 0.0]), protos) == 0
+    assert _route_one(np.array([1.9, 0.1]), protos) == 1
     # equidistant between 1 and 2 only: lowest of the tied pair wins
-    assert C.route(np.array([2.0, 2.0]), protos) == 1
-    dup = C.PrototypeSet(np.array([[1.0, 1.0], [1.0, 1.0]]), 1.0, 0)
-    assert C.route(np.array([5.0, -3.0]), dup) == 0
+    assert _route_one(np.array([2.0, 2.0]), protos) == 1
+    dup = C.PrototypeSet(np.array([[1.0, 1.0], [1.0, 1.0]]), 0)
+    assert _route_one(np.array([5.0, -3.0]), dup) == 0
 
 
-def test_route_batch_matches_scalar_route():
+def test_route_features_spans_chunks_like_single_rows():
+    # 1100 rows cross two 512-row chunk boundaries; integer grid points make
+    # exact ties common, and each must go to the lowest index
     rng = np.random.default_rng(8)
-    protos = C.PrototypeSet(rng.standard_normal((6, 5)), 1.0, 0)
-    feats = rng.standard_normal((40, 5))
-    batched = C.route_batch(feats, protos)
-    for i in range(40):
-        assert batched[i] == C.route(feats[i], protos)
+    protos = C.PrototypeSet(rng.integers(-2, 3, size=(6, 5)).astype(np.float64), 0)
+    feats = rng.integers(-2, 3, size=(1100, 5)).astype(np.float64)
+    routed = C.route_features(feats, protos)
+    assert routed.shape == (1100,) and routed.dtype == np.int64
+    ties = 0
+    for i in range(1100):
+        d2 = ((protos.centroids - feats[i]) ** 2).sum(axis=1)
+        best = min(range(6), key=lambda j: (d2[j], j))
+        ties += int((d2 == d2[best]).sum() > 1)
+        assert routed[i] == best == _route_one(feats[i], protos), f"row {i}"
+    assert ties > 0
+
+
+def test_route_features_checks_shape():
+    protos = C.PrototypeSet(np.zeros((2, 3)), 0)
+    with pytest.raises(ShapeError):
+        C.route_features(np.zeros((4, 2)), protos)
+    with pytest.raises(ShapeError):
+        C.route_features(np.zeros(3), protos)
 
 
 def test_partition_covers_every_sample():
-    class DS:
-        def __init__(self, images):
-            self.images = images
-
-        def __len__(self):
-            return len(self.images)
-
     rng = np.random.default_rng(9)
     images = rng.standard_normal((25, 1, 2, 2))
     enc = IdentityEncoder()
     feats = enc.forward_features(images)
     cut = C.cut(C.agglomerate(feats), 2.5)
     protos = C.prototypes(feats, cut, enc.fingerprint)
-    assign = C.partition(DS(images), enc, protos)
+    assign = C.route_features(enc.forward_features(images), protos)
     assert assign.shape == (25,)
     assert assign.min() >= 0 and assign.max() < protos.n
     sizes = np.bincount(assign, minlength=protos.n)
     assert sizes.sum() == 25
 
 
-def test_partition_checks_fingerprint():
-    class DS:
-        images = np.zeros((3, 1, 2, 2))
+def test_fit_prototypes_is_probe_agglomerate_cut_means():
+    feats = blob_dataset([(0, 0), (6, 0), (0, 6), (6, 6)], 20, 0.4, seed=12)
+    ids = C.probe_indices(len(feats), 50, [3, 4])
+    want = C.prototypes(feats[ids], C.cut(C.agglomerate(feats[ids]), 5.0, max_clusters=3),
+                        encoder_fingerprint=77)
+    got = C.fit_prototypes(feats, 5.0, 3, 50, [3, 4], encoder_fingerprint=77)
+    assert got.n == 3
+    assert np.array_equal(got.centroids, want.centroids)
+    assert np.array_equal(got.sizes, want.sizes)
+    assert got.encoder_fingerprint == 77
 
-        def __len__(self):
-            return 3
 
-    enc = IdentityEncoder()
-    enc.fingerprint = 7
-    protos = C.PrototypeSet(np.zeros((1, 4)), 1.0, encoder_fingerprint=8)
-    from frameprompt.errors import FingerprintMismatchError
-    with pytest.raises(FingerprintMismatchError):
-        C.partition(DS(), enc, protos)
+def test_fit_prototypes_single_cluster_skips_linkage(monkeypatch):
+    feats = blob_dataset([(0, 0), (9, 9)], 30, 0.4, seed=13)
+
+    def forbidden(features):
+        raise AssertionError("cap 1 must not build the dendrogram")
+
+    monkeypatch.setattr(C, "agglomerate", forbidden)
+    protos = C.fit_prototypes(feats, float("inf"), 1, 40, [5], encoder_fingerprint=3)
+    probe = feats[C.probe_indices(len(feats), 40, [5])]
+    assert protos.n == 1 and protos.sizes.tolist() == [40]
+    assert np.array_equal(protos.centroids[0], probe.mean(axis=0))
 
 
 def test_empty_and_bad_features_rejected():

@@ -3,8 +3,8 @@ import pytest
 
 from frameprompt import encoder as E
 from frameprompt.errors import (BadMagicError, DataError,
-                                FingerprintMismatchError, ShapeError,
-                                TruncatedFileError)
+                                FingerprintMismatchError, FormatError,
+                                ShapeError, TruncatedFileError)
 
 
 def test_spec_rejects_indivisible_input():
@@ -137,6 +137,12 @@ def test_load_distinguishes_failure_modes(tmp_path, tiny_encoder):
     flipped.write_bytes(bytes(corrupt))
     with pytest.raises(FingerprintMismatchError):
         E.load_weights(str(flipped))
+
+    trailing = tmp_path / "trailing.damw"
+    trailing.write_bytes(blob + b"\x00\x01")
+    with pytest.raises(FormatError) as info:
+        E.load_weights(str(trailing))
+    assert type(info.value) is FormatError and "2 trailing bytes" in str(info.value)
 
 
 def test_load_without_sidecar_infers_square_input(tmp_path, tiny_encoder):

@@ -106,11 +106,10 @@ def _bundle(n=3, meta=False, tag=P.HEAD_ACTIVE):
     spec = P.FrameSpec(3, 16, 16, 2)
     prompts = [P.PromptFrame.random(spec, 0.1, seed=i) for i in range(n)]
     rng = np.random.default_rng(9)
-    protos = PrototypeSet(rng.standard_normal((n, 64)), 1.25, 0xABCD)
+    protos = PrototypeSet(rng.standard_normal((n, 64)), 0xABCD)
     if tag in (P.HEAD_TUNING, P.HEAD_FREEZING):
         head = P.HeadState(tag, 5, weight=rng.standard_normal((64, 5)),
-                           bias=rng.standard_normal(5),
-                           trainable=tag == P.HEAD_TUNING)
+                           bias=rng.standard_normal(5))
     else:
         head = P.HeadState(tag, 5, indices=np.array([3, 1, 60, 2, 7]))
     return P.PromptBundle(prompts, protos, head, 0xABCD,
