@@ -148,22 +148,34 @@ def evaluate(dataset, bundle: PromptBundle, encoder) -> EvalResult:
         raise FrozenViolationError(
             f"bundle was trained against encoder {bundle.encoder_fingerprint:#x}, "
             f"got {encoder.fingerprint:#x}")
+    routes = _route_split(dataset, bundle.prototypes, bundle.head.k, encoder)
+    return _score_routed(dataset, routes, bundle.prompts, bundle.head, encoder)
+
+
+def _route_split(dataset, protos, k: int, encoder) -> np.ndarray:
+    """Prototype index of every sample of a non-empty dataset whose labels a
+    k-logit head can score. The routes depend on the prototypes and the frozen
+    encoder only, so adapt computes them once per split, not once per epoch."""
     if len(dataset) == 0:
         raise DataError("cannot evaluate an empty dataset")
     top = int(dataset.labels.max())
-    if top >= bundle.head.k:
+    if top >= k:
         raise DataError(f"dataset has labels up to {top}, bundle head emits "
-                        f"{bundle.head.k} logits")
-    feats = encoder.forward_features(dataset.images)
-    routes = clustering.route_features(feats, bundle.prototypes)
-    hist = np.bincount(routes, minlength=bundle.n)
+                        f"{k} logits")
+    return clustering.route_features(encoder.forward_features(dataset.images), protos)
+
+
+def _score_routed(dataset, routes: np.ndarray, prompts, head: HeadState,
+                 encoder) -> EvalResult:
+    """Mean loss and top-1 of each sample prompted by its routed cluster."""
+    hist = np.bincount(routes, minlength=len(prompts))
     total_loss, total_hits = 0.0, 0
     for t in np.unique(routes):
         sub = np.flatnonzero(routes == t)
         for start in range(0, len(sub), 256):
             ids = sub[start:start + 256]
-            xp = bundle.prompts[t].apply(dataset.images[ids])
-            logits = head_logits(bundle.head, encoder.forward_features(xp))
+            xp = prompts[t].apply(dataset.images[ids])
+            logits = head_logits(head, encoder.forward_features(xp))
             loss, hits = _ce_and_top1(logits, dataset.labels[ids])
             total_loss += loss
             total_hits += hits
@@ -245,6 +257,8 @@ def adapt(train, encoder, cfg: RunConfig, mode: HeadMode, seed: int = 0,
         prompts = [PromptFrame.random(spec, cfg.prompt_init_sigma, [seed, _PROMPT, t])
                    for t in range(n_clusters)]
     head = build_head(encoder, mode)
+    val_routes, test_routes = (_route_split(ds, protos, mode.k, encoder)
+                               if ds is not None and len(ds) else None for ds in (val, test))
     opt = make_optimizer(cfg.optimizer, cfg.lr, momentum=cfg.momentum,
                          weight_decay=cfg.weight_decay)
     metrics = Metrics()
@@ -272,20 +286,18 @@ def adapt(train, encoder, cfg: RunConfig, mode: HeadMode, seed: int = 0,
                 # one shared head update per minibatch
                 head.weight = opt.step("head_w", head.weight, head_grads[0])
                 head.bias = opt.step("head_b", head.bias, head_grads[1])
-        bundle = PromptBundle(prompts, protos, head, encoder.fingerprint,
-                              cfg.snapshot(), meta_initialized=meta is not None)
         metrics.add(epoch, "train", epoch_loss / n, epoch_hits / n, n_clusters,
                     time.perf_counter() - t0)
-        if val is not None and len(val):
+        if val_routes is not None:
             t1 = time.perf_counter()
-            r = evaluate(val, bundle, encoder)
+            r = _score_routed(val, val_routes, prompts, head, encoder)
             metrics.add(epoch, "val", r.loss, r.top1, n_clusters,
                         time.perf_counter() - t1)
     bundle = PromptBundle(prompts, protos, head, encoder.fingerprint,
                           cfg.snapshot(), meta_initialized=meta is not None)
-    if test is not None and len(test):
+    if test_routes is not None:
         t1 = time.perf_counter()
-        r = evaluate(test, bundle, encoder)
+        r = _score_routed(test, test_routes, prompts, head, encoder)
         metrics.add(cfg.epochs - 1, "test", r.loss, r.top1, n_clusters,
                     time.perf_counter() - t1)
     check_frozen(encoder)

@@ -5,9 +5,8 @@ agglomerative tree with average linkage over Euclidean distances, cuts it at
 tau and down to a cluster cap, and returns the cluster means; route_features
 sends each feature row to its nearest prototype. Cluster ids follow the usual
 dendrogram convention: leaves are 0..n-1, the merge at step t creates id n+t.
-Linkage is maintained as a matrix of summed pairwise point distances so a
-merge is exact addition, which keeps the engine's merge sequence aligned with
-a brute-force oracle.
+Linkage is kept as summed point distances, so merges are exact additions that
+match a brute-force oracle; each cluster caches its nearest larger-id partner.
 """
 
 from __future__ import annotations
@@ -23,12 +22,19 @@ log = logging.getLogger(__name__)
 
 
 def pairwise_distances(features: np.ndarray) -> np.ndarray:
+    """Euclidean distances in difference form, so equal rows get equal
+    distances bit for bit; each block of rows is mirrored, so the matrix is
+    exactly symmetric; its (rows, n, d) difference is about 1 MiB, one row at least."""
     x = np.ascontiguousarray(features, dtype=np.float64)
-    sq = (x * x).sum(axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
-    np.maximum(d2, 0.0, out=d2)
-    np.fill_diagonal(d2, 0.0)
-    return np.sqrt(d2)
+    n, d = x.shape
+    out = np.empty((n, n))
+    rows = max(1, (1 << 20) // (8 * n * max(d, 1)))
+    for s in range(0, n, rows):
+        diff = x[s:s + rows, None, :] - x[None, s:, :]
+        np.square(diff, out=diff)
+        out[s:s + rows, s:] = np.sqrt(diff.sum(axis=2))
+        out[s:, s:s + rows] = out[s:s + rows, s:].T
+    return out
 
 
 @dataclass(frozen=True)
@@ -59,10 +65,10 @@ class PrototypeSet:
 
 
 def agglomerate(features: np.ndarray) -> Dendrogram:
-    """Full average-linkage merge tree.
-
-    Ties on the linkage value resolve to the lexicographically smallest
-    (min id, max id) pair, which the ascending scan order gives for free."""
+    """Full average-linkage merge tree. Ties on the linkage value resolve to
+    the lexicographically smallest (min id, max id) pair: `order` lists live
+    slots by ascending id, and best[a], nn[a] cache the lowest linkage from
+    slot a to a larger id and the slot of the smallest such id."""
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2:
         raise ShapeError(f"features must be (n,d), got {x.shape}")
@@ -73,31 +79,35 @@ def agglomerate(features: np.ndarray) -> Dendrogram:
         raise DataError("features contain non-finite values")
     if n == 1:
         return Dendrogram(1, ())
-    # compact state, kept sorted by cluster id: slot i holds cluster ids[i]
-    ids = list(range(n))
-    sizes = np.ones(n, dtype=np.int64)
     sums = pairwise_distances(x)  # sum of point distances between clusters
+    if not np.isfinite(sums.sum()):
+        raise DataError("feature distances overflow float64")
+    ids, order, sizes = np.arange(n), np.arange(n), np.ones(n, dtype=np.int64)
+    best, nn = np.empty(n), np.empty(n, dtype=np.int64)
+
+    def rescan(rows):
+        avg = sums[np.ix_(rows, order)] / np.outer(sizes[rows], sizes[order])
+        avg[ids[order][None, :] <= ids[rows][:, None]] = np.inf
+        j = np.argmin(avg, axis=1)
+        best[rows], nn[rows] = avg[np.arange(len(rows)), j], order[j]
+    rescan(order)
     merges = []
     for step in range(n - 1):
-        m = len(ids)
-        avg = sums / np.outer(sizes, sizes)
-        iu = np.triu_indices(m, k=1)
-        flat = avg[iu]
-        best = flat.min()
-        # first hit in row-major upper-triangle order is the lex-smallest pair
-        pos = int(np.flatnonzero(flat == best)[0])
-        i, j = int(iu[0][pos]), int(iu[1][pos])
-        new_id = n + step
-        merges.append((ids[i], ids[j], float(best), new_id))
-        keep = [k for k in range(m) if k != i and k != j]
-        new_sums = sums[i, keep] + sums[j, keep]
-        sums = sums[np.ix_(keep, keep)]
-        sums = np.pad(sums, ((0, 1), (0, 1)))
-        sums[-1, :-1] = new_sums
-        sums[:-1, -1] = new_sums
-        new_size = sizes[i] + sizes[j]
-        sizes = np.append(sizes[keep], new_size)
-        ids = [ids[k] for k in keep] + [new_id]
+        a = order[np.argmin(best[order])]
+        b = nn[a]
+        merges.append((int(ids[a]), int(ids[b]), float(best[a]), n + step))
+        # the merged cluster takes slot a; it has the largest id, so no partner
+        sums[:, a] = sums[a] = sums[a] + sums[b]
+        ids[a], sizes[a], best[a] = n + step, sizes[a] + sizes[b], np.inf
+        order = np.append(order[(order != a) & (order != b)], a)
+        rest = order[:-1]
+        stale = rest[(nn[rest] == a) | (nn[rest] == b)]
+        col = sums[rest, a] / (sizes[rest] * sizes[a])
+        # strict <: on a tie the older, lower-id partner stays
+        hit = col < best[rest]
+        best[rest[hit]], nn[rest[hit]] = col[hit], a
+        if stale.size:
+            rescan(stale)
     return Dendrogram(n, tuple(merges))
 
 
@@ -178,7 +188,7 @@ def fit_prototypes(feats: np.ndarray, tau: float, cap: int, probe_size: int, see
                    encoder_fingerprint: int) -> PrototypeSet:
     """Means of the clusters of a probe of feats: the probe's dendrogram cut
     at tau and then down to cap clusters. cap == 1 gives one cluster whatever
-    the dendrogram, so that cut is built directly, without the O(n^3) linkage."""
+    the dendrogram, so that cut is built directly, without the linkage."""
     probe = feats[probe_indices(len(feats), probe_size, seed)]
     if cap == 1:
         cut_result = ClusterCut(np.zeros(len(probe), dtype=np.int64), 1)

@@ -218,6 +218,9 @@ def load_bundle(path: str) -> PromptBundle:
         vals = np.frombuffer(r.take(8 * c * h * w), dtype="<f8").reshape(c, h, w).copy()
         prompts.append(PromptFrame(spec, vals))
     (snap_len,) = r.unpack("I")
-    snap = r.take(snap_len).decode("utf-8")
+    try:
+        snap = r.take(snap_len).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: config snapshot is not UTF-8 ({exc.reason})") from None
     r.end()
     return PromptBundle(prompts, PrototypeSet(cents, fp), head, fp, snap, bool(flags & 1))

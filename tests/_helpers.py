@@ -77,6 +77,30 @@ def oracle_agglomerate(features):
     return merges
 
 
+def rescan_agglomerate(dist):
+    """Average linkage by a full rescan of the summed-distance matrix at every
+    merge, from a given (n, n) distance matrix. It performs the same additions
+    and divisions as the cached engine, so merge values must match bit for bit."""
+    n = len(dist)
+    ids, sizes, sums = list(range(n)), np.ones(n, dtype=np.int64), np.array(dist)
+    merges = []
+    for step in range(n - 1):
+        avg = sums / np.outer(sizes, sizes)
+        iu = np.triu_indices(len(ids), k=1)
+        flat = avg[iu]
+        # first hit in row-major upper-triangle order is the lex-smallest pair
+        pos = int(np.flatnonzero(flat == flat.min())[0])
+        i, j = int(iu[0][pos]), int(iu[1][pos])
+        merges.append((ids[i], ids[j], float(flat[pos]), n + step))
+        keep = [k for k in range(len(ids)) if k not in (i, j)]
+        merged = sums[i, keep] + sums[j, keep]
+        sums = np.pad(sums[np.ix_(keep, keep)], ((0, 1), (0, 1)))
+        sums[-1, :-1] = sums[:-1, -1] = merged
+        sizes = np.append(sizes[keep], sizes[i] + sizes[j])
+        ids = [ids[k] for k in keep] + [n + step]
+    return merges
+
+
 def oracle_conv2d_forward(x, w, stride, pad):
     """Direct-loop cross-correlation; out-of-range taps read as zero."""
     b, ci, h, wd = x.shape

@@ -223,6 +223,17 @@ def test_contract_violations_exit_2(pipeline, tmp_path, capsys):
     assert err.count("\n") == 1 and err.startswith("error: FormatError:")
     assert "trailing bytes" in err
     assert not os.path.exists(tmp_path / "padded.json")
+    # a bundle whose config snapshot is not UTF-8 is refused
+    blob = open(pipeline["dam_bundle"], "rb").read()
+    garbled = tmp_path / "garbled.dampb"
+    garbled.write_bytes(blob[:-1] + b"\xff")
+    rc = cli.main(["eval", "--data", pipeline["down"], "--bundle", str(garbled),
+                   "--encoder", pipeline["enc"], "--out", str(tmp_path / "garbled.json"),
+                   "--config", str(pipeline["config"])])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: FormatError:")
+    assert not os.path.exists(tmp_path / "garbled.json")
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",

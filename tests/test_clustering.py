@@ -1,7 +1,9 @@
+import time
+
 import numpy as np
 import pytest
 
-from _helpers import oracle_agglomerate
+from _helpers import oracle_agglomerate, rescan_agglomerate
 from frameprompt import clustering as C
 from frameprompt.errors import DataError, ShapeError
 
@@ -48,6 +50,63 @@ def test_matches_oracle_on_random_instances():
         assert [m[3] for m in got] == [m[3] for m in want]
         for g, w in zip(got, want):
             assert g[2] == pytest.approx(w[2], abs=1e-9)
+
+
+def test_matches_oracle_on_duplicate_heavy_instances():
+    # repeated points in shuffled order and 1-d integer grids, whose distances
+    # are exact integers: exact ties everywhere, each broken to the
+    # lexicographically smallest (min id, max id) pair as the oracle does
+    rng = np.random.default_rng(14)
+    for trial in range(24):
+        if trial % 3 == 2:
+            x = rng.integers(-4, 5, size=(int(rng.integers(3, 40)), 1)).astype(np.float64)
+        else:
+            base = rng.standard_normal((int(rng.integers(2, 8)), int(rng.integers(2, 9)))) * 3
+            x = base[rng.integers(0, len(base), size=int(rng.integers(4, 40)))]
+        got = C.agglomerate(x).merges
+        want = oracle_agglomerate(x)
+        assert [m[:2] for m in got] == [m[:2] for m in want], f"trial {trial}"
+        assert [m[3] for m in got] == [m[3] for m in want]
+        for g, w in zip(got, want):
+            assert g[2] == pytest.approx(w[2], abs=1e-9)
+
+
+def test_merges_equal_full_rescan_bit_for_bit():
+    # same distances in, same float operations: merge values are equal, not close
+    rng = np.random.default_rng(17)
+    for trial in range(12):
+        n = int(rng.integers(2, 120))
+        x = rng.standard_normal((n, int(rng.integers(1, 70))))
+        if trial % 2:
+            x = x[rng.integers(0, n, size=n)]
+        assert C.agglomerate(x).merges == tuple(rescan_agglomerate(C.pairwise_distances(x)))
+
+
+def test_pairwise_distances_exact_on_duplicates():
+    rng = np.random.default_rng(15)
+    base = rng.standard_normal((40, 64))
+    x = base[rng.integers(0, 40, size=700)]  # spans several row blocks
+    d = C.pairwise_distances(x)
+    assert np.array_equal(d, d.T)
+    assert np.all(np.diag(d) == 0.0)
+    i, j = np.flatnonzero((x == x[0]).all(axis=1))[:2]
+    assert np.array_equal(d[i], d[j])
+    want = np.sqrt(((x[:5, None, :] - x[None, :, :]) ** 2).sum(axis=2))
+    assert np.abs(d[:5] - want).max() <= 1e-12
+
+
+def test_agglomerate_scales_within_budget():
+    # 2000 points: a rescan of the whole linkage matrix per merge is cubic,
+    # about 8x its n=1000 time; cached nearest partners keep it near 1 s
+    # on a 2-vCPU host
+    x = np.random.default_rng(16).standard_normal((2000, 64))
+    t0 = time.perf_counter()
+    merges = C.agglomerate(x).merges
+    elapsed = time.perf_counter() - t0
+    assert len(merges) == 1999 and merges[-1][3] == 3998
+    assert all(a < b for a, b, _, _ in merges)
+    assert all(q[2] >= p[2] - 1e-12 for p, q in zip(merges, merges[1:]))
+    assert elapsed < 10, f"agglomerate at n=2000 took {elapsed:.1f}s"
 
 
 def test_tie_break_prefers_smallest_ids():
@@ -216,6 +275,8 @@ def test_empty_and_bad_features_rejected():
     with pytest.raises(ShapeError):
         C.agglomerate(np.zeros(5))
     assert C.agglomerate(np.zeros((1, 3))).merges == ()
+    with pytest.raises(DataError), np.errstate(over="ignore"):
+        C.agglomerate(np.array([[1e200], [-1e200], [0.0]]))  # squares overflow
 
 
 class _WrapDataset:

@@ -172,6 +172,11 @@ def test_bundle_error_taxonomy(tmp_path):
     with pytest.raises(FormatError):
         P.load_bundle(str(tmp_path / "reserved.dampb"))
 
+    # the config snapshot is the last field; 0xFF never occurs in UTF-8
+    (tmp_path / "snap.dampb").write_bytes(blob[:-1] + b"\xff")
+    with pytest.raises(FormatError, match="UTF-8"):
+        P.load_bundle(str(tmp_path / "snap.dampb"))
+
 
 def test_interior_enforced_through_deserialization(tmp_path):
     path = str(tmp_path / "run.dampb")
