@@ -8,7 +8,7 @@ prompt bundles so a run can be reproduced from its artifacts.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 from .errors import ConfigError
 
@@ -51,16 +51,9 @@ class RunConfig:
 
 
 _DEFAULTS = RunConfig()
-_TYPES = {
-    "epochs": int, "optimizer": str, "lr": float, "momentum": float,
-    "weight_decay": float, "warmup_epochs": int, "batch_size": int,
-    "probe_size": int, "tau": (float, str), "max_clusters": (int, type(None)),
-    "prompt_init_sigma": float, "force_single_prompt": bool,
-    "eta": float, "gamma": float, "inner_steps": int, "meta_epochs": int,
-    "meta_batch_size": int, "meta_use_adam": bool,
-    "pretrain_epochs": int, "pretrain_lr": float, "pretrain_batch_size": int,
-    "pairs": int, "noise_count": int, "split_fractions": tuple,
-}
+# the type of each default; tau and split_fractions take their own branches
+# in _coerce, and max_clusters (default None) is the optional int
+_TYPES = {f.name: type(getattr(_DEFAULTS, f.name)) for f in fields(RunConfig)}
 
 
 def _reject_duplicates(pairs):

@@ -93,10 +93,16 @@ def _encode(x, params: dict):
     y = x
     for layer in ("conv1", "conv2"):
         # nested so the conv output is freed before relu allocates
-        y = T.bias_add(T.conv2d(y, params[layer + "_w"], 1, 1), params[layer + "_b"])
+        y = T.bias_add(T.conv2d(y, params[layer + "_w"]), params[layer + "_b"])
         y = T.maxpool2d(T.relu(y))
     flat = T.reshape(y, (y.shape[0], -1))
     return T.bias_add(T.matmul(flat, params["fc_w"]), params["fc_b"])
+
+
+def _head(feats, params: dict):
+    """Pretraining head logits of a (B, feature_dim) batch; ndarrays or Vars,
+    as in _encode."""
+    return T.bias_add(T.matmul(feats, params["head_w"]), params["head_b"])
 
 
 class FrozenEncoder:
@@ -141,9 +147,6 @@ class FrozenEncoder:
     def features_var(self, tape: T.Tape, x_var: T.Var) -> T.Var:
         """Feature forward on tape input (gradient flows to x_var only)."""
         return _encode(x_var, self.weights)
-
-    def head_logits(self, feats: np.ndarray) -> np.ndarray:
-        return feats @ self.weights["head_w"] + self.weights["head_b"]
 
     def probe_channel_variance(self, count: int, seed: int) -> np.ndarray:
         """Unbiased per-channel feature variance over standard-normal noise."""
@@ -264,8 +267,7 @@ def _init_params(spec: EncoderSpec, seed: int) -> dict:
 def _logits_var(tape: T.Tape, params: dict, x: np.ndarray):
     pvars = {k: tape.var(v, requires_grad=True) for k, v in params.items()}
     feats = _encode(tape.var(x), pvars)
-    logits = T.bias_add(T.matmul(feats, pvars["head_w"]), pvars["head_b"])
-    return logits, pvars
+    return _head(feats, pvars), pvars
 
 
 def pretrain(dataset, epochs: int, seed: int, lr: float = 1e-3,
@@ -310,7 +312,7 @@ def pretrain(dataset, epochs: int, seed: int, lr: float = 1e-3,
     hits = 0
     for start in range(0, n, 256):
         feats = enc.forward_features(dataset.images[start:start + 256])
-        pred = np.argmax(enc.head_logits(feats), axis=1)
+        pred = np.argmax(_head(feats, enc.weights), axis=1)
         hits += int((pred == dataset.labels[start:start + 256]).sum())
     enc.train_accuracy = hits / n
     return enc

@@ -1,9 +1,21 @@
 """Conv/pool forward and backward kernels in pure numpy.
 
-Shared shape conventions: images are (B, C, H, W) float64 C-contiguous,
-conv weights are (Cout, Cin, kh, kw). All functions are allocation-heavy but
-vectorized. This is the only kernel set: runs reproduce bit for bit wherever
-numpy and its BLAS are the same. BACKEND names it in run manifests.
+Shared shape conventions: images are (B, C, H, W) float64, conv weights are
+(Cout, Cin, k, k) with k odd. The encoder's convs are same-padded and
+stride 1, so one stride-1 correlation, `_correlate`, serves all three conv
+directions:
+
+- forward correlates x with w, zero-padded by k // 2;
+- backward-input is the transposed convolution, which at stride 1 is a
+  correlation of dy with the kernel rotated by 180 degrees and its channel
+  axes swapped, padded by k - 1 - k // 2 = k // 2;
+- backward-weight correlates x with dy once batch and channels swap roles:
+  each input channel is an "image" over the batch, each output channel of dy
+  a (H, W) "kernel", and the k×k result is the weight gradient.
+
+All functions are allocation-heavy but vectorized. This is the only kernel
+set: runs reproduce bit for bit wherever numpy and its BLAS are the same.
+BACKEND names it in run manifests.
 """
 
 import numpy as np
@@ -12,57 +24,33 @@ from numpy.lib.stride_tricks import as_strided
 BACKEND = "numpy"
 
 
-def _windows(x, kh, kw, stride):
-    # view of every (kh, kw) patch: (B, C, Ho, Wo, kh, kw)
-    b, c, h, w = x.shape
-    ho = (h - kh) // stride + 1
-    wo = (w - kw) // stride + 1
+def _correlate(x, w, pad):
+    """Stride-1 cross-correlation of (B, C, H, W) with (O, C, kh, kw), x
+    zero-padded by pad on every side: (B, O, H + 2·pad − kh + 1, ...)."""
+    if pad:
+        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    b, c, h, wd = x.shape
+    kh, kw = w.shape[2], w.shape[3]
     sb, sc, sh, sw = x.strides
-    return as_strided(
-        x,
-        shape=(b, c, ho, wo, kh, kw),
-        strides=(sb, sc, sh * stride, sw * stride, sh, sw),
-        writeable=False,
-    )
-
-
-def _pad(x, pad):
-    if pad == 0:
-        return x
-    return np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-
-
-def conv2d_forward(x, w, stride, pad):
-    xp = _pad(x, pad)
-    win = _windows(xp, w.shape[2], w.shape[3], stride)
+    # view of every (kh, kw) patch: (B, C, Ho, Wo, kh, kw)
+    win = as_strided(x, shape=(b, c, h - kh + 1, wd - kw + 1, kh, kw),
+                     strides=(sb, sc, sh, sw, sh, sw), writeable=False)
     return np.einsum("bihwkl,oikl->bohw", win, w, optimize=True)
 
 
-def conv2d_backward_input(dy, w, stride, pad, in_h, in_w):
-    """d loss / d x given d loss / d y. Output shape (B, Cin, in_h, in_w)."""
-    b, co, ho, wo = dy.shape
-    _, ci, kh, kw = w.shape
-    # dilate dy by the stride, then full-correlate with the rotated kernel
-    dil_h = (ho - 1) * stride + 1
-    dil_w = (wo - 1) * stride + 1
-    dil = np.zeros((b, co, dil_h, dil_w), dtype=np.float64)
-    dil[:, :, ::stride, ::stride] = dy
-    full = np.pad(dil, ((0, 0), (0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
-    win = _windows(full, kh, kw, 1)
-    w_rot = w[:, :, ::-1, ::-1]
-    span = np.einsum("bohwkl,oikl->bihw", win, w_rot, optimize=True)
-    # windows that never reached the padded tail contribute nothing there
-    dxp = np.zeros((b, ci, in_h + 2 * pad, in_w + 2 * pad), dtype=np.float64)
-    dxp[:, :, : span.shape[2], : span.shape[3]] = span
-    if pad == 0:
-        return dxp
-    return np.ascontiguousarray(dxp[:, :, pad : pad + in_h, pad : pad + in_w])
+def conv2d_forward(x, w):
+    return _correlate(x, w, w.shape[2] // 2)
 
 
-def conv2d_backward_weight(x, dy, stride, pad, kh, kw):
-    xp = _pad(x, pad)
-    win = _windows(xp, kh, kw, stride)
-    return np.einsum("bihwkl,bohw->oikl", win, dy, optimize=True)
+def conv2d_backward_input(dy, w):
+    """d loss / d x given d loss / d y; same shape as dy but Cin channels."""
+    return _correlate(dy, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), w.shape[2] // 2)
+
+
+def conv2d_backward_weight(x, dy, k):
+    """d loss / d w for a k×k kernel: (Cout, Cin, k, k)."""
+    return _correlate(x.transpose(1, 0, 2, 3), dy.transpose(1, 0, 2, 3),
+                      k // 2).transpose(1, 0, 2, 3)
 
 
 def maxpool2_forward(x):

@@ -96,9 +96,9 @@ def inner_update(prompt: PromptFrame, images: np.ndarray, labels: np.ndarray,
     return p, first_loss
 
 
-def meta_update(pm: np.ndarray, snapshots: list, gamma: float) -> np.ndarray:
-    """Exact moving-average step: pm + gamma * (sum_j (p_j - pm) / K), summed
-    in snapshot order. K = 0 is an error."""
+def _mean_offset(pm: np.ndarray, snapshots: list) -> np.ndarray:
+    """The pseudo-gradient sum_j (p_j - pm) / K, summed in snapshot order.
+    K = 0 is an error."""
     if len(snapshots) == 0:
         raise DataError("meta update with zero snapshots")
     acc = np.zeros_like(pm)
@@ -106,7 +106,12 @@ def meta_update(pm: np.ndarray, snapshots: list, gamma: float) -> np.ndarray:
         if s.shape != pm.shape:
             raise ShapeError(f"snapshot {s.shape} vs meta prompt {pm.shape}")
         acc += s - pm
-    return pm + gamma * (acc / len(snapshots))
+    return acc / len(snapshots)
+
+
+def meta_update(pm: np.ndarray, snapshots: list, gamma: float) -> np.ndarray:
+    """Exact moving-average step: pm + gamma * (sum_j (p_j - pm) / K)."""
+    return pm + gamma * _mean_offset(pm, snapshots)
 
 
 @dataclass
@@ -154,12 +159,8 @@ def meta_train(datasets, encoder, cfg: RunConfig, seed: int = 0) -> MetaResult:
             new_vals = meta_update(old, snapshots, cfg.gamma)
         else:
             # cosine-annealed Adam on the pseudo-gradient, no warmup
-            delta = np.zeros_like(old)
-            for s in snapshots:
-                delta += s - old
-            delta /= len(snapshots)
             opt.lr = 0.5 * cfg.gamma * (1.0 + np.cos(np.pi * epoch / cfg.meta_epochs))
-            new_vals = opt.step("meta", old, -delta)
+            new_vals = opt.step("meta", old, -_mean_offset(old, snapshots))
         pm = PromptFrame(spec, new_vals * spec.mask())
         result.update_norms.append(float(np.linalg.norm(pm.values - old)))
         result.epoch_losses.append(float(np.mean(losses)))

@@ -8,12 +8,19 @@ gradient buffers. An op whose operands are all plain ndarrays records nothing
 and returns the plain result, so one forward definition serves inference as
 well as training.
 
+The tape holds its nodes by weak reference and each Var holds its tape and
+(through its backward rule) its parents, so nothing forms a reference cycle:
+a finished step's tape and its intermediates are freed as soon as the last
+Var of it goes out of scope, without waiting for the cyclic collector.
+
 All taped values are float64 and C-contiguous. Replaying a tape-seeded
 program with the same seed is bit-identical: nothing here consults global
 RNG state.
 """
 
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 
@@ -28,16 +35,18 @@ def _f64(value) -> np.ndarray:
 
 
 class Tape:
-    """Append-only op record plus the RNG for any stochastic node."""
+    """Append-only op record plus the RNG for any stochastic node. nodes
+    holds a weak reference per Var in creation order; len(nodes) is the node
+    count, and a node nothing else references anymore reads None."""
 
     def __init__(self, seed: int = 0):
-        self.nodes: list[Var] = []
+        self.nodes: list[weakref.ref] = []
         self.seed = seed
         self._rng = np.random.default_rng(seed)
 
     def var(self, value, requires_grad: bool = False, op: str = "leaf", parents=()) -> "Var":
         v = Var(self, len(self.nodes), _f64(value), requires_grad, op, tuple(parents))
-        self.nodes.append(v)
+        self.nodes.append(weakref.ref(v))
         return v
 
     def randn(self, shape, requires_grad: bool = False) -> "Var":
@@ -46,7 +55,8 @@ class Tape:
 
 
 class Var:
-    __slots__ = ("tape", "node_id", "value", "grad", "requires_grad", "op", "parents", "_backward")
+    __slots__ = ("tape", "node_id", "value", "grad", "requires_grad", "op", "parents",
+                 "_backward", "__weakref__")
 
     def __init__(self, tape, node_id, value, requires_grad, op, parents):
         self.tape = tape
@@ -175,23 +185,21 @@ def maxpool2d(x) -> Var:
                    [(x, lambda g: kernels.maxpool2_backward(_f64(g), idx))], "maxpool2d")
 
 
-def conv2d(x, w, stride: int = 1, pad: int = 0) -> Var:
-    """2-d cross-correlation. w may be a frozen ndarray (no weight gradient is
-    ever materialized) or a Var (weight gradient flows, used in pretraining)."""
+def conv2d(x, w) -> Var:
+    """Same-padded stride-1 2-d cross-correlation: the output keeps the
+    input's height and width, so the kernel must be odd and square. w may be
+    a frozen ndarray (no weight gradient is ever materialized) or a Var
+    (weight gradient flows, used in pretraining)."""
     xv, wv = _val(x), _val(w)
     if xv.ndim != 4 or wv.ndim != 4 or xv.shape[1] != wv.shape[1]:
         raise ShapeError(f"conv2d: shapes {xv.shape} and {wv.shape} incompatible")
-    if stride < 1 or pad < 0:
-        raise ShapeError(f"conv2d: bad stride/pad ({stride}, {pad})")
-    if xv.shape[2] + 2 * pad < wv.shape[2] or xv.shape[3] + 2 * pad < wv.shape[3]:
-        raise ShapeError(f"conv2d: kernel {wv.shape} larger than padded input {xv.shape}")
-    y = kernels.conv2d_forward(xv, wv, stride, pad)
-    in_h, in_w = xv.shape[2], xv.shape[3]
-    kh, kw = wv.shape[2], wv.shape[3]
+    k = wv.shape[2]
+    if k % 2 == 0 or wv.shape[3] != k:
+        raise ShapeError(f"conv2d: kernel must be odd and square, got {wv.shape[2:]}")
     return _record(
-        _tape_of(x, w), y,
-        [(x, lambda g: kernels.conv2d_backward_input(_f64(g), wv, stride, pad, in_h, in_w)),
-         (w, lambda g: kernels.conv2d_backward_weight(xv, _f64(g), stride, pad, kh, kw))],
+        _tape_of(x, w), kernels.conv2d_forward(xv, wv),
+        [(x, lambda g: kernels.conv2d_backward_input(_f64(g), wv)),
+         (w, lambda g: kernels.conv2d_backward_weight(xv, _f64(g), k))],
         "conv2d")
 
 
@@ -293,7 +301,11 @@ def backward(loss: Var) -> dict[int, np.ndarray]:
     tape = loss.tape
     table: dict[int, np.ndarray] = {loss.node_id: np.ones(())}
     out: dict[int, np.ndarray] = {}
-    for var in reversed(tape.nodes[: loss.node_id + 1]):
+    for ref in reversed(tape.nodes[: loss.node_id + 1]):
+        var = ref()
+        # a dead node is unreachable from the loss, so it has no cotangent
+        if var is None:
+            continue
         g = table.pop(var.node_id, None)
         if g is None:
             continue

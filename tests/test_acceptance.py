@@ -70,9 +70,9 @@ def test_autodiff_matches_finite_differences_everywhere():
         "relu": ((4, 4), lambda t, x: T.reduce_sum(T.relu(x))),
         "maxpool2d": ((1, 2, 4, 4), lambda t, x: T.reduce_sum(T.maxpool2d(x))),
         "conv2d_x": ((1, 2, 6, 6), lambda t, x: T.reduce_sum(
-            T.conv2d(x, w3, 1, 1))),
+            T.conv2d(x, w3))),
         "conv2d_w": ((2, 2, 3, 3), lambda t, x: T.reduce_sum(T.conv2d(t.var(
-            np.random.default_rng(5).standard_normal((1, 2, 6, 6))), x, 1, 1))),
+            np.random.default_rng(5).standard_normal((1, 2, 6, 6))), x))),
         "reshape": ((2, 6), lambda t, x: T.reduce_sum(T.mul(
             T.reshape(x, (3, 4)), T.reshape(x, (3, 4))))),
         "take_columns": ((3, 5), lambda t, x: T.reduce_sum(T.take_columns(

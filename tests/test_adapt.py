@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import logging
 from types import SimpleNamespace
@@ -131,6 +132,28 @@ def test_head_logits_on_tape_matches_plain_path(tiny_encoder):
     want = np.zeros_like(feats)
     want[:, :3] = 1.0
     assert np.array_equal(fv.grad, want)
+
+
+def _live_tapes():
+    return sum(isinstance(o, T.Tape) for o in gc.get_objects())
+
+
+def test_prompt_step_frees_its_tape_without_the_cycle_collector(tiny_encoder):
+    # a tape and its Vars must not form a reference cycle, or every finished
+    # step's activations wait for the cyclic collector
+    enc, ds = tiny_encoder
+    head = A.build_head(enc, A.HeadMode("tuning", ds.class_count, seed=1))
+    prompt = np.zeros(ds.images.shape[1:])
+    gc.collect()
+    gc.disable()
+    try:
+        before = _live_tapes()
+        for _ in range(20):
+            A.prompt_step(ds.images[:4], prompt, ds.labels[:4], enc, head)
+        after = _live_tapes()
+    finally:
+        gc.enable()
+    assert after == before == 0
 
 
 # ------------------------------------------------------------------- metrics

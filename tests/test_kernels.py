@@ -8,11 +8,13 @@ import pytest
 import _helpers as H
 from frameprompt import kernels
 
+# same-padded, as every conv of the encoder: the oracles run at stride 1 and
+# pad k // 2, and the output keeps the input's height and width
 CASES = [
-    dict(x=(2, 3, 8, 8), w=(4, 3, 3, 3), stride=1, pad=1),
-    dict(x=(1, 2, 9, 9), w=(3, 2, 3, 3), stride=2, pad=0),
-    dict(x=(2, 4, 7, 5), w=(2, 4, 3, 3), stride=2, pad=2),
-    dict(x=(1, 1, 5, 5), w=(1, 1, 5, 5), stride=1, pad=0),
+    dict(x=(2, 3, 8, 8), w=(4, 3, 3, 3)),
+    dict(x=(1, 2, 9, 9), w=(3, 2, 3, 3)),
+    dict(x=(2, 4, 7, 5), w=(2, 4, 3, 3)),
+    dict(x=(1, 1, 5, 5), w=(1, 1, 5, 5)),
 ]
 
 
@@ -21,18 +23,18 @@ def test_conv_kernels_match_oracle(case):
     rng = np.random.default_rng(42)
     x = rng.standard_normal(case["x"])
     w = rng.standard_normal(case["w"])
-    s, p = case["stride"], case["pad"]
-    ya = kernels.conv2d_forward(x, w, s, p)
-    yb = H.oracle_conv2d_forward(x, w, s, p)
-    assert ya.shape == yb.shape
+    k = w.shape[2]
+    ya = kernels.conv2d_forward(x, w)
+    yb = H.oracle_conv2d_forward(x, w, 1, k // 2)
+    assert ya.shape == yb.shape == x.shape[:1] + w.shape[:1] + x.shape[2:]
     assert np.allclose(ya, yb, rtol=1e-12, atol=1e-12)
     dy = rng.standard_normal(ya.shape)
-    dxa = kernels.conv2d_backward_input(dy, w, s, p, x.shape[2], x.shape[3])
-    dxb = H.oracle_conv2d_backward_input(dy, w, s, p, x.shape[2], x.shape[3])
+    dxa = kernels.conv2d_backward_input(dy, w)
+    dxb = H.oracle_conv2d_backward_input(dy, w, 1, k // 2, x.shape[2], x.shape[3])
     assert dxa.shape == dxb.shape
     assert np.allclose(dxa, dxb, rtol=1e-12, atol=1e-12)
-    dwa = kernels.conv2d_backward_weight(x, dy, s, p, w.shape[2], w.shape[3])
-    dwb = H.oracle_conv2d_backward_weight(x, dy, s, p, w.shape[2], w.shape[3])
+    dwa = kernels.conv2d_backward_weight(x, dy, k)
+    dwb = H.oracle_conv2d_backward_weight(x, dy, 1, k // 2, k, k)
     assert dwa.shape == dwb.shape
     assert np.allclose(dwa, dwb, rtol=1e-12, atol=1e-12)
 
@@ -57,7 +59,7 @@ def test_conv_forward_matches_direct_sum():
     rng = np.random.default_rng(44)
     x = rng.standard_normal((1, 2, 5, 5))
     w = rng.standard_normal((3, 2, 3, 3))
-    y = kernels.conv2d_forward(x, w, 1, 1)
+    y = kernels.conv2d_forward(x, w)
     xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
     want = np.zeros_like(y)
     for o in range(3):
@@ -65,18 +67,6 @@ def test_conv_forward_matches_direct_sum():
             for ox in range(5):
                 want[0, o, oy, ox] = (xp[0, :, oy:oy + 3, ox:ox + 3] * w[o]).sum()
     assert np.allclose(y, want, rtol=1e-12, atol=1e-12)
-
-
-def test_backward_input_zeroes_dead_tail():
-    # with stride 2 on a 10-wide input the last row/column is never touched
-    rng = np.random.default_rng(45)
-    x = rng.standard_normal((1, 1, 10, 10))
-    w = rng.standard_normal((1, 1, 3, 3))
-    y = kernels.conv2d_forward(x, w, 2, 0)
-    dy = np.ones_like(y)
-    dx = kernels.conv2d_backward_input(dy, w, 2, 0, 10, 10)
-    assert np.all(dx[:, :, 9, :] == 0.0)
-    assert np.all(dx[:, :, :, 9] == 0.0)
 
 
 def test_default_backend_exported():
