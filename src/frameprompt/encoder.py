@@ -1,8 +1,17 @@
 """Small frozen convolutional encoder.
 
-Architecture is fixed: conv3x3(C->16) / relu / pool2 / conv3x3(16->32) /
-relu / pool2 / flatten / linear -> 64-d feature, plus a 16-way linear head
+Architecture is fixed: conv3x3(C->16) / pool2 / relu / conv3x3(16->32) /
+pool2 / relu / flatten / linear -> 64-d feature, plus a 16-way linear head
 used only during pretraining and by the head-freezing adaptation mode.
+
+Pooling runs before relu, so relu and its mask cover a quarter of the
+elements. It is the same function as relu then pool, because relu is
+monotone and so commutes with max. The gradients are equal under == too.
+Where a window's max is positive, relu keeps it and zeroes only smaller
+values, so both orders send dy to the same offset. Where the max is <= 0,
+both orders give the whole window a zero gradient; only the place of a -0.0
+in it can differ.
+
 Spatial dims must be divisible by 4 (two pooling stages). The architecture is
 written once, in _encode; inference, prompt training (frozen weights, input
 on a tape) and pretraining (trainable weights on a tape) all run it.
@@ -92,9 +101,9 @@ def _encode(x, params: dict):
     (nothing is taped) or Vars on one tape (gradients reach trainable Vars)."""
     y = x
     for layer in ("conv1", "conv2"):
-        # nested so the conv output is freed before relu allocates
+        # nested so the conv output is freed before pooling allocates
         y = T.bias_add(T.conv2d(y, params[layer + "_w"]), params[layer + "_b"])
-        y = T.maxpool2d(T.relu(y))
+        y = T.relu(T.maxpool2d(y))
     flat = T.reshape(y, (y.shape[0], -1))
     return T.bias_add(T.matmul(flat, params["fc_w"]), params["fc_b"])
 
@@ -136,7 +145,14 @@ class FrozenEncoder:
                              f"got {x.shape}")
         return x
 
-    def forward_features(self, x: np.ndarray, chunk: int = 128) -> np.ndarray:
+    def forward_features(self, x: np.ndarray, chunk: int = 64) -> np.ndarray:
+        """Features of (B, C, H, W) or one (C, H, W) image, encoded chunk
+        images at a time. A chunk of 64 holds half the transient memory of
+        128 (a traced peak of 26.7 against 53.1 MiB on 320 32px images) and
+        runs faster. Chunks of 16, 64, 128 and the whole batch give
+        bit-identical features; chunks of 1 or 5 do not, because einsum's
+        optimize=True then picks another contraction path for the conv,
+        which moves features by about 2e-14."""
         squeeze = np.asarray(x).ndim == 3
         x = self._check_input(x)
         # untaped, so each chunk's intermediates are freed as it goes

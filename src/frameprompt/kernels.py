@@ -13,6 +13,16 @@ directions:
   each input channel is an "image" over the batch, each output channel of dy
   a (H, W) "kernel", and the k×k result is the weight gradient.
 
+2x2 max pooling works on the four strided views x[:, :, i::2, j::2] of
+its input, one per window offset n = 2i + j, with no reshaped copy: the
+forward takes their elementwise max and finds each window's offset by
+equality tests in offset order, so ties go to the lowest offset by
+construction and a ±0.0 maximum carries the sign of the lowest offset that
+attains it. The backward writes dy into the view of the chosen offset and
++0.0 into the other three. A NaN in a window makes its max NaN and its
+offset unspecified; in training the NaN reaches the loss, and
+tensor.require_finite stops the run.
+
 All functions are allocation-heavy but vectorized. This is the only kernel
 set: runs reproduce bit for bit wherever numpy and its BLAS are the same.
 BACKEND names it in run manifests.
@@ -53,20 +63,43 @@ def conv2d_backward_weight(x, dy, k):
                       k // 2).transpose(1, 0, 2, 3)
 
 
+def _windows(x):
+    """The four (B, C, H/2, W/2) strided views of a (B, C, H, W) array, one
+    per offset of the 2x2 window in row-major order."""
+    return (x[:, :, 0::2, 0::2], x[:, :, 0::2, 1::2],
+            x[:, :, 1::2, 0::2], x[:, :, 1::2, 1::2])
+
+
 def maxpool2_forward(x):
-    """2x2 stride-2 max pool. Returns (y, idx) with idx in [0,4) per window,
-    ties resolved to the lowest linear offset (row-major within the window)."""
-    b, c, h, w = x.shape
-    win = x.reshape(b, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
-    flat = win.reshape(b, c, h // 2, w // 2, 4)
-    idx = np.argmax(flat, axis=-1).astype(np.int8)
-    y = np.take_along_axis(flat, idx[..., None].astype(np.int64), axis=-1)[..., 0]
-    return np.ascontiguousarray(y), idx
+    """2x2 stride-2 max pool of (B, C, H, W), H and W even. Returns (y, idx):
+    y (B, C, H/2, W/2) float64, C-contiguous, and idx int8 in [0, 4), the
+    row-major offset in each window that y came from, lowest offset on ties.
+
+    y is the elementwise max of the four window views a, b, c, d (offsets
+    0-3). np.maximum(p, q) returns q when the two compare equal (the kernel
+    tests pin this through the signs of zero), so every pair puts its lower
+    offset second and the lowest offset decides the sign of a ±0.0 maximum. idx = na · (1 + nb · (1 + nc)) over the 0/1 flags
+    na = (a != y), nb = (b != y), nc = (c != y): 0 if a == y, else 1 if
+    b == y, else 2 if c == y, else 3, so the tie rule holds by construction.
+    A window holding NaN gives y NaN and an unspecified idx."""
+    a, b, c, d = _windows(x)
+    y = np.maximum(b, a)
+    np.maximum(np.maximum(d, c), y, out=y)
+    # bool arrays are 0/1 bytes, so each flag is an int8 view, not a copy
+    idx = np.not_equal(c, y).view(np.int8)
+    idx += 1
+    idx *= np.not_equal(b, y).view(np.int8)
+    idx += 1
+    idx *= np.not_equal(a, y).view(np.int8)
+    return y, idx
 
 
 def maxpool2_backward(dy, idx):
+    """d loss / d x of maxpool2_forward: dy at each window's idx offset and
+    +0.0 at the other three, written as four strided (B, C, H/2, W/2)
+    slices of a (B, C, H, W) output."""
     b, c, ho, wo = dy.shape
-    flat = np.zeros((b, c, ho, wo, 4), dtype=np.float64)
-    np.put_along_axis(flat, idx[..., None].astype(np.int64), dy[..., None], axis=-1)
-    win = flat.reshape(b, c, ho, wo, 2, 2).transpose(0, 1, 2, 4, 3, 5)
-    return np.ascontiguousarray(win.reshape(b, c, ho * 2, wo * 2))
+    dx = np.empty((b, c, 2 * ho, 2 * wo))
+    for n, view in enumerate(_windows(dx)):
+        view[...] = np.where(idx == n, dy, 0.0)
+    return dx

@@ -2,7 +2,9 @@
 
 A prompt is a dense (C, H, W) array whose interior rectangle is identically
 zero; only the border band of width `border` is learnable. Application is a
-plain unclamped addition, so it is linear in the prompt values.
+plain unclamped addition, so it is linear in the prompt values. A training
+step that leaves any value beyond PROMPT_BOUND in magnitude raises
+DataError, so a diverged run writes nothing.
 
 Bundle format "DAMP" v1, all integers little-endian:
   magic, u32 version, u32 prompt count N,
@@ -23,10 +25,17 @@ import numpy as np
 
 from .atomic import Reader, write_atomic
 from .clustering import PrototypeSet
-from .errors import BadMagicError, FormatError, ShapeError
+from .errors import BadMagicError, DataError, FormatError, ShapeError
 
 MAGIC = b"DAMP"
 VERSION = 1
+
+# Images are standardized per channel, and trained prompt values stay within
+# a few units of zero: at most about 14 over the test suite and 3.4 over the
+# benchmark workloads. A value past this bound only drowns the image, so a
+# step that produces one has diverged, even where the loss stays finite: an
+# untrained head reads a few feature channels and need not overflow.
+PROMPT_BOUND = 1e6
 
 HEAD_TUNING, HEAD_FREEZING, HEAD_HARDCODED, HEAD_ACTIVE = 0, 1, 2, 3
 
@@ -108,10 +117,19 @@ class PromptFrame:
             raise ShapeError(f"grad {grad.shape} vs values {self.values.shape}")
         new = optimizer.step(key, self.values, grad * self._mask)
         self.values = new * self._mask
+        self._check_bound()
 
     def sgd_step(self, eta: float, grad: np.ndarray):
         """Plain gradient descent step, masked; used by the fast inner loop."""
         self.values = (self.values - eta * grad * self._mask) * self._mask
+        self._check_bound()
+
+    def _check_bound(self):
+        """DataError unless every value is within PROMPT_BOUND (NaN is not)."""
+        peak = float(np.max(np.abs(self.values)))
+        if not peak <= PROMPT_BOUND:
+            raise DataError(f"prompt training diverged: |prompt| reached {peak:.3g}, "
+                            f"past the bound {PROMPT_BOUND:g}")
 
 
 @dataclass

@@ -242,13 +242,17 @@ def test_divergence_exits_2_and_writes_nothing(pipeline, tmp_path, capsys):
     bad = tmp_path / "diverge.json"
     bad.write_text(json.dumps({**CONFIG, "optimizer": "sgd", "lr": 1e300,
                                "pretrain_lr": 1e300}))
+    # the active head has no weights to blow up: its loss stays finite while
+    # the prompt grows past prompt.PROMPT_BOUND
     runs = [["adapt", "--data", pipeline["down"], "--encoder", pipeline["enc"],
-             "--mode", "tuning", "--out", str(tmp_path / "d.dampb"), "--seed", "1"],
-            ["pretrain", "--data", pipeline["pre"], "--out", str(tmp_path / "e.damw")]]
+             "--mode", mode, "--out", str(tmp_path / f"{mode}.dampb"), "--seed", "1"]
+            for mode in ("tuning", "active")]
+    runs.append(["pretrain", "--data", pipeline["pre"], "--out", str(tmp_path / "e.damw")])
     for argv in runs:
         capsys.readouterr()
-        assert cli.main(argv + ["--config", str(bad)]) == 2, argv[0]
+        assert cli.main(argv + ["--config", str(bad)]) == 2, argv[:4]
         err = capsys.readouterr().err
+        assert err.count("\n") == 1, err
         assert err.startswith("error: DataError:") and "diverged" in err
     assert os.listdir(tmp_path) == ["diverge.json"]
 

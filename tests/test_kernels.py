@@ -55,6 +55,43 @@ def test_maxpool_kernels_match_oracle_exactly():
                           H.oracle_maxpool2_backward(dy, ib))
 
 
+def test_maxpool_kernels_keep_tie_rule_and_zero_signs():
+    """Ties go to the lowest row-major offset, and a ±0.0 maximum carries the
+    sign of that offset, as in the oracle's scan. The first plane holds all
+    16 sign patterns of an all-zero window, then windows that are all equal,
+    all negative, and tied at zero with mixed signs; the rest are
+    integer-grid values that tie often. dy holds ±0.0 too, so the
+    backward's signs are checked as well as its values."""
+    rng = np.random.default_rng(45)
+    grid = np.array([-2.0, -1.0, -0.0, 0.0, 1.0])
+    x = rng.choice(grid, size=(3, 4, 8, 10))
+    signs = (np.arange(16)[:, None] >> np.arange(4)) & 1
+    windows = list(np.where(signs == 1, -0.0, 0.0).reshape(16, 2, 2))
+    windows += [np.full((2, 2), 1.5),                    # all equal
+                np.full((2, 2), -2.0),                   # all equal, negative
+                np.array([[-3.0, -1.0], [-1.0, -2.0]]),  # negative, tie at 1, 2
+                np.array([[-1.0, -0.0], [0.0, -5.0]])]   # -0.0 ties +0.0
+    for k, win in enumerate(windows):
+        x[0, 0, 2 * (k // 5):2 * (k // 5) + 2, 2 * (k % 5):2 * (k % 5) + 2] = win
+    ya, ia = kernels.maxpool2_forward(x)
+    yb, ib = H.oracle_maxpool2_forward(x)
+    assert ia.dtype == np.int8 and ia.shape == ya.shape == (3, 4, 4, 5)
+    assert ya.dtype == np.float64 and ya.flags.c_contiguous
+    assert np.array_equal(ya, yb) and np.array_equal(ia, ib)
+    assert np.array_equal(np.signbit(ya), np.signbit(yb))
+    # the first plane's windows in the order they were placed
+    i0, y0 = ia[0, 0].reshape(-1), ya[0, 0].reshape(-1)
+    assert np.all(i0[:18] == 0) and i0[18] == 1 and i0[19] == 1
+    assert np.array_equal(np.signbit(y0[:16]), signs[:, 0] == 1)
+    assert y0[18] == -1.0 and np.signbit(y0[19])
+    dy = rng.choice(grid, size=ya.shape)
+    dxa = kernels.maxpool2_backward(dy, ia)
+    dxb = H.oracle_maxpool2_backward(dy, ib)
+    assert dxa.dtype == np.float64 and dxa.flags.c_contiguous
+    assert np.array_equal(dxa, dxb)
+    assert np.array_equal(np.signbit(dxa), np.signbit(dxb))
+
+
 def test_conv_forward_matches_direct_sum():
     rng = np.random.default_rng(44)
     x = rng.standard_normal((1, 2, 5, 5))

@@ -3,8 +3,8 @@ import pytest
 
 from frameprompt import prompt as P
 from frameprompt.clustering import PrototypeSet
-from frameprompt.errors import (BadMagicError, FormatError, ShapeError,
-                                TruncatedFileError)
+from frameprompt.errors import (BadMagicError, DataError, FormatError,
+                                ShapeError, TruncatedFileError)
 from frameprompt.optim import Adam, Sgd
 
 
@@ -100,6 +100,20 @@ def test_sgd_inner_step_masked():
     p2 = p.copy()
     p2.sgd_step(0.0, g)  # eta 0: no movement
     assert np.array_equal(p2.values, p.values)
+
+
+def test_steps_refuse_a_prompt_past_the_bound():
+    spec = P.FrameSpec(1, 8, 8, 1)
+    g = np.ones((1, 8, 8))
+    p = P.PromptFrame(spec)
+    p.sgd_step(P.PROMPT_BOUND, -g)  # landing on the bound is allowed
+    assert np.max(np.abs(p.values)) == P.PROMPT_BOUND
+    with pytest.raises(DataError, match="diverged"):
+        P.PromptFrame(spec).sgd_step(2 * P.PROMPT_BOUND, g)
+    with pytest.raises(DataError, match="diverged"):
+        P.PromptFrame(spec).grad_step(Sgd(2 * P.PROMPT_BOUND, momentum=0.0), "p", g)
+    with pytest.raises(DataError, match="diverged"):
+        P.PromptFrame(spec).sgd_step(1.0, np.full((1, 8, 8), np.nan))
 
 
 def _bundle(n=3, meta=False, tag=P.HEAD_ACTIVE):

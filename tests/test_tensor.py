@@ -85,6 +85,36 @@ def test_maxpool_idempotent_on_pooled_signal():
     assert np.array_equal(y, y2)
 
 
+def test_pool_then_relu_equals_relu_then_pool():
+    """relu(maxpool(z)) is maxpool(relu(z)): equal values with equal sign
+    bits, and input gradients equal under ==. The gradients may differ only
+    in where a -0.0 sits: where a window's max is <= 0 both orders zero the
+    whole window, but relu-first routes the (zeroed) cotangent to offset 0
+    while pool-first routes it to the window's argmax. The input has
+    all-non-positive windows, exact ties and signed zeros, and the
+    cotangent has both signs."""
+    rng = np.random.default_rng(17)
+    z = rng.choice(np.array([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0]), size=(2, 3, 6, 8))
+    z[0, 0, :2, :2] = -1.0                   # all equal, negative
+    z[0, 0, :2, 2:4] = [[-0.0, 0.0], [-3.0, 0.0]]
+    z[0, 1, :2, :2] = [[1.0, 2.0], [2.0, 2.0]]  # positive tie
+    z[1, 2] = -np.abs(z[1, 2])               # a plane of non-positive windows
+    w = rng.standard_normal((2, 3, 3, 4))
+
+    def run(order):
+        tape = T.Tape(0)
+        zv = tape.var(z, requires_grad=True)
+        out = order(zv)
+        T.backward(T.reduce_sum(T.mul(out, w)))
+        return out.value, zv.grad
+
+    new, new_grad = run(lambda v: T.relu(T.maxpool2d(v)))
+    old, old_grad = run(lambda v: T.maxpool2d(T.relu(v)))
+    assert np.array_equal(new, old)
+    assert np.array_equal(np.signbit(new), np.signbit(old))
+    assert np.array_equal(new_grad, old_grad)
+
+
 def test_maxpool_odd_shape_rejected():
     tape = T.Tape(0)
     with pytest.raises(ShapeError):
