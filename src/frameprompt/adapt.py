@@ -1,6 +1,12 @@
 """Downstream adaptation: cluster the target data in feature space, train one
 frame prompt per cluster against the frozen encoder, route by nearest
 prototype at evaluation time.
+
+Each minibatch is one tape whose leaf is the stack of its clusters' prompts,
+with the sum of the per-cluster mean losses as its loss: every prompt steps
+on the gradient of its own cluster's mean, and the shared head once on their
+sum. conv1 is linear, so the encoder sums each prompt's gradient over its
+samples before conv1's backward-input (see encoder._encode).
 """
 
 from __future__ import annotations
@@ -12,7 +18,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import clustering, tensor as T
-from .atomic import write_atomic
 from .config import RunConfig
 from .errors import ConfigError, DataError, FrozenViolationError, ShapeError
 from .optim import cosine_warmup_lr, make_optimizer
@@ -72,26 +77,27 @@ def head_logits(head: HeadState, feats):
     return T.take_columns(feats, head.indices)
 
 
-def prompt_step(images: np.ndarray, prompt_values: np.ndarray, labels: np.ndarray,
-                encoder, head: HeadState):
-    """One forward and backward pass of the prompted batch images + p against
-    the frozen encoder; the step that adaptation and the meta inner loop share.
+def prompt_step(images: np.ndarray, stack: np.ndarray, route: np.ndarray,
+                labels: np.ndarray, encoder, head: HeadState):
+    """One forward and backward pass of images + stack[route] against the
+    frozen encoder, the taped (T, C, H, W) prompt stack its leaf; the step
+    that adaptation and the meta inner loop share. Per-sample weights 1/n_t
+    make the loss the sum of each prompt's mean cross entropy.
 
-    Returns (loss, logits, input gradient summed over the batch, head
-    gradients as (weight, bias) or None for an untrained head). A non-finite
-    loss or gradient raises DataError, so a diverged run writes nothing."""
+    Returns (loss, logits, prompt gradients (T, C, H, W), head gradients as
+    (weight, bias) or None for an untrained head). A non-finite loss or
+    gradient raises DataError, so a diverged run writes nothing."""
     tape = T.Tape()
-    xv = tape.var(images + prompt_values[None], requires_grad=True)
+    sv = tape.var(stack, requires_grad=True)
     if head.trainable:
         head = replace(head, weight=tape.var(head.weight, requires_grad=True),
                        bias=tape.var(head.bias, requires_grad=True))
-    logits = head_logits(head, encoder.features_var(tape, xv))
-    loss = T.cross_entropy(logits, labels)
+    logits = head_logits(head, encoder.features_var(images, sv, route))
+    loss = T.cross_entropy(logits, labels, 1.0 / np.bincount(route)[route])
     T.backward(loss)
-    grad = xv.grad.sum(axis=0)
     head_grads = (head.weight.grad, head.bias.grad) if head.trainable else None
-    T.require_finite("prompt training", loss.value, grad, *(head_grads or ()))
-    return float(loss.value), logits.value, grad, head_grads
+    T.require_finite("prompt training", loss.value, sv.grad, *(head_grads or ()))
+    return float(loss.value), logits.value, sv.grad, head_grads
 
 
 def check_frozen(encoder):
@@ -121,9 +127,6 @@ class Metrics:
         for e, s, l, a, n, sec in self.rows:
             lines.append(f"{e},{s},{l:.10g},{a:.10g},{n},{sec:.6f}")
         return "\n".join(lines) + "\n"
-
-    def write_csv(self, path: str):
-        write_atomic(path, self.to_csv().encode("utf-8"))
 
 
 @dataclass
@@ -169,16 +172,15 @@ def _score_routed(dataset, routes: np.ndarray, prompts, head: HeadState,
                  encoder) -> EvalResult:
     """Mean loss and top-1 of each sample prompted by its routed cluster."""
     hist = np.bincount(routes, minlength=len(prompts))
+    stack = np.stack([p.values for p in prompts])
     total_loss, total_hits = 0.0, 0
-    for t in np.unique(routes):
-        sub = np.flatnonzero(routes == t)
-        for start in range(0, len(sub), 256):
-            ids = sub[start:start + 256]
-            xp = prompts[t].apply(dataset.images[ids])
-            logits = head_logits(head, encoder.forward_features(xp))
-            loss, hits = _ce_and_top1(logits, dataset.labels[ids])
-            total_loss += loss
-            total_hits += hits
+    for start in range(0, len(dataset), 256):
+        ids = slice(start, start + 256)
+        xp = dataset.images[ids] + stack[routes[ids]]
+        logits = head_logits(head, encoder.forward_features(xp))
+        loss, hits = _ce_and_top1(logits, dataset.labels[ids])
+        total_loss += loss
+        total_hits += hits
     n = len(dataset)
     return EvalResult(total_loss / n, total_hits / n, hist)
 
@@ -270,22 +272,19 @@ def adapt(train, encoder, cfg: RunConfig, mode: HeadMode, seed: int = 0,
         epoch_loss, epoch_hits = 0.0, 0
         for start in range(0, n, cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
-            head_grads = None
-            for t in np.unique(assign[batch]):
-                sub = batch[assign[batch] == t]
-                labels = train.labels[sub]
-                loss, logits, grad, grads = prompt_step(train.images[sub], prompts[t].values,
-                                                        labels, encoder, head)
-                prompts[t].grad_step(opt, f"prompt{t}", grad)
-                if grads is not None:
-                    head_grads = grads if head_grads is None else (
-                        head_grads[0] + grads[0], head_grads[1] + grads[1])
-                epoch_loss += loss * len(sub)
-                epoch_hits += int((np.argmax(logits, axis=1) == labels).sum())
+            present, route = np.unique(assign[batch], return_inverse=True)
+            labels = train.labels[batch]
+            stack = np.stack([prompts[t].values for t in present])
+            _, logits, grad, head_grads = prompt_step(train.images[batch], stack, route,
+                                                      labels, encoder, head)
+            for i, t in enumerate(present):
+                prompts[t].grad_step(opt, f"prompt{t}", grad[i])
             if head_grads is not None:
-                # one shared head update per minibatch
                 head.weight = opt.step("head_w", head.weight, head_grads[0])
                 head.bias = opt.step("head_b", head.bias, head_grads[1])
+            loss, hits = _ce_and_top1(logits, labels)
+            epoch_loss += loss
+            epoch_hits += hits
         metrics.add(epoch, "train", epoch_loss / n, epoch_hits / n, n_clusters,
                     time.perf_counter() - t0)
         if val_routes is not None:

@@ -1,6 +1,7 @@
 """Command line front end.
 
-Exit codes: 0 success, 1 usage error, 2 data or contract violation. Every
+Exit codes: 0 success, 1 usage error, 2 data or contract violation, or a
+path that cannot be read or written. Every
 hyperparameter lives in the config file; flags carry only paths, the seed and
 the head mode. Each command that writes artifacts also writes a manifest with
 content hashes of inputs and (canonicalized) outputs, so re-running with the
@@ -113,8 +114,7 @@ def _load_encoder_with_tau(path: str):
 def cmd_pretrain(args) -> int:
     cfg = _load_cfg(args)
     ds = data.load_descriptor(args.data)
-    mean, std = ds.channel_stats()
-    ds = ds.standardize(mean, std)
+    ds = ds.standardize(*ds.channel_stats())
     enc = encoder_mod.pretrain(ds, cfg.pretrain_epochs, args.seed,
                                lr=cfg.pretrain_lr, batch_size=cfg.pretrain_batch_size)
     enc.save(args.out)
@@ -130,8 +130,7 @@ def cmd_calibrate(args) -> int:
     cfg = _load_cfg(args)
     enc = encoder_mod.load_encoder(args.encoder)
     ref = data.load_descriptor(args.reference)
-    mean, std = ref.channel_stats()
-    ref = ref.standardize(mean, std)
+    ref = ref.standardize(*ref.channel_stats())
     tau = clustering.calibrate_threshold(enc, ref, probe_size=cfg.probe_size,
                                          seed=args.seed)
     doc = {"tau_star": tau, "encoder_fingerprint": enc.fingerprint,
@@ -149,8 +148,7 @@ def cmd_diversity(args) -> int:
     cfg = _load_cfg(args)
     ds = data.load_descriptor(args.data)
     enc = encoder_mod.load_encoder(args.encoder) if args.encoder else None
-    pairs = args.pairs if args.pairs is not None else cfg.pairs
-    res = diversity.diversity_score(ds, enc, pairs=pairs, seed=args.seed,
+    res = diversity.diversity_score(ds, enc, pairs=cfg.pairs, seed=args.seed,
                                     metric=args.space)
     row = (f"{_base_id(ds.id)},{res.metric},{res.pairs},{args.seed},"
            f"{res.score:.6f},{res.spread:.6f}")
@@ -168,11 +166,8 @@ def cmd_meta_train(args) -> int:
     paths = [p for p in args.datasets.split(",") if p]
     if not paths:
         raise UsageError("--datasets must list at least one descriptor")
-    datasets = []
-    for p in paths:
-        ds = data.load_descriptor(p)
-        mean, std = ds.channel_stats()
-        datasets.append(ds.standardize(mean, std))
+    datasets = [data.load_descriptor(p) for p in paths]
+    datasets = [ds.standardize(*ds.channel_stats()) for ds in datasets]
     for ds in datasets:
         if _base_id(ds.id) == _base_id(enc.pretrain_dataset_id):
             raise DataError(f"meta dataset {ds.id} equals the pretraining dataset")
@@ -227,7 +222,7 @@ def cmd_adapt(args) -> int:
                                       meta=meta_prompt, val=val, test=test)
     save_bundle(args.out, bundle)
     stem = args.out[:-len(".dampb")] if args.out.endswith(".dampb") else args.out
-    metrics.write_csv(stem + ".metrics.csv")
+    write_atomic(stem + ".metrics.csv", metrics.to_csv().encode("utf-8"))
     test_row = metrics.final("test")
     train_row = metrics.final("train")
     summary = {
@@ -264,9 +259,8 @@ def cmd_eval(args) -> int:
     _, _, test = data.split_dataset(full, cfg.split_fractions, args.seed)
     if len(test) == 0:
         raise DataError("test split is empty under the configured fractions")
-    target = test
-    res = adapt_mod.evaluate(target, bundle, enc)
-    doc = {"dataset": _base_id(full.id), "split": target.split,
+    res = adapt_mod.evaluate(test, bundle, enc)
+    doc = {"dataset": _base_id(full.id), "split": test.split,
            "loss": res.loss, "top1": res.top1, "n_clusters": bundle.n,
            "routing_histogram": [int(v) for v in res.histogram]}
     write_atomic(args.out, (json.dumps(doc, indent=1, sort_keys=True) + "\n")
@@ -351,7 +345,6 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("diversity", help="dataset diversity score")
     sp.add_argument("--data", required=True)
     sp.add_argument("--encoder", default=None)
-    sp.add_argument("--pairs", type=int, default=None)
     sp.add_argument("--space", choices=("feature_l2", "pixel_l2"),
                     default="feature_l2")
     sp.add_argument("--out", required=True)
@@ -401,7 +394,7 @@ def main(argv=None) -> int:
         msg = str(e).replace("\n", " ")
         print(f"usage error: {msg}", file=sys.stderr)
         return 1
-    except FramePromptError as e:
+    except (FramePromptError, OSError) as e:  # OSError: a path that cannot be read
         msg = str(e).replace("\n", " ")
         print(f"error: {type(e).__name__}: {msg}", file=sys.stderr)
         return 2

@@ -154,10 +154,10 @@ def generate_modemix(spec: SyntheticSpec) -> ImageDataset:
     to identical images per class."""
     if not 1 <= spec.modes <= len(PALETTE):
         raise DataError(f"modes must be in [1,{len(PALETTE)}], got {spec.modes}")
-    if spec.classes_per_mode < 1 or spec.samples_per_class < 1:
-        raise DataError("classes_per_mode and samples_per_class must be >= 1")
-    if spec.jitter < 0:
-        raise DataError(f"jitter must be >= 0, got {spec.jitter}")
+    if min(spec.classes_per_mode, spec.samples_per_class, spec.size) < 1:
+        raise DataError("classes_per_mode, samples_per_class and size must be >= 1")
+    if spec.jitter < 0 or spec.seed < 0:
+        raise DataError(f"jitter and seed must be >= 0, got {spec.jitter} and {spec.seed}")
     rng = np.random.default_rng(spec.seed)
     size = spec.size
     images, labels = [], []
@@ -228,21 +228,36 @@ def split_dataset(dataset: ImageDataset, fractions, seed: int):
     return tuple(p.standardize(mean, std) for p in parts)
 
 
+# descriptor fields by kind: name -> (accepted types, required)
+_DESCRIPTOR_FIELDS = {
+    "synthetic": {"modes": (int, True), "classes_per_mode": (int, True),
+                  "samples_per_class": (int, True), "jitter": ((int, float), False),
+                  "seed": (int, False), "size": (int, False), "id": (str, False)},
+    "idx": {"images": (str, True), "labels": (str, True), "id": (str, True)},
+}
+
+
 def load_descriptor(path: str) -> ImageDataset:
-    """Dataset descriptor json: {"kind": "synthetic"|"idx", ...}."""
+    """Dataset descriptor json: {"kind": "synthetic"|"idx", ...}. DataError
+    unless it is an object with every required field, each of its type."""
     with open(path) as fh:
         try:
             desc = json.load(fh)
         except json.JSONDecodeError as e:
             raise DataError(f"{path}: invalid json at line {e.lineno}") from e
+    if not isinstance(desc, dict):
+        raise DataError(f"{path}: descriptor must be a json object")
     kind = desc.get("kind")
+    if not isinstance(kind, str) or kind not in _DESCRIPTOR_FIELDS:
+        raise DataError(f"{path}: unknown dataset kind {kind!r}")
+    fields = {k: desc[k] for k in _DESCRIPTOR_FIELDS[kind] if k in desc}
+    for key, (types, required) in _DESCRIPTOR_FIELDS[kind].items():
+        if required and key not in fields:
+            raise DataError(f"{path}: {kind} descriptor missing {key!r}")
+        if key in fields and (isinstance(fields[key], bool)
+                              or not isinstance(fields[key], types)):
+            raise DataError(f"{path}: {kind} descriptor field {key!r} has the "
+                            f"wrong type: {fields[key]!r}")
     if kind == "synthetic":
-        fields = {k: desc[k] for k in ("modes", "classes_per_mode", "samples_per_class",
-                                       "jitter", "seed", "size", "id") if k in desc}
         return generate_modemix(SyntheticSpec(**fields))
-    if kind == "idx":
-        for key in ("images", "labels", "id"):
-            if key not in desc:
-                raise DataError(f"{path}: idx descriptor missing {key!r}")
-        return load_idx(desc["images"], desc["labels"], desc["id"])
-    raise DataError(f"{path}: unknown dataset kind {kind!r}")
+    return load_idx(fields["images"], fields["labels"], fields["id"])

@@ -13,8 +13,11 @@ both orders give the whole window a zero gradient; only the place of a -0.0
 in it can differ.
 
 Spatial dims must be divisible by 4 (two pooling stages). The architecture is
-written once, in _encode; inference, prompt training (frozen weights, input
-on a tape) and pretraining (trainable weights on a tape) all run it.
+written once, in _encode; inference, prompt training (frozen weights, the
+prompt stack on a tape) and pretraining (trainable weights on a tape) all run
+it. Prompt training uses the linearity of conv1: it runs conv1 untaped on the
+images, adds conv1 of each sample's prompt, and so runs conv1's backward-input
+at batch T on the per-prompt sums of a minibatch that spans T prompts.
 
 Weights live in an ordered dict of read-only float64 arrays. The on-disk
 format is magic "DAMW", u32 version, u32 record count, then per array a u32
@@ -96,14 +99,23 @@ def _freeze_arrays(weights: dict) -> dict:
     return out
 
 
-def _encode(x, params: dict):
-    """Features of a (B, C, H, W) batch. x and params may be plain ndarrays
-    (nothing is taped) or Vars on one tape (gradients reach trainable Vars)."""
-    y = x
-    for layer in ("conv1", "conv2"):
-        # nested so the conv output is freed before pooling allocates
-        y = T.bias_add(T.conv2d(y, params[layer + "_w"]), params[layer + "_b"])
-        y = T.relu(T.maxpool2d(y))
+def _encode(x, params: dict, prompts=None, route=None):
+    """Features of a (B, C, H, W) batch, or of x + prompts[route] for a
+    (T, C, H, W) prompt stack and (B,) indices into it. x, params and prompts
+    may be plain ndarrays (nothing is taped) or Vars on one tape (gradients
+    reach trainable Vars)."""
+    y = T.conv2d(x, params["conv1_w"])
+    if prompts is not None:
+        # conv1(x + p) = conv1(x) + conv1(p); the one-hot matmul copies each
+        # prompt's map to its samples, and its backward is the per-prompt sum
+        onehot = (route[:, None] == np.arange(prompts.shape[0])).astype(np.float64)
+        fp = T.reshape(T.conv2d(prompts, params["conv1_w"]), (prompts.shape[0], -1))
+        y = T.add(y, T.reshape(T.matmul(onehot, fp), y.shape))
+    # rebinding y frees each conv output once its bias is added, before pooling
+    y = T.bias_add(y, params["conv1_b"])
+    y = T.relu(T.maxpool2d(y))
+    y = T.bias_add(T.conv2d(y, params["conv2_w"]), params["conv2_b"])
+    y = T.relu(T.maxpool2d(y))
     flat = T.reshape(y, (y.shape[0], -1))
     return T.bias_add(T.matmul(flat, params["fc_w"]), params["fc_b"])
 
@@ -160,9 +172,10 @@ class FrozenEncoder:
         feats = np.concatenate(parts) if len(parts) > 1 else parts[0]
         return feats[0] if squeeze else feats
 
-    def features_var(self, tape: T.Tape, x_var: T.Var) -> T.Var:
-        """Feature forward on tape input (gradient flows to x_var only)."""
-        return _encode(x_var, self.weights)
+    def features_var(self, images: np.ndarray, x_var: T.Var, route: np.ndarray) -> T.Var:
+        """Features of images + x_var[route] for a taped (T, C, H, W) prompt
+        stack x_var; the gradient flows to x_var only."""
+        return _encode(images, self.weights, x_var, route)
 
     def probe_channel_variance(self, count: int, seed: int) -> np.ndarray:
         """Unbiased per-channel feature variance over standard-normal noise."""

@@ -17,7 +17,7 @@ from . import clustering
 from .adapt import HeadMode, build_head, check_frozen, prompt_step, resolve_tau
 from .config import RunConfig
 from .errors import DataError, ShapeError
-from .optim import Adam
+from .optim import Adam, Sgd
 from .prompt import FrameSpec, HeadState, PromptFrame
 
 log = logging.getLogger(__name__)
@@ -87,12 +87,14 @@ def inner_update(prompt: PromptFrame, images: np.ndarray, labels: np.ndarray,
     if steps < 1:
         raise DataError(f"inner steps must be >= 1, got {steps}")
     p = prompt.copy()
+    sgd = Sgd(eta, momentum=0.0)
+    route = np.zeros(len(images), dtype=np.int64)
     first_loss = 0.0
     for s in range(steps):
-        loss, _, grad, _ = prompt_step(images, p.values, labels, encoder, head)
+        loss, _, grad, _ = prompt_step(images, p.values[None], route, labels, encoder, head)
         if s == 0:
             first_loss = loss
-        p.sgd_step(eta, grad)
+        p.grad_step(sgd, "inner", grad[0])
     return p, first_loss
 
 

@@ -2,9 +2,11 @@
 
 A prompt is a dense (C, H, W) array whose interior rectangle is identically
 zero; only the border band of width `border` is learnable. Application is a
-plain unclamped addition, so it is linear in the prompt values. A training
-step that leaves any value beyond PROMPT_BOUND in magnitude raises
-DataError, so a diverged run writes nothing.
+plain unclamped addition, so it is linear in the prompt values. There is one
+update rule, PromptFrame.grad_step with an optimizer: adaptation passes its
+configured one, the meta inner loop a momentum-free Sgd. A step that leaves
+any value beyond PROMPT_BOUND in magnitude raises DataError, so a diverged
+run writes nothing.
 
 Bundle format "DAMP" v1, all integers little-endian:
   magic, u32 version, u32 prompt count N,
@@ -98,34 +100,15 @@ class PromptFrame:
     def copy(self) -> "PromptFrame":
         return PromptFrame(self.spec, self.values)
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """x + p, unclamped. Accepts (C,H,W) or (B,C,H,W)."""
-        x = np.asarray(x, dtype=np.float64)
-        s = self.spec
-        if x.ndim == 3:
-            if x.shape != (s.channels, s.height, s.width):
-                raise ShapeError(f"image {x.shape} vs frame {s}")
-            return x + self.values
-        if x.ndim == 4 and x.shape[1:] == (s.channels, s.height, s.width):
-            return x + self.values[None]
-        raise ShapeError(f"image {x.shape} vs frame {s}")
-
     def grad_step(self, optimizer, key: str, grad: np.ndarray):
-        """Masked update: interior gradient is discarded and the interior is
-        re-zeroed afterwards regardless of what the optimizer returned."""
+        """The one update rule. Masked: interior gradient is discarded and the
+        interior is re-zeroed afterwards regardless of what the optimizer
+        returned. DataError unless every new value is within PROMPT_BOUND
+        (NaN is not)."""
         if grad.shape != self.values.shape:
             raise ShapeError(f"grad {grad.shape} vs values {self.values.shape}")
         new = optimizer.step(key, self.values, grad * self._mask)
         self.values = new * self._mask
-        self._check_bound()
-
-    def sgd_step(self, eta: float, grad: np.ndarray):
-        """Plain gradient descent step, masked; used by the fast inner loop."""
-        self.values = (self.values - eta * grad * self._mask) * self._mask
-        self._check_bound()
-
-    def _check_bound(self):
-        """DataError unless every value is within PROMPT_BOUND (NaN is not)."""
         peak = float(np.max(np.abs(self.values)))
         if not peak <= PROMPT_BOUND:
             raise DataError(f"prompt training diverged: |prompt| reached {peak:.3g}, "

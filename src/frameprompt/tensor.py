@@ -77,19 +77,10 @@ class Var:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0) if isinstance(other, Var) else -_f64(other))
-
     def __mul__(self, other):
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __repr__(self):
         return f"Var(id={self.node_id}, op={self.op}, shape={self.value.shape})"
@@ -255,11 +246,13 @@ def softmax(x) -> Var:
     return _record(_tape_of(x), s, [(x, back)], "softmax")
 
 
-def cross_entropy(logits, labels) -> Var:
-    """Mean negative log softmax probability of the true label.
+def cross_entropy(logits, labels, weights=None) -> Var:
+    """Mean negative log softmax probability of the true label, or with
+    per-sample weights their weighted sum.
 
-    Accepts ((k,), int) or ((B,k), (B,) int array). Loss of a one-hot-correct
-    distribution is 0 within 1e-12 thanks to the log-sum-exp form.
+    Accepts ((k,), int) or ((B,k), (B,) int array); weights is None or a (B,)
+    array. Loss of a one-hot-correct distribution is 0 within 1e-12 thanks to
+    the log-sum-exp form.
     """
     lv = _val(logits)
     if lv.ndim == 1:
@@ -277,14 +270,19 @@ def cross_entropy(logits, labels) -> Var:
         raise ShapeError("cross_entropy: empty logits")
     if lab.min() < 0 or lab.max() >= k:
         raise ShapeError(f"cross_entropy: label out of range [0,{k})")
+    if weights is not None:
+        weights = _f64(weights)
+        if weights.shape != (b,):
+            raise ShapeError(f"cross_entropy: weights {weights.shape} vs {b} samples")
     m = lv2.max(axis=-1, keepdims=True)
     lse = m[:, 0] + np.log(np.exp(lv2 - m).sum(axis=-1))
-    loss = (lse - lv2[np.arange(b), lab]).mean()
+    per_sample = lse - lv2[np.arange(b), lab]
+    loss = per_sample.mean() if weights is None else (weights * per_sample).sum()
     def back(g):
         p = np.exp(lv2 - m)
         p /= p.sum(axis=-1, keepdims=True)
         p[np.arange(b), lab] -= 1.0
-        full = (float(g) / b) * p
+        full = (float(g) / b) * p if weights is None else (float(g) * weights)[:, None] * p
         return full[0] if lv.ndim == 1 else full
     return _record(_tape_of(logits), loss, [(logits, back)], "cross_entropy")
 
@@ -328,10 +326,6 @@ def require_finite(what: str, *values):
     for v in values:
         if not np.all(np.isfinite(v)):
             raise DataError(f"{what} diverged: non-finite loss or gradient")
-
-
-def zeros(shape) -> np.ndarray:
-    return np.zeros(shape, dtype=np.float64)
 
 
 def randn(shape, seed: int) -> np.ndarray:

@@ -9,6 +9,7 @@ import pytest
 
 from frameprompt import adapt as A
 from frameprompt import clustering as C
+from frameprompt import encoder as E
 from frameprompt import tensor as T
 from frameprompt.config import RunConfig
 from frameprompt.data import SyntheticSpec, generate_modemix, split_dataset
@@ -143,17 +144,47 @@ def test_prompt_step_frees_its_tape_without_the_cycle_collector(tiny_encoder):
     # step's activations wait for the cyclic collector
     enc, ds = tiny_encoder
     head = A.build_head(enc, A.HeadMode("tuning", ds.class_count, seed=1))
-    prompt = np.zeros(ds.images.shape[1:])
+    stack = np.zeros((1,) + ds.images.shape[1:])
+    route = np.zeros(4, dtype=np.int64)
     gc.collect()
     gc.disable()
     try:
         before = _live_tapes()
         for _ in range(20):
-            A.prompt_step(ds.images[:4], prompt, ds.labels[:4], enc, head)
+            A.prompt_step(ds.images[:4], stack, route, ds.labels[:4], enc, head)
         after = _live_tapes()
     finally:
         gc.enable()
     assert after == before == 0
+
+
+def test_one_tape_matches_per_cluster_tapes(tiny_encoder):
+    # one tape over a minibatch that spans three prompts gives each prompt
+    # the gradient of its own cluster's mean loss, and the head their sum,
+    # as one tape per cluster on the prompted images does
+    enc, ds = tiny_encoder
+    head = A.build_head(enc, A.HeadMode("tuning", ds.class_count, seed=2))
+    spec = FrameSpec.for_input(3, 16, 16)
+    stack = np.stack([PromptFrame.random(spec, 0.5, seed=[4, t]).values
+                      for t in range(3)])
+    route = np.array([2, 0, 1, 2, 2, 0, 2, 1, 2, 2])
+    images, labels = ds.images[:10], ds.labels[:10]
+    _, _, grad, (gw, gb) = A.prompt_step(images, stack, route, labels, enc, head)
+    want = np.zeros_like(stack)
+    want_w, want_b = np.zeros_like(head.weight), np.zeros_like(head.bias)
+    for t in range(3):
+        sub = route == t
+        tape = T.Tape()
+        xv = tape.var(images[sub] + stack[t][None], requires_grad=True)
+        taped = dataclasses.replace(head, weight=tape.var(head.weight, requires_grad=True),
+                                    bias=tape.var(head.bias, requires_grad=True))
+        logits = A.head_logits(taped, E._encode(xv, enc.weights))
+        T.backward(T.cross_entropy(logits, labels[sub]))
+        want[t] = xv.grad.sum(axis=0)
+        want_w += taped.weight.grad
+        want_b += taped.bias.grad
+    for got, ref in ((grad, want), (gw, want_w), (gb, want_b)):
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 # ------------------------------------------------------------------- metrics

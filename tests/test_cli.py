@@ -234,6 +234,25 @@ def test_contract_violations_exit_2(pipeline, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: FormatError:")
     assert not os.path.exists(tmp_path / "garbled.json")
+    # malformed descriptors and missing input files end as one error line
+    good = {"kind": "synthetic", "modes": 2, "classes_per_mode": 2, "samples_per_class": 3}
+    descriptors = {"no_fields": {"kind": "synthetic"}, "not_object": [1, 2],
+                   "bad_type": {**good, "samples_per_class": "x"},
+                   "negative_seed": {**good, "seed": -1}, "zero_size": {**good, "size": 0}}
+    runs = []
+    for name, doc in descriptors.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        runs.append((str(path), str(pipeline["config"]), "error: DataError:"))
+    runs.append((str(tmp_path / "absent.json"), str(pipeline["config"]), "error:"))
+    runs.append((pipeline["pre"], str(tmp_path / "absent_config.json"), "error:"))
+    for i, (desc, config, prefix) in enumerate(runs):
+        out = tmp_path / f"bad{i}.damw"
+        rc = cli.main(["pretrain", "--data", desc, "--out", str(out), "--config", config])
+        assert rc == 2, desc
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(prefix), err
+        assert not os.path.exists(out)
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",

@@ -55,28 +55,6 @@ def test_constructor_rejects_interior_payload():
         P.PromptFrame(spec, vals)
 
 
-def test_apply_is_plain_addition():
-    spec = P.FrameSpec(3, 16, 16, 2)
-    p = P.PromptFrame.random(spec, 5.0, seed=0)  # huge sigma: no clamping
-    x = np.full((3, 16, 16), 0.9)
-    y = p.apply(x)
-    assert np.array_equal(y, x + p.values)
-    batch = np.stack([x, 2 * x])
-    yb = p.apply(batch)
-    assert np.array_equal(yb[1], 2 * x + p.values)
-    with pytest.raises(ShapeError):
-        p.apply(np.zeros((3, 8, 8)))
-
-
-def test_apply_linear_in_prompt():
-    spec = P.FrameSpec(3, 12, 12, 2)
-    a = P.PromptFrame.random(spec, 0.3, seed=1)
-    b = P.PromptFrame.random(spec, 0.2, seed=2)
-    x = np.random.default_rng(3).standard_normal((3, 12, 12))
-    combined = P.PromptFrame(spec, a.values + b.values)
-    assert np.allclose(combined.apply(x), a.apply(x) + b.values, atol=1e-15)
-
-
 def test_masked_steps_keep_interior_zero():
     spec = P.FrameSpec(3, 16, 16, 2)
     interior = (slice(None), slice(2, -2), slice(2, -2))
@@ -94,11 +72,11 @@ def test_sgd_inner_step_masked():
     spec = P.FrameSpec(1, 8, 8, 1)
     p = P.PromptFrame(spec)
     g = np.ones((1, 8, 8))
-    p.sgd_step(0.5, g)
+    p.grad_step(Sgd(0.5, momentum=0.0), "p", g)
     assert np.all(p.values[0, 1:-1, 1:-1] == 0.0)
     assert np.all(p.values[0, 0, :] == -0.5)
     p2 = p.copy()
-    p2.sgd_step(0.0, g)  # eta 0: no movement
+    p2.grad_step(Sgd(0.0, momentum=0.0), "p", g)  # eta 0: no movement
     assert np.array_equal(p2.values, p.values)
 
 
@@ -106,14 +84,14 @@ def test_steps_refuse_a_prompt_past_the_bound():
     spec = P.FrameSpec(1, 8, 8, 1)
     g = np.ones((1, 8, 8))
     p = P.PromptFrame(spec)
-    p.sgd_step(P.PROMPT_BOUND, -g)  # landing on the bound is allowed
+    # landing on the bound is allowed
+    p.grad_step(Sgd(P.PROMPT_BOUND, momentum=0.0), "p", -g)
     assert np.max(np.abs(p.values)) == P.PROMPT_BOUND
-    with pytest.raises(DataError, match="diverged"):
-        P.PromptFrame(spec).sgd_step(2 * P.PROMPT_BOUND, g)
     with pytest.raises(DataError, match="diverged"):
         P.PromptFrame(spec).grad_step(Sgd(2 * P.PROMPT_BOUND, momentum=0.0), "p", g)
     with pytest.raises(DataError, match="diverged"):
-        P.PromptFrame(spec).sgd_step(1.0, np.full((1, 8, 8), np.nan))
+        P.PromptFrame(spec).grad_step(Sgd(1.0, momentum=0.0), "p",
+                                      np.full((1, 8, 8), np.nan))
 
 
 def _bundle(n=3, meta=False, tag=P.HEAD_ACTIVE):

@@ -203,6 +203,23 @@ def test_cross_entropy_grad_single_and_batched():
     assert_gradcheck(lambda tape, v: T.cross_entropy(v, labels), xb)
 
 
+def test_weighted_cross_entropy_value_and_grad():
+    # the sum of per-group means that one prompt-training tape minimizes
+    rng = np.random.default_rng(17)
+    xb = rng.standard_normal((5, 4))
+    labels = np.array([0, 3, 1, 2, 3])
+    weights = np.array([0.5, 1 / 3, 0.5, 1 / 3, 1 / 3])
+    loss = T.cross_entropy(T.Tape(0).var(xb), labels, weights)
+    pick = np.array([0, 2])
+    rest = np.array([1, 3, 4])
+    want = (float(T.cross_entropy(xb[pick], labels[pick]))
+            + float(T.cross_entropy(xb[rest], labels[rest])))
+    assert abs(float(loss.value) - want) < 1e-12
+    assert_gradcheck(lambda tape, v: T.cross_entropy(v, labels, weights), xb)
+    with pytest.raises(ShapeError):
+        T.cross_entropy(xb, labels, weights[:4])
+
+
 def test_cross_entropy_rejects_bad_labels():
     tape = T.Tape(0)
     with pytest.raises(ShapeError):
