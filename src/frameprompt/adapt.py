@@ -7,6 +7,10 @@ with the sum of the per-cluster mean losses as its loss: every prompt steps
 on the gradient of its own cluster's mean, and the shared head once on their
 sum. conv1 is linear, so the encoder sums each prompt's gradient over its
 samples before conv1's backward-input (see encoder._encode).
+
+The affine heads (tuning, freezing) are a matmul and a bias; the mapped heads
+(hardcoded, active) pick their feature columns with tensor.take, the same
+gather that picks each sample's prompt in the encoder.
 """
 
 from __future__ import annotations
@@ -74,7 +78,7 @@ def head_logits(head: HeadState, feats):
     plain ndarrays (nothing is taped) or Vars on one tape."""
     if head.tag in (HEAD_TUNING, HEAD_FREEZING):
         return T.bias_add(T.matmul(feats, head.weight), head.bias)
-    return T.take_columns(feats, head.indices)
+    return T.take(feats, head.indices, 1)
 
 
 def prompt_step(images: np.ndarray, stack: np.ndarray, route: np.ndarray,

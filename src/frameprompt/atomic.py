@@ -4,8 +4,11 @@ Every file the package writes goes through write_atomic, so a crash or a
 failed run never leaves a half-written file, and the file gets the mode that
 open(path, "wb") would give it (0666 less the umask). Both binary loaders
 (.damw weights and .dampb bundles) parse through Reader, so a file that ends
-early raises TruncatedFileError and one with trailing bytes FormatError."""
+early raises TruncatedFileError and one with trailing bytes FormatError. The
+json sidecars and run summaries read back through read_json_object, which
+raises FormatError for anything but a json object."""
 
+import json
 import os
 import struct
 
@@ -25,6 +28,19 @@ def write_atomic(path: str, blob: bytes):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def read_json_object(path: str, what: str) -> dict:
+    """The json object stored at path; what names the file in the error."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    try:
+        doc = json.loads(blob)
+    except ValueError as e:  # invalid json or invalid utf-8
+        raise FormatError(f"{path}: {what} is not valid json: {e}") from None
+    if not isinstance(doc, dict):
+        raise FormatError(f"{path}: {what} is not a json object")
+    return doc
 
 
 class Reader:

@@ -21,9 +21,9 @@ import numpy as np
 from . import __version__, kernels
 from . import adapt as adapt_mod
 from . import clustering, data, diversity, encoder as encoder_mod, meta as meta_mod
-from .atomic import write_atomic
+from .atomic import read_json_object, write_atomic
 from .config import RunConfig, load_config
-from .errors import ConfigError, DataError, FramePromptError
+from .errors import ConfigError, DataError, FormatError, FramePromptError
 from .prompt import PromptBundle, load_bundle, save_bundle
 
 
@@ -100,13 +100,18 @@ def _base_id(dataset_id: str) -> str:
     return dataset_id.split("/")[0]
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _load_encoder_with_tau(path: str):
     enc = encoder_mod.load_encoder(path)
     calib = encoder_mod.calib_path(path)
     if os.path.exists(calib):
-        with open(calib) as fh:
-            doc = json.load(fh)
+        doc = read_json_object(calib, "calibration")
         if doc.get("encoder_fingerprint") == enc.fingerprint:
+            if not _is_number(doc.get("tau_star")):
+                raise FormatError(f"{calib}: calibration has no numeric tau_star")
             enc.tau_star = float(doc["tau_star"])
     return enc
 
@@ -279,8 +284,7 @@ def cmd_report(args) -> int:
         for name in sorted(files):
             path = os.path.join(root, name)
             if name.endswith(".summary.json"):
-                with open(path) as fh:
-                    summaries.append(json.load(fh))
+                summaries.append(_read_summary(path))
             elif name.endswith(".csv"):
                 with open(path) as fh:
                     lines = fh.read().splitlines()
@@ -289,16 +293,17 @@ def cmd_report(args) -> int:
                         cells = line.split(",")
                         if len(cells) >= 5:
                             div_by_dataset[cells[0]] = float(cells[4])
+    # a run without a test accuracy (an empty test split) stays out of the mean
     by_dataset = {}
     for s in summaries:
-        slot = by_dataset.setdefault(s["dataset"], {})
-        key = "vp" if s.get("force_single_prompt") else "damvp"
-        slot.setdefault(key, []).append(s.get("test_top1"))
+        slot = by_dataset.setdefault(s["dataset"], {"vp": [], "damvp": []})
+        if s.get("test_top1") is not None:
+            slot["vp" if s.get("force_single_prompt") else "damvp"].append(s["test_top1"])
     lines = ["dataset,diversity,vp_accuracy,damvp_accuracy,gain"]
     for ds in sorted(by_dataset):
         slot = by_dataset[ds]
-        vp = np.mean(slot["vp"]) if slot.get("vp") else float("nan")
-        dam = np.mean(slot["damvp"]) if slot.get("damvp") else float("nan")
+        vp = np.mean(slot["vp"]) if slot["vp"] else float("nan")
+        dam = np.mean(slot["damvp"]) if slot["damvp"] else float("nan")
         gain = (dam - vp) * 100.0
         div = div_by_dataset.get(ds, float("nan"))
         lines.append(f"{ds},{div:.6f},{vp:.6f},{dam:.6f},{gain:.6f}")
@@ -309,6 +314,15 @@ def cmd_report(args) -> int:
                        [args.out])
     sys.stdout.write(blob)
     return 0
+
+
+def _read_summary(path: str) -> dict:
+    doc = read_json_object(path, "run summary")
+    top1 = doc.get("test_top1")
+    if not isinstance(doc.get("dataset"), str) or not (top1 is None or _is_number(top1)):
+        raise FormatError(f"{path}: run summary needs a dataset name and a numeric "
+                          f"or null test_top1")
+    return doc
 
 
 def _inputs(args, *flags) -> dict:

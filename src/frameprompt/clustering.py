@@ -199,24 +199,15 @@ def fit_prototypes(feats: np.ndarray, tau: float, cap: int, probe_size: int, see
 
 def calibrate_threshold(encoder, reference, probe_size: int = 1000,
                         seed: int = 0) -> float:
-    """Distance scale from a designated single-mode reference dataset.
-
-    Finds the smallest tau (binary search, 1e-3 resolution) at which the
-    probe collapses to one cluster, then backs off to 0.8 of it."""
+    """Distance scale from a designated single-mode reference dataset: 0.8 of
+    the largest linkage distance of the probe's dendrogram, the smallest tau
+    at which cut() leaves one cluster."""
     if len(reference) < 2:
         raise DataError(f"calibration needs >= 2 samples, got {len(reference)}")
     ids = probe_indices(len(reference), probe_size, [seed, 0xCA11])
     feats = encoder.forward_features(reference.images[ids])
-    dend = agglomerate(feats)
-    hi = dend.max_distance()
-    if hi <= 0:
+    top = agglomerate(feats).max_distance()
+    if top <= 0:
         # all probe points identical; any positive threshold collapses them
         return 0.8 * 1e-3
-    lo = 0.0
-    while hi - lo > 1e-3:
-        mid = 0.5 * (lo + hi)
-        if cut(dend, mid).n_clusters == 1:
-            hi = mid
-        else:
-            lo = mid
-    return 0.8 * hi
+    return 0.8 * top

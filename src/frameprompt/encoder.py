@@ -16,8 +16,10 @@ Spatial dims must be divisible by 4 (two pooling stages). The architecture is
 written once, in _encode; inference, prompt training (frozen weights, the
 prompt stack on a tape) and pretraining (trainable weights on a tape) all run
 it. Prompt training uses the linearity of conv1: it runs conv1 untaped on the
-images, adds conv1 of each sample's prompt, and so runs conv1's backward-input
-at batch T on the per-prompt sums of a minibatch that spans T prompts.
+images and conv1 on the prompt stack, and adds to each image the row of its
+prompt, picked by tensor.take. The gather's backward sums each prompt's
+samples, so conv1's backward-input runs at batch T on a minibatch that spans
+T prompts.
 
 Weights live in an ordered dict of read-only float64 arrays. The on-disk
 format is magic "DAMW", u32 version, u32 record count, then per array a u32
@@ -35,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .atomic import Reader, write_atomic
+from .atomic import Reader, read_json_object, write_atomic
 from .errors import (BadMagicError, DataError, FingerprintMismatchError,
                      FormatError, ShapeError)
 
@@ -106,11 +108,9 @@ def _encode(x, params: dict, prompts=None, route=None):
     reach trainable Vars)."""
     y = T.conv2d(x, params["conv1_w"])
     if prompts is not None:
-        # conv1(x + p) = conv1(x) + conv1(p); the one-hot matmul copies each
-        # prompt's map to its samples, and its backward is the per-prompt sum
-        onehot = (route[:, None] == np.arange(prompts.shape[0])).astype(np.float64)
-        fp = T.reshape(T.conv2d(prompts, params["conv1_w"]), (prompts.shape[0], -1))
-        y = T.add(y, T.reshape(T.matmul(onehot, fp), y.shape))
+        # conv1(x + p) = conv1(x) + conv1(p): each sample gathers its prompt's
+        # map, and the gather's backward is the per-prompt sum
+        y = T.add(y, T.take(T.conv2d(prompts, params["conv1_w"]), route, 0))
     # rebinding y frees each conv output once its bias is added, before pooling
     y = T.bias_add(y, params["conv1_b"])
     y = T.relu(T.maxpool2d(y))
@@ -250,23 +250,26 @@ def load_weights(path: str) -> tuple[dict, int]:
 def load_encoder(path: str) -> FrozenEncoder:
     weights, fp = load_weights(path)
     try:
-        with open(meta_path(path)) as fh:
-            meta = json.load(fh)
+        meta = read_json_object(meta_path(path), "encoder metadata")
     except FileNotFoundError:
         meta = _infer_meta(weights)
-    spec = EncoderSpec(in_channels=int(meta["in_channels"]), height=int(meta["height"]),
-                       width=int(meta["width"]))
-    enc = FrozenEncoder(spec, weights,
-                        pretrain_dataset_id=meta.get("pretrain_dataset_id", ""),
-                        train_accuracy=meta.get("train_accuracy", 0.0),
-                        seed=meta.get("seed", 0))
+    try:
+        spec = EncoderSpec(in_channels=int(meta["in_channels"]), height=int(meta["height"]),
+                           width=int(meta["width"]))
+        extras = {"pretrain_dataset_id": str(meta.get("pretrain_dataset_id", "")),
+                  "train_accuracy": float(meta.get("train_accuracy", 0.0)),
+                  "seed": int(meta.get("seed", 0))}
+        golden = np.asarray(meta["f0"], dtype=np.float64) if "f0" in meta else None
+    except (KeyError, TypeError, ValueError) as e:
+        raise FormatError(f"{meta_path(path)}: encoder metadata field missing or "
+                          f"mistyped: {e!r}") from None
+    enc = FrozenEncoder(spec, weights, **extras)
     if enc.fingerprint != fp:
         raise FingerprintMismatchError("weights changed between parse and construction")
-    if "f0" in meta:
-        golden = np.asarray(meta["f0"], dtype=np.float64)
-        if golden.shape != enc.f0.shape or not np.array_equal(golden, enc.f0):
-            raise FingerprintMismatchError("stored zero-input response differs from "
-                                           "recomputed one")
+    if golden is not None and (golden.shape != enc.f0.shape
+                               or not np.array_equal(golden, enc.f0)):
+        raise FingerprintMismatchError("stored zero-input response differs from "
+                                       "recomputed one")
     return enc
 
 
@@ -329,7 +332,7 @@ def pretrain(dataset, epochs: int, seed: int, lr: float = 1e-3,
             fl = flips[start:start + len(ids)]
             xb[fl] = xb[fl][:, :, :, ::-1]
             yb = dataset.labels[ids]
-            tape = T.Tape(seed)
+            tape = T.Tape()
             logits, pvars = _logits_var(tape, params, xb)
             loss = T.cross_entropy(logits, yb)
             T.backward(loss)

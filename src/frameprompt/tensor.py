@@ -1,20 +1,24 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
 A Tape records every Var produced during a forward pass. backward() walks the
-tape in reverse creation order, accumulating cotangents into a table keyed by
-node id. Gradients are materialized only along paths that end in a leaf
-created with requires_grad=True; frozen operands (plain ndarrays) never get
-gradient buffers. An op whose operands are all plain ndarrays records nothing
-and returns the plain result, so one forward definition serves inference as
-well as training.
+tape in reverse creation order, accumulating cotangents by node id, and
+stores each requires_grad leaf's gradient on its .grad. Gradients are
+materialized only along paths that end in such a leaf; frozen operands (plain
+ndarrays) never get gradient buffers. An op whose operands are all plain
+ndarrays records nothing and returns the plain result, so one forward
+definition serves inference as well as training.
+
+The ops are the ones the encoder, the heads and the loss run: add, matmul,
+bias_add, relu, maxpool2d, conv2d, reshape, take and cross_entropy. take is
+the one gather: it picks each sample's prompt map in the encoder and the
+mapped heads' feature columns.
 
 The tape holds its nodes by weak reference and each Var holds its tape and
 (through its backward rule) its parents, so nothing forms a reference cycle:
 a finished step's tape and its intermediates are freed as soon as the last
 Var of it goes out of scope, without waiting for the cyclic collector.
 
-All taped values are float64 and C-contiguous. Replaying a tape-seeded
-program with the same seed is bit-identical: nothing here consults global
+All taped values are float64 and C-contiguous. Nothing here consults global
 RNG state.
 """
 
@@ -35,65 +39,43 @@ def _f64(value) -> np.ndarray:
 
 
 class Tape:
-    """Append-only op record plus the RNG for any stochastic node. nodes
-    holds a weak reference per Var in creation order; len(nodes) is the node
-    count, and a node nothing else references anymore reads None."""
+    """Append-only op record. nodes holds a weak reference per Var in
+    creation order; len(nodes) is the node count, and a node nothing else
+    references anymore reads None."""
 
-    def __init__(self, seed: int = 0):
+    def __init__(self):
         self.nodes: list[weakref.ref] = []
-        self.seed = seed
-        self._rng = np.random.default_rng(seed)
 
-    def var(self, value, requires_grad: bool = False, op: str = "leaf", parents=()) -> "Var":
-        v = Var(self, len(self.nodes), _f64(value), requires_grad, op, tuple(parents))
+    def var(self, value, requires_grad: bool = False) -> "Var":
+        v = Var(self, len(self.nodes), _f64(value), requires_grad)
         self.nodes.append(weakref.ref(v))
         return v
 
-    def randn(self, shape, requires_grad: bool = False) -> "Var":
-        # stochastic leaf; replay with the same tape seed reproduces it exactly
-        return self.var(self._rng.standard_normal(shape), requires_grad, op="randn")
-
 
 class Var:
-    __slots__ = ("tape", "node_id", "value", "grad", "requires_grad", "op", "parents",
-                 "_backward", "__weakref__")
+    __slots__ = ("tape", "node_id", "value", "grad", "requires_grad", "_backward",
+                 "__weakref__")
 
-    def __init__(self, tape, node_id, value, requires_grad, op, parents):
+    def __init__(self, tape, node_id, value, requires_grad):
         self.tape = tape
         self.node_id = node_id
         self.value = value
         self.grad = None
         self.requires_grad = requires_grad
-        self.op = op
-        self.parents = parents
         self._backward = None
 
     @property
     def shape(self):
         return self.value.shape
 
-    def __add__(self, other):
-        return add(self, other)
 
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __repr__(self):
-        return f"Var(id={self.node_id}, op={self.op}, shape={self.value.shape})"
-
-
-def _record(tape, value, parents_and_grads, op):
+def _record(tape, value, parents_and_grads):
     """parents_and_grads: list of (Var, fn(g) -> grad contribution). Without
     a tape (no operand is a Var) the plain value is returned, untaped."""
     if tape is None:
         return value
     live = [(p, fn) for p, fn in parents_and_grads if isinstance(p, Var)]
-    out = tape.var(value, requires_grad=any(p.requires_grad for p, _ in live), op=op,
-                   parents=[p.node_id for p, _ in live])
+    out = tape.var(value, requires_grad=any(p.requires_grad for p, _ in live))
     if out.requires_grad:
         def rule(g):
             return [(p, fn(g)) for p, fn in live if p.requires_grad]
@@ -116,23 +98,9 @@ def _val(x):
 
 def add(a, b) -> Var:
     av, bv = _val(a), _val(b)
-    if av.shape != bv.shape and av.ndim != 0 and bv.ndim != 0:
+    if av.shape != bv.shape:
         raise ShapeError(f"add: shapes {av.shape} and {bv.shape} differ")
-    def side(v, g):
-        return np.full_like(v, g.sum()) if v.ndim == 0 and g.ndim != 0 else g
-    return _record(_tape_of(a, b), av + bv,
-                   [(a, lambda g: side(av, g)), (b, lambda g: side(bv, g))], "add")
-
-
-def mul(a, b) -> Var:
-    av, bv = _val(a), _val(b)
-    if av.shape != bv.shape and av.ndim != 0 and bv.ndim != 0:
-        raise ShapeError(f"mul: shapes {av.shape} and {bv.shape} differ")
-    def side(mine, other, g):
-        full = g * other
-        return full.sum() if mine.ndim == 0 and full.ndim != 0 else full
-    return _record(_tape_of(a, b), av * bv,
-                   [(a, lambda g: side(av, bv, g)), (b, lambda g: side(bv, av, g))], "mul")
+    return _record(_tape_of(a, b), av + bv, [(a, lambda g: g), (b, lambda g: g)])
 
 
 def matmul(a, b) -> Var:
@@ -140,7 +108,7 @@ def matmul(a, b) -> Var:
     if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
         raise ShapeError(f"matmul: shapes {av.shape} and {bv.shape} incompatible")
     return _record(_tape_of(a, b), av @ bv,
-                   [(a, lambda g: g @ bv.T), (b, lambda g: av.T @ g)], "matmul")
+                   [(a, lambda g: g @ bv.T), (b, lambda g: av.T @ g)])
 
 
 def bias_add(x, b) -> Var:
@@ -156,14 +124,13 @@ def bias_add(x, b) -> Var:
         reduce_b = lambda g: g.sum(axis=(0, 2, 3))
     else:
         raise ShapeError(f"bias_add: shapes {xv.shape} and {bv.shape} incompatible")
-    return _record(_tape_of(x, b), val, [(x, lambda g: g), (b, reduce_b)], "bias_add")
+    return _record(_tape_of(x, b), val, [(x, lambda g: g), (b, reduce_b)])
 
 
 def relu(x) -> Var:
     xv = _val(x)
     mask = xv > 0
-    return _record(_tape_of(x), np.where(mask, xv, 0.0),
-                   [(x, lambda g: g * mask)], "relu")
+    return _record(_tape_of(x), np.where(mask, xv, 0.0), [(x, lambda g: g * mask)])
 
 
 def maxpool2d(x) -> Var:
@@ -173,7 +140,7 @@ def maxpool2d(x) -> Var:
         raise ShapeError(f"maxpool2d: need (B,C,even,even), got {xv.shape}")
     y, idx = kernels.maxpool2_forward(xv)
     return _record(_tape_of(x), y,
-                   [(x, lambda g: kernels.maxpool2_backward(_f64(g), idx))], "maxpool2d")
+                   [(x, lambda g: kernels.maxpool2_backward(_f64(g), idx))])
 
 
 def conv2d(x, w) -> Var:
@@ -190,60 +157,34 @@ def conv2d(x, w) -> Var:
     return _record(
         _tape_of(x, w), kernels.conv2d_forward(xv, wv),
         [(x, lambda g: kernels.conv2d_backward_input(_f64(g), wv)),
-         (w, lambda g: kernels.conv2d_backward_weight(xv, _f64(g), k))],
-        "conv2d")
+         (w, lambda g: kernels.conv2d_backward_weight(xv, _f64(g), k))])
 
 
 def reshape(x, shape) -> Var:
     xv = _val(x)
     old = xv.shape
-    return _record(_tape_of(x), xv.reshape(shape),
-                   [(x, lambda g: g.reshape(old))], "reshape")
+    return _record(_tape_of(x), xv.reshape(shape), [(x, lambda g: g.reshape(old))])
 
 
-def take_columns(x, indices) -> Var:
-    """Column gather on a (B, d) matrix; the logit-mapping primitive."""
+def take(x, indices, axis: int) -> Var:
+    """The entries at indices along axis; an index may repeat, and its
+    gradients then add up. Untaped, the fancy-indexing result comes back as
+    numpy lays it out: a column gather is F-ordered, and evaluation's loss sums
+    its rows in that memory order."""
     xv = _val(x)
     idx = np.asarray(indices, dtype=np.int64)
-    if xv.ndim != 2 or idx.ndim != 1:
-        raise ShapeError(f"take_columns: got {xv.shape} with index shape {idx.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= xv.shape[1]):
-        raise ShapeError(f"take_columns: index out of range for {xv.shape}")
+    if idx.ndim != 1 or not 0 <= axis < xv.ndim:
+        raise ShapeError(f"take: index shape {idx.shape} on axis {axis} of {xv.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= xv.shape[axis]):
+        raise ShapeError(f"take: index out of range for axis {axis} of {xv.shape}")
     def back(g):
+        # one slab add per index, in order; np.add.at is slower on few large slabs
         dx = np.zeros_like(xv)
-        np.add.at(dx, (slice(None), idx), g)
+        dm, gm = np.moveaxis(dx, axis, 0), np.moveaxis(g, axis, 0)
+        for i, j in enumerate(idx):
+            dm[j] += gm[i]
         return dx
-    return _record(_tape_of(x), xv[:, idx], [(x, back)], "take_columns")
-
-
-def reduce_sum(x, axis=None) -> Var:
-    xv = _val(x)
-    def back(g):
-        if axis is None:
-            return np.broadcast_to(g, xv.shape).copy()
-        return np.broadcast_to(np.expand_dims(g, axis), xv.shape).copy()
-    return _record(_tape_of(x), xv.sum(axis=axis), [(x, back)], "sum")
-
-
-def mean(x, axis=None) -> Var:
-    xv = _val(x)
-    count = xv.size if axis is None else xv.shape[axis]
-    def back(g):
-        if axis is None:
-            return np.broadcast_to(g / count, xv.shape).copy()
-        return np.broadcast_to(np.expand_dims(g, axis) / count, xv.shape).copy()
-    return _record(_tape_of(x), xv.mean(axis=axis), [(x, back)], "mean")
-
-
-def softmax(x) -> Var:
-    """Numerically stable softmax along the last axis; rows sum to 1."""
-    xv = _val(x)
-    shifted = xv - xv.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=-1, keepdims=True)
-    def back(g):
-        return s * (g - (g * s).sum(axis=-1, keepdims=True))
-    return _record(_tape_of(x), s, [(x, back)], "softmax")
+    return _record(_tape_of(x), xv[(slice(None),) * axis + (idx,)], [(x, back)])
 
 
 def cross_entropy(logits, labels, weights=None) -> Var:
@@ -284,22 +225,17 @@ def cross_entropy(logits, labels, weights=None) -> Var:
         p[np.arange(b), lab] -= 1.0
         full = (float(g) / b) * p if weights is None else (float(g) * weights)[:, None] * p
         return full[0] if lv.ndim == 1 else full
-    return _record(_tape_of(logits), loss, [(logits, back)], "cross_entropy")
+    return _record(_tape_of(logits), loss, [(logits, back)])
 
 
-def backward(loss: Var) -> dict[int, np.ndarray]:
-    """Reverse sweep from a scalar loss.
-
-    Returns the gradient table for every requires_grad leaf reachable from
-    the loss, keyed by node id, and stores each gradient on var.grad. Grad
-    shapes always match value shapes.
-    """
+def backward(loss: Var):
+    """Reverse sweep from a scalar loss: stores the gradient of every
+    requires_grad leaf reachable from it on the leaf's .grad, shaped like its
+    value. Every other Var's .grad stays None."""
     if loss.value.shape != ():
         raise ShapeError(f"backward: loss must be scalar, got {loss.value.shape}")
-    tape = loss.tape
     table: dict[int, np.ndarray] = {loss.node_id: np.ones(())}
-    out: dict[int, np.ndarray] = {}
-    for ref in reversed(tape.nodes[: loss.node_id + 1]):
+    for ref in reversed(loss.tape.nodes[: loss.node_id + 1]):
         var = ref()
         # a dead node is unreachable from the loss, so it has no cotangent
         if var is None:
@@ -312,12 +248,7 @@ def backward(loss: Var) -> dict[int, np.ndarray]:
                 prev = table.get(parent.node_id)
                 table[parent.node_id] = contrib if prev is None else prev + contrib
         elif var.requires_grad:
-            g = _f64(g)
-            if g.shape != var.value.shape:
-                g = np.broadcast_to(g, var.value.shape).copy()
-            var.grad = g
-            out[var.node_id] = g
-    return out
+            var.grad = _f64(g)
 
 
 def require_finite(what: str, *values):

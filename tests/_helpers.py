@@ -28,16 +28,26 @@ def rel_err(ad, fd):
     return np.max(np.abs(ad - fd) / np.maximum(1.0, np.abs(fd)))
 
 
+def project(y, r=None):
+    """Σ y·r (Σ y without r) as a taped scalar, from reshape and matmul: the
+    loss the op tests differentiate. r may be an ndarray or a Var."""
+    from frameprompt import tensor as T
+
+    if r is None:
+        r = np.ones(y.shape)
+    return T.reshape(T.matmul(T.reshape(y, (1, -1)), T.reshape(r, (-1, 1))), ())
+
+
 def assert_gradcheck(build, x, coords=None, tol=1e-6):
     """build(tape, x_var) -> scalar Var; compares backward against FD."""
     from frameprompt import tensor as T
 
     def value(arr):
-        tape = T.Tape(0)
+        tape = T.Tape()
         xv = tape.var(arr, requires_grad=True)
         return float(build(tape, xv).value)
 
-    tape = T.Tape(0)
+    tape = T.Tape()
     xv = tape.var(x, requires_grad=True)
     loss = build(tape, xv)
     T.backward(loss)

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from _helpers import make_modemix, oracle_agglomerate
+from _helpers import make_modemix, oracle_agglomerate, project
 from frameprompt import cli, clustering as C, encoder as E, tensor as T
 from frameprompt.adapt import HeadMode, adapt, baseline_vp
 from frameprompt.config import RunConfig
@@ -57,29 +57,28 @@ def test_autodiff_matches_finite_differences_everywhere():
 
     t0 = time.perf_counter()
     w3 = np.random.default_rng(90).standard_normal((2, 2, 3, 3))
+    r_rows = np.random.default_rng(6).standard_normal((5, 2, 3))
+    r_cols = np.random.default_rng(7).standard_normal((3, 3))
     cases = {
-        "add": ((4, 5), lambda t, x: T.reduce_sum(T.add(x, T.mul(x, 0.5)))),
-        "mul": ((4, 5), lambda t, x: T.reduce_sum(T.mul(x, t.var(
-            np.random.default_rng(1).standard_normal((4, 5)))))),
-        "matmul_a": ((3, 4), lambda t, x: T.reduce_sum(T.matmul(x, t.var(
+        "add": ((4, 5), lambda t, x: project(T.add(x, x))),
+        "matmul_a": ((3, 4), lambda t, x: project(T.matmul(x, t.var(
             np.random.default_rng(2).standard_normal((4, 2)))))),
-        "matmul_b": ((4, 2), lambda t, x: T.reduce_sum(T.matmul(t.var(
+        "matmul_b": ((4, 2), lambda t, x: project(T.matmul(t.var(
             np.random.default_rng(3).standard_normal((3, 4))), x))),
-        "bias_add": ((5,), lambda t, x: T.reduce_sum(T.bias_add(t.var(
+        "bias_add": ((5,), lambda t, x: project(T.bias_add(t.var(
             np.random.default_rng(4).standard_normal((3, 5))), x))),
-        "relu": ((4, 4), lambda t, x: T.reduce_sum(T.relu(x))),
-        "maxpool2d": ((1, 2, 4, 4), lambda t, x: T.reduce_sum(T.maxpool2d(x))),
-        "conv2d_x": ((1, 2, 6, 6), lambda t, x: T.reduce_sum(
-            T.conv2d(x, w3))),
-        "conv2d_w": ((2, 2, 3, 3), lambda t, x: T.reduce_sum(T.conv2d(t.var(
+        "relu": ((4, 4), lambda t, x: project(T.relu(x))),
+        "maxpool2d": ((1, 2, 4, 4), lambda t, x: project(T.maxpool2d(x))),
+        "conv2d_x": ((1, 2, 6, 6), lambda t, x: project(T.conv2d(x, w3))),
+        "conv2d_w": ((2, 2, 3, 3), lambda t, x: project(T.conv2d(t.var(
             np.random.default_rng(5).standard_normal((1, 2, 6, 6))), x))),
-        "reshape": ((2, 6), lambda t, x: T.reduce_sum(T.mul(
-            T.reshape(x, (3, 4)), T.reshape(x, (3, 4))))),
-        "take_columns": ((3, 5), lambda t, x: T.reduce_sum(T.take_columns(
-            x, np.array([0, 2, 2])))),
-        "mean": ((4, 3), lambda t, x: T.reduce_sum(T.mean(x, 0))),
-        "softmax": ((3, 4), lambda t, x: T.reduce_sum(T.mul(
-            T.softmax(x), T.softmax(x)))),
+        "reshape": ((2, 6), lambda t, x: project(T.reshape(x, (3, 4)),
+                                                 T.reshape(x, (3, 4)))),
+        # a repeated route, as a prompt that several samples share
+        "take_axis0": ((3, 2, 3), lambda t, x: project(T.take(
+            x, np.array([2, 0, 2, 2, 1]), 0), r_rows)),
+        "take_axis1": ((3, 5), lambda t, x: project(T.take(
+            x, np.array([0, 2, 2]), 1), r_cols)),
         "cross_entropy": ((4, 5), lambda t, x: T.cross_entropy(
             x, np.array([0, 3, 1, 4]))),
     }
@@ -109,10 +108,10 @@ def test_autodiff_matches_finite_differences_everywhere():
             lse = m[:, 0] + np.log(np.exp(logits - m).sum(axis=1))
             return float(np.mean(lse - logits[np.arange(2), labels]))
 
-        tape = T.Tape(0)
+        tape = T.Tape()
         pv = tape.var(p.values[None], requires_grad=True)
-        logits = T.take_columns(enc.features_var(x, pv, np.zeros(2, dtype=np.int64)),
-                                np.arange(4))
+        logits = T.take(enc.features_var(x, pv, np.zeros(2, dtype=np.int64)),
+                        np.arange(4), 1)
         T.backward(T.cross_entropy(logits, labels))
         ad = pv.grad[0].reshape(-1)
 

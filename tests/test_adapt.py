@@ -19,6 +19,8 @@ from frameprompt.prompt import (HEAD_ACTIVE, HEAD_FREEZING, HEAD_HARDCODED,
                                 HEAD_TUNING, FrameSpec, PromptBundle,
                                 PromptFrame)
 
+from _helpers import project
+
 
 @pytest.fixture(scope="module")
 def splits():
@@ -123,13 +125,13 @@ def test_head_logits_on_tape_matches_plain_path(tiny_encoder):
                                 bias=tape.var(affine.bias, requires_grad=True))
     logits = A.head_logits(taped, fv)
     assert np.array_equal(logits.value, A.head_logits(affine, feats))
-    T.backward(T.reduce_sum(logits))
+    T.backward(project(logits))
     assert np.array_equal(taped.weight.grad, feats.T @ np.ones((6, 4)))
     assert np.array_equal(taped.bias.grad, np.full(4, 6.0))
     assert np.array_equal(fv.grad, np.ones((6, 4)) @ affine.weight.T)
     mapped = A.build_head(enc, A.HeadMode("hardcoded", 3))
     fv = T.Tape().var(feats, requires_grad=True)
-    T.backward(T.reduce_sum(A.head_logits(mapped, fv)))
+    T.backward(project(A.head_logits(mapped, fv)))
     want = np.zeros_like(feats)
     want[:, :3] = 1.0
     assert np.array_equal(fv.grad, want)

@@ -147,6 +147,44 @@ def test_report_aggregates_both_arms(pipeline):
     assert float(row[1]) > 0  # diversity column joined from the csv
 
 
+def test_report_leaves_runs_without_test_accuracy_out(pipeline, tmp_path, capsys):
+    # an empty test split makes adapt write "test_top1": null
+    no_test = tmp_path / "no_test.json"
+    no_test.write_text(json.dumps({**CONFIG, "epochs": 1, "split_fractions": [0.8, 0.2, 0.0]}))
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    assert cli.main(["adapt", "--data", pipeline["down"], "--encoder", pipeline["enc"],
+                     "--mode", "active", "--out", str(runs / "no_test.dampb"), "--seed", "1",
+                     "--config", str(no_test)]) == 0
+    summary = json.load(open(runs / "no_test.summary.json"))
+    assert summary["test_top1"] is None and not summary["force_single_prompt"]
+    capsys.readouterr()
+    assert cli.main(["report", "--runs", str(runs)]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[1:] == [f"{summary['dataset']},nan,nan,nan,nan"]
+    # next to a run with a test accuracy, the mean is that run's accuracy
+    vp_summary = pipeline["vp_bundle"][: -len(".dampb")] + ".summary.json"
+    shutil.copy(vp_summary, runs / "vp.summary.json")
+    assert cli.main(["report", "--runs", str(runs)]) == 0
+    vp = json.load(open(vp_summary))["test_top1"]
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[1:] == [f"{summary['dataset']},nan,{vp:.6f},nan,nan"]
+
+
+def test_report_refuses_malformed_summaries(tmp_path, capsys):
+    texts = ["{", "[1]", json.dumps({"mode": "active", "test_top1": 0.5}),
+             json.dumps({"dataset": "d", "test_top1": "high"})]
+    for i, text in enumerate(texts):
+        runs = tmp_path / f"runs{i}"
+        runs.mkdir()
+        (runs / "run.summary.json").write_text(text)
+        out = tmp_path / f"report{i}.csv"
+        assert cli.main(["report", "--runs", str(runs), "--out", str(out)]) == 2, text
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: FormatError:"), err
+        assert not out.exists()
+
+
 def test_manifest_hash_reproducible(pipeline, tmp_path):
     argv = ["adapt", "--data", pipeline["down"], "--encoder", pipeline["enc"],
             "--mode", "active", "--seed", "1",
@@ -253,6 +291,24 @@ def test_contract_violations_exit_2(pipeline, tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith(prefix), err
         assert not os.path.exists(out)
+    # unreadable json sidecars next to a good weight file
+    fingerprint = json.load(open(pipeline["enc"] + ".meta.json"))["fingerprint"]
+    sidecars = [("enc.calib.json", "[1]"), ("enc.calib.json", "{"),
+                ("enc.calib.json", json.dumps({"encoder_fingerprint": fingerprint})),
+                ("enc.damw.meta.json", "{"), ("enc.damw.meta.json", "{}")]
+    for i, (name, text) in enumerate(sidecars):
+        d = tmp_path / f"sidecar{i}"
+        d.mkdir()
+        shutil.copy(pipeline["enc"], d / "enc.damw")
+        shutil.copy(pipeline["enc"] + ".meta.json", d / "enc.damw.meta.json")
+        (d / name).write_text(text)
+        rc = cli.main(["adapt", "--data", pipeline["down"], "--encoder", str(d / "enc.damw"),
+                       "--mode", "active", "--out", str(d / "run.dampb"),
+                       "--config", str(pipeline["config"])])
+        assert rc == 2, (name, text)
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: FormatError:"), err
+        assert not os.path.exists(d / "run.dampb")
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",

@@ -293,10 +293,11 @@ def test_calibrate_finds_single_mode_scale():
     ds = _WrapDataset(feats.reshape(30, 1, 1, 3))
     tau = C.calibrate_threshold(IdentityEncoder(), ds, probe_size=100, seed=0)
     dend = C.agglomerate(feats)
-    # 0.8 x (smallest tau giving one cluster, within the search resolution)
-    assert tau <= 0.8 * (dend.max_distance() + 1e-3)
-    assert tau >= 0.8 * (dend.max_distance() - 1e-3)
-    assert C.cut(dend, tau / 0.8 + 1e-3).n_clusters == 1
+    # 0.8 x the smallest tau giving one cluster, the last merge's distance
+    assert tau == 0.8 * dend.max_distance()
+    top = dend.max_distance()
+    assert C.cut(dend, top).n_clusters == 1
+    assert C.cut(dend, np.nextafter(top, 0.0)).n_clusters > 1
 
 
 def test_calibrate_is_deterministic_per_seed():

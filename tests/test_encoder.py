@@ -70,7 +70,7 @@ def test_var_path_matches_pure_path(tiny_encoder):
     from frameprompt import tensor as T
     enc, ds = tiny_encoder
     x = ds.images[:4]
-    tape = T.Tape(0)
+    tape = T.Tape()
     zero = tape.var(np.zeros((2,) + x.shape[1:]), requires_grad=True)
     var_feats = enc.features_var(x, zero, np.array([0, 1, 1, 0])).value
     assert np.array_equal(var_feats, enc.forward_features(x))
