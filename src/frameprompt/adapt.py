@@ -1,6 +1,7 @@
 """Downstream adaptation: cluster the target data in feature space, train one
 frame prompt per cluster against the frozen encoder, route by nearest
-prototype at evaluation time.
+prototype at evaluation time. clustering.fit_prototypes keeps only the
+prototypes that some training sample routes to, so every prompt trains.
 
 Each minibatch is one tape whose leaf is the stack of its clusters' prompts,
 with the sum of the per-cluster mean losses as its loss: every prompt steps
@@ -15,7 +16,6 @@ gather that picks each sample's prompt in the encoder.
 
 from __future__ import annotations
 
-import logging
 import time
 from dataclasses import dataclass, field, replace
 
@@ -27,8 +27,6 @@ from .errors import ConfigError, DataError, FrozenViolationError, ShapeError
 from .optim import cosine_warmup_lr, make_optimizer
 from .prompt import (HEAD_ACTIVE, HEAD_FREEZING, HEAD_HARDCODED, HEAD_TUNING,
                      FrameSpec, HeadState, PromptBundle, PromptFrame)
-
-log = logging.getLogger(__name__)
 
 _PROBE, _PROMPT, _EPOCH = 0xAD01, 0xAD02, 0xAD03
 
@@ -189,47 +187,17 @@ def _score_routed(dataset, routes: np.ndarray, prompts, head: HeadState,
     return EvalResult(total_loss / n, total_hits / n, hist)
 
 
-def merge_empty_prototypes(protos, all_feats: np.ndarray):
-    """Routing safety net: a prototype that captured no training samples
-    cannot learn a prompt, so fold it into its nearest neighbor (size-weighted
-    mean) and re-route until every prototype has members."""
-    assign = clustering.route_features(all_feats, protos)
-    while protos.n > 1:
-        counts = np.bincount(assign, minlength=protos.n)
-        empty = np.flatnonzero(counts == 0)
-        if empty.size == 0:
-            break
-        e = int(empty[0])
-        cents, sizes = protos.centroids, protos.sizes
-        diff = cents - cents[e][None, :]
-        d2 = (diff * diff).sum(axis=1)
-        d2[e] = np.inf
-        j = int(np.argmin(d2))
-        merged = (sizes[e] * cents[e] + sizes[j] * cents[j]) / (sizes[e] + sizes[j])
-        keep = [i for i in range(protos.n) if i != e]
-        new_cents = cents[keep].copy()
-        new_sizes = sizes[keep].copy()
-        new_pos = keep.index(j)
-        new_cents[new_pos] = merged
-        new_sizes[new_pos] = sizes[e] + sizes[j]
-        log.warning("prototype %d captured no training samples; merged into %d", e, j)
-        protos = clustering.PrototypeSet(new_cents, protos.encoder_fingerprint, new_sizes)
-        assign = clustering.route_features(all_feats, protos)
-    return protos, assign
-
-
 def _build_prototypes(train, encoder, cfg: RunConfig, seed: int):
-    """Cluster a probe subset of the training features; returns the prototype
-    set and the full-set assignment after empty-subset remediation. The forced
-    single prompt needs no threshold, so it runs on an uncalibrated encoder."""
+    """Cluster a probe subset of the training features; returns the (N, d)
+    prototypes, each of which some training sample routes to, and the route of
+    every training sample. The forced single prompt needs no threshold, so it
+    runs on an uncalibrated encoder."""
     all_feats = encoder.forward_features(train.images)
     tau, cap = float("inf"), 1
     if not cfg.force_single_prompt:
         tau = resolve_tau(cfg, encoder)
         cap = cfg.max_clusters if cfg.max_clusters is not None else train.class_count
-    protos = clustering.fit_prototypes(all_feats, tau, cap, cfg.probe_size,
-                                       [seed, _PROBE], encoder.fingerprint)
-    return merge_empty_prototypes(protos, all_feats)
+    return clustering.fit_prototypes(all_feats, tau, cap, cfg.probe_size, [seed, _PROBE])
 
 
 def resolve_tau(cfg: RunConfig, encoder) -> float:
@@ -256,7 +224,7 @@ def adapt(train, encoder, cfg: RunConfig, mode: HeadMode, seed: int = 0,
         raise ShapeError(f"meta prompt spec {meta.spec} vs data spec {spec}")
 
     protos, assign = _build_prototypes(train, encoder, cfg, seed)
-    n_clusters = protos.n
+    n_clusters = len(protos)
     if meta is not None:
         prompts = [meta.copy() for _ in range(n_clusters)]
     else:

@@ -5,8 +5,9 @@ failed run never leaves a half-written file, and the file gets the mode that
 open(path, "wb") would give it (0666 less the umask). Both binary loaders
 (.damw weights and .dampb bundles) parse through Reader, so a file that ends
 early raises TruncatedFileError and one with trailing bytes FormatError. The
-json sidecars and run summaries read back through read_json_object, which
-raises FormatError for anything but a json object."""
+json sidecars and run summaries are written by write_json and read back
+through read_json_object, which raises FormatError for anything but a json
+object."""
 
 import json
 import os
@@ -28,6 +29,11 @@ def write_atomic(path: str, blob: bytes):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_json(path: str, doc):
+    """doc as sorted, one-space-indented json with a final newline."""
+    write_atomic(path, (json.dumps(doc, indent=1, sort_keys=True) + "\n").encode("utf-8"))
 
 
 def read_json_object(path: str, what: str) -> dict:

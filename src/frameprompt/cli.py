@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__, kernels
 from . import adapt as adapt_mod
 from . import clustering, data, diversity, encoder as encoder_mod, meta as meta_mod
-from .atomic import read_json_object, write_atomic
+from .atomic import read_json_object, write_atomic, write_json
 from .config import RunConfig, load_config
 from .errors import ConfigError, DataError, FormatError, FramePromptError
 from .prompt import PromptBundle, load_bundle, save_bundle
@@ -88,8 +88,7 @@ def write_manifest(out_path: str, command: str, seed: int, cfg: RunConfig | None
         "outputs": entries,
         "outputs_hash": _sha(joined.encode("utf-8")),
     }
-    write_atomic(out_path, (json.dumps(manifest, indent=1, sort_keys=True) + "\n")
-                 .encode("utf-8"))
+    write_json(out_path, manifest)
 
 
 def _load_cfg(args) -> RunConfig:
@@ -141,8 +140,7 @@ def cmd_calibrate(args) -> int:
     doc = {"tau_star": tau, "encoder_fingerprint": enc.fingerprint,
            "reference_dataset_id": _base_id(ref.id), "probe_size": cfg.probe_size,
            "seed": args.seed}
-    write_atomic(args.out, (json.dumps(doc, indent=1, sort_keys=True) + "\n")
-                 .encode("utf-8"))
+    write_json(args.out, doc)
     write_manifest(args.out + ".manifest.json", "calibrate", args.seed, cfg,
                    _inputs(args, "encoder", "reference", "config"), [args.out])
     print(f"calibrated tau_star={tau:.6f} on {ref.id} -> {args.out}")
@@ -177,7 +175,7 @@ def cmd_meta_train(args) -> int:
         if _base_id(ds.id) == _base_id(enc.pretrain_dataset_id):
             raise DataError(f"meta dataset {ds.id} equals the pretraining dataset")
     result = meta_mod.meta_train(datasets, enc, cfg, seed=args.seed)
-    protos = clustering.PrototypeSet(np.zeros((1, enc.spec.feature_dim)), enc.fingerprint)
+    protos = np.zeros((1, enc.spec.feature_dim))
     head = adapt_mod.build_head(enc, adapt_mod.HeadMode("hardcoded", 1))
     snapshot = json.dumps({"meta_dataset_ids": result.dataset_ids,
                            "config": json.loads(cfg.snapshot()),
@@ -202,10 +200,14 @@ def _load_meta_prompt(path: str, enc):
         raise DataError(f"meta bundle encoder {bundle.encoder_fingerprint:#x} "
                         f"vs {enc.fingerprint:#x}")
     try:
-        meta_ids = set(json.loads(bundle.config_snapshot).get("meta_dataset_ids", []))
-    except json.JSONDecodeError:
-        meta_ids = set()
-    return bundle.prompts[0], meta_ids
+        doc = json.loads(bundle.config_snapshot)
+    except ValueError as e:
+        raise FormatError(f"{path}: meta bundle snapshot is not valid json: {e}") from None
+    ids = doc.get("meta_dataset_ids") if isinstance(doc, dict) else None
+    if not (isinstance(ids, list) and all(isinstance(i, str) for i in ids)):
+        raise FormatError(f"{path}: meta bundle snapshot needs a json object whose "
+                          f"meta_dataset_ids is a list of strings")
+    return bundle.prompts[0], set(ids)
 
 
 def cmd_adapt(args) -> int:
@@ -243,8 +245,7 @@ def cmd_adapt(args) -> int:
         "encoder_fingerprint": enc.fingerprint,
         "seconds": sum(r[5] for r in metrics.rows),
     }
-    write_atomic(stem + ".summary.json",
-                 (json.dumps(summary, indent=1, sort_keys=True) + "\n").encode("utf-8"))
+    write_json(stem + ".summary.json", summary)
     ins = _inputs(args, "data", "encoder", "config")
     if args.meta:
         ins["meta"] = args.meta
@@ -268,8 +269,7 @@ def cmd_eval(args) -> int:
     doc = {"dataset": _base_id(full.id), "split": test.split,
            "loss": res.loss, "top1": res.top1, "n_clusters": bundle.n,
            "routing_histogram": [int(v) for v in res.histogram]}
-    write_atomic(args.out, (json.dumps(doc, indent=1, sort_keys=True) + "\n")
-                 .encode("utf-8"))
+    write_json(args.out, doc)
     write_manifest(args.out + ".manifest.json", "eval", args.seed, cfg,
                    _inputs(args, "data", "encoder", "bundle", "config"), [args.out])
     print(f"eval {doc['dataset']}/{doc['split']}: top1={res.top1:.4f} "
@@ -292,7 +292,7 @@ def cmd_report(args) -> int:
                     for line in lines[1:]:
                         cells = line.split(",")
                         if len(cells) >= 5:
-                            div_by_dataset[cells[0]] = float(cells[4])
+                            div_by_dataset[cells[0]] = _score(path, cells[4])
     # a run without a test accuracy (an empty test split) stays out of the mean
     by_dataset = {}
     for s in summaries:
@@ -314,6 +314,13 @@ def cmd_report(args) -> int:
                        [args.out])
     sys.stdout.write(blob)
     return 0
+
+
+def _score(path: str, cell: str) -> float:
+    try:
+        return float(cell)
+    except ValueError:
+        raise FormatError(f"{path}: diversity score {cell!r} is not a number") from None
 
 
 def _read_summary(path: str) -> dict:

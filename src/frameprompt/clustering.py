@@ -2,17 +2,19 @@
 
 fit_prototypes draws a probe of the features, builds its bottom-up
 agglomerative tree with average linkage over Euclidean distances, cuts it at
-tau and down to a cluster cap, and returns the cluster means; route_features
-sends each feature row to its nearest prototype. Cluster ids follow the usual
-dendrogram convention: leaves are 0..n-1, the merge at step t creates id n+t.
-Linkage is kept as summed point distances, so merges are exact additions that
-match a brute-force oracle; each cluster caches its nearest larger-id partner.
+tau and down to a cluster cap, and returns the cluster means as a plain
+(N, d) array, less any mean that no feature row routes to, with the route of
+every row; route_features sends each feature row to its nearest prototype.
+Cluster ids follow the usual dendrogram convention: leaves are 0..n-1, the
+merge at step t creates id n+t. Linkage is kept as summed point distances, so
+merges are exact additions that match a brute-force oracle; each cluster
+caches its nearest larger-id partner.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,17 +53,6 @@ class Dendrogram:
 class ClusterCut:
     labels: np.ndarray
     n_clusters: int
-
-
-@dataclass(frozen=True)
-class PrototypeSet:
-    centroids: np.ndarray  # (N, d)
-    encoder_fingerprint: int
-    sizes: np.ndarray = field(default=None)
-
-    @property
-    def n(self) -> int:
-        return self.centroids.shape[0]
 
 
 def agglomerate(features: np.ndarray) -> Dendrogram:
@@ -150,29 +141,27 @@ def cut(dendrogram: Dendrogram, tau: float, max_clusters: int | None = None) -> 
     return ClusterCut(labels, len(order))
 
 
-def prototypes(features: np.ndarray, cut_result: ClusterCut,
-               encoder_fingerprint: int = 0) -> PrototypeSet:
+def prototypes(features: np.ndarray, cut_result: ClusterCut) -> np.ndarray:
+    """(n_clusters, d) array of the cluster means."""
     x = np.asarray(features, dtype=np.float64)
     if x.shape[0] != cut_result.labels.shape[0]:
         raise ShapeError(f"{x.shape[0]} features vs {cut_result.labels.shape[0]} labels")
     cents = np.empty((cut_result.n_clusters, x.shape[1]))
-    sizes = np.empty(cut_result.n_clusters, dtype=np.int64)
     for c in range(cut_result.n_clusters):
-        members = cut_result.labels == c
-        sizes[c] = members.sum()
-        cents[c] = x[members].mean(axis=0)
-    return PrototypeSet(cents, encoder_fingerprint, sizes)
+        cents[c] = x[cut_result.labels == c].mean(axis=0)
+    return cents
 
 
-def route_features(feats: np.ndarray, protos: PrototypeSet) -> np.ndarray:
-    """Nearest prototype per row by squared Euclidean distance, ties to the
-    lowest index. Rows go 512 at a time to bound the (rows, N, d) difference."""
+def route_features(feats: np.ndarray, protos: np.ndarray) -> np.ndarray:
+    """Nearest of the (N, d) prototypes per row by squared Euclidean distance,
+    ties to the lowest index. Rows go 512 at a time to bound the (rows, N, d)
+    difference."""
     x = np.asarray(feats, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != protos.centroids.shape[1]:
-        raise ShapeError(f"features {x.shape} vs prototypes {protos.centroids.shape}")
+    if x.ndim != 2 or x.shape[1] != protos.shape[1]:
+        raise ShapeError(f"features {x.shape} vs prototypes {protos.shape}")
     out = np.empty(x.shape[0], dtype=np.int64)
     for start in range(0, x.shape[0], 512):
-        diff = x[start:start + 512, None, :] - protos.centroids[None, :, :]
+        diff = x[start:start + 512, None, :] - protos[None, :, :]
         out[start:start + 512] = np.argmin((diff * diff).sum(axis=2), axis=1)
     return out
 
@@ -184,17 +173,28 @@ def probe_indices(n: int, probe_size: int, seed) -> np.ndarray:
     return np.sort(np.random.default_rng(seed).choice(n, size=take, replace=False))
 
 
-def fit_prototypes(feats: np.ndarray, tau: float, cap: int, probe_size: int, seed,
-                   encoder_fingerprint: int) -> PrototypeSet:
+def fit_prototypes(feats: np.ndarray, tau: float, cap: int, probe_size: int, seed
+                   ) -> tuple[np.ndarray, np.ndarray]:
     """Means of the clusters of a probe of feats: the probe's dendrogram cut
     at tau and then down to cap clusters. cap == 1 gives one cluster whatever
-    the dendrogram, so that cut is built directly, without the linkage."""
+    the dendrogram, so that cut is built directly, without the linkage.
+
+    Returns (protos, route): the means that at least one row of feats routes
+    to, and each row's index into them. A mean that is no row's nearest can
+    train nothing, so it is dropped with a warning; as it is nobody's argmin,
+    every row keeps its nearest prototype, ties to the lowest index included."""
     probe = feats[probe_indices(len(feats), probe_size, seed)]
     if cap == 1:
         cut_result = ClusterCut(np.zeros(len(probe), dtype=np.int64), 1)
     else:
         cut_result = cut(agglomerate(probe), tau, max_clusters=cap)
-    return prototypes(probe, cut_result, encoder_fingerprint)
+    protos = prototypes(probe, cut_result)
+    used, route = np.unique(route_features(feats, protos), return_inverse=True)
+    if len(used) < len(protos):
+        dropped = np.setdiff1d(np.arange(len(protos)), used)
+        log.warning("prototypes %s captured no samples; dropped", dropped.tolist())
+        protos = protos[used]
+    return protos, route
 
 
 def calibrate_threshold(encoder, reference, probe_size: int = 1000,

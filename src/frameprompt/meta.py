@@ -1,6 +1,7 @@
 """Reptile-style meta initialization of a single frame prompt.
 
-Groups come from clustering each meta-training dataset separately. Within an
+Groups come from clustering each meta-training dataset separately, one per
+prototype of clustering.fit_prototypes, so none is empty. Within an
 epoch the inner loop is chained: each group starts from the previous group's
 snapshot, and the meta prompt moves toward the snapshot average by the meta
 step gamma (optionally through Adam on the pseudo-gradient).
@@ -8,7 +9,6 @@ step gamma (optionally through Adam on the pseudo-gradient).
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,8 +19,6 @@ from .config import RunConfig
 from .errors import DataError, ShapeError
 from .optim import Adam, Sgd
 from .prompt import FrameSpec, HeadState, PromptFrame
-
-log = logging.getLogger(__name__)
 
 _GROUP, _BATCH = 0x3E01, 0x3E02
 
@@ -48,12 +46,11 @@ def build_groups(datasets, encoder, tau: float, probe_size: int, seed: int,
         if len(ds) == 0:
             raise DataError(f"meta dataset {ds.id} is empty")
         all_feats = encoder.forward_features(ds.images)
-        protos = clustering.fit_prototypes(all_feats, tau, ds.class_count, probe_size,
-                                           [seed, _GROUP, di], encoder.fingerprint)
-        assign = clustering.route_features(all_feats, protos)
+        protos, assign = clustering.fit_prototypes(all_feats, tau, ds.class_count,
+                                                   probe_size, [seed, _GROUP, di])
         head = build_head(encoder, HeadMode("active", ds.class_count,
                                             noise_count=noise_count, seed=seed))
-        for t in range(protos.n):
+        for t in range(len(protos)):
             members = np.flatnonzero(assign == t)
             groups.append(MetaTaskGroup(gid, di, ds.id, members, head))
             gid += 1
@@ -61,17 +58,13 @@ def build_groups(datasets, encoder, tau: float, probe_size: int, seed: int,
 
 
 def sample_meta_batch(groups, batch_size: int, seed) -> list:
-    """One batch per nonempty group, in ascending gid order, sampled without
-    replacement within the group. Empty groups are skipped with a warning and
-    do not count toward K."""
+    """One batch per group, in ascending gid order, sampled without
+    replacement within the group."""
     if batch_size < 1:
         raise DataError(f"meta batch size must be >= 1, got {batch_size}")
     rng = np.random.default_rng(seed)
     out = []
     for g in sorted(groups, key=lambda g: g.gid):
-        if len(g) == 0:
-            log.warning("meta group %d (%s) is empty; skipped", g.gid, g.dataset_id)
-            continue
         take = min(batch_size, len(g))
         picked = rng.choice(g.member_ids, size=take, replace=False)
         out.append((g, np.sort(picked)))
@@ -144,8 +137,6 @@ def meta_train(datasets, encoder, cfg: RunConfig, seed: int = 0) -> MetaResult:
     for epoch in range(cfg.meta_epochs):
         batches = sample_meta_batch(groups, cfg.meta_batch_size,
                                     [seed, _BATCH, epoch])
-        if not batches:
-            raise DataError("every meta group is empty")
         snapshots = []
         losses = []
         p_prev = pm

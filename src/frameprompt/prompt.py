@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atomic import Reader, write_atomic
-from .clustering import PrototypeSet
 from .errors import BadMagicError, DataError, FormatError, ShapeError
 
 MAGIC = b"DAMP"
@@ -136,7 +135,7 @@ class HeadState:
 @dataclass
 class PromptBundle:
     prompts: list
-    prototypes: PrototypeSet
+    prototypes: np.ndarray  # (N, d), one per prompt
     head: HeadState
     encoder_fingerprint: int
     config_snapshot: str
@@ -165,12 +164,12 @@ def save_bundle(path: str, bundle: PromptBundle):
         raise FormatError("bundle must hold at least one prompt")
     spec = bundle.prompts[0].spec
     protos = bundle.prototypes
-    if protos.centroids.shape[0] != bundle.n:
-        raise ShapeError(f"{bundle.n} prompts vs {protos.centroids.shape[0]} prototypes")
+    if protos.shape[0] != bundle.n:
+        raise ShapeError(f"{bundle.n} prompts vs {protos.shape[0]} prototypes")
     out = [MAGIC, struct.pack("<II", VERSION, bundle.n)]
     out.append(struct.pack("<5I", spec.channels, spec.height, spec.width, spec.border, 0))
-    out.append(struct.pack("<I", protos.centroids.shape[1]))
-    out.append(np.ascontiguousarray(protos.centroids).astype("<f8").tobytes())
+    out.append(struct.pack("<I", protos.shape[1]))
+    out.append(np.ascontiguousarray(protos).astype("<f8").tobytes())
     flags = 1 if bundle.meta_initialized else 0
     out.append(struct.pack("<BBI", bundle.head.tag, flags, bundle.head.k))
     out.append(_head_payload(bundle.head))
@@ -224,4 +223,4 @@ def load_bundle(path: str) -> PromptBundle:
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: config snapshot is not UTF-8 ({exc.reason})") from None
     r.end()
-    return PromptBundle(prompts, PrototypeSet(cents, fp), head, fp, snap, bool(flags & 1))
+    return PromptBundle(prompts, cents, head, fp, snap, bool(flags & 1))

@@ -191,22 +191,17 @@ def cross_entropy(logits, labels, weights=None) -> Var:
     """Mean negative log softmax probability of the true label, or with
     per-sample weights their weighted sum.
 
-    Accepts ((k,), int) or ((B,k), (B,) int array); weights is None or a (B,)
+    Takes (B, k) logits and (B,) int labels; weights is None or a (B,)
     array. Loss of a one-hot-correct distribution is 0 within 1e-12 thanks to
     the log-sum-exp form.
     """
     lv = _val(logits)
-    if lv.ndim == 1:
-        lab = np.asarray([int(labels)], dtype=np.int64)
-        lv2 = lv[None, :]
-    elif lv.ndim == 2:
-        lab = np.asarray(labels, dtype=np.int64)
-        if lab.shape != (lv.shape[0],):
-            raise ShapeError(f"cross_entropy: labels {lab.shape} vs logits {lv.shape}")
-        lv2 = lv
-    else:
-        raise ShapeError(f"cross_entropy: logits must be 1-d or 2-d, got {lv.shape}")
-    b, k = lv2.shape
+    if lv.ndim != 2:
+        raise ShapeError(f"cross_entropy: logits must be 2-d, got {lv.shape}")
+    lab = np.asarray(labels, dtype=np.int64)
+    if lab.shape != (lv.shape[0],):
+        raise ShapeError(f"cross_entropy: labels {lab.shape} vs logits {lv.shape}")
+    b, k = lv.shape
     if k == 0 or b == 0:
         raise ShapeError("cross_entropy: empty logits")
     if lab.min() < 0 or lab.max() >= k:
@@ -215,16 +210,15 @@ def cross_entropy(logits, labels, weights=None) -> Var:
         weights = _f64(weights)
         if weights.shape != (b,):
             raise ShapeError(f"cross_entropy: weights {weights.shape} vs {b} samples")
-    m = lv2.max(axis=-1, keepdims=True)
-    lse = m[:, 0] + np.log(np.exp(lv2 - m).sum(axis=-1))
-    per_sample = lse - lv2[np.arange(b), lab]
+    m = lv.max(axis=-1, keepdims=True)
+    lse = m[:, 0] + np.log(np.exp(lv - m).sum(axis=-1))
+    per_sample = lse - lv[np.arange(b), lab]
     loss = per_sample.mean() if weights is None else (weights * per_sample).sum()
     def back(g):
-        p = np.exp(lv2 - m)
+        p = np.exp(lv - m)
         p /= p.sum(axis=-1, keepdims=True)
         p[np.arange(b), lab] -= 1.0
-        full = (float(g) / b) * p if weights is None else (float(g) * weights)[:, None] * p
-        return full[0] if lv.ndim == 1 else full
+        return (float(g) / b) * p if weights is None else (float(g) * weights)[:, None] * p
     return _record(_tape_of(logits), loss, [(logits, back)])
 
 

@@ -164,16 +164,15 @@ def test_prototypes_and_routing_are_exact():
     feats = rng.standard_normal((500, 16))
     labels = np.concatenate([np.arange(7), rng.integers(0, 7, size=493)])
     cut = C.ClusterCut(labels.astype(np.int64), 7)
-    protos = C.prototypes(feats, cut, encoder_fingerprint=0)
+    protos = C.prototypes(feats, cut)
     for t in range(7):
         want = feats[labels == t].mean(axis=0)
-        assert np.max(np.abs(protos.centroids[t] - want)) < 1e-12
-        assert protos.sizes[t] == (labels == t).sum()
+        assert np.max(np.abs(protos[t] - want)) < 1e-12
 
     queries = rng.standard_normal((1000, 16))
     got = C.route_features(queries, protos)
     for i in range(1000):
-        d2 = ((protos.centroids - queries[i]) ** 2).sum(axis=1)
+        d2 = ((protos - queries[i]) ** 2).sum(axis=1)
         best, scan = 0, d2[0]
         for j in range(1, 7):
             if d2[j] < scan:

@@ -1,14 +1,12 @@
 import dataclasses
 import gc
 import hashlib
-import logging
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from frameprompt import adapt as A
-from frameprompt import clustering as C
 from frameprompt import encoder as E
 from frameprompt import tensor as T
 from frameprompt.config import RunConfig
@@ -214,7 +212,7 @@ def test_evaluate_matches_manual_cross_entropy(tiny_encoder):
     spec = FrameSpec.for_input(3, 16, 16)
     bundle = PromptBundle(
         [PromptFrame(spec)],
-        C.PrototypeSet(np.zeros((1, enc.spec.feature_dim)), enc.fingerprint),
+        np.zeros((1, enc.spec.feature_dim)),
         A.build_head(enc, A.HeadMode("hardcoded", ds.class_count)),
         enc.fingerprint, "{}")
     res = A.evaluate(sub, bundle, enc)
@@ -233,7 +231,7 @@ def test_evaluate_rejects_fingerprint_mismatch(tiny_encoder):
     spec = FrameSpec.for_input(3, 16, 16)
     bundle = PromptBundle(
         [PromptFrame(spec)],
-        C.PrototypeSet(np.zeros((1, enc.spec.feature_dim)), enc.fingerprint + 1),
+        np.zeros((1, enc.spec.feature_dim)),
         A.build_head(enc, A.HeadMode("hardcoded", 4)),
         enc.fingerprint + 1, "{}")
     with pytest.raises(FrozenViolationError):
@@ -242,34 +240,6 @@ def test_evaluate_rejects_fingerprint_mismatch(tiny_encoder):
     good = dataclasses.replace(bundle, encoder_fingerprint=enc.fingerprint)
     with pytest.raises(DataError):
         A.evaluate(empty, good, enc)
-
-
-# --------------------------------------------------------------- remediation
-
-def test_merge_empty_prototypes_folds_into_nearest(caplog):
-    feats = np.array([[0.0, 0.0], [1.0, 0.0]])
-    protos = C.PrototypeSet(np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 5.0]]),
-                            0, sizes=np.array([1.0, 1.0, 1.0]))
-    with caplog.at_level(logging.WARNING, logger="frameprompt.adapt"):
-        merged, assign = A.merge_empty_prototypes(protos, feats)
-    assert "captured no training samples" in caplog.text
-    # (5,5) folds into (1,0) making (3,2.5), which then shadows nothing and
-    # itself goes empty, folding into (0,0) weighted 1:2
-    assert merged.n == 1
-    want = (1.0 * np.array([0.0, 0.0]) + 2.0 * np.array([3.0, 2.5])) / 3.0
-    assert np.array_equal(merged.centroids[0], want)
-    assert merged.sizes[0] == 3.0
-    assert np.array_equal(assign, [0, 0])
-
-
-def test_merge_empty_prototypes_no_op_when_all_captured():
-    feats = np.array([[0.0, 0.0], [4.0, 0.0]])
-    protos = C.PrototypeSet(np.array([[0.0, 0.0], [4.0, 0.0]]), 0,
-                            sizes=np.array([1.0, 1.0]))
-    merged, assign = A.merge_empty_prototypes(protos, feats)
-    assert merged.n == 2
-    assert np.array_equal(merged.centroids, protos.centroids)
-    assert np.array_equal(assign, [0, 1])
 
 
 # ----------------------------------------------------------------- adapt run
@@ -284,7 +254,7 @@ def test_adapt_is_deterministic(tiny_encoder, splits):
     assert len(b1.prompts) == len(b2.prompts)
     for p, q in zip(b1.prompts, b2.prompts):
         assert np.array_equal(p.values, q.values)
-    assert np.array_equal(b1.prototypes.centroids, b2.prototypes.centroids)
+    assert np.array_equal(b1.prototypes, b2.prototypes)
     assert np.array_equal(b1.head.weight, b2.head.weight)
     for r1, r2 in zip(m1.rows, m2.rows):
         assert r1[:5] == r2[:5]  # seconds may differ
@@ -324,7 +294,7 @@ def test_baseline_matches_adapt_with_huge_tau(tiny_encoder, splits):
     forced, _ = A.baseline_vp(train, enc, small_cfg(tau=1e9), mode, seed=3)
     assert len(via_tau.prompts) == len(forced.prompts) == 1
     assert np.array_equal(via_tau.prompts[0].values, forced.prompts[0].values)
-    assert np.array_equal(via_tau.prototypes.centroids, forced.prototypes.centroids)
+    assert np.array_equal(via_tau.prototypes, forced.prototypes)
     assert np.array_equal(via_tau.head.weight, forced.head.weight)
     assert forced.n == 1
 

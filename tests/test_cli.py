@@ -174,12 +174,35 @@ def test_report_leaves_runs_without_test_accuracy_out(pipeline, tmp_path, capsys
 def test_report_refuses_malformed_summaries(tmp_path, capsys):
     texts = ["{", "[1]", json.dumps({"mode": "active", "test_top1": 0.5}),
              json.dumps({"dataset": "d", "test_top1": "high"})]
-    for i, text in enumerate(texts):
+    files = [("run.summary.json", text) for text in texts]
+    # a diversity csv whose score is not a number
+    files.append(("d.diversity.csv", "dataset,metric,pairs,seed,score,score_std\n"
+                                     "d,feature_l2,10,0,abc,0\n"))
+    for i, (name, text) in enumerate(files):
         runs = tmp_path / f"runs{i}"
         runs.mkdir()
-        (runs / "run.summary.json").write_text(text)
+        (runs / name).write_text(text)
         out = tmp_path / f"report{i}.csv"
         assert cli.main(["report", "--runs", str(runs), "--out", str(out)]) == 2, text
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: FormatError:"), err
+        assert not out.exists()
+
+
+def test_meta_bundle_snapshot_must_list_dataset_ids(pipeline, tmp_path, capsys):
+    # a snapshot that does not name the meta datasets would switch off the
+    # check that adaptation data was not used for meta training
+    bundle = load_bundle(pipeline["meta_bundle"])
+    for i, snapshot in enumerate(["[1]", json.dumps({"meta_dataset_ids": 5}), "{"]):
+        bundle.config_snapshot = snapshot
+        meta = str(tmp_path / f"meta{i}.dampb")
+        save_bundle(meta, bundle)
+        out = tmp_path / f"run{i}.dampb"
+        capsys.readouterr()
+        rc = cli.main(["adapt", "--data", pipeline["down"], "--encoder", pipeline["enc"],
+                       "--meta", meta, "--mode", "active", "--out", str(out),
+                       "--config", str(pipeline["config"])])
+        assert rc == 2, snapshot
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: FormatError:"), err
         assert not out.exists()

@@ -1,3 +1,4 @@
+import logging
 import time
 
 import numpy as np
@@ -181,12 +182,11 @@ def test_prototypes_are_exact_means():
     rng = np.random.default_rng(7)
     feats = rng.standard_normal((50, 8))
     cut = C.cut(C.agglomerate(feats), 2.0)
-    protos = C.prototypes(feats, cut, encoder_fingerprint=123)
+    protos = C.prototypes(feats, cut)
+    assert protos.shape == (cut.n_clusters, 8)
     for t in range(cut.n_clusters):
         want = feats[cut.labels == t].mean(axis=0)
-        assert np.abs(protos.centroids[t] - want).max() < 1e-9
-    assert protos.encoder_fingerprint == 123
-    assert protos.sizes.sum() == 50
+        assert np.abs(protos[t] - want).max() < 1e-9
 
 
 def _route_one(feature, protos):
@@ -194,12 +194,12 @@ def _route_one(feature, protos):
 
 
 def test_route_nearest_and_tie_to_lowest():
-    protos = C.PrototypeSet(np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]]), 0)
+    protos = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
     assert _route_one(np.array([0.1, 0.0]), protos) == 0
     assert _route_one(np.array([1.9, 0.1]), protos) == 1
     # equidistant between 1 and 2 only: lowest of the tied pair wins
     assert _route_one(np.array([2.0, 2.0]), protos) == 1
-    dup = C.PrototypeSet(np.array([[1.0, 1.0], [1.0, 1.0]]), 0)
+    dup = np.array([[1.0, 1.0], [1.0, 1.0]])
     assert _route_one(np.array([5.0, -3.0]), dup) == 0
 
 
@@ -207,13 +207,13 @@ def test_route_features_spans_chunks_like_single_rows():
     # 1100 rows cross two 512-row chunk boundaries; integer grid points make
     # exact ties common, and each must go to the lowest index
     rng = np.random.default_rng(8)
-    protos = C.PrototypeSet(rng.integers(-2, 3, size=(6, 5)).astype(np.float64), 0)
+    protos = rng.integers(-2, 3, size=(6, 5)).astype(np.float64)
     feats = rng.integers(-2, 3, size=(1100, 5)).astype(np.float64)
     routed = C.route_features(feats, protos)
     assert routed.shape == (1100,) and routed.dtype == np.int64
     ties = 0
     for i in range(1100):
-        d2 = ((protos.centroids - feats[i]) ** 2).sum(axis=1)
+        d2 = ((protos - feats[i]) ** 2).sum(axis=1)
         best = min(range(6), key=lambda j: (d2[j], j))
         ties += int((d2 == d2[best]).sum() > 1)
         assert routed[i] == best == _route_one(feats[i], protos), f"row {i}"
@@ -221,7 +221,7 @@ def test_route_features_spans_chunks_like_single_rows():
 
 
 def test_route_features_checks_shape():
-    protos = C.PrototypeSet(np.zeros((2, 3)), 0)
+    protos = np.zeros((2, 3))
     with pytest.raises(ShapeError):
         C.route_features(np.zeros((4, 2)), protos)
     with pytest.raises(ShapeError):
@@ -234,24 +234,39 @@ def test_partition_covers_every_sample():
     enc = IdentityEncoder()
     feats = enc.forward_features(images)
     cut = C.cut(C.agglomerate(feats), 2.5)
-    protos = C.prototypes(feats, cut, enc.fingerprint)
+    protos = C.prototypes(feats, cut)
     assign = C.route_features(enc.forward_features(images), protos)
     assert assign.shape == (25,)
-    assert assign.min() >= 0 and assign.max() < protos.n
-    sizes = np.bincount(assign, minlength=protos.n)
+    assert assign.min() >= 0 and assign.max() < len(protos)
+    sizes = np.bincount(assign, minlength=len(protos))
     assert sizes.sum() == 25
 
 
 def test_fit_prototypes_is_probe_agglomerate_cut_means():
     feats = blob_dataset([(0, 0), (6, 0), (0, 6), (6, 6)], 20, 0.4, seed=12)
     ids = C.probe_indices(len(feats), 50, [3, 4])
-    want = C.prototypes(feats[ids], C.cut(C.agglomerate(feats[ids]), 5.0, max_clusters=3),
-                        encoder_fingerprint=77)
-    got = C.fit_prototypes(feats, 5.0, 3, 50, [3, 4], encoder_fingerprint=77)
-    assert got.n == 3
-    assert np.array_equal(got.centroids, want.centroids)
-    assert np.array_equal(got.sizes, want.sizes)
-    assert got.encoder_fingerprint == 77
+    want = C.prototypes(feats[ids], C.cut(C.agglomerate(feats[ids]), 5.0, max_clusters=3))
+    got, route = C.fit_prototypes(feats, 5.0, 3, 50, [3, 4])
+    assert got.shape == (3, 2)
+    assert np.array_equal(got, want)
+    assert np.array_equal(route, C.route_features(feats, want))
+
+
+def test_fit_prototypes_drops_a_prototype_no_row_routes_to(monkeypatch, caplog):
+    feats = blob_dataset([(0, 0), (6, 0), (0, 6), (6, 6)], 20, 0.4, seed=12)
+    want, want_route = C.fit_prototypes(feats, 5.0, 3, 50, [3, 4])
+    assert len(want) == 3 and want_route.max() == 2
+    means = C.prototypes
+
+    def with_far_row(features, cut_result):
+        return np.insert(means(features, cut_result), 1, 1e6, axis=0)
+
+    monkeypatch.setattr(C, "prototypes", with_far_row)
+    with caplog.at_level(logging.WARNING, logger="frameprompt.clustering"):
+        got, route = C.fit_prototypes(feats, 5.0, 3, 50, [3, 4])
+    assert "prototypes [1] captured no samples; dropped" in caplog.text
+    assert np.array_equal(got, want)
+    assert np.array_equal(route, want_route)
 
 
 def test_fit_prototypes_single_cluster_skips_linkage(monkeypatch):
@@ -261,10 +276,11 @@ def test_fit_prototypes_single_cluster_skips_linkage(monkeypatch):
         raise AssertionError("cap 1 must not build the dendrogram")
 
     monkeypatch.setattr(C, "agglomerate", forbidden)
-    protos = C.fit_prototypes(feats, float("inf"), 1, 40, [5], encoder_fingerprint=3)
+    protos, route = C.fit_prototypes(feats, float("inf"), 1, 40, [5])
     probe = feats[C.probe_indices(len(feats), 40, [5])]
-    assert protos.n == 1 and protos.sizes.tolist() == [40]
-    assert np.array_equal(protos.centroids[0], probe.mean(axis=0))
+    assert protos.shape == (1, 2)
+    assert np.array_equal(protos[0], probe.mean(axis=0))
+    assert np.array_equal(route, np.zeros(len(feats), dtype=np.int64))
 
 
 def test_empty_and_bad_features_rejected():

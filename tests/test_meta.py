@@ -1,5 +1,3 @@
-import logging
-
 import numpy as np
 import pytest
 
@@ -94,14 +92,9 @@ def test_sample_meta_batch_deterministic_and_sorted():
     assert [len(p) for _, p in big] == [3, 4]  # capped at group size
 
 
-def test_sample_meta_batch_skips_empty_groups(caplog):
-    groups = [_stub_group(0, [1, 2]), _stub_group(1, [])]
-    with caplog.at_level(logging.WARNING, logger="frameprompt.meta"):
-        out = M.sample_meta_batch(groups, 2, seed=0)
-    assert [g.gid for g, _ in out] == [0]
-    assert "empty" in caplog.text
+def test_sample_meta_batch_refuses_batch_size_zero():
     with pytest.raises(DataError):
-        M.sample_meta_batch(groups, 0, seed=0)
+        M.sample_meta_batch([_stub_group(0, [1, 2])], 0, seed=0)
 
 
 # -------------------------------------------------------------- inner update

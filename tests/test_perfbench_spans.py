@@ -1,14 +1,16 @@
-"""The benchmark's tracer wraps the package's public kernel and tensor
-functions from outside and tells conv1 from conv2 by argument shapes. This
-guard runs it on one taped conv, so a rename in the package fails here rather
-than first in a traced benchmark run."""
+"""The benchmark's tracer wraps the package's public functions from outside,
+tells conv1 from conv2 by argument shapes and reads counters off arguments
+by name. These guards run it on one taped conv and on one tiny adaptation,
+so a rename in the package fails here rather than first in a traced
+benchmark run."""
 
 import importlib.util
 from pathlib import Path
 
 import numpy as np
 
-from frameprompt import kernels, tensor as T
+from frameprompt import adapt as A, kernels, tensor as T
+from frameprompt.config import RunConfig
 
 from _helpers import project
 
@@ -43,3 +45,19 @@ def test_tracer_sees_each_conv1_direction_once():
     assert T.backward is backward
     for name, fn in originals.items():
         assert getattr(kernels, name) is fn, name
+
+
+def test_tracer_counts_one_tiny_adapt(tiny_encoder):
+    enc, ds = tiny_encoder
+    spans = _load_spans()
+    cfg = RunConfig(epochs=1, tau=1e-3, max_clusters=2, lr=0.05, warmup_epochs=1,
+                    batch_size=16)
+    tracer = spans.Tracer().install()
+    try:
+        bundle, _ = A.adapt(ds, enc, cfg, A.HeadMode("active", ds.class_count), seed=0)
+    finally:
+        tracer.restore()
+    assert tracer.value("adapt.clusters") == bundle.n == 2
+    for metric in ("clustering.route_features.calls", "encoder.features_var.calls",
+                   "prompt.grad_step.calls"):
+        assert tracer.value(metric) > 0, metric

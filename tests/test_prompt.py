@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from frameprompt import prompt as P
-from frameprompt.clustering import PrototypeSet
 from frameprompt.errors import (BadMagicError, DataError, FormatError,
                                 ShapeError, TruncatedFileError)
 from frameprompt.optim import Adam, Sgd
@@ -98,7 +97,7 @@ def _bundle(n=3, meta=False, tag=P.HEAD_ACTIVE):
     spec = P.FrameSpec(3, 16, 16, 2)
     prompts = [P.PromptFrame.random(spec, 0.1, seed=i) for i in range(n)]
     rng = np.random.default_rng(9)
-    protos = PrototypeSet(rng.standard_normal((n, 64)), 0xABCD)
+    protos = rng.standard_normal((n, 64))
     if tag in (P.HEAD_TUNING, P.HEAD_FREEZING):
         head = P.HeadState(tag, 5, weight=rng.standard_normal((64, 5)),
                            bias=rng.standard_normal(5))
@@ -119,7 +118,7 @@ def test_bundle_roundtrip_bit_exact(tmp_path, tag):
     assert loaded.head.tag == tag
     assert loaded.encoder_fingerprint == bundle.encoder_fingerprint
     assert loaded.config_snapshot == bundle.config_snapshot
-    assert np.array_equal(loaded.prototypes.centroids, bundle.prototypes.centroids)
+    assert np.array_equal(loaded.prototypes, bundle.prototypes)
     for a, b in zip(loaded.prompts, bundle.prompts):
         assert np.array_equal(a.values, b.values)
     if tag in (P.HEAD_TUNING, P.HEAD_FREEZING):

@@ -161,14 +161,14 @@ def test_cross_entropy_matches_definition():
 
 def test_cross_entropy_one_hot_is_zero():
     tape = T.Tape()
-    loss = T.cross_entropy(tape.var(np.array([30.0, 0.0, 0.0, 0.0])), 0)
+    loss = T.cross_entropy(tape.var(np.array([[30.0, 0.0, 0.0, 0.0]])), np.array([0]))
     assert 0.0 <= float(loss.value) < 1e-12
 
 
 def test_cross_entropy_grad_single_and_batched():
     rng = np.random.default_rng(15)
-    x1 = rng.standard_normal(5)
-    assert_gradcheck(lambda tape, v: T.cross_entropy(v, 2), x1)
+    x1 = rng.standard_normal((1, 5))
+    assert_gradcheck(lambda tape, v: T.cross_entropy(v, np.array([2])), x1)
     xb = rng.standard_normal((4, 5))
     labels = np.array([0, 3, 1, 4])
     assert_gradcheck(lambda tape, v: T.cross_entropy(v, labels), xb)
@@ -197,6 +197,8 @@ def test_cross_entropy_rejects_bad_labels():
         T.cross_entropy(tape.var(np.zeros((2, 3))), np.array([0, 3]))
     with pytest.raises(ShapeError):
         T.cross_entropy(tape.var(np.zeros((2, 3))), np.array([-1, 0]))
+    with pytest.raises(ShapeError):
+        T.cross_entropy(tape.var(np.zeros(3)), 0)  # a 1-d row is not a batch
 
 
 def test_reshape_and_take_grads():
