@@ -289,10 +289,12 @@ def cmd_report(args) -> int:
                 with open(path) as fh:
                     lines = fh.read().splitlines()
                 if lines and lines[0].startswith("dataset,metric,"):
-                    for line in lines[1:]:
+                    for line in filter(None, lines[1:]):
                         cells = line.split(",")
-                        if len(cells) >= 5:
-                            div_by_dataset[cells[0]] = _score(path, cells[4])
+                        if len(cells) < 5:
+                            raise FormatError(f"{path}: diversity row {line!r} has "
+                                              f"{len(cells)} cells, not 5 or more")
+                        div_by_dataset[cells[0]] = _score(path, cells[4])
     # a run without a test accuracy (an empty test split) stays out of the mean
     by_dataset = {}
     for s in summaries:

@@ -60,7 +60,8 @@ class ImageDataset:
     def standardize(self, mean: np.ndarray, std: np.ndarray) -> "ImageDataset":
         if self.standardized:
             raise DataError(f"dataset {self.id} is already standardized")
-        imgs = (self.images - mean[None, :, None, None]) / std[None, :, None, None]
+        imgs = self.images - mean[None, :, None, None]
+        imgs /= std[None, :, None, None]
         return replace(self, images=imgs, mean=mean.copy(), std=std.copy())
 
     def destandardize(self) -> "ImageDataset":
@@ -105,8 +106,8 @@ def load_idx(images_path: str, labels_path: str, dataset_id: str) -> ImageDatase
     labels = _read_idx(labels_path, IDX_LABELS_MAGIC).astype(np.int64)
     if raw.shape[0] != labels.shape[0]:
         raise DataError(f"{raw.shape[0]} images but {labels.shape[0]} labels")
-    imgs = raw.astype(np.float64) / 255.0
-    imgs = np.repeat(imgs[:, None, :, :], 3, axis=1)
+    imgs = np.empty((raw.shape[0], 3) + raw.shape[1:])
+    np.divide(raw[:, None], 255.0, out=imgs)
     classes = int(labels.max()) + 1 if len(labels) else 0
     return ImageDataset(dataset_id, imgs, labels, classes)
 
@@ -160,7 +161,10 @@ def generate_modemix(spec: SyntheticSpec) -> ImageDataset:
         raise DataError(f"jitter and seed must be >= 0, got {spec.jitter} and {spec.seed}")
     rng = np.random.default_rng(spec.seed)
     size = spec.size
-    images, labels = [], []
+    per_mode = spec.classes_per_mode * spec.samples_per_class
+    images = np.empty((spec.modes * per_mode, 3, size, size))
+    labels = np.repeat(np.arange(spec.modes * spec.classes_per_mode), spec.samples_per_class)
+    i = 0
     for m in range(spec.modes):
         color = PALETTE[m]
         kind = PATTERNS[m % len(PATTERNS)]
@@ -169,12 +173,11 @@ def generate_modemix(spec: SyntheticSpec) -> ImageDataset:
             phase = 0.9 * c + 2.1 * m
             base = _pattern_field(kind, size, freq, phase)
             img = 0.15 + 0.7 * base[None, :, :] * color[:, None, None]
-            label = m * spec.classes_per_mode + c
             for _ in range(spec.samples_per_class):
                 noisy = img + spec.jitter * rng.standard_normal((3, size, size))
-                images.append(np.clip(noisy, 0.0, 1.0))
-                labels.append(label)
-    return ImageDataset(spec.dataset_id(), np.stack(images), np.asarray(labels),
+                np.clip(noisy, 0.0, 1.0, out=images[i])
+                i += 1
+    return ImageDataset(spec.dataset_id(), images, labels,
                         spec.modes * spec.classes_per_mode)
 
 
@@ -183,7 +186,9 @@ def split_dataset(dataset: ImageDataset, fractions, seed: int):
 
     Per-class counts follow the fractions within one sample (largest
     remainder); a zero fraction yields an empty split. Statistics come from
-    the train split alone and are applied to all three."""
+    the train split alone and are applied to all three, in place on each
+    part's freshly gathered images: -= mean, then /= std, the same two
+    roundings as (x - mean) / std, and the input dataset is left as it is."""
     fr = np.asarray(fractions, dtype=np.float64)
     if fr.shape != (3,):
         raise DataError(f"need 3 fractions, got {fr.shape}")
@@ -225,7 +230,12 @@ def split_dataset(dataset: ImageDataset, fractions, seed: int):
     if len(parts[0]) == 0:
         raise DataError("train split is empty; cannot compute statistics")
     mean, std = parts[0].channel_stats()
-    return tuple(p.standardize(mean, std) for p in parts)
+    for p in parts:
+        # the gathered images are this part's own copy
+        p.images -= mean[None, :, None, None]
+        p.images /= std[None, :, None, None]
+        p.mean, p.std = mean.copy(), std.copy()
+    return tuple(parts)
 
 
 # descriptor fields by kind: name -> (accepted types, required)

@@ -162,9 +162,10 @@ class FrozenEncoder:
         images at a time. A chunk of 64 holds half the transient memory of
         128 (a traced peak of 26.7 against 53.1 MiB on 320 32px images) and
         runs faster. Chunks of 16, 64, 128 and the whole batch give
-        bit-identical features; chunks of 1 or 5 do not, because einsum's
-        optimize=True then picks another contraction path for the conv,
-        which moves features by about 2e-14."""
+        bit-identical features; chunks of 1 or 5 do not. The convs give the
+        same bits at any chunk, but BLAS runs the fc matmul
+        (chunk, 2048) @ (2048, 64) with another summation order at 1 or 5
+        rows, which moves features by about 2e-14."""
         squeeze = np.asarray(x).ndim == 3
         x = self._check_input(x)
         # untaped, so each chunk's intermediates are freed as it goes

@@ -13,6 +13,18 @@ directions:
   each input channel is an "image" over the batch, each output channel of dy
   a (H, W) "kernel", and the k×k result is the weight gradient.
 
+The correlation is one GEMM per block of images: the (O, C·kh·kw) weight
+matrix times the (C·kh·kw, images·Ho·Wo) column matrix, copied from a
+(C, kh, kw, B, Ho, Wo) window view, written into the block's columns of one
+(O, B·Ho·Wo) output. Blocks hold as many images as keep the column matrix
+within COLUMN_BYTES (16 MiB; at least one image). glibc serves a request
+above its 32 MiB mmap ceiling with a fresh mapping every time, so one
+unblocked column copy (34 MiB for conv2's backward-input at batch 61) faults
+in new pages on every call; blocks under the ceiling reuse freed heap pages.
+Each output element is a dot product over C·kh·kw that BLAS sums in the
+same order whatever the block, so the results do not depend on COLUMN_BYTES
+or on the batch size (test_kernels checks uneven blocks bit for bit).
+
 2x2 max pooling works on the four strided views x[:, :, i::2, j::2] of
 its input, one per window offset n = 2i + j, with no reshaped copy: the
 forward takes their elementwise max and finds each window's offset by
@@ -23,29 +35,39 @@ attains it. The backward writes dy into the view of the chosen offset and
 offset unspecified; in training the NaN reaches the loss, and
 tensor.require_finite stops the run.
 
-All functions are allocation-heavy but vectorized. This is the only kernel
-set: runs reproduce bit for bit wherever numpy and its BLAS are the same.
-BACKEND names it in run manifests.
+All functions are vectorized. This is the only kernel set: runs reproduce
+bit for bit wherever numpy and its BLAS are the same. BACKEND names it in run manifests.
 """
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 BACKEND = "numpy"
+COLUMN_BYTES = 16 << 20  # largest column matrix _correlate copies, in bytes
 
 
 def _correlate(x, w, pad):
     """Stride-1 cross-correlation of (B, C, H, W) with (O, C, kh, kw), x
-    zero-padded by pad on every side: (B, O, H + 2·pad − kh + 1, ...)."""
+    zero-padded by pad on every side: (B, O, H + 2·pad − kh + 1, ...), a
+    transposed view of one (O, B, Ho, Wo) array."""
     if pad:
         x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     b, c, h, wd = x.shape
-    kh, kw = w.shape[2], w.shape[3]
+    o, _, kh, kw = w.shape
+    ho, wo = h - kh + 1, wd - kw + 1
     sb, sc, sh, sw = x.strides
-    # view of every (kh, kw) patch: (B, C, Ho, Wo, kh, kw)
-    win = as_strided(x, shape=(b, c, h - kh + 1, wd - kw + 1, kh, kw),
-                     strides=(sb, sc, sh, sw, sh, sw), writeable=False)
-    return np.einsum("bihwkl,oikl->bohw", win, w, optimize=True)
+    # view of every (kh, kw) patch: (C, kh, kw, B, Ho, Wo)
+    win = as_strided(x, shape=(c, kh, kw, b, ho, wo),
+                     strides=(sc, sh, sw, sb, sh, sw), writeable=False)
+    k, n = c * kh * kw, ho * wo
+    rows = w.reshape(o, k)
+    out = np.empty((o, b * n))
+    step = max(1, COLUMN_BYTES // max(k * n * 8, 1))
+    for i in range(0, b, step):
+        # copies the block's (C·kh·kw, images·Ho·Wo) columns
+        cols = win[:, :, :, i:i + step].reshape(k, -1)
+        np.matmul(rows, cols, out=out[:, i * n:i * n + cols.shape[1]])
+    return out.reshape(o, b, ho, wo).transpose(1, 0, 2, 3)
 
 
 def conv2d_forward(x, w):

@@ -27,7 +27,6 @@ _GROUP, _BATCH = 0x3E01, 0x3E02
 class MetaTaskGroup:
     gid: int
     dataset_index: int
-    dataset_id: str
     member_ids: np.ndarray
     head: HeadState
 
@@ -52,7 +51,7 @@ def build_groups(datasets, encoder, tau: float, probe_size: int, seed: int,
                                             noise_count=noise_count, seed=seed))
         for t in range(len(protos)):
             members = np.flatnonzero(assign == t)
-            groups.append(MetaTaskGroup(gid, di, ds.id, members, head))
+            groups.append(MetaTaskGroup(gid, di, members, head))
             gid += 1
     return groups
 

@@ -175,9 +175,10 @@ def test_report_refuses_malformed_summaries(tmp_path, capsys):
     texts = ["{", "[1]", json.dumps({"mode": "active", "test_top1": 0.5}),
              json.dumps({"dataset": "d", "test_top1": "high"})]
     files = [("run.summary.json", text) for text in texts]
-    # a diversity csv whose score is not a number
-    files.append(("d.diversity.csv", "dataset,metric,pairs,seed,score,score_std\n"
-                                     "d,feature_l2,10,0,abc,0\n"))
+    # diversity csvs whose score is not a number or whose row is cut short
+    for row in ("d,feature_l2,10,0,abc,0", "d,feature_l2"):
+        files.append(("d.diversity.csv", "dataset,metric,pairs,seed,score,score_std\n"
+                                         + row + "\n"))
     for i, (name, text) in enumerate(files):
         runs = tmp_path / f"runs{i}"
         runs.mkdir()

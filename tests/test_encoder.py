@@ -55,7 +55,8 @@ def test_forward_features_chunking_is_invisible(tiny_encoder):
 def test_forward_features_chunks_are_bit_identical():
     """Chunks of 16, 64 (the default), 128 and the whole batch give the same
     bits on 320 images of the 32px encoder. Chunks of 1 or 5 are left out:
-    there einsum's optimize=True picks another contraction path and the
+    the convs give the same bits there too, but BLAS sums the fc matmul
+    (chunk, 2048) @ (2048, 64) in another order at 1 or 5 rows and the
     features move by about 2e-14."""
     spec = E.EncoderSpec()
     enc = E.FrozenEncoder(spec, E._init_params(spec, 5))

@@ -59,7 +59,7 @@ def test_build_groups_partitions_each_dataset(tiny_encoder, meta_sets):
     assert [g.gid for g in groups] == list(range(len(groups)))
     for di, ds in enumerate(meta_sets):
         mine = [g for g in groups if g.dataset_index == di]
-        assert all(g.dataset_id == ds.id for g in mine)
+        assert mine and all(g.dataset_index == di for g in mine)
         members = np.concatenate([g.member_ids for g in mine])
         assert np.array_equal(np.sort(members), np.arange(len(ds)))
         # all groups of one dataset share that dataset's head
@@ -75,8 +75,7 @@ def test_build_groups_rejects_empty(tiny_encoder, meta_sets):
 # ------------------------------------------------------------------ sampling
 
 def _stub_group(gid, members):
-    return M.MetaTaskGroup(gid, 0, "stub", np.asarray(members, dtype=np.int64),
-                           head=None)
+    return M.MetaTaskGroup(gid, 0, np.asarray(members, dtype=np.int64), head=None)
 
 
 def test_sample_meta_batch_deterministic_and_sorted():
