@@ -161,9 +161,9 @@ def generate_modemix(spec: SyntheticSpec) -> ImageDataset:
         raise DataError(f"jitter and seed must be >= 0, got {spec.jitter} and {spec.seed}")
     rng = np.random.default_rng(spec.seed)
     size = spec.size
-    per_mode = spec.classes_per_mode * spec.samples_per_class
-    images = np.empty((spec.modes * per_mode, 3, size, size))
-    labels = np.repeat(np.arange(spec.modes * spec.classes_per_mode), spec.samples_per_class)
+    classes = spec.modes * spec.classes_per_mode
+    images = np.empty((classes * spec.samples_per_class, 3, size, size))
+    labels = np.repeat(np.arange(classes), spec.samples_per_class)
     i = 0
     for m in range(spec.modes):
         color = PALETTE[m]
@@ -177,8 +177,7 @@ def generate_modemix(spec: SyntheticSpec) -> ImageDataset:
                 noisy = img + spec.jitter * rng.standard_normal((3, size, size))
                 np.clip(noisy, 0.0, 1.0, out=images[i])
                 i += 1
-    return ImageDataset(spec.dataset_id(), images, labels,
-                        spec.modes * spec.classes_per_mode)
+    return ImageDataset(spec.dataset_id(), images, labels, classes)
 
 
 def split_dataset(dataset: ImageDataset, fractions, seed: int):

@@ -17,13 +17,17 @@ The correlation is one GEMM per block of images: the (O, C·kh·kw) weight
 matrix times the (C·kh·kw, images·Ho·Wo) column matrix, copied from a
 (C, kh, kw, B, Ho, Wo) window view, written into the block's columns of one
 (O, B·Ho·Wo) output. Blocks hold as many images as keep the column matrix
-within COLUMN_BYTES (16 MiB; at least one image). glibc serves a request
+within COLUMN_BYTES (24 MiB; at least one image). glibc serves a request
 above its 32 MiB mmap ceiling with a fresh mapping every time, so one
 unblocked column copy (34 MiB for conv2's backward-input at batch 61) faults
 in new pages on every call; blocks under the ceiling reuse freed heap pages.
-Each output element is a dot product over C·kh·kw that BLAS sums in the
-same order whatever the block, so the results do not depend on COLUMN_BYTES
-or on the batch size (test_kernels checks uneven blocks bit for bit).
+24 rather than 16 MiB keeps conv2's forward at a 64-image batch in one block
+(16 MiB split it 56 + 8, and prompt training ran 5-9% slower).
+At the encoder's shapes OpenBLAS sums each output element in the same order
+whatever the block, so results do not depend on COLUMN_BYTES or on the batch
+(test_kernels checks conv1 and conv2 bit for bit); a product only a few
+columns wide, such as a one-channel backward-weight block of a tiny image,
+may be summed in another order, within 1e-12.
 
 2x2 max pooling works on the four strided views x[:, :, i::2, j::2] of
 its input, one per window offset n = 2i + j, with no reshaped copy: the
@@ -36,14 +40,15 @@ offset unspecified; in training the NaN reaches the loss, and
 tensor.require_finite stops the run.
 
 All functions are vectorized. This is the only kernel set: runs reproduce
-bit for bit wherever numpy and its BLAS are the same. BACKEND names it in run manifests.
+bit for bit wherever numpy and its BLAS are the same. BACKEND names it in
+run manifests.
 """
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 BACKEND = "numpy"
-COLUMN_BYTES = 16 << 20  # largest column matrix _correlate copies, in bytes
+COLUMN_BYTES = 24 << 20  # largest column matrix _correlate copies, in bytes
 
 
 def _correlate(x, w, pad):
@@ -62,7 +67,7 @@ def _correlate(x, w, pad):
     k, n = c * kh * kw, ho * wo
     rows = w.reshape(o, k)
     out = np.empty((o, b * n))
-    step = max(1, COLUMN_BYTES // max(k * n * 8, 1))
+    step = max(1, COLUMN_BYTES // (k * n * 8))
     for i in range(0, b, step):
         # copies the block's (C·kh·kw, images·Ho·Wo) columns
         cols = win[:, :, :, i:i + step].reshape(k, -1)

@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -80,6 +81,58 @@ def test_modemix_deterministic_and_jitter_zero_degenerates():
         assert np.array_equal(block[0], block[2])
     jittered = D.generate_modemix(D.SyntheticSpec(2, 2, 3, jitter=0.05, seed=2))
     assert not np.array_equal(a.images, jittered.images)
+
+
+def _traced_peak(fn, *args):
+    """fn(*args) and the peak bytes tracemalloc saw numpy allocate during it."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_modemix_builds_its_images_once():
+    # a list of samples plus np.stack held about 2.1x the images' bytes
+    ds, peak = _traced_peak(D.generate_modemix, D.SyntheticSpec(4, 2, 50, 0.05, seed=0))
+    assert len(ds) == 400
+    assert peak <= 1.25 * ds.images.nbytes
+
+
+def test_split_standardizes_fresh_parts_in_place():
+    """Each part is bit for bit the out-of-place (x - mean) / std of its raw
+    rows, with the train rows' statistics; the input keeps its bits, and no
+    part shares its memory."""
+    ds = D.generate_modemix(D.SyntheticSpec(2, 2, 30, jitter=0.05, seed=3))
+    before = ds.images.copy()
+    parts = D.split_dataset(ds, (0.6, 0.2, 0.2), seed=4)
+    assert np.array_equal(ds.images, before) and not ds.standardized
+    mean, std = parts[0].mean, parts[0].std
+    want = (before - mean[None, :, None, None]) / std[None, :, None, None]
+    row_of = {row.tobytes(): i for i, row in enumerate(want)}
+    assert len(row_of) == len(ds)
+    ids = [[row_of[row.tobytes()] for row in p.images] for p in parts]
+    assert sorted(sum(ids, [])) == list(range(len(ds)))
+    for p, mine in zip(parts, ids):
+        assert np.array_equal(p.images, want[mine])
+        assert np.array_equal(p.labels, ds.labels[mine])
+        assert not np.shares_memory(p.images, ds.images)
+    raw_train = D.ImageDataset("raw", before[ids[0]], ds.labels[ids[0]], ds.class_count)
+    for got, stat in zip((mean, std), raw_train.channel_stats()):
+        assert np.array_equal(got, stat)
+    # ImageDataset.standardize gives the same bits out of place
+    std_ds = ds.standardize(mean, std)
+    assert np.array_equal(std_ds.images, want) and np.array_equal(ds.images, before)
+
+
+def test_split_holds_one_copy_of_its_parts():
+    # the held-out fractions of the benchmark's eval; gathering every part
+    # and then standardizing out of place peaked near 2.9x the images' bytes
+    ds = D.generate_modemix(D.SyntheticSpec(4, 2, 50, 0.05, seed=1))
+    parts, peak = _traced_peak(D.split_dataset, ds, (0.1, 0.0, 0.9), 0)
+    assert sum(len(p) for p in parts) == len(ds)
+    assert peak <= 1.5 * ds.images.nbytes
 
 
 def test_modemix_validation():

@@ -39,6 +39,62 @@ def test_conv_kernels_match_oracle(case):
     assert np.allclose(dwa, dwb, rtol=1e-12, atol=1e-12)
 
 
+def _conv_all(x, w, dy):
+    return (kernels.conv2d_forward(x, w), kernels.conv2d_backward_input(dy, w),
+            kernels.conv2d_backward_weight(x, dy, w.shape[2]))
+
+
+@pytest.mark.parametrize("batch", [7, 1])
+@pytest.mark.parametrize("budget", [1, 55296])
+def test_conv_blocks_match_one_block(monkeypatch, batch, budget):
+    """A column budget below one image's columns runs every image alone; one
+    of 55296 bytes (four forward images, three backward-input ones) splits a
+    batch of 7 into uneven blocks: forward 4 + 3, backward-input 3 + 3 + 1.
+    Those equal the one-block run bit for bit. Backward-weight blocks over
+    the 3 input channels, one per block, so each block is a product only
+    9 columns wide, which OpenBLAS may sum in another order: it must match
+    the one-block run to 1e-12 (about 4e-14 apart here). All three match
+    the oracles to 1e-12."""
+    rng = np.random.default_rng(46)
+    x = rng.standard_normal((batch, 3, 8, 8))
+    w = rng.standard_normal((4, 3, 3, 3))
+    dy = rng.standard_normal((batch, 4, 8, 8))
+    whole = _conv_all(x, w, dy)
+    monkeypatch.setattr(kernels, "COLUMN_BYTES", budget)
+    blocked = _conv_all(x, w, dy)
+    oracles = (H.oracle_conv2d_forward(x, w, 1, 1),
+               H.oracle_conv2d_backward_input(dy, w, 1, 1, 8, 8),
+               H.oracle_conv2d_backward_weight(x, dy, 1, 1, 3, 3))
+    for i, (got, want, oracle) in enumerate(zip(blocked, whole, oracles)):
+        assert got.shape == oracle.shape
+        assert np.allclose(got, oracle, rtol=1e-12, atol=1e-12)
+        if i < 2:
+            assert np.array_equal(got, want)
+        else:
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("budget", [1, 3 << 20, None])
+@pytest.mark.parametrize("shape", [(61, 16, 32, 16), (13, 3, 16, 32)])
+def test_conv_blocks_are_bit_identical_at_encoder_shapes(monkeypatch, budget, shape):
+    """conv2 at batch 61 and conv1 at batch 13, as prompt training runs
+    them: every image alone, 3 MiB blocks (conv2 forward 6 × 10 + 1 images,
+    backward-input 12 × 5 + 1, backward-weight 8 × 2 channels) and the
+    default budget (conv2 backward-input 42 + 19) give the same bits as one
+    block."""
+    b, c, o, hw = shape
+    rng = np.random.default_rng(47)
+    x = rng.standard_normal((b, c, hw, hw))
+    w = rng.standard_normal((o, c, 3, 3))
+    dy = rng.standard_normal((b, o, hw, hw))
+    default = kernels.COLUMN_BYTES
+    monkeypatch.setattr(kernels, "COLUMN_BYTES", 1 << 40)
+    whole = _conv_all(x, w, dy)
+    monkeypatch.setattr(kernels, "COLUMN_BYTES", budget or default)
+    for got, want in zip(_conv_all(x, w, dy), whole):
+        assert np.array_equal(got, want)
+
+
 def test_maxpool_kernels_match_oracle_exactly():
     rng = np.random.default_rng(43)
     x = rng.standard_normal((3, 5, 8, 6))
