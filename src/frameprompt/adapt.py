@@ -7,7 +7,9 @@ Each minibatch is one tape whose leaf is the stack of its clusters' prompts,
 with the sum of the per-cluster mean losses as its loss: every prompt steps
 on the gradient of its own cluster's mean, and the shared head once on their
 sum. conv1 is linear, so the encoder sums each prompt's gradient over its
-samples before conv1's backward-input (see encoder._encode).
+samples before conv1's backward-input (see encoder._encode). Scoring hands
+the same stack and routes to FrozenEncoder.forward_features, so prompts are
+scored by the function they were trained on.
 
 The affine heads (tuning, freezing) are a matmul and a bias; the mapped heads
 (hardcoded, active) pick their feature columns with tensor.take, the same
@@ -147,8 +149,9 @@ def _ce_and_top1(logits: np.ndarray, labels: np.ndarray) -> tuple[float, int]:
 
 
 def evaluate(dataset, bundle: PromptBundle, encoder) -> EvalResult:
-    """Route prompt-free features to a prototype, then classify the prompted
-    image. Deterministic: no RNG anywhere on this path."""
+    """Route prompt-free features to a prototype, then score each image with
+    its routed prompt on the training path (forward_features with the stack).
+    Deterministic: no RNG anywhere on this path."""
     if bundle.encoder_fingerprint and bundle.encoder_fingerprint != encoder.fingerprint:
         raise FrozenViolationError(
             f"bundle was trained against encoder {bundle.encoder_fingerprint:#x}, "
@@ -173,18 +176,11 @@ def _route_split(dataset, protos, k: int, encoder) -> np.ndarray:
 def _score_routed(dataset, routes: np.ndarray, prompts, head: HeadState,
                  encoder) -> EvalResult:
     """Mean loss and top-1 of each sample prompted by its routed cluster."""
-    hist = np.bincount(routes, minlength=len(prompts))
     stack = np.stack([p.values for p in prompts])
-    total_loss, total_hits = 0.0, 0
-    for start in range(0, len(dataset), 256):
-        ids = slice(start, start + 256)
-        xp = dataset.images[ids] + stack[routes[ids]]
-        logits = head_logits(head, encoder.forward_features(xp))
-        loss, hits = _ce_and_top1(logits, dataset.labels[ids])
-        total_loss += loss
-        total_hits += hits
+    logits = head_logits(head, encoder.forward_features(dataset.images, stack, routes))
+    loss, hits = _ce_and_top1(logits, dataset.labels)
     n = len(dataset)
-    return EvalResult(total_loss / n, total_hits / n, hist)
+    return EvalResult(loss / n, hits / n, np.bincount(routes, minlength=len(prompts)))
 
 
 def _build_prototypes(train, encoder, cfg: RunConfig, seed: int):

@@ -13,11 +13,11 @@ both orders give the whole window a zero gradient; only the place of a -0.0
 in it can differ.
 
 Spatial dims must be divisible by 4 (two pooling stages). The architecture is
-written once, in _encode; inference, prompt training (frozen weights, the
-prompt stack on a tape) and pretraining (trainable weights on a tape) all run
-it. Prompt training uses the linearity of conv1: it runs conv1 untaped on the
-images and conv1 on the prompt stack, and adds to each image the row of its
-prompt, picked by tensor.take. The gather's backward sums each prompt's
+written once, in _encode; inference, prompt training and scoring (frozen
+weights, the prompt stack on a tape or not) and pretraining (trainable weights
+on a tape) all run it. A prompt meets an image only there: conv1 is linear, so
+conv1 runs on the images and on the prompt stack, and each image gets its
+prompt's row, picked by tensor.take. The gather's backward sums each prompt's
 samples, so conv1's backward-input runs at batch T on a minibatch that spans
 T prompts.
 
@@ -157,25 +157,30 @@ class FrozenEncoder:
                              f"got {x.shape}")
         return x
 
-    def forward_features(self, x: np.ndarray, chunk: int = 64) -> np.ndarray:
+    def forward_features(self, x: np.ndarray, prompts: np.ndarray | None = None,
+                         route: np.ndarray | None = None, chunk: int = 64) -> np.ndarray:
         """Features of (B, C, H, W) or one (C, H, W) image, encoded chunk
-        images at a time. A chunk of 64 holds half the transient memory of
-        128 (a traced peak of 26.7 against 53.1 MiB on 320 32px images) and
-        runs faster. Chunks of 16, 64, 128 and the whole batch give
-        bit-identical features; chunks of 1 or 5 do not. The convs give the
-        same bits at any chunk, but BLAS runs the fc matmul
-        (chunk, 2048) @ (2048, 64) with another summation order at 1 or 5
-        rows, which moves features by about 2e-14."""
+        images at a time; with a (T, C, H, W) prompt stack and (B,) routes
+        into it, of x + prompts[route] on prompt training's path. A chunk of
+        64 holds half the transient memory of 128 (a traced peak of 26.7
+        against 53.1 MiB on 320 32px images) and runs faster. Chunks of 16,
+        64, 128 and the whole batch give bit-identical features; chunks of 1
+        or 5 do not. The convs give the same bits at any chunk, but BLAS runs
+        the fc matmul (chunk, 2048) @ (2048, 64) with another summation order
+        at 1 or 5 rows, which moves features by about 2e-14."""
         squeeze = np.asarray(x).ndim == 3
         x = self._check_input(x)
         # untaped, so each chunk's intermediates are freed as it goes
-        parts = [_encode(x[i:i + chunk], self.weights) for i in range(0, len(x), chunk)]
+        parts = [_encode(x[i:i + chunk], self.weights, prompts,
+                         None if route is None else route[i:i + chunk])
+                 for i in range(0, len(x), chunk)]
         feats = np.concatenate(parts) if len(parts) > 1 else parts[0]
         return feats[0] if squeeze else feats
 
     def features_var(self, images: np.ndarray, x_var: T.Var, route: np.ndarray) -> T.Var:
         """Features of images + x_var[route] for a taped (T, C, H, W) prompt
-        stack x_var; the gradient flows to x_var only."""
+        stack x_var, bit for bit forward_features(images, x_var.value, route);
+        the gradient flows to x_var only."""
         return _encode(images, self.weights, x_var, route)
 
     def probe_channel_variance(self, count: int, seed: int) -> np.ndarray:
@@ -342,10 +347,6 @@ def pretrain(dataset, epochs: int, seed: int, lr: float = 1e-3,
             for name in PARAM_ORDER:
                 params[name] = opt.step(name, params[name], pvars[name].grad)
     enc = FrozenEncoder(spec, params, pretrain_dataset_id=dataset.id, seed=seed)
-    hits = 0
-    for start in range(0, n, 256):
-        feats = enc.forward_features(dataset.images[start:start + 256])
-        pred = np.argmax(_head(feats, enc.weights), axis=1)
-        hits += int((pred == dataset.labels[start:start + 256]).sum())
-    enc.train_accuracy = hits / n
+    pred = np.argmax(_head(enc.forward_features(dataset.images), enc.weights), axis=1)
+    enc.train_accuracy = int((pred == dataset.labels).sum()) / n
     return enc

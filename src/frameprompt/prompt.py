@@ -2,11 +2,12 @@
 
 A prompt is a dense (C, H, W) array whose interior rectangle is identically
 zero; only the border band of width `border` is learnable. Application is a
-plain unclamped addition, so it is linear in the prompt values. There is one
-update rule, PromptFrame.grad_step with an optimizer: adaptation passes its
-configured one, the meta inner loop a momentum-free Sgd. A step that leaves
-any value beyond PROMPT_BOUND in magnitude raises DataError, so a diverged
-run writes nothing.
+plain unclamped addition, linear in the prompt values, made in conv1 space:
+encoder._encode adds conv1 of the prompt to conv1 of the image, the same
+function by conv1's linearity. There is one update rule, PromptFrame.grad_step
+with an optimizer: adaptation passes its configured one, the meta inner loop a
+momentum-free Sgd. A step that leaves any value beyond PROMPT_BOUND in
+magnitude raises DataError, so a diverged run writes nothing.
 
 Bundle format "DAMP" v1, all integers little-endian:
   magic, u32 version, u32 prompt count N,

@@ -226,6 +226,31 @@ def test_evaluate_matches_manual_cross_entropy(tiny_encoder):
     assert res.histogram.sum() == 16
 
 
+def test_evaluate_matches_input_space_oracle(tiny_encoder):
+    """Scoring adds each routed prompt after conv1; an independent forward of
+    the prompted pixels gives the same loss within 1e-12 and the same top-1
+    and histogram, with two nonzero prompts and two prototypes in use."""
+    from frameprompt import clustering
+    enc, ds = tiny_encoder
+    spec = FrameSpec.for_input(3, 16, 16)
+    prompts = [PromptFrame.random(spec, 0.5, [9, t]) for t in range(2)]
+    feats = enc.forward_features(ds.images)
+    protos = feats[[0, int(np.argmax(((feats - feats[0]) ** 2).sum(axis=1)))]]
+    head = A.build_head(enc, A.HeadMode("tuning", ds.class_count, seed=4))
+    res = A.evaluate(ds, PromptBundle(prompts, protos, head, enc.fingerprint, "{}"), enc)
+    routes = clustering.route_features(feats, protos)
+    assert set(routes) == {0, 1}
+    stack = np.stack([p.values for p in prompts])
+    logits = enc.forward_features(ds.images + stack[routes]) @ head.weight + head.bias
+    m = logits.max(axis=1, keepdims=True)
+    lse = m[:, 0] + np.log(np.exp(logits - m).sum(axis=1))
+    n = len(ds)
+    assert res.loss == pytest.approx(float(np.mean(lse - logits[np.arange(n), ds.labels])),
+                                     rel=1e-12)
+    assert res.top1 == float(np.mean(np.argmax(logits, axis=1) == ds.labels))
+    assert np.array_equal(res.histogram, np.bincount(routes, minlength=2))
+
+
 def test_evaluate_rejects_fingerprint_mismatch(tiny_encoder):
     enc, ds = tiny_encoder
     spec = FrameSpec.for_input(3, 16, 16)

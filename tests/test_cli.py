@@ -7,7 +7,7 @@ import shutil
 import numpy as np
 import pytest
 
-from frameprompt import cli
+from frameprompt import cli, encoder as E
 from frameprompt.prompt import HEAD_HARDCODED, HeadState, load_bundle, save_bundle
 
 CONFIG = {"pretrain_epochs": 2, "epochs": 2, "batch_size": 16, "lr": 0.05,
@@ -224,6 +224,61 @@ def test_manifest_hash_reproducible(pipeline, tmp_path):
     assert outs[0]["outputs"] == outs[1]["outputs"]
 
 
+_CHAIN = """
+import json, os, sys
+from frameprompt import cli
+root, config = sys.argv[1], json.loads(sys.argv[2])
+def path(name, doc=None):
+    p = os.path.join(root, name)
+    if doc is not None:
+        with open(p, "w") as fh:
+            json.dump(doc, fh)
+    return p
+def desc(modes, per_class, seed):
+    return {"kind": "synthetic", "size": 16, "jitter": 0.08, "classes_per_mode": 2,
+            "modes": modes, "samples_per_class": per_class, "seed": seed}
+cfg = ["--config", path("config.json", config)]
+enc = path("enc.damw")
+for argv in (
+        ["pretrain", "--data", path("pre.json", desc(2, 12, 3)), "--out", enc],
+        ["calibrate", "--encoder", enc, "--reference", path("ref.json", desc(1, 20, 21)),
+         "--out", path("enc.calib.json")],
+        ["adapt", "--data", path("down.json", desc(2, 12, 5)), "--encoder", enc,
+         "--mode", "active", "--out", path("dam.dampb")],
+        ["eval", "--data", path("down.json"), "--bundle", path("dam.dampb"),
+         "--encoder", enc, "--out", path("eval.json")],
+        ["meta-train", "--datasets", path("m1.json", desc(2, 10, 61)) + ","
+         + path("m2.json", desc(2, 10, 62)), "--encoder", enc, "--out", path("meta.dampb")]):
+    if cli.main(argv + cfg) != 0:
+        sys.exit(f"{argv[0]} failed")
+"""
+
+
+def test_outputs_hash_independent_of_blas_threads(tmp_path):
+    """The same chain in two processes, one with OpenBLAS pinned to one
+    thread and one at its default, writes the same outputs_hash for every
+    command."""
+    import subprocess
+    import sys
+
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    hashes = []
+    for threads in ("1", None):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        if threads:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        root = tmp_path / f"threads-{threads or 'default'}"
+        root.mkdir()
+        run = subprocess.run([sys.executable, "-c", _CHAIN, str(root), json.dumps(CONFIG)],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        hashes.append({name: json.load(open(root / name))["outputs_hash"]
+                       for name in sorted(os.listdir(root)) if name.endswith(".manifest.json")})
+    assert len(hashes[0]) == 5, hashes[0]
+    assert hashes[0] == hashes[1]
+
+
 def test_usage_errors_exit_1(capsys):
     assert cli.main(["adapt"]) == 1
     err = capsys.readouterr().err
@@ -271,6 +326,22 @@ def test_contract_violations_exit_2(pipeline, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: DataError:")
     assert not os.path.exists(tmp_path / "k2.json")
+    # a 16px bundle carrying a 32px encoder's fingerprint cannot score 32px data
+    spec32 = E.EncoderSpec()
+    enc32 = E.FrozenEncoder(spec32, E._init_params(spec32, 0))
+    enc32.save(str(tmp_path / "enc32.damw"))
+    bundle = load_bundle(pipeline["dam_bundle"])
+    bundle.encoder_fingerprint = enc32.fingerprint
+    save_bundle(str(tmp_path / "px16.dampb"), bundle)
+    rc = cli.main(["eval", "--data", _descriptor(tmp_path / "px32.json", modes=2,
+                                                  samples_per_class=12, seed=5, size=32),
+                   "--bundle", str(tmp_path / "px16.dampb"),
+                   "--encoder", str(tmp_path / "enc32.damw"),
+                   "--out", str(tmp_path / "px16.json"), "--config", str(pipeline["config"])])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ShapeError:"), err
+    assert not os.path.exists(tmp_path / "px16.json")
     # a weight file with bytes after its fingerprint is refused
     padded = tmp_path / "padded.damw"
     shutil.copy(pipeline["enc"], padded)

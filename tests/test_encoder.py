@@ -54,27 +54,39 @@ def test_forward_features_chunking_is_invisible(tiny_encoder):
 
 def test_forward_features_chunks_are_bit_identical():
     """Chunks of 16, 64 (the default), 128 and the whole batch give the same
-    bits on 320 images of the 32px encoder. Chunks of 1 or 5 are left out:
-    the convs give the same bits there too, but BLAS sums the fc matmul
-    (chunk, 2048) @ (2048, 64) in another order at 1 or 5 rows and the
-    features move by about 2e-14."""
+    bits on 320 images of the 32px encoder, plain and with a prompt stack
+    routed per image. Chunks of 1 or 5 are left out: the convs give the same
+    bits there too, but BLAS sums the fc matmul (chunk, 2048) @ (2048, 64) in
+    another order at 1 or 5 rows and the features move by about 2e-14."""
     spec = E.EncoderSpec()
     enc = E.FrozenEncoder(spec, E._init_params(spec, 5))
-    x = np.random.default_rng(6).standard_normal((320, 3, 32, 32))
-    whole = enc.forward_features(x, chunk=len(x))
-    assert np.array_equal(enc.forward_features(x), whole)
-    for chunk in (16, 64, 128):
-        assert np.array_equal(enc.forward_features(x, chunk=chunk), whole), chunk
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((320, 3, 32, 32))
+    prompted = (rng.standard_normal((3, 3, 32, 32)), rng.integers(0, 3, len(x)))
+    for extra in ((), prompted):
+        whole = enc.forward_features(x, *extra, chunk=len(x))
+        assert np.array_equal(enc.forward_features(x, *extra), whole)
+        for chunk in (16, 64, 128):
+            assert np.array_equal(enc.forward_features(x, *extra, chunk=chunk),
+                                  whole), (chunk, len(extra))
 
 
 def test_var_path_matches_pure_path(tiny_encoder):
+    """Training (the taped stack) and scoring (forward_features with the
+    stack) run one function with the same bits; a zero stack leaves the
+    prompt-free features as they are."""
     from frameprompt import tensor as T
     enc, ds = tiny_encoder
-    x = ds.images[:4]
+    x = ds.images[:6]
+    route = np.array([0, 2, 1, 1, 0, 2])
     tape = T.Tape()
-    zero = tape.var(np.zeros((2,) + x.shape[1:]), requires_grad=True)
-    var_feats = enc.features_var(x, zero, np.array([0, 1, 1, 0])).value
-    assert np.array_equal(var_feats, enc.forward_features(x))
+    zero = tape.var(np.zeros((3,) + x.shape[1:]), requires_grad=True)
+    assert np.array_equal(enc.features_var(x, zero, route).value, enc.forward_features(x))
+    stack = np.random.default_rng(2).standard_normal((3,) + x.shape[1:])
+    var_feats = enc.features_var(x, T.Tape().var(stack, requires_grad=True), route).value
+    pure = enc.forward_features(x, stack, route)
+    assert np.array_equal(var_feats, pure)
+    assert not np.array_equal(pure, enc.forward_features(x))
 
 
 def test_weights_are_frozen(tiny_encoder):
