@@ -222,8 +222,10 @@ def cmd_adapt(args) -> int:
         meta_prompt, meta_ids = _load_meta_prompt(args.meta, enc)
         if base in {_base_id(i) for i in meta_ids}:
             raise DataError(f"adaptation dataset {base} was used for meta training")
+    classes = full.class_count
     train, val, test = data.split_dataset(full, cfg.split_fractions, args.seed)
-    mode = adapt_mod.HeadMode(args.mode, full.class_count,
+    del full  # the splits are copies; the raw images need not outlive them
+    mode = adapt_mod.HeadMode(args.mode, classes,
                               noise_count=cfg.noise_count, seed=args.seed)
     bundle, metrics = adapt_mod.adapt(train, enc, cfg, mode, seed=args.seed,
                                       meta=meta_prompt, val=val, test=test)
@@ -262,11 +264,13 @@ def cmd_eval(args) -> int:
     enc = encoder_mod.load_encoder(args.encoder)
     bundle = load_bundle(args.bundle)
     full = data.load_descriptor(args.data)
+    base = _base_id(full.id)
     _, _, test = data.split_dataset(full, cfg.split_fractions, args.seed)
+    del full  # the splits are copies; the raw images need not outlive them
     if len(test) == 0:
         raise DataError("test split is empty under the configured fractions")
     res = adapt_mod.evaluate(test, bundle, enc)
-    doc = {"dataset": _base_id(full.id), "split": test.split,
+    doc = {"dataset": base, "split": test.split,
            "loss": res.loss, "top1": res.top1, "n_clusters": bundle.n,
            "routing_histogram": [int(v) for v in res.histogram]}
     write_json(args.out, doc)

@@ -101,16 +101,16 @@ def _freeze_arrays(weights: dict) -> dict:
     return out
 
 
-def _encode(x, params: dict, prompts=None, route=None):
-    """Features of a (B, C, H, W) batch, or of x + prompts[route] for a
-    (T, C, H, W) prompt stack and (B,) indices into it. x, params and prompts
-    may be plain ndarrays (nothing is taped) or Vars on one tape (gradients
-    reach trainable Vars)."""
+def _encode(x, params: dict, maps=None, route=None):
+    """Features of a (B, C, H, W) batch, or of x + prompts[route] given maps,
+    conv1 (unbiased) of a (T, C, H, W) prompt stack, and (B,) indices into
+    it. x, params and maps may be plain ndarrays (nothing is taped) or Vars
+    on one tape (gradients reach trainable Vars)."""
     y = T.conv2d(x, params["conv1_w"])
-    if prompts is not None:
+    if maps is not None:
         # conv1(x + p) = conv1(x) + conv1(p): each sample gathers its prompt's
         # map, and the gather's backward is the per-prompt sum
-        y = T.add(y, T.take(T.conv2d(prompts, params["conv1_w"]), route, 0))
+        y = T.add(y, T.take(maps, route, 0))
     # rebinding y frees each conv output once its bias is added, before pooling
     y = T.bias_add(y, params["conv1_b"])
     y = T.relu(T.maxpool2d(y))
@@ -170,8 +170,10 @@ class FrozenEncoder:
         at 1 or 5 rows, which moves features by about 2e-14."""
         squeeze = np.asarray(x).ndim == 3
         x = self._check_input(x)
+        # the stack's conv1 does not depend on the chunk: one call serves all
+        maps = None if prompts is None else T.conv2d(prompts, self.weights["conv1_w"])
         # untaped, so each chunk's intermediates are freed as it goes
-        parts = [_encode(x[i:i + chunk], self.weights, prompts,
+        parts = [_encode(x[i:i + chunk], self.weights, maps,
                          None if route is None else route[i:i + chunk])
                  for i in range(0, len(x), chunk)]
         feats = np.concatenate(parts) if len(parts) > 1 else parts[0]
@@ -181,7 +183,7 @@ class FrozenEncoder:
         """Features of images + x_var[route] for a taped (T, C, H, W) prompt
         stack x_var, bit for bit forward_features(images, x_var.value, route);
         the gradient flows to x_var only."""
-        return _encode(images, self.weights, x_var, route)
+        return _encode(images, self.weights, T.conv2d(x_var, self.weights["conv1_w"]), route)
 
     def probe_channel_variance(self, count: int, seed: int) -> np.ndarray:
         """Unbiased per-channel feature variance over standard-normal noise."""

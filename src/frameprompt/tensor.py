@@ -13,10 +13,15 @@ bias_add, relu, maxpool2d, conv2d, reshape, take and cross_entropy. take is
 the one gather: it picks each sample's prompt map in the encoder and the
 mapped heads' feature columns.
 
-The tape holds its nodes by weak reference and each Var holds its tape and
-(through its backward rule) its parents, so nothing forms a reference cycle:
-a finished step's tape and its intermediates are freed as soon as the last
-Var of it goes out of scope, without waiting for the cyclic collector.
+The tape keeps backward rules, not activations. It holds each Var by weak
+reference, and each node's rule by node id: the ids of the parents that
+gradients reach, and the arrays the rule reads (relu masks, pooling
+indices, frozen operands, the operands of a matmul or of a weight
+gradient). No rule holds a Var, so an intermediate's value is freed as soon
+as the forward moves past it, and only a Var holds its tape, so nothing
+forms a reference cycle: a finished step's tape is freed with its last Var,
+without waiting for the cyclic collector. backward walks node ids from the
+loss down and sets .grad on the live requires_grad leaves.
 
 All taped values are float64 and C-contiguous. Nothing here consults global
 RNG state.
@@ -41,10 +46,12 @@ def _f64(value) -> np.ndarray:
 class Tape:
     """Append-only op record. nodes holds a weak reference per Var in
     creation order; len(nodes) is the node count, and a node nothing else
-    references anymore reads None."""
+    references anymore reads None. rules maps the id of each node that a
+    gradient passes through to its (parent id, fn(g) -> contribution) pairs."""
 
     def __init__(self):
         self.nodes: list[weakref.ref] = []
+        self.rules: dict[int, list] = {}
 
     def var(self, value, requires_grad: bool = False) -> "Var":
         v = Var(self, len(self.nodes), _f64(value), requires_grad)
@@ -53,8 +60,7 @@ class Tape:
 
 
 class Var:
-    __slots__ = ("tape", "node_id", "value", "grad", "requires_grad", "_backward",
-                 "__weakref__")
+    __slots__ = ("tape", "node_id", "value", "grad", "requires_grad", "__weakref__")
 
     def __init__(self, tape, node_id, value, requires_grad):
         self.tape = tape
@@ -62,7 +68,6 @@ class Var:
         self.value = value
         self.grad = None
         self.requires_grad = requires_grad
-        self._backward = None
 
     @property
     def shape(self):
@@ -70,16 +75,17 @@ class Var:
 
 
 def _record(tape, value, parents_and_grads):
-    """parents_and_grads: list of (Var, fn(g) -> grad contribution). Without
-    a tape (no operand is a Var) the plain value is returned, untaped."""
+    """parents_and_grads: list of (operand, fn(g) -> grad contribution).
+    Without a tape (no operand is a Var) the plain value is returned, untaped.
+    The tape keeps the fn of each requires_grad parent under the parent's node
+    id and drops the others, with whatever arrays only they read."""
     if tape is None:
         return value
-    live = [(p, fn) for p, fn in parents_and_grads if isinstance(p, Var)]
-    out = tape.var(value, requires_grad=any(p.requires_grad for p, _ in live))
-    if out.requires_grad:
-        def rule(g):
-            return [(p, fn(g)) for p, fn in live if p.requires_grad]
-        out._backward = rule
+    rule = [(p.node_id, fn) for p, fn in parents_and_grads
+            if isinstance(p, Var) and p.requires_grad]
+    out = tape.var(value, requires_grad=bool(rule))
+    if rule:
+        tape.rules[out.node_id] = rule
     return out
 
 
@@ -177,9 +183,10 @@ def take(x, indices, axis: int) -> Var:
         raise ShapeError(f"take: index shape {idx.shape} on axis {axis} of {xv.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= xv.shape[axis]):
         raise ShapeError(f"take: index out of range for axis {axis} of {xv.shape}")
+    shape = xv.shape  # the rule reads the shape only, not the gathered-from value
     def back(g):
         # one slab add per index, in order; np.add.at is slower on few large slabs
-        dx = np.zeros_like(xv)
+        dx = np.zeros(shape)
         dm, gm = np.moveaxis(dx, axis, 0), np.moveaxis(g, axis, 0)
         for i, j in enumerate(idx):
             dm[j] += gm[i]
@@ -228,21 +235,23 @@ def backward(loss: Var):
     value. Every other Var's .grad stays None."""
     if loss.value.shape != ():
         raise ShapeError(f"backward: loss must be scalar, got {loss.value.shape}")
+    tape = loss.tape
     table: dict[int, np.ndarray] = {loss.node_id: np.ones(())}
-    for ref in reversed(loss.tape.nodes[: loss.node_id + 1]):
-        var = ref()
-        # a dead node is unreachable from the loss, so it has no cotangent
-        if var is None:
-            continue
-        g = table.pop(var.node_id, None)
+    for node_id in range(loss.node_id, -1, -1):
+        g = table.pop(node_id, None)
         if g is None:
             continue
-        if var._backward is not None:
-            for parent, contrib in var._backward(g):
-                prev = table.get(parent.node_id)
-                table[parent.node_id] = contrib if prev is None else prev + contrib
-        elif var.requires_grad:
-            var.grad = _f64(g)
+        rule = tape.rules.get(node_id)
+        if rule is not None:
+            for parent_id, fn in rule:
+                contrib = fn(g)
+                prev = table.get(parent_id)
+                table[parent_id] = contrib if prev is None else prev + contrib
+            continue
+        # a leaf nothing holds anymore has no .grad to fill
+        leaf = tape.nodes[node_id]()
+        if leaf is not None and leaf.requires_grad:
+            leaf.grad = _f64(g)
 
 
 def require_finite(what: str, *values):

@@ -138,6 +138,28 @@ def test_frozen_conv_weights_get_no_gradient():
         assert node is None or node.grad is None or node is xv
 
 
+def test_taped_forward_keeps_only_the_leaf_and_the_output(tiny_encoder):
+    # the tape keeps backward rules, not activations: after a prompted
+    # encoder forward every intermediate is freed, and no rule holds a Var
+    # or the tape, so no reference cycle forms
+    enc, ds = tiny_encoder
+    x = ds.images[:6]
+    route = np.array([0, 2, 1, 1, 0, 2])
+    tape = T.Tape()
+    stack = tape.var(np.random.default_rng(3).standard_normal((3,) + x.shape[1:]),
+                     requires_grad=True)
+    feats = enc.features_var(x, stack, route)
+    alive = [node for node in (ref() for ref in tape.nodes) if node is not None]
+    assert len(tape.nodes) == 14
+    assert len(alive) == 2 and alive[0] is stack and alive[1] is feats
+    for rule in tape.rules.values():
+        for _, fn in rule:
+            for cell in fn.__closure__ or ():
+                assert not isinstance(cell.cell_contents, (T.Var, T.Tape))
+    T.backward(project(feats))
+    assert stack.grad.shape == stack.value.shape and feats.grad is None
+
+
 @pytest.mark.parametrize("kernel", [(2, 2), (3, 5), (4, 3)])
 def test_conv2d_needs_odd_square_kernel(kernel):
     tape = T.Tape()
