@@ -230,9 +230,9 @@ def cross_entropy(logits, labels, weights=None) -> Var:
 
 
 def backward(loss: Var):
-    """Reverse sweep from a scalar loss: stores the gradient of every
-    requires_grad leaf reachable from it on the leaf's .grad, shaped like its
-    value. Every other Var's .grad stays None."""
+    """Reverse sweep from a scalar loss over the tape's rules: stores the
+    gradient of every live requires_grad leaf reachable from it on the leaf's
+    .grad, shaped like its value. Every other Var's .grad stays None."""
     if loss.value.shape != ():
         raise ShapeError(f"backward: loss must be scalar, got {loss.value.shape}")
     tape = loss.tape
