@@ -16,39 +16,114 @@ directions:
 The correlation is one GEMM per block of images: the (O, C·kh·kw) weight
 matrix times the (C·kh·kw, images·Ho·Wo) column matrix, copied from a
 (C, kh, kw, B, Ho, Wo) window view, written into the block's columns of one
-(O, B·Ho·Wo) output. Blocks hold as many images as keep the column matrix
-within COLUMN_BYTES (24 MiB; at least one image). glibc serves a request
-above its 32 MiB mmap ceiling with a fresh mapping every time, so one
-unblocked column copy (34 MiB for conv2's backward-input at batch 61) faults
-in new pages on every call; blocks under the ceiling reuse freed heap pages.
-24 rather than 16 MiB keeps conv2's forward at a 64-image batch in one block
-(16 MiB split it 56 + 8, and prompt training ran 5-9% slower).
-At the encoder's shapes OpenBLAS sums each output element in the same order
-whatever the block, so results do not depend on COLUMN_BYTES or on the batch
-(test_kernels checks conv1 and conv2 bit for bit); a product only a few
-columns wide, such as a one-channel backward-weight block of a tiny image,
-may be summed in another order, within 1e-12.
+(O, B·Ho·Wo) output. The batch is cut into a multiple of LANES balanced
+blocks, and lane j copies and multiplies blocks j, j + LANES, ... (see
+lanes below). COLUMN_BYTES (16 MiB) bounds the column scratch of one call,
+all lanes' blocks together, so a conv's transient memory is its output plus
+at most 16 MiB whatever the batch: conv2's backward-input at batch 61,
+whose column matrix is 34 MiB, runs as six blocks of 10 or 11 images on two
+lanes. Each block's GEMM is single-threaded and the lanes run side by side,
+so a larger budget buys no parallelism, only fewer, wider GEMMs. 24 MiB
+took the same time on adapt-8mode, but the larger scratch stayed in the
+heap after prompt training, and the chain's peak resident memory, set by
+eval's dataset split, read 221.8 against 217.6 MiB.
+
+OpenBLAS (scipy-openblas 0.3.31 on an AVX-512 host) sums a product of up
+to about 10^6 multiply-adds in an order that depends on the product's
+width, through its small-matrix path; above that, it sums each output
+element in the same order whatever the block. So a product is split
+across lanes only into blocks of at least GEMM_MIN (2^20) multiply-adds,
+and fewer lanes take it otherwise: the blocks at several lanes are no
+wider than at one, so they are summed as one lane sums them, and results
+do not depend on the lane count. At the
+encoder's shapes they do not depend on COLUMN_BYTES or the batch either
+(test_kernels checks conv1 and conv2 bit for bit). A budget so small that
+one block at one lane is such a product, as a one-channel backward-weight
+block of a tiny image, may be summed in another order, within 1e-12.
 
 2x2 max pooling works on the four strided views x[:, :, i::2, j::2] of
 its input, one per window offset n = 2i + j, with no reshaped copy: the
-forward takes their elementwise max and finds each window's offset by
-equality tests in offset order, so ties go to the lowest offset by
+forward takes their elementwise max in place and finds each window's offset
+by equality tests in offset order, so ties go to the lowest offset by
 construction and a ±0.0 maximum carries the sign of the lowest offset that
-attains it. The backward writes dy into the view of the chosen offset and
-+0.0 into the other three. A NaN in a window makes its max NaN and its
-offset unspecified; in training the NaN reaches the loss, and
-tensor.require_finite stops the run.
+attains it. The backward writes dy's bits, masked to zero where another
+offset won, into the view of each offset. A NaN in a window makes its max
+NaN and its offset unspecified; in training the NaN reaches the loss, and
+tensor.require_finite stops the run. Both pools cut the batch into LANES
+contiguous slices.
 
-All functions are vectorized. This is the only kernel set: runs reproduce
-bit for bit wherever numpy and its BLAS are the same. BACKEND names it in
-run manifests.
+Lanes. Importing this module pins numpy's bundled OpenBLAS to one thread
+(through ctypes, as scipy_openblas_set_num_threads64_ or
+openblas_set_num_threads) and starts a ThreadPoolExecutor: LANES is the
+number of CPUs this process may run on (os.sched_getaffinity), and a call
+runs lane 0 itself and the other lanes on the pool. If no setter is found,
+LANES is 1 and every kernel runs in its caller. Three rules hold:
+
+- Lanes allocate nothing large. The caller allocates every array a lane
+  writes: the output, the (LANES, k·widest·n) column scratch, and the
+  pools' y, idx, flag and mask arrays. A worker thread that allocated
+  its own column blocks would get its own malloc arena and keep its freed
+  pages there: the adapt-8mode chain (adapt, then eval in one process)
+  peaked at 236 MiB that way, against 219 MiB with caller-owned scratch.
+- Workers call nothing outside this module's private helpers. A tracer
+  that wraps the public kernels (perfbench's spans.Tracer keeps one span
+  stack for all threads) sees each kernel as one call from its caller's
+  thread, so the threading stays inside the wrapped kernels.
+- Every output element comes from the same GEMM row on the same columns,
+  or the same ufunc on the same operands, at any lane count: runs
+  reproduce bit for bit wherever numpy and its BLAS are the same, whatever
+  the CPU count (tests/test_cli.py checks it across processes).
+
+All functions are vectorized. This is the only kernel set; BACKEND names it
+in run manifests.
 """
+
+import ctypes
+import glob
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 BACKEND = "numpy"
-COLUMN_BYTES = 24 << 20  # largest column matrix _correlate copies, in bytes
+COLUMN_BYTES = 16 << 20  # all lanes' column blocks of one _correlate, in bytes
+GEMM_MIN = 1 << 20  # fewest multiply-adds in a product split across lanes
+
+
+def _pin_blas() -> bool:
+    """Pin numpy's bundled OpenBLAS to one thread; False if no setter is found."""
+    for path in glob.glob(os.path.join(os.path.dirname(np.__file__) + ".libs", "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for sym in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                    "openblas_set_num_threads"):
+            setter = getattr(lib, sym, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+                return True
+    return False
+
+
+# one lane per CPU this process may run on, once BLAS no longer threads itself
+LANES = len(os.sched_getaffinity(0)) if _pin_blas() else 1
+_POOL = ThreadPoolExecutor(LANES - 1) if LANES > 1 else None
+
+
+def _run_lanes(lane, lanes):
+    """lane(0), ..., lane(lanes - 1): lane 0 in the caller, the rest on the
+    pool; returns once all have finished."""
+    futures = [_POOL.submit(lane, j) for j in range(1, lanes)]
+    try:
+        lane(0)
+    finally:
+        for f in futures:
+            f.result()
+
+
+def _split(b, parts):
+    """parts + 1 ascending bounds cutting range(b) into balanced slices."""
+    return [b * i // parts for i in range(parts + 1)]
 
 
 def _correlate(x, w, pad):
@@ -71,11 +146,25 @@ def _correlate(x, w, pad):
     k, n = c * kh * kw, ho * wo
     rows = w.reshape(o, k)
     out = np.empty((o, b * n))
-    step = max(1, COLUMN_BYTES // (k * n * 8))
-    for i in range(0, b, step):
-        # copies the block's (C·kh·kw, images·Ho·Wo) columns
-        cols = win[:, :, :, i:i + step].reshape(k, -1)
-        np.matmul(rows, cols, out=out[:, i * n:i * n + cols.shape[1]])
+    lanes = min(LANES, b) or 1
+    while True:
+        per = max(1, COLUMN_BYTES // max(1, lanes * k * n * 8))  # images per block
+        blocks = lanes * max(1, -(-b // (lanes * per)))
+        # split across lanes only into blocks of at least GEMM_MIN multiply-adds
+        if lanes == 1 or o * k * n * (b // blocks) >= GEMM_MIN:
+            break
+        lanes -= 1
+    ends = _split(b, blocks)
+    cols = np.empty((lanes, k * n * -(-b // blocks)))  # each lane's widest block
+
+    def lane(j):
+        for lo, hi in zip(ends[j::lanes], ends[j + 1::lanes]):
+            # the block's (C·kh·kw, images·Ho·Wo) columns, copied into scratch
+            block = cols[j, :k * (hi - lo) * n].reshape(c, kh, kw, hi - lo, ho, wo)
+            block[...] = win[:, :, :, lo:hi]
+            np.matmul(rows, block.reshape(k, (hi - lo) * n), out=out[:, lo * n:hi * n])
+
+    _run_lanes(lane, lanes)
     return out.reshape(o, b, ho, wo).transpose(1, 0, 2, 3)
 
 
@@ -101,36 +190,69 @@ def _windows(x):
             x[:, :, 1::2, 0::2], x[:, :, 1::2, 1::2])
 
 
+def _pool_lanes(lane, b):
+    """lane(lo, hi) over LANES contiguous slices of a batch of b."""
+    lanes = min(LANES, b) or 1
+    ends = _split(b, lanes)
+    _run_lanes(lambda j: lane(ends[j], ends[j + 1]), lanes)
+
+
 def maxpool2_forward(x):
     """2x2 stride-2 max pool of (B, C, H, W), H and W even. Returns (y, idx):
     y (B, C, H/2, W/2) float64, C-contiguous, and idx int8 in [0, 4), the
     row-major offset in each window that y came from, lowest offset on ties.
 
     y is the elementwise max of the four window views a, b, c, d (offsets
-    0-3). np.maximum(p, q) returns q when the two compare equal (the kernel
-    tests pin this through the signs of zero), so every pair puts its lower
-    offset second and the lowest offset decides the sign of a ±0.0 maximum. idx = na · (1 + nb · (1 + nc)) over the 0/1 flags
-    na = (a != y), nb = (b != y), nc = (c != y): 0 if a == y, else 1 if
-    b == y, else 2 if c == y, else 3, so the tie rule holds by construction.
-    A window holding NaN gives y NaN and an unspecified idx."""
-    a, b, c, d = _windows(x)
-    y = np.maximum(b, a)
-    np.maximum(np.maximum(d, c), y, out=y)
-    # bool arrays are 0/1 bytes, so each flag is an int8 view, not a copy
-    idx = np.not_equal(c, y).view(np.int8)
-    idx += 1
-    idx *= np.not_equal(b, y).view(np.int8)
-    idx += 1
-    idx *= np.not_equal(a, y).view(np.int8)
+    0-3), taken in place: max(b, a), then max(c, y), then max(d, y).
+    np.maximum(p, q) returns q when the two compare equal (the kernel tests
+    pin this through the signs of zero), so each step keeps the lower
+    offset's value and the lowest offset decides the sign of a ±0.0 maximum.
+    idx = na · (1 + nb · (1 + nc)) over the 0/1 flags na = (a != y),
+    nb = (b != y), nc = (c != y): 0 if a == y, else 1 if b == y, else 2 if
+    c == y, else 3, so the tie rule holds by construction. A window holding
+    NaN gives y NaN and an unspecified idx."""
+    bsz, ch, h, wd = x.shape
+    y = np.empty((bsz, ch, h // 2, wd // 2))
+    idx = np.empty(y.shape, np.int8)
+    flag = np.empty(y.shape, bool)
+
+    def lane(lo, hi):
+        a, b, c, d = _windows(x[lo:hi])
+        yl, il, fl = y[lo:hi], idx[lo:hi], flag[lo:hi]
+        np.maximum(b, a, out=yl)
+        np.maximum(c, yl, out=yl)
+        np.maximum(d, yl, out=yl)
+        # bool arrays are 0/1 bytes, so each flag reads as int8 in place
+        f8 = fl.view(np.int8)
+        np.not_equal(c, yl, out=fl)
+        np.add(f8, 1, out=il)
+        np.not_equal(b, yl, out=fl)
+        il *= f8
+        il += 1
+        np.not_equal(a, yl, out=fl)
+        il *= f8
+
+    _pool_lanes(lane, bsz)
     return y, idx
 
 
 def maxpool2_backward(dy, idx):
     """d loss / d x of maxpool2_forward: dy at each window's idx offset and
     +0.0 at the other three, written as four strided (B, C, H/2, W/2)
-    slices of a (B, C, H, W) output."""
+    slices of a (B, C, H, W) output. Each slice is dy's bits ANDed with a
+    mask of all ones where idx picks its offset and all zeros elsewhere:
+    np.where(idx == n, dy, 0.0) bit for bit, with no temporary."""
     b, c, ho, wo = dy.shape
     dx = np.empty((b, c, 2 * ho, 2 * wo))
-    for n, view in enumerate(_windows(dx)):
-        view[...] = np.where(idx == n, dy, 0.0)
+    mask = np.empty(dy.shape, np.int64)
+    bits, dxbits = dy.view(np.int64), dx.view(np.int64)
+
+    def lane(lo, hi):
+        m = mask[lo:hi]
+        for n, view in enumerate(_windows(dxbits[lo:hi])):
+            np.equal(idx[lo:hi], n, out=m)
+            np.negative(m, out=m)
+            np.bitwise_and(bits[lo:hi], m, out=view)
+
+    _pool_lanes(lane, b)
     return dx

@@ -251,32 +251,58 @@ for argv in (
          + path("m2.json", desc(2, 10, 62)), "--encoder", enc, "--out", path("meta.dampb")]):
     if cli.main(argv + cfg) != 0:
         sys.exit(f"{argv[0]} failed")
+# at 32 px: features of 320 images and one prompt step at batch 64
+import hashlib
+import numpy as np
+from frameprompt import adapt, encoder as E, kernels
+spec = E.EncoderSpec()
+enc = E.FrozenEncoder(spec, E._init_params(spec, 0))
+rng = np.random.default_rng(0)
+images = rng.standard_normal((320, 3, 32, 32))
+stack = 0.1 * rng.standard_normal((8, 3, 32, 32))
+head = adapt.build_head(enc, adapt.HeadMode("tuning", 10, seed=1))
+loss, logits, grad, (gw, gb) = adapt.prompt_step(
+    images[:64], stack, np.arange(64) % 8, rng.integers(0, 10, 64), enc, head)
+digest = hashlib.sha256()
+for a in (enc.forward_features(images), logits, grad, gw, gb, np.float64(loss)):
+    digest.update(np.ascontiguousarray(a).tobytes())
+path("lanes.json", {"lanes": kernels.LANES, "sha256": digest.hexdigest()})
 """
 
 
 def test_outputs_hash_independent_of_blas_threads(tmp_path):
-    """The same chain in two processes, one with OpenBLAS pinned to one
-    thread and one at its default, writes the same outputs_hash for every
-    command."""
+    """The same chain in three processes writes the same outputs_hash for
+    every command: one with OPENBLAS_NUM_THREADS=1, one at the default and
+    one restricted to a single CPU, so its kernels run one lane against the
+    others' one per CPU. Each also hashes the bytes of 32 px features of 320
+    images and of one prompt step at batch 64, which must agree too."""
     import subprocess
     import sys
 
+    from frameprompt import kernels
+
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    hashes = []
-    for threads in ("1", None):
+    cpu = min(os.sched_getaffinity(0))
+    runs = []
+    for name, threads, preexec in (("threads-1", "1", None), ("default", None, None),
+                                   ("one-cpu", None, lambda: os.sched_setaffinity(0, {cpu}))):
         env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         if threads:
             env["OPENBLAS_NUM_THREADS"] = threads
-        root = tmp_path / f"threads-{threads or 'default'}"
+        root = tmp_path / name
         root.mkdir()
         run = subprocess.run([sys.executable, "-c", _CHAIN, str(root), json.dumps(CONFIG)],
-                             env=env, capture_output=True, text=True, timeout=120)
+                             env=env, capture_output=True, text=True, timeout=120,
+                             preexec_fn=preexec)
         assert run.returncode == 0, run.stderr
-        hashes.append({name: json.load(open(root / name))["outputs_hash"]
-                       for name in sorted(os.listdir(root)) if name.endswith(".manifest.json")})
-    assert len(hashes[0]) == 5, hashes[0]
-    assert hashes[0] == hashes[1]
+        hashes = {name: json.load(open(root / name))["outputs_hash"]
+                  for name in sorted(os.listdir(root)) if name.endswith(".manifest.json")}
+        runs.append((hashes, json.load(open(root / "lanes.json"))))
+    assert len(runs[0][0]) == 5, runs[0][0]
+    assert [lanes["lanes"] for _, lanes in runs] == [kernels.LANES, kernels.LANES, 1]
+    assert runs[0][0] == runs[1][0] == runs[2][0]
+    assert len({lanes["sha256"] for _, lanes in runs}) == 1
 
 
 def test_usage_errors_exit_1(capsys):

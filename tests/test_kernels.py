@@ -2,6 +2,9 @@
 to float64 working precision, and the discrete pooling choices must match
 exactly."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -74,25 +77,93 @@ def test_conv_blocks_match_one_block(monkeypatch, batch, budget):
             assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
+def _tie_input(rng):
+    """(3, 4, 8, 10) pool input whose first plane holds all 16 sign patterns
+    of an all-zero window, then windows that are all equal, all negative,
+    and tied at zero with mixed signs; the rest are integer-grid values that
+    tie often. Returns it with the sign patterns and the value grid."""
+    grid = np.array([-2.0, -1.0, -0.0, 0.0, 1.0])
+    x = rng.choice(grid, size=(3, 4, 8, 10))
+    signs = (np.arange(16)[:, None] >> np.arange(4)) & 1
+    windows = list(np.where(signs == 1, -0.0, 0.0).reshape(16, 2, 2))
+    windows += [np.full((2, 2), 1.5),                    # all equal
+                np.full((2, 2), -2.0),                   # all equal, negative
+                np.array([[-3.0, -1.0], [-1.0, -2.0]]),  # negative, tie at 1, 2
+                np.array([[-1.0, -0.0], [0.0, -5.0]])]   # -0.0 ties +0.0
+    for k, win in enumerate(windows):
+        x[0, 0, 2 * (k // 5):2 * (k // 5) + 2, 2 * (k % 5):2 * (k % 5) + 2] = win
+    return x, signs, grid
+
+
+def _pool_both(x, dy):
+    y, idx = kernels.maxpool2_forward(x)
+    return y, idx, kernels.maxpool2_backward(dy, idx)
+
+
+def _same_bits(got, want):
+    """Equal shapes, dtypes and bytes, so ±0.0 must match too."""
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
 @pytest.mark.parametrize("budget", [1, 3 << 20, None])
-@pytest.mark.parametrize("shape", [(61, 16, 32, 16), (13, 3, 16, 32)])
+@pytest.mark.parametrize("shape", [(16, 32, 16), (3, 16, 32)])
 def test_conv_blocks_are_bit_identical_at_encoder_shapes(monkeypatch, budget, shape):
-    """conv2 at batch 61 and conv1 at batch 13, as prompt training runs
-    them: every image alone, 3 MiB blocks (conv2 forward 6 × 10 + 1 images,
-    backward-input 12 × 5 + 1, backward-weight 8 × 2 channels) and the
-    default budget (conv2 backward-input 42 + 19) give the same bits as one
-    block."""
-    b, c, o, hw = shape
+    """conv2 and conv1 as the encoder runs them, at batches 0 to 64, and both
+    pools on the conv output and on the tie and signed-zero input, give the
+    same bits at two lanes, and at five (more than the cores, switching
+    threads as often as the interpreter can), as at one, and as one block at
+    one lane. The budgets run every image alone, in 3 MiB blocks (conv2
+    forward at batch 61: 8, 9, 9, 8, 9, 9, 9 images at one lane, 14 blocks
+    of 4 or 5 at two) and at the default (conv2 backward-input at 61:
+    20 + 20 + 21 at one lane, six blocks of 10 or 11 at two; backward-weight
+    8 + 8 channels at one lane, 4 × 4 at two). Across lanes no block holds
+    fewer than GEMM_MIN multiply-adds, so backward-weight at batch 1 stays
+    in one block at two lanes. Run alone, one channel's
+    backward-weight at batch 1 (and conv2's at 13) is such a product, which
+    OpenBLAS sums in another order than the whole: within 1e-12 of one
+    block, as in test_conv_blocks_match_one_block. Batch 0 gives empty
+    (0, O, H, W) maps and a zero weight gradient."""
+    c, o, hw = shape
     rng = np.random.default_rng(47)
-    x = rng.standard_normal((b, c, hw, hw))
     w = rng.standard_normal((o, c, 3, 3))
-    dy = rng.standard_normal((b, o, hw, hw))
+    tie, _, grid = _tie_input(rng)
+    tie_dy = rng.choice(grid, size=(3, 4, 4, 5))
     default = kernels.COLUMN_BYTES
-    monkeypatch.setattr(kernels, "COLUMN_BYTES", 1 << 40)
-    whole = _conv_all(x, w, dy)
-    monkeypatch.setattr(kernels, "COLUMN_BYTES", budget or default)
-    for got, want in zip(_conv_all(x, w, dy), whole):
-        assert np.array_equal(got, want)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            for b in (0, 1, 13, 16, 61, 64):
+                x = rng.standard_normal((b, c, hw, hw))
+                dy = rng.standard_normal((b, o, hw, hw))
+                pool_dy = rng.standard_normal((b, o, hw // 2, hw // 2))
+                pool_dy[:, ::2] *= -0.0
+                monkeypatch.setattr(kernels, "COLUMN_BYTES", 1 << 40)
+                monkeypatch.setattr(kernels, "LANES", 1)
+                whole = _conv_all(x, w, dy)
+                whole += _pool_both(whole[0], pool_dy) + _pool_both(tie, tie_dy)
+                assert whole[0].shape == (b, o, hw, hw) and whole[1].shape == (b, c, hw, hw)
+                if b == 0:
+                    assert whole[2].shape == w.shape and not whole[2].any()
+                monkeypatch.setattr(kernels, "COLUMN_BYTES", budget or default)
+                monkeypatch.setattr(kernels, "_POOL", pool)
+                runs = []
+                for lanes in (1, 2, 5):
+                    monkeypatch.setattr(kernels, "LANES", lanes)
+                    got = _conv_all(x, w, dy)
+                    runs.append(got + _pool_both(got[0], pool_dy) + _pool_both(tie, tie_dy))
+                # one channel's backward-weight product alone, under GEMM_MIN
+                narrow = budget == 1 and o * b * hw * hw * 9 < kernels.GEMM_MIN
+                for i, (one, two, five, want) in enumerate(zip(*runs, whole)):
+                    _same_bits(two, one)
+                    _same_bits(five, one)
+                    if i == 2 and narrow:
+                        assert np.allclose(one, want, rtol=1e-12, atol=1e-12)
+                    else:
+                        _same_bits(one, want)
+    finally:
+        sys.setswitchinterval(switch)
 
 
 def test_maxpool_kernels_match_oracle_exactly():
@@ -119,16 +190,7 @@ def test_maxpool_kernels_keep_tie_rule_and_zero_signs():
     integer-grid values that tie often. dy holds ±0.0 too, so the
     backward's signs are checked as well as its values."""
     rng = np.random.default_rng(45)
-    grid = np.array([-2.0, -1.0, -0.0, 0.0, 1.0])
-    x = rng.choice(grid, size=(3, 4, 8, 10))
-    signs = (np.arange(16)[:, None] >> np.arange(4)) & 1
-    windows = list(np.where(signs == 1, -0.0, 0.0).reshape(16, 2, 2))
-    windows += [np.full((2, 2), 1.5),                    # all equal
-                np.full((2, 2), -2.0),                   # all equal, negative
-                np.array([[-3.0, -1.0], [-1.0, -2.0]]),  # negative, tie at 1, 2
-                np.array([[-1.0, -0.0], [0.0, -5.0]])]   # -0.0 ties +0.0
-    for k, win in enumerate(windows):
-        x[0, 0, 2 * (k // 5):2 * (k // 5) + 2, 2 * (k % 5):2 * (k % 5) + 2] = win
+    x, signs, grid = _tie_input(rng)
     ya, ia = kernels.maxpool2_forward(x)
     yb, ib = H.oracle_maxpool2_forward(x)
     assert ia.dtype == np.int8 and ia.shape == ya.shape == (3, 4, 4, 5)
