@@ -35,11 +35,11 @@ element in the same order whatever the block. So a product is split
 across lanes only into blocks of at least GEMM_MIN (2^20) multiply-adds,
 and fewer lanes take it otherwise: the blocks at several lanes are no
 wider than at one, so they are summed as one lane sums them, and results
-do not depend on the lane count. At the
-encoder's shapes they do not depend on COLUMN_BYTES or the batch either
-(test_kernels checks conv1 and conv2 bit for bit). A budget so small that
-one block at one lane is such a product, as a one-channel backward-weight
-block of a tiny image, may be summed in another order, within 1e-12.
+do not depend on the lane count. At the encoder's shapes they do not
+depend on COLUMN_BYTES or the batch either (test_kernels checks conv1 and
+conv2 bit for bit). A budget so small that one block at one lane is such a
+product, as a one-channel backward-weight block of a tiny image, may be
+summed in another order, within 1e-12.
 
 2x2 max pooling works on the four strided views x[:, :, i::2, j::2] of
 its input, one per window offset n = 2i + j, with no reshaped copy: the
