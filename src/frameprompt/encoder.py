@@ -13,13 +13,15 @@ both orders give the whole window a zero gradient; only the place of a -0.0
 in it can differ.
 
 Spatial dims must be divisible by 4 (two pooling stages). The architecture is
-written once, in _encode; inference, prompt training and scoring (frozen
-weights, the prompt stack on a tape or not) and pretraining (trainable weights
-on a tape) all run it. A prompt meets an image only there: conv1 is linear, so
-conv1 runs on the images and on the prompt stack, and each image gets its
-prompt's row, picked by tensor.take. The gather's backward sums each prompt's
-samples, so conv1's backward-input runs at batch T on a minibatch that spans
-T prompts.
+written once, in _encode: two tensor.conv_block stages, then fc. Each stage is
+one pass on the kernel lanes and one tape node: conv, prompt maps (first stage
+only), bias, pool and relu; untaped, the pool computes no argmax. Inference,
+prompt training and scoring (frozen weights, the prompt stack on a tape or
+not) and pretraining (trainable weights on a tape) all run it. A prompt meets
+an image only there: conv1 is linear, so conv1 runs on the images and on the
+prompt stack, and each image's conv1 output gets its prompt's map added
+inside the first stage. That gather's backward sums each prompt's samples, so
+conv1's backward-input runs at batch T on a minibatch that spans T prompts.
 
 Weights live in an ordered dict of read-only float64 arrays. The on-disk
 format is magic "DAMW", u32 version, u32 record count, then per array a u32
@@ -106,16 +108,10 @@ def _encode(x, params: dict, maps=None, route=None):
     conv1 (unbiased) of a (T, C, H, W) prompt stack, and (B,) indices into
     it. x, params and maps may be plain ndarrays (nothing is taped) or Vars
     on one tape (gradients reach trainable Vars)."""
-    y = T.conv2d(x, params["conv1_w"])
-    if maps is not None:
-        # conv1(x + p) = conv1(x) + conv1(p): each sample gathers its prompt's
-        # map, and the gather's backward is the per-prompt sum
-        y = T.add(y, T.take(maps, route, 0))
-    # rebinding y frees each conv output once its bias is added, before pooling
-    y = T.bias_add(y, params["conv1_b"])
-    y = T.relu(T.maxpool2d(y))
-    y = T.bias_add(T.conv2d(y, params["conv2_w"]), params["conv2_b"])
-    y = T.relu(T.maxpool2d(y))
+    # conv1(x + p) = conv1(x) + conv1(p): each sample's prompt map is added
+    # to its conv1 output, and the maps' gradient is the per-prompt sum
+    y = T.conv_block(x, params["conv1_w"], params["conv1_b"], maps, route)
+    y = T.conv_block(y, params["conv2_w"], params["conv2_b"])
     flat = T.reshape(y, (y.shape[0], -1))
     return T.bias_add(T.matmul(flat, params["fc_w"]), params["fc_b"])
 

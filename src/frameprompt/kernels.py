@@ -15,12 +15,13 @@ directions:
 
 The correlation is one GEMM per block of images: the (O, C·kh·kw) weight
 matrix times the (C·kh·kw, images·Ho·Wo) column matrix, copied from a
-(C, kh, kw, B, Ho, Wo) window view, written into the block's columns of one
-(O, B·Ho·Wo) output. The batch is cut into a multiple of LANES balanced
-blocks, and lane j copies and multiplies blocks j, j + LANES, ... (see
-lanes below). COLUMN_BYTES (16 MiB) bounds the column scratch of one call,
-all lanes' blocks together, so a conv's transient memory is its output plus
-at most 16 MiB whatever the batch: conv2's backward-input at batch 61,
+(C, kh, kw, B, Ho, Wo) window view of the zero-padded input, written into
+the block's columns of one (O, B·Ho·Wo) output. The batch is cut into a
+multiple of LANES balanced blocks, and lane j pads, copies and multiplies
+blocks j, j + LANES, ... (see lanes below). COLUMN_BYTES (16 MiB) bounds
+the column scratch of one call, all lanes' blocks together, so a conv's
+transient memory is its padded input and output plus at most 16 MiB
+whatever the batch: conv2's backward-input at batch 61,
 whose column matrix is 34 MiB, runs as six blocks of 10 or 11 images on two
 lanes. Each block's GEMM is single-threaded and the lanes run side by side,
 so a larger budget buys no parallelism, only fewer, wider GEMMs. 24 MiB
@@ -47,10 +48,16 @@ forward takes their elementwise max in place and finds each window's offset
 by equality tests in offset order, so ties go to the lowest offset by
 construction and a ±0.0 maximum carries the sign of the lowest offset that
 attains it. The backward writes dy's bits, masked to zero where another
-offset won, into the view of each offset. A NaN in a window makes its max
-NaN and its offset unspecified; in training the NaN reaches the loss, and
-tensor.require_finite stops the run. Both pools cut the batch into LANES
-contiguous slices.
+offset won, into the view of each offset. Both pools cut the batch into
+LANES contiguous slices.
+
+The pool forward also runs the rest of an encoder stage after its conv, in
+the same lane pass (its epilogue): each image's prompt map and the bias
+are added in place into the conv output before the max, and relu follows
+it. idx records where relu zeroed y as offset + 4, so the backward applies
+relu's mask and the pool's scatter from one int8 array. Untaped, the
+forward computes no offsets and adds the bias after the max, an exact
+reordering (see maxpool2_forward).
 
 Lanes. Importing this module pins numpy's bundled OpenBLAS to one thread
 (through ctypes, as scipy_openblas_set_num_threads64_ or
@@ -60,17 +67,18 @@ runs lane 0 itself and the other lanes on the pool. If no setter is found,
 LANES is 1 and every kernel runs in its caller. Three rules hold:
 
 - Lanes allocate nothing large. The caller allocates every array a lane
-  writes: the output, the (LANES, k·widest·n) column scratch, and the
-  pools' y, idx, flag and mask arrays. A worker thread that allocated
-  its own column blocks would get its own malloc arena and keep its freed
-  pages there: the adapt-8mode chain (adapt, then eval in one process)
-  peaked at 236 MiB that way, against 219 MiB with caller-owned scratch.
+  writes: the output, the padded input, the (LANES, k·widest·n) column
+  scratch, and the pools' y, idx, flag, g, offset and mask arrays. A
+  worker thread that allocated its own column blocks would get its own
+  malloc arena and keep its freed pages there: the adapt-8mode chain
+  (adapt, then eval in one process) peaked at 236 MiB that way, against
+  219 MiB with caller-owned scratch.
 - Workers call nothing outside this module's private helpers. A tracer
   that wraps the public kernels (perfbench's spans.Tracer keeps one span
   stack for all threads) sees each kernel as one call from its caller's
   thread, so the threading stays inside the wrapped kernels.
 - Every output element comes from the same GEMM row on the same columns,
-  or the same ufunc on the same operands, at any lane count: runs
+  or the same ufuncs on the same operands, at any lane count: runs
   reproduce bit for bit wherever numpy and its BLAS are the same, whatever
   the CPU count (tests/test_cli.py checks it across processes).
 
@@ -126,22 +134,27 @@ def _split(b, parts):
     return [b * i // parts for i in range(parts + 1)]
 
 
+def _pad_into(dst, src, pad):
+    """src framed by pad zeros on every side of its last two axes, into dst."""
+    dst[:, :, :pad] = 0.0
+    dst[:, :, -pad:] = 0.0
+    dst[:, :, pad:-pad, :pad] = 0.0
+    dst[:, :, pad:-pad, -pad:] = 0.0
+    dst[:, :, pad:-pad, pad:-pad] = src
+
+
 def _correlate(x, w, pad):
     """Stride-1 cross-correlation of (B, C, H, W) with (O, C, kh, kw), x
     zero-padded by pad on every side: (B, O, H + 2·pad − kh + 1, ...), a
     transposed view of one (O, B, Ho, Wo) array."""
-    if pad:
-        # a zeroed buffer and one copy: np.pad's general path is slower
-        b, c, h, wd = x.shape
-        padded = np.zeros((b, c, h + 2 * pad, wd + 2 * pad))
-        padded[:, :, pad:pad + h, pad:pad + wd] = x
-        x = padded
     b, c, h, wd = x.shape
+    # each lane pads its own blocks' images into this caller-owned buffer
+    padded = np.empty((b, c, h + 2 * pad, wd + 2 * pad)) if pad else x
     o, _, kh, kw = w.shape
-    ho, wo = h - kh + 1, wd - kw + 1
-    sb, sc, sh, sw = x.strides
+    ho, wo = h + 2 * pad - kh + 1, wd + 2 * pad - kw + 1
+    sb, sc, sh, sw = padded.strides
     # view of every (kh, kw) patch: (C, kh, kw, B, Ho, Wo)
-    win = as_strided(x, shape=(c, kh, kw, b, ho, wo),
+    win = as_strided(padded, shape=(c, kh, kw, b, ho, wo),
                      strides=(sc, sh, sw, sb, sh, sw), writeable=False)
     k, n = c * kh * kw, ho * wo
     rows = w.reshape(o, k)
@@ -159,6 +172,8 @@ def _correlate(x, w, pad):
 
     def lane(j):
         for lo, hi in zip(ends[j::lanes], ends[j + 1::lanes]):
+            if pad:
+                _pad_into(padded[lo:hi], x[lo:hi], pad)
             # the block's (C·kh·kw, images·Ho·Wo) columns, copied into scratch
             block = cols[j, :k * (hi - lo) * n].reshape(c, kh, kw, hi - lo, ho, wo)
             block[...] = win[:, :, :, lo:hi]
@@ -197,10 +212,24 @@ def _pool_lanes(lane, b):
     _run_lanes(lambda j: lane(ends[j], ends[j + 1]), lanes)
 
 
-def maxpool2_forward(x):
-    """2x2 stride-2 max pool of (B, C, H, W), H and W even. Returns (y, idx):
-    y (B, C, H/2, W/2) float64, C-contiguous, and idx int8 in [0, 4), the
-    row-major offset in each window that y came from, lowest offset on ties.
+def maxpool2_forward(x, *, maps=None, route=None, bias=None, relu=False, index=True):
+    """2x2 stride-2 max pool of (B, C, H, W), H and W even, with an optional
+    epilogue. Returns (y, idx): y (B, C, H/2, W/2) float64, C-contiguous, and
+    idx int8, the row-major offset in each window that y came from, lowest
+    offset on ties, plus 4 where relu zeroed y.
+
+    The epilogue is one encoder stage after its conv: given (T, C, H, W)
+    maps and (B,) routes into them, each lane adds maps[route] and then the
+    (C,) bias in place into its slice of x, which the caller must own (the
+    stage's fresh conv output); it pools, and with relu sets y to
+    np.where(y > 0, y, 0.0) bit for bit: +0.0 for -0.0 and for NaN.
+
+    With index False (inference, no tape) idx is empty, and a finite bias
+    is added after the max rather than before. The values are the same:
+    rounding v + b is monotone in v, so max(v + b) = max(v) + b, and relu
+    then maps every zero, whatever its sign, to +0.0. An infinite bias
+    would turn a -inf in a window into NaN before the max and not after,
+    so it is added first.
 
     y is the elementwise max of the four window views a, b, c, d (offsets
     0-3), taken in place: max(b, a), then max(c, y), then max(d, y).
@@ -209,14 +238,23 @@ def maxpool2_forward(x):
     offset's value and the lowest offset decides the sign of a ±0.0 maximum.
     idx = na · (1 + nb · (1 + nc)) over the 0/1 flags na = (a != y),
     nb = (b != y), nc = (c != y): 0 if a == y, else 1 if b == y, else 2 if
-    c == y, else 3, so the tie rule holds by construction. A window holding
-    NaN gives y NaN and an unspecified idx."""
+    c == y, else 3, so the tie rule holds by construction. relu ANDs y's
+    bits with the flag y > 0 widened to all ones or all zeros, and adds 4
+    to idx where the flag is clear. A window holding NaN gives a NaN max
+    (0 after relu) and an unspecified offset."""
     bsz, ch, h, wd = x.shape
     y = np.empty((bsz, ch, h // 2, wd // 2))
-    idx = np.empty(y.shape, np.int8)
+    idx = np.empty(y.shape if index else 0, np.int8)
     flag = np.empty(y.shape, bool)
+    col = None if bias is None else bias[:, None, None]
+    late = relu and not index and col is not None and bool(np.isfinite(bias).all())
 
     def lane(lo, hi):
+        if maps is not None:
+            for i in range(lo, hi):
+                x[i] += maps[route[i]]
+        if col is not None and not late:
+            x[lo:hi] += col
         a, b, c, d = _windows(x[lo:hi])
         yl, il, fl = y[lo:hi], idx[lo:hi], flag[lo:hi]
         np.maximum(b, a, out=yl)
@@ -224,35 +262,54 @@ def maxpool2_forward(x):
         np.maximum(d, yl, out=yl)
         # bool arrays are 0/1 bytes, so each flag reads as int8 in place
         f8 = fl.view(np.int8)
-        np.not_equal(c, yl, out=fl)
-        np.add(f8, 1, out=il)
-        np.not_equal(b, yl, out=fl)
-        il *= f8
-        il += 1
-        np.not_equal(a, yl, out=fl)
-        il *= f8
+        if index:
+            np.not_equal(c, yl, out=fl)
+            np.add(f8, 1, out=il)
+            np.not_equal(b, yl, out=fl)
+            il *= f8
+            il += 1
+            np.not_equal(a, yl, out=fl)
+            il *= f8
+        if late:
+            yl += col
+        if relu:
+            np.greater(yl, 0.0, out=fl)
+            np.negative(f8, out=f8)  # -1, all ones, where relu keeps y
+            ybits = yl.view(np.int64)
+            np.bitwise_and(ybits, f8, out=ybits)
+            if index:
+                np.left_shift(f8, 2, out=f8)  # -4 where kept, else 0
+                il += f8
+                il += 4
 
     _pool_lanes(lane, bsz)
     return y, idx
 
 
 def maxpool2_backward(dy, idx):
-    """d loss / d x of maxpool2_forward: dy at each window's idx offset and
-    +0.0 at the other three, written as four strided (B, C, H/2, W/2)
-    slices of a (B, C, H, W) output. Each slice is dy's bits ANDed with a
-    mask of all ones where idx picks its offset and all zeros elsewhere:
-    np.where(idx == n, dy, 0.0) bit for bit, with no temporary."""
+    """d loss / d x of maxpool2_forward: g = dy · (idx < 4), relu's mask,
+    at each window's offset idx mod 4 and +0.0 at the other three, written
+    as four strided (B, C, H/2, W/2) slices of a (B, C, H, W) output. g keeps
+    dy's sign where relu zeroed y (dy · 0.0 is ±0.0), and is dy itself
+    without relu. Each slice is g's bits ANDed with a mask of all ones where
+    the offset is its own and all zeros elsewhere: np.where(off == n, g,
+    0.0) bit for bit, with no temporary. dy may have any strides."""
     b, c, ho, wo = dy.shape
     dx = np.empty((b, c, 2 * ho, 2 * wo))
+    g = np.empty(dy.shape)
+    off = np.empty(dy.shape, np.int8)
     mask = np.empty(dy.shape, np.int64)
-    bits, dxbits = dy.view(np.int64), dx.view(np.int64)
+    gbits, dxbits = g.view(np.int64), dx.view(np.int64)
 
     def lane(lo, hi):
-        m = mask[lo:hi]
+        m, o = mask[lo:hi], off[lo:hi]
+        np.less(idx[lo:hi], 4, out=o)
+        np.multiply(dy[lo:hi], o, out=g[lo:hi])
+        np.bitwise_and(idx[lo:hi], 3, out=o)
         for n, view in enumerate(_windows(dxbits[lo:hi])):
-            np.equal(idx[lo:hi], n, out=m)
+            np.equal(o, n, out=m)
             np.negative(m, out=m)
-            np.bitwise_and(bits[lo:hi], m, out=view)
+            np.bitwise_and(gbits[lo:hi], m, out=view)
 
     _pool_lanes(lane, b)
     return dx

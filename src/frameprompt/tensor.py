@@ -8,15 +8,17 @@ ndarrays) never get gradient buffers. An op whose operands are all plain
 ndarrays records nothing and returns the plain result, so one forward
 definition serves inference as well as training.
 
-The ops are the ones the encoder, the heads and the loss run: add, matmul,
-bias_add, relu, maxpool2d, conv2d, reshape, take and cross_entropy. take is
-the one gather: it picks each sample's prompt map in the encoder and the
-mapped heads' feature columns.
+The ops are the ones the encoder, the heads and the loss run: matmul,
+bias_add, conv2d, conv_block, reshape, take and cross_entropy. conv_block is
+one whole encoder stage (conv, each sample's prompt map, bias, 2x2 max pool
+and relu) as one node. Two ops gather: conv_block picks each sample's
+prompt map, and take the mapped heads' feature columns; both backward rules
+sum a repeated index's gradients in one helper, _scatter_sum.
 
 The tape keeps backward rules, not activations. It holds each Var by weak
 reference, and each node's rule by node id: the ids of the parents that
-gradients reach, and the arrays the rule reads (relu masks, pooling
-indices, frozen operands, the operands of a matmul or of a weight
+gradients reach, and the arrays the rule reads (pooling indices with relu's
+mask folded in, frozen operands, the operands of a matmul or of a weight
 gradient). No rule holds a Var, so an intermediate's value is freed as soon
 as the forward moves past it, and only a Var holds its tape, so nothing
 forms a reference cycle: a finished step's tape is freed with its last Var,
@@ -102,13 +104,6 @@ def _val(x):
     return x.value if isinstance(x, Var) else np.asarray(x, dtype=np.float64)
 
 
-def add(a, b) -> Var:
-    av, bv = _val(a), _val(b)
-    if av.shape != bv.shape:
-        raise ShapeError(f"add: shapes {av.shape} and {bv.shape} differ")
-    return _record(_tape_of(a, b), av + bv, [(a, lambda g: g), (b, lambda g: g)])
-
-
 def matmul(a, b) -> Var:
     av, bv = _val(a), _val(b)
     if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
@@ -133,20 +128,15 @@ def bias_add(x, b) -> Var:
     return _record(_tape_of(x, b), val, [(x, lambda g: g), (b, reduce_b)])
 
 
-def relu(x) -> Var:
-    xv = _val(x)
-    mask = xv > 0
-    return _record(_tape_of(x), np.where(mask, xv, 0.0), [(x, lambda g: g * mask)])
-
-
-def maxpool2d(x) -> Var:
-    """2x2 stride-2 max pooling; spatial dims must be even."""
-    xv = _val(x)
-    if xv.ndim != 4 or xv.shape[2] % 2 or xv.shape[3] % 2:
-        raise ShapeError(f"maxpool2d: need (B,C,even,even), got {xv.shape}")
-    y, idx = kernels.maxpool2_forward(xv)
-    return _record(_tape_of(x), y,
-                   [(x, lambda g: kernels.maxpool2_backward(_f64(g), idx))])
+def _conv_kernel(op, xv, wv) -> int:
+    """The side k of a same-padded conv's odd square kernel; ShapeError
+    unless x (B, C, H, W) and w (O, C, k, k) fit."""
+    if xv.ndim != 4 or wv.ndim != 4 or xv.shape[1] != wv.shape[1]:
+        raise ShapeError(f"{op}: shapes {xv.shape} and {wv.shape} incompatible")
+    k = wv.shape[2]
+    if k % 2 == 0 or wv.shape[3] != k:
+        raise ShapeError(f"{op}: kernel must be odd and square, got {wv.shape[2:]}")
+    return k
 
 
 def conv2d(x, w) -> Var:
@@ -155,15 +145,63 @@ def conv2d(x, w) -> Var:
     a frozen ndarray (no weight gradient is ever materialized) or a Var
     (weight gradient flows, used in pretraining)."""
     xv, wv = _val(x), _val(w)
-    if xv.ndim != 4 or wv.ndim != 4 or xv.shape[1] != wv.shape[1]:
-        raise ShapeError(f"conv2d: shapes {xv.shape} and {wv.shape} incompatible")
-    k = wv.shape[2]
-    if k % 2 == 0 or wv.shape[3] != k:
-        raise ShapeError(f"conv2d: kernel must be odd and square, got {wv.shape[2:]}")
+    k = _conv_kernel("conv2d", xv, wv)
     return _record(
         _tape_of(x, w), kernels.conv2d_forward(xv, wv),
         [(x, lambda g: kernels.conv2d_backward_input(_f64(g), wv)),
          (w, lambda g: kernels.conv2d_backward_weight(xv, _f64(g), k))])
+
+
+def conv_block(x, w, b, maps=None, route=None) -> Var:
+    """One encoder stage, one tape node: relu(maxpool2(conv2d(x, w)
+    + maps[route] + b)), the bias per channel. maps is None or a
+    (T, Cout, H, W) stack of prompt maps with (B,) routes into it; an index
+    may repeat, and its gradients then add up. The conv output's height and
+    width must be even.
+
+    kernels.maxpool2_forward runs the epilogue on the kernel lanes, in place
+    in the fresh conv output; untaped, it computes no argmax and adds the
+    bias after the max (the same values, see there). The rule turns the
+    output gradient into the pre-pool gradient once per backward, at the
+    first requires_grad operand's turn, and lets it go at the last one's:
+    backward-input, backward-weight, the bias sum and the per-prompt sum
+    all read that one array."""
+    xv, wv, bv = _val(x), _val(w), _val(b)
+    k = _conv_kernel("conv_block", xv, wv)
+    if xv.shape[2] % 2 or xv.shape[3] % 2:
+        raise ShapeError(f"conv_block: pooling needs even height and width, got {xv.shape}")
+    if bv.shape != wv.shape[:1]:
+        raise ShapeError(f"conv_block: bias {bv.shape} for {wv.shape[0]} channels")
+    mv = shape = None
+    if maps is not None:
+        mv = _val(maps)
+        route = np.asarray(route, dtype=np.int64)
+        if mv.ndim != 4 or mv.shape[1:] != wv.shape[:1] + xv.shape[2:]:
+            raise ShapeError(f"conv_block: maps {mv.shape} do not fit conv output "
+                             f"{xv.shape[:1] + wv.shape[:1] + xv.shape[2:]}")
+        if route.shape != xv.shape[:1]:
+            raise ShapeError(f"conv_block: routes {route.shape} for {xv.shape[0]} images")
+        if route.size and (route.min() < 0 or route.max() >= len(mv)):
+            raise ShapeError(f"conv_block: route out of range for {len(mv)} maps")
+        shape = mv.shape  # the maps rule reads the shape only
+    tape = _tape_of(x, w, b, maps)
+    y, idx = kernels.maxpool2_forward(kernels.conv2d_forward(xv, wv), maps=mv, route=route,
+                                      bias=bv, relu=True, index=tape is not None)
+    operands = (x, w, b, maps)
+    wanted = [i for i, p in enumerate(operands) if isinstance(p, Var) and p.requires_grad]
+    held = []
+
+    def pre_pool(g, i):
+        # backward calls a node's rules in order: the first computes, the last drops
+        if i == wanted[0]:
+            held[:] = [kernels.maxpool2_backward(g, idx)]
+        return held.pop() if i == wanted[-1] else held[0]
+
+    return _record(tape, y, [
+        (x, lambda g: kernels.conv2d_backward_input(pre_pool(g, 0), wv)),
+        (w, lambda g: kernels.conv2d_backward_weight(xv, pre_pool(g, 1), k)),
+        (b, lambda g: pre_pool(g, 2).sum(axis=(0, 2, 3))),
+        (maps, lambda g: _scatter_sum(pre_pool(g, 3), route, shape, 0))])
 
 
 def reshape(x, shape) -> Var:
@@ -184,14 +222,19 @@ def take(x, indices, axis: int) -> Var:
     if idx.size and (idx.min() < 0 or idx.max() >= xv.shape[axis]):
         raise ShapeError(f"take: index out of range for axis {axis} of {xv.shape}")
     shape = xv.shape  # the rule reads the shape only, not the gathered-from value
-    def back(g):
-        # one slab add per index, in order; np.add.at is slower on few large slabs
-        dx = np.zeros(shape)
-        dm, gm = np.moveaxis(dx, axis, 0), np.moveaxis(g, axis, 0)
-        for i, j in enumerate(idx):
-            dm[j] += gm[i]
-        return dx
-    return _record(_tape_of(x), xv[(slice(None),) * axis + (idx,)], [(x, back)])
+    return _record(_tape_of(x), xv[(slice(None),) * axis + (idx,)],
+                   [(x, lambda g: _scatter_sum(g, idx, shape, axis))])
+
+
+def _scatter_sum(g, indices, shape, axis):
+    """The gradient of a gather: zeros of shape, with each slab of g along
+    axis added into the slab that its index names, in index order."""
+    # one slab add per index; np.add.at is slower on few large slabs
+    dx = np.zeros(shape)
+    dm, gm = np.moveaxis(dx, axis, 0), np.moveaxis(g, axis, 0)
+    for i, j in enumerate(indices):
+        dm[j] += gm[i]
+    return dx
 
 
 def cross_entropy(logits, labels, weights=None) -> Var:

@@ -111,6 +111,24 @@ def rescan_agglomerate(dist):
     return merges
 
 
+def tie_input(rng):
+    """(3, 4, 8, 10) pool input whose first plane holds all 16 sign patterns
+    of an all-zero window, then windows that are all equal, all negative,
+    and tied at zero with mixed signs; the rest are integer-grid values that
+    tie often. Returns it with the sign patterns and the value grid."""
+    grid = np.array([-2.0, -1.0, -0.0, 0.0, 1.0])
+    x = rng.choice(grid, size=(3, 4, 8, 10))
+    signs = (np.arange(16)[:, None] >> np.arange(4)) & 1
+    windows = list(np.where(signs == 1, -0.0, 0.0).reshape(16, 2, 2))
+    windows += [np.full((2, 2), 1.5),                    # all equal
+                np.full((2, 2), -2.0),                   # all equal, negative
+                np.array([[-3.0, -1.0], [-1.0, -2.0]]),  # negative, tie at 1, 2
+                np.array([[-1.0, -0.0], [0.0, -5.0]])]   # -0.0 ties +0.0
+    for k, win in enumerate(windows):
+        x[0, 0, 2 * (k // 5):2 * (k // 5) + 2, 2 * (k % 5):2 * (k % 5) + 2] = win
+    return x, signs, grid
+
+
 def oracle_conv2d_forward(x, w, stride, pad):
     """Direct-loop cross-correlation; out-of-range taps read as zero."""
     b, ci, h, wd = x.shape

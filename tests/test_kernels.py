@@ -77,24 +77,6 @@ def test_conv_blocks_match_one_block(monkeypatch, batch, budget):
             assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
-def _tie_input(rng):
-    """(3, 4, 8, 10) pool input whose first plane holds all 16 sign patterns
-    of an all-zero window, then windows that are all equal, all negative,
-    and tied at zero with mixed signs; the rest are integer-grid values that
-    tie often. Returns it with the sign patterns and the value grid."""
-    grid = np.array([-2.0, -1.0, -0.0, 0.0, 1.0])
-    x = rng.choice(grid, size=(3, 4, 8, 10))
-    signs = (np.arange(16)[:, None] >> np.arange(4)) & 1
-    windows = list(np.where(signs == 1, -0.0, 0.0).reshape(16, 2, 2))
-    windows += [np.full((2, 2), 1.5),                    # all equal
-                np.full((2, 2), -2.0),                   # all equal, negative
-                np.array([[-3.0, -1.0], [-1.0, -2.0]]),  # negative, tie at 1, 2
-                np.array([[-1.0, -0.0], [0.0, -5.0]])]   # -0.0 ties +0.0
-    for k, win in enumerate(windows):
-        x[0, 0, 2 * (k // 5):2 * (k // 5) + 2, 2 * (k % 5):2 * (k % 5) + 2] = win
-    return x, signs, grid
-
-
 def _pool_both(x, dy):
     y, idx = kernels.maxpool2_forward(x)
     return y, idx, kernels.maxpool2_backward(dy, idx)
@@ -127,7 +109,7 @@ def test_conv_blocks_are_bit_identical_at_encoder_shapes(monkeypatch, budget, sh
     c, o, hw = shape
     rng = np.random.default_rng(47)
     w = rng.standard_normal((o, c, 3, 3))
-    tie, _, grid = _tie_input(rng)
+    tie, _, grid = H.tie_input(rng)
     tie_dy = rng.choice(grid, size=(3, 4, 4, 5))
     default = kernels.COLUMN_BYTES
     switch = sys.getswitchinterval()
@@ -190,7 +172,7 @@ def test_maxpool_kernels_keep_tie_rule_and_zero_signs():
     integer-grid values that tie often. dy holds ±0.0 too, so the
     backward's signs are checked as well as its values."""
     rng = np.random.default_rng(45)
-    x, signs, grid = _tie_input(rng)
+    x, signs, grid = H.tie_input(rng)
     ya, ia = kernels.maxpool2_forward(x)
     yb, ib = H.oracle_maxpool2_forward(x)
     assert ia.dtype == np.int8 and ia.shape == ya.shape == (3, 4, 4, 5)
@@ -208,6 +190,12 @@ def test_maxpool_kernels_keep_tie_rule_and_zero_signs():
     assert dxa.dtype == np.float64 and dxa.flags.c_contiguous
     assert np.array_equal(dxa, dxb)
     assert np.array_equal(np.signbit(dxa), np.signbit(dxb))
+    # relu adds 4 to idx where it zeroes y, and there the backward's
+    # dy · 0.0 keeps dy's sign: relu's rule, then the pool's
+    yr, ir = kernels.maxpool2_forward(x.copy(), relu=True)
+    _same_bits(yr, np.where(yb > 0, yb, 0.0))
+    assert np.array_equal(ir, ib + 4 * (yb <= 0))
+    _same_bits(kernels.maxpool2_backward(dy, ir), H.oracle_maxpool2_backward(dy * (yb > 0), ib))
 
 
 def test_conv_forward_matches_direct_sum():

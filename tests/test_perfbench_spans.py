@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from frameprompt import adapt as A, kernels, tensor as T
+from frameprompt import adapt as A, encoder as E, kernels, tensor as T
 from frameprompt.config import RunConfig
 
 from _helpers import project
@@ -61,3 +61,42 @@ def test_tracer_counts_one_tiny_adapt(tiny_encoder):
     for metric in ("clustering.route_features.calls", "encoder.features_var.calls",
                    "prompt.grad_step.calls"):
         assert tracer.value(metric) > 0, metric
+
+
+def test_tracer_reads_the_fused_pool_taped_and_untaped(monkeypatch):
+    """The pool kernels carry each stage's epilogue and skip the argmax when
+    nothing is taped; the tracer must still see both pools on a 32 px
+    prompted forward, taped and untaped, and read its counters off the
+    (y, idx) result, idx an ndarray either way."""
+    spans = _load_spans()
+    rng = np.random.default_rng(0)
+    spec = E.EncoderSpec()
+    enc = E.FrozenEncoder(spec, E._init_params(spec, 0))
+    x = rng.standard_normal((4, 3, 32, 32))
+    stack = rng.standard_normal((2, 3, 32, 32))
+    route = np.array([1, 0, 1, 1])
+    tracer = spans.Tracer().install()
+    idx_types = []
+    traced = kernels.maxpool2_forward
+
+    def recorded(*args, **kwargs):
+        y, idx = traced(*args, **kwargs)
+        idx_types.append((type(idx), kwargs.get("index", True)))
+        return y, idx
+
+    monkeypatch.setattr(kernels, "maxpool2_forward", recorded)
+    try:
+        tape = T.Tape()
+        T.backward(project(enc.features_var(x, tape.var(stack, requires_grad=True), route)))
+        enc.forward_features(x, stack, route)
+    finally:
+        monkeypatch.undo()
+        tracer.restore()
+    assert idx_types == [(np.ndarray, True)] * 2 + [(np.ndarray, False)] * 2
+    for key in ("kernels.pool1.fwd", "kernels.pool2.fwd"):
+        assert tracer.value(key + ".calls") >= 1, key
+        assert tracer.value(key + ".mean_batch") == 4, key
+        for field in ("gflop", "computed_mb", "self_s"):
+            assert tracer.value(f"{key}.{field}") > 0, (key, field)
+    for key in ("kernels.pool1.bwd", "kernels.pool2.bwd"):
+        assert tracer.value(key + ".calls") == 1, key

@@ -1,17 +1,33 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
-from frameprompt import tensor as T
+import _helpers as H
+from frameprompt import kernels, tensor as T
 from frameprompt.errors import ShapeError
 
 from _helpers import assert_gradcheck, project
 
+EYE3 = np.eye(3)[:, :, None, None]  # a 1x1 conv that copies 3 channels
+ZERO3 = np.zeros(3)
+
+
+def _upsample(y):
+    return np.repeat(np.repeat(y, 2, axis=2), 2, axis=3)
+
 
 def test_add_grads():
+    # conv_block's prompt-map add; a repeated route sums its samples' gradients
     rng = np.random.default_rng(1)
-    b = rng.standard_normal((3, 4))
-    assert_gradcheck(lambda tape, x: project(T.add(x, b), x),
-                     rng.standard_normal((3, 4)))
+    x = rng.standard_normal((5, 2, 4, 4))
+    w = rng.standard_normal((3, 2, 3, 3))
+    b = rng.standard_normal(3)
+    route = np.array([2, 0, 2, 2, 1])
+    r = rng.standard_normal((5, 3, 2, 2))
+    assert_gradcheck(lambda tape, m: project(T.conv_block(x, w, b, m, route), r),
+                     rng.standard_normal((3, 3, 4, 4)))
 
 
 def test_matmul_grad_both_sides():
@@ -39,27 +55,35 @@ def test_bias_add_grads():
 
 
 def test_relu_grad_and_idempotence():
+    # conv_block over a copying 1x1 conv is relu(maxpool(x))
     rng = np.random.default_rng(5)
-    x = rng.standard_normal((4, 4)) + 0.3  # keep entries off the kink
-    x[np.abs(x) < 1e-2] = 0.5
-    assert_gradcheck(lambda tape, v: project(T.relu(v), T.relu(v)), x)
+    x = rng.standard_normal((2, 3, 4, 4))
+    x += np.sign(x) * 0.2  # keep entries off the kink
+    x[:, 1] = -np.abs(x[:, 1])  # relu zeroes every window of channel 1
+    assert_gradcheck(lambda tape, v: project(T.conv_block(v, EYE3, ZERO3),
+                                             T.conv_block(v, EYE3, ZERO3)), x)
     tape = T.Tape()
-    once = T.relu(tape.var(x))
-    twice = T.relu(once)
-    assert np.array_equal(once.value, twice.value)
+    once = T.conv_block(tape.var(x), EYE3, ZERO3).value
+    assert np.all(once >= 0) and not np.all(once > 0)
+    # a block applied to its own output's upsampling changes nothing
+    twice = T.conv_block(tape.var(_upsample(once)), EYE3, ZERO3).value
+    assert np.array_equal(once, twice)
 
 
 def test_maxpool_grad():
+    # on positive inputs relu keeps every window, so this checks the pool's
+    # gradient at each of them
     rng = np.random.default_rng(6)
-    x = rng.standard_normal((2, 3, 4, 4))
-    assert_gradcheck(lambda tape, v: project(T.maxpool2d(v), T.maxpool2d(v)), x)
+    x = np.abs(rng.standard_normal((2, 3, 4, 4))) + 0.1
+    assert_gradcheck(lambda tape, v: project(T.conv_block(v, EYE3, ZERO3),
+                                             T.conv_block(v, EYE3, ZERO3)), x)
 
 
 def test_maxpool_tie_lowest_index():
-    x = np.zeros((1, 1, 2, 2))
+    x = np.ones((1, 1, 2, 2))
     tape = T.Tape()
     xv = tape.var(x, requires_grad=True)
-    T.backward(project(T.maxpool2d(xv)))
+    T.backward(project(T.conv_block(xv, np.ones((1, 1, 1, 1)), np.zeros(1))))
     expect = np.zeros((1, 1, 2, 2))
     expect[0, 0, 0, 0] = 1.0  # all four tie; the first wins
     assert np.array_equal(xv.grad, expect)
@@ -68,48 +92,44 @@ def test_maxpool_tie_lowest_index():
 def test_maxpool_idempotent_on_pooled_signal():
     # pooling an image rebuilt from its own pooled maxima changes nothing
     rng = np.random.default_rng(7)
-    x = rng.standard_normal((2, 2, 8, 8))
+    x = np.abs(rng.standard_normal((2, 3, 8, 8)))
     tape = T.Tape()
-    y = T.maxpool2d(tape.var(x)).value
-    up = np.repeat(np.repeat(y, 2, axis=2), 2, axis=3)
-    y2 = T.maxpool2d(tape.var(up)).value
+    y = T.conv_block(tape.var(x), EYE3, ZERO3).value
+    y2 = T.conv_block(tape.var(_upsample(y)), EYE3, ZERO3).value
     assert np.array_equal(y, y2)
 
 
 def test_pool_then_relu_equals_relu_then_pool():
-    """relu(maxpool(z)) is maxpool(relu(z)): equal values with equal sign
-    bits, and input gradients equal under ==. The gradients may differ only
-    in where a -0.0 sits: where a window's max is <= 0 both orders zero the
-    whole window, but relu-first routes the (zeroed) cotangent to offset 0
-    while pool-first routes it to the window's argmax. The input has
-    all-non-positive windows, exact ties and signed zeros, and the
-    cotangent has both signs."""
+    """The pool kernel's relu epilogue, relu(maxpool(z)), is maxpool(relu(z)):
+    equal values with equal sign bits, and input gradients equal under ==.
+    The gradients may differ only in where a -0.0 sits: where a window's max
+    is <= 0 both orders zero the whole window, but relu-first routes the
+    (zeroed) cotangent to offset 0 while pool-first routes it to the
+    window's argmax. The input has all-non-positive windows, exact ties and
+    signed zeros, and the cotangent has both signs. relu-first is composed
+    from the oracles."""
     rng = np.random.default_rng(17)
     z = rng.choice(np.array([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0]), size=(2, 3, 6, 8))
     z[0, 0, :2, :2] = -1.0                   # all equal, negative
     z[0, 0, :2, 2:4] = [[-0.0, 0.0], [-3.0, 0.0]]
     z[0, 1, :2, :2] = [[1.0, 2.0], [2.0, 2.0]]  # positive tie
     z[1, 2] = -np.abs(z[1, 2])               # a plane of non-positive windows
-    w = rng.standard_normal((2, 3, 3, 4))
-
-    def run(order):
-        tape = T.Tape()
-        zv = tape.var(z, requires_grad=True)
-        out = order(zv)
-        T.backward(project(out, w))
-        return out.value, zv.grad
-
-    new, new_grad = run(lambda v: T.relu(T.maxpool2d(v)))
-    old, old_grad = run(lambda v: T.maxpool2d(T.relu(v)))
+    dy = rng.standard_normal((2, 3, 3, 4))
+    new, idx = kernels.maxpool2_forward(z.copy(), relu=True)
+    new_grad = kernels.maxpool2_backward(dy, idx)
+    old, old_idx = H.oracle_maxpool2_forward(np.where(z > 0, z, 0.0))
+    old_grad = H.oracle_maxpool2_backward(dy, old_idx) * (z > 0)
     assert np.array_equal(new, old)
     assert np.array_equal(np.signbit(new), np.signbit(old))
     assert np.array_equal(new_grad, old_grad)
+    assert np.array_equal(idx & 3, H.oracle_maxpool2_forward(z)[1])
+    assert np.array_equal(idx >= 4, ~(new > 0))
 
 
 def test_maxpool_odd_shape_rejected():
     tape = T.Tape()
     with pytest.raises(ShapeError):
-        T.maxpool2d(tape.var(np.zeros((1, 1, 3, 4))))
+        T.conv_block(tape.var(np.zeros((1, 1, 3, 4))), np.ones((1, 1, 1, 1)), np.zeros(1))
 
 
 def test_conv2d_input_grad():
@@ -150,7 +170,7 @@ def test_taped_forward_keeps_only_the_leaf_and_the_output(tiny_encoder):
                      requires_grad=True)
     feats = enc.features_var(x, stack, route)
     alive = [node for node in (ref() for ref in tape.nodes) if node is not None]
-    assert len(tape.nodes) == 14
+    assert len(tape.nodes) == 7
     assert len(alive) == 2 and alive[0] is stack and alive[1] is feats
     for rule in tape.rules.values():
         for _, fn in rule:
@@ -253,11 +273,12 @@ def test_take_matches_fancy_indexing_and_checks_indices():
 
 def test_shape_errors_carry_both_shapes():
     tape = T.Tape()
-    a = tape.var(np.zeros((2, 3)))
-    b = tape.var(np.zeros((3, 2)))
+    x = tape.var(np.zeros((2, 3, 4, 4)))
+    maps = tape.var(np.zeros((1, 5, 2, 2)))
     with pytest.raises(ShapeError) as e:
-        T.add(a, b)
-    assert "(2, 3)" in str(e.value) and "(3, 2)" in str(e.value)
+        T.conv_block(x, np.zeros((5, 3, 3, 3)), np.zeros(5), maps, [0, 0])
+    assert "(1, 5, 2, 2)" in str(e.value) and "(2, 5, 4, 4)" in str(e.value)
+    a = tape.var(np.zeros((2, 3)))
     with pytest.raises(ShapeError):
         T.matmul(a, a)
 
@@ -266,7 +287,7 @@ def test_backward_needs_scalar():
     tape = T.Tape()
     v = tape.var(np.zeros((2, 2)), requires_grad=True)
     with pytest.raises(ShapeError):
-        T.backward(T.relu(v))
+        T.backward(T.reshape(v, (4,)))
 
 
 def test_grad_shape_matches_value_shape():
@@ -274,7 +295,7 @@ def test_grad_shape_matches_value_shape():
     tape = T.Tape()
     x = tape.var(rng.standard_normal((2, 3, 4, 4)), requires_grad=True)
     w = rng.standard_normal((5, 3, 3, 3))
-    loss = project(T.relu(T.conv2d(x, w)))
+    loss = project(T.conv_block(x, w, rng.standard_normal(5)))
     T.backward(loss)
     assert x.grad.shape == x.value.shape
 
@@ -285,8 +306,8 @@ def test_replay_is_bit_identical():
         tape = T.Tape()
         x = tape.var(rng.standard_normal((2, 3, 8, 8)), requires_grad=True)
         w = rng.standard_normal((4, 3, 3, 3))
-        y = T.relu(T.conv2d(x, w))
-        loss = T.cross_entropy(T.reshape(T.maxpool2d(y), (2, -1)), np.array([1, 0]))
+        y = T.conv_block(x, w, rng.standard_normal(4))
+        loss = T.cross_entropy(T.reshape(y, (2, -1)), np.array([1, 0]))
         T.backward(loss)
         return loss.value.copy(), x.grad.copy()
 
@@ -307,12 +328,111 @@ def test_randn_free_function_deterministic():
 def test_backward_fills_grad_of_trainable_leaves_only():
     rng = np.random.default_rng(19)
     tape = T.Tape()
-    a = tape.var(rng.standard_normal((2, 2)), requires_grad=True)
+    a = tape.var(rng.standard_normal(2), requires_grad=True)
     b = tape.var(rng.standard_normal((2, 2)), requires_grad=True)
     frozen = tape.var(rng.standard_normal((2, 2)))
-    total = T.add(a, frozen)
+    total = T.bias_add(frozen, a)
     loss = project(total, b)
     assert T.backward(loss) is None
-    assert np.array_equal(a.grad, b.value)
-    assert np.array_equal(b.grad, a.value + frozen.value)
+    assert np.array_equal(a.grad, b.value.sum(axis=0))
+    assert np.array_equal(b.grad, frozen.value + a.value)
     assert frozen.grad is None and total.grad is None and loss.grad is None
+
+
+def _stage_reference(x, w, b, maps, route, dy):
+    """One encoder stage composed from the oracles: conv, the gathered map
+    add, bias, 2x2 max pool and np.where relu; then dy back through each to
+    the x, w, b and maps gradients."""
+    k = w.shape[2]
+    z = H.oracle_conv2d_forward(x, w, 1, k // 2) + maps[route] + b[:, None, None]
+    p, idx = H.oracle_maxpool2_forward(z)
+    dz = H.oracle_maxpool2_backward(dy * (p > 0), idx)
+    dm = np.zeros(maps.shape)
+    np.add.at(dm, route, dz)
+    return (np.where(p > 0, p, 0.0),
+            H.oracle_conv2d_backward_input(dz, w, 1, k // 2, *x.shape[2:]),
+            H.oracle_conv2d_backward_weight(x, dz, 1, k // 2, k, k),
+            dz.sum(axis=(0, 2, 3)), dm)
+
+
+def _stage(x, w, b, maps, route, dy):
+    """conv_block's value and its x, w, b and maps gradients for output
+    cotangent dy, which goes to the node's rules as backward hands it over,
+    so its ±0.0 arrive unchanged; and the untaped value."""
+    tape = T.Tape()
+    leaves = [tape.var(a, requires_grad=True) for a in (x, w, b, maps)]
+    y = T.conv_block(*leaves, route)
+    grads = {parent: fn(dy) for parent, fn in tape.rules[y.node_id]}
+    return ((y.value,) + tuple(grads[v.node_id] for v in leaves)
+            + (T.conv_block(x, w, b, maps, route),))
+
+
+def _same_bits(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_conv_block_matches_composed_oracles_bit_for_bit(monkeypatch):
+    """Value and x, w, b and maps gradients equal the oracle composition
+    byte for byte, taped and untaped, at 1, 2 and 5 lanes while threads
+    switch as often as the interpreter can. Inputs are tie_input's grid, so
+    every sum is exact in any order and pooling meets ties, zero maxima and
+    all-negative windows; dy holds ±0.0 and negatives, so relu's dy · 0.0
+    gives zeros of both signs. A NaN in a window makes its output +0.0, and
+    an infinite bias, which cannot move after the max, is added before it.
+    On random floats the untaped value, with the bias after the max, equals
+    the taped one bit for bit."""
+    rng = np.random.default_rng(23)
+    tie, _, grid = H.tie_input(rng)  # (3, 4, 8, 10)
+    route = np.array([2, 0, 2])
+    cases = []
+    for w in (np.eye(4)[:, :, None, None],  # pool input = tie_input's values
+              rng.choice([-1.0, 0.0, 1.0], size=(5, 4, 3, 3))):
+        o = len(w)
+        b = rng.choice(grid, size=o)
+        b[0] = -0.0
+        maps = rng.choice(grid, size=(3, o, 8, 10)) * (w.shape[2] > 1)
+        dy = rng.choice(grid, size=(3, o, 4, 5))
+        cases.append(((tie, w, b, maps, route, dy), _stage_reference(tie, w, b, maps, route, dy)))
+    nan_maps = cases[1][0][3].copy()
+    nan_maps[2, 1, 5, 6] = np.nan  # window (2, 3) of channel 1 for samples 0 and 2
+    inf_maps = cases[1][0][3].copy()
+    inf_maps[0, 2, 0, 0] = -np.inf  # with +inf bias: NaN in window (0, 0) of sample 1
+    inf_b = cases[1][0][2].copy()
+    inf_b[2] = np.inf
+    x, w, b, maps = (rng.standard_normal(s) for s in ((6, 4, 8, 10), (5, 4, 3, 3), (5,),
+                                                        (3, 5, 8, 10)))
+    floats = (x, w, b, maps, rng.integers(0, 3, size=6), rng.standard_normal((6, 5, 4, 5)))
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            monkeypatch.setattr(kernels, "_POOL", pool)
+            for lanes in (1, 2, 5):
+                monkeypatch.setattr(kernels, "LANES", lanes)
+                for args, want in cases:
+                    got = _stage(*args)
+                    for g, r in zip(got, want + want[:1]):
+                        _same_bits(g, r)
+                args = cases[1][0]
+                for y in _stage(args[0], args[1], args[2], nan_maps, route, args[5])[::5]:
+                    assert y[0, 1, 2, 3] == 0 and y[2, 1, 2, 3] == 0
+                    assert not np.signbit(y[0, 1, 2, 3]) and not np.signbit(y[2, 1, 2, 3])
+                for y in _stage(args[0], args[1], inf_b, inf_maps, route, args[5])[::5]:
+                    assert y[1, 2, 0, 0] == 0 and np.isinf(y[1, 2]).sum() == 19
+                taped, *_, untaped = _stage(*floats)
+                _same_bits(untaped, taped)
+    finally:
+        sys.setswitchinterval(switch)
+
+
+def test_conv_block_checks_its_operands():
+    x, w, b = np.zeros((2, 3, 4, 4)), np.zeros((5, 3, 3, 3)), np.zeros(5)
+    maps = np.zeros((2, 5, 4, 4))
+    for bad in (dict(b=np.zeros(4)), dict(w=np.zeros((5, 2, 3, 3))),
+                dict(w=np.zeros((5, 3, 2, 2))), dict(route=[0]), dict(route=[0, 2]),
+                dict(route=[-1, 0]), dict(maps=np.zeros((2, 5, 4, 2)))):
+        args = dict(x=x, w=w, b=b, maps=maps, route=[0, 1]) | bad
+        with pytest.raises(ShapeError):
+            T.conv_block(**args)
