@@ -63,6 +63,12 @@ def assert_gradcheck(build, x, coords=None, tol=1e-6):
     return err
 
 
+def same_bits(got, want):
+    """Equal shapes, dtypes and bytes, so ±0.0 must match too."""
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
 def oracle_agglomerate(features):
     """Brute force average linkage: recompute every cross-cluster mean from
     the raw distance matrix at every step."""

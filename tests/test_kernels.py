@@ -82,12 +82,6 @@ def _pool_both(x, dy):
     return y, idx, kernels.maxpool2_backward(dy, idx)
 
 
-def _same_bits(got, want):
-    """Equal shapes, dtypes and bytes, so ±0.0 must match too."""
-    assert got.shape == want.shape and got.dtype == want.dtype
-    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
-
-
 @pytest.mark.parametrize("budget", [1, 3 << 20, None])
 @pytest.mark.parametrize("shape", [(16, 32, 16), (3, 16, 32)])
 def test_conv_blocks_are_bit_identical_at_encoder_shapes(monkeypatch, budget, shape):
@@ -138,12 +132,12 @@ def test_conv_blocks_are_bit_identical_at_encoder_shapes(monkeypatch, budget, sh
                 # one channel's backward-weight product alone, under GEMM_MIN
                 narrow = budget == 1 and o * b * hw * hw * 9 < kernels.GEMM_MIN
                 for i, (one, two, five, want) in enumerate(zip(*runs, whole)):
-                    _same_bits(two, one)
-                    _same_bits(five, one)
+                    H.same_bits(two, one)
+                    H.same_bits(five, one)
                     if i == 2 and narrow:
                         assert np.allclose(one, want, rtol=1e-12, atol=1e-12)
                     else:
-                        _same_bits(one, want)
+                        H.same_bits(one, want)
     finally:
         sys.setswitchinterval(switch)
 
@@ -193,9 +187,9 @@ def test_maxpool_kernels_keep_tie_rule_and_zero_signs():
     # relu adds 4 to idx where it zeroes y, and there the backward's
     # dy · 0.0 keeps dy's sign: relu's rule, then the pool's
     yr, ir = kernels.maxpool2_forward(x.copy(), relu=True)
-    _same_bits(yr, np.where(yb > 0, yb, 0.0))
+    H.same_bits(yr, np.where(yb > 0, yb, 0.0))
     assert np.array_equal(ir, ib + 4 * (yb <= 0))
-    _same_bits(kernels.maxpool2_backward(dy, ir), H.oracle_maxpool2_backward(dy * (yb > 0), ib))
+    H.same_bits(kernels.maxpool2_backward(dy, ir), H.oracle_maxpool2_backward(dy * (yb > 0), ib))
 
 
 def test_conv_forward_matches_direct_sum():

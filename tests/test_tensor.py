@@ -367,11 +367,6 @@ def _stage(x, w, b, maps, route, dy):
             + (T.conv_block(x, w, b, maps, route),))
 
 
-def _same_bits(got, want):
-    assert got.shape == want.shape and got.dtype == want.dtype
-    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
-
-
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_conv_block_matches_composed_oracles_bit_for_bit(monkeypatch):
     """Value and x, w, b and maps gradients equal the oracle composition
@@ -414,7 +409,7 @@ def test_conv_block_matches_composed_oracles_bit_for_bit(monkeypatch):
                 for args, want in cases:
                     got = _stage(*args)
                     for g, r in zip(got, want + want[:1]):
-                        _same_bits(g, r)
+                        H.same_bits(g, r)
                 args = cases[1][0]
                 for y in _stage(args[0], args[1], args[2], nan_maps, route, args[5])[::5]:
                     assert y[0, 1, 2, 3] == 0 and y[2, 1, 2, 3] == 0
@@ -422,7 +417,7 @@ def test_conv_block_matches_composed_oracles_bit_for_bit(monkeypatch):
                 for y in _stage(args[0], args[1], inf_b, inf_maps, route, args[5])[::5]:
                     assert y[1, 2, 0, 0] == 0 and np.isinf(y[1, 2]).sum() == 19
                 taped, *_, untaped = _stage(*floats)
-                _same_bits(untaped, taped)
+                H.same_bits(untaped, taped)
     finally:
         sys.setswitchinterval(switch)
 
