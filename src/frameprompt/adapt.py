@@ -11,9 +11,9 @@ samples before conv1's backward-input (see encoder._encode). Scoring hands
 the same stack and routes to FrozenEncoder.forward_features, so prompts are
 scored by the function they were trained on.
 
-The affine heads (tuning, freezing) are a matmul and a bias; the mapped heads
-(hardcoded, active) pick their feature columns with tensor.take, the same
-gather that picks each sample's prompt in the encoder.
+The affine heads (tuning, freezing) are one tensor.linear, as the encoder's
+fc; the mapped heads (hardcoded, active) pick their feature columns with
+tensor.take.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ def head_logits(head: HeadState, feats):
     """Logits of a (B, d) feature batch. feats and the head's arrays may be
     plain ndarrays (nothing is taped) or Vars on one tape."""
     if head.tag in (HEAD_TUNING, HEAD_FREEZING):
-        return T.bias_add(T.matmul(feats, head.weight), head.bias)
+        return T.linear(feats, head.weight, head.bias)
     return T.take(feats, head.indices, 1)
 
 
@@ -141,9 +141,8 @@ class EvalResult:
 
 
 def _ce_and_top1(logits: np.ndarray, labels: np.ndarray) -> tuple[float, int]:
-    m = logits.max(axis=1, keepdims=True)
-    lse = m[:, 0] + np.log(np.exp(logits - m).sum(axis=1))
-    loss = float((lse - logits[np.arange(len(labels)), labels]).sum())
+    """Summed cross entropy (unit weights) and correct top-1 count of a batch."""
+    loss = float(T.cross_entropy(logits, labels, np.ones(len(labels))))
     hits = int((np.argmax(logits, axis=1) == labels).sum())
     return loss, hits
 

@@ -47,7 +47,7 @@ def _file_sha(path: str) -> str:
 
 def canonical_bytes(path: str) -> bytes:
     """Output bytes with volatile fields removed: the seconds column of
-    metrics CSVs is blanked, wall-clock keys of json files are dropped."""
+    metrics CSVs is blanked, and the seconds key of json files dropped."""
     with open(path, "rb") as fh:
         blob = fh.read()
     name = os.path.basename(path)
@@ -67,8 +67,7 @@ def canonical_bytes(path: str) -> bytes:
     if name.endswith(".json"):
         doc = json.loads(blob)
         if isinstance(doc, dict):
-            for key in ("seconds", "wall_clock"):
-                doc.pop(key, None)
+            doc.pop("seconds", None)
         return json.dumps(doc, sort_keys=True).encode("utf-8")
     return blob
 

@@ -13,15 +13,17 @@ both orders give the whole window a zero gradient; only the place of a -0.0
 in it can differ.
 
 Spatial dims must be divisible by 4 (two pooling stages). The architecture is
-written once, in _encode: two tensor.conv_block stages, then fc. Each stage is
-one pass on the kernel lanes and one tape node: conv, prompt maps (first stage
-only), bias, pool and relu; untaped, the pool computes no argmax. Inference,
-prompt training and scoring (frozen weights, the prompt stack on a tape or
-not) and pretraining (trainable weights on a tape) all run it. A prompt meets
-an image only there: conv1 is linear, so conv1 runs on the images and on the
-prompt stack, and each image's conv1 output gets its prompt's map added
-inside the first stage. That gather's backward sums each prompt's samples, so
-conv1's backward-input runs at batch T on a minibatch that spans T prompts.
+written once, in _encode: two tensor.conv_block stages, then the fc as a
+tensor.linear, so each layer is one tape node (the pretraining head is a
+tensor.linear too). Each stage is one pass on the kernel lanes: conv, prompt
+maps (first stage only), bias, pool and relu; untaped, the pool computes no
+argmax. Inference, prompt training and scoring (frozen weights, the prompt
+stack on a tape or not) and pretraining (trainable weights on a tape) all
+run _encode. A prompt meets an image only there: conv1 is linear, so conv1
+runs on the images and on the prompt stack, and each image's conv1 output
+gets its prompt's map added inside the first stage. That gather's backward
+sums each prompt's samples, so conv1's backward-input runs at batch T on a
+minibatch that spans T prompts.
 
 Weights live in an ordered dict of read-only float64 arrays. The on-disk
 format is magic "DAMW", u32 version, u32 record count, then per array a u32
@@ -112,14 +114,7 @@ def _encode(x, params: dict, maps=None, route=None):
     # to its conv1 output, and the maps' gradient is the per-prompt sum
     y = T.conv_block(x, params["conv1_w"], params["conv1_b"], maps, route)
     y = T.conv_block(y, params["conv2_w"], params["conv2_b"])
-    flat = T.reshape(y, (y.shape[0], -1))
-    return T.bias_add(T.matmul(flat, params["fc_w"]), params["fc_b"])
-
-
-def _head(feats, params: dict):
-    """Pretraining head logits of a (B, feature_dim) batch; ndarrays or Vars,
-    as in _encode."""
-    return T.bias_add(T.matmul(feats, params["head_w"]), params["head_b"])
+    return T.linear(T.reshape(y, (y.shape[0], -1)), params["fc_w"], params["fc_b"])
 
 
 class FrozenEncoder:
@@ -303,11 +298,11 @@ def _init_params(spec: EncoderSpec, seed: int) -> dict:
 def _logits_var(tape: T.Tape, params: dict, x: np.ndarray):
     pvars = {k: tape.var(v, requires_grad=True) for k, v in params.items()}
     feats = _encode(tape.var(x), pvars)
-    return _head(feats, pvars), pvars
+    return T.linear(feats, pvars["head_w"], pvars["head_b"]), pvars
 
 
 def pretrain(dataset, epochs: int, seed: int, lr: float = 1e-3,
-             batch_size: int = 64, spec: EncoderSpec | None = None) -> FrozenEncoder:
+             batch_size: int = 64) -> FrozenEncoder:
     """Supervised pretraining with Adam; horizontal flip is the only
     augmentation. Returns the frozen result; same seed gives the same bits."""
     from .optim import Adam
@@ -316,10 +311,7 @@ def pretrain(dataset, epochs: int, seed: int, lr: float = 1e-3,
         raise DataError("pretraining dataset is empty")
     if epochs < 1:
         raise DataError(f"epochs must be >= 1, got {epochs}")
-    if spec is None:
-        spec = EncoderSpec(in_channels=dataset.images.shape[1],
-                           height=dataset.images.shape[2],
-                           width=dataset.images.shape[3])
+    spec = EncoderSpec(*dataset.images.shape[1:])  # in_channels, height, width
     if dataset.class_count > spec.head_dim:
         raise DataError(f"dataset has {dataset.class_count} classes, head fits "
                         f"{spec.head_dim}")
@@ -345,6 +337,8 @@ def pretrain(dataset, epochs: int, seed: int, lr: float = 1e-3,
             for name in PARAM_ORDER:
                 params[name] = opt.step(name, params[name], pvars[name].grad)
     enc = FrozenEncoder(spec, params, pretrain_dataset_id=dataset.id, seed=seed)
-    pred = np.argmax(_head(enc.forward_features(dataset.images), enc.weights), axis=1)
+    logits = T.linear(enc.forward_features(dataset.images), enc.weights["head_w"],
+                      enc.weights["head_b"])
+    pred = np.argmax(logits, axis=1)
     enc.train_accuracy = int((pred == dataset.labels).sum()) / n
     return enc

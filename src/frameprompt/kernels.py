@@ -42,22 +42,19 @@ conv2 bit for bit). A budget so small that one block at one lane is such a
 product, as a one-channel backward-weight block of a tiny image, may be
 summed in another order, within 1e-12.
 
-2x2 max pooling works on the four strided views x[:, :, i::2, j::2] of
-its input, one per window offset n = 2i + j, with no reshaped copy: the
-forward takes their elementwise max in place and finds each window's offset
-by equality tests in offset order, so ties go to the lowest offset by
-construction and a ±0.0 maximum carries the sign of the lowest offset that
-attains it. The backward writes dy's bits, masked to zero where another
-offset won, into the view of each offset. Both pools cut the batch into
-LANES contiguous slices.
-
-The pool forward also runs the rest of an encoder stage after its conv, in
-the same lane pass (its epilogue): each image's prompt map and the bias
-are added in place into the conv output before the max, and relu follows
-it. idx records where relu zeroed y as offset + 4, so the backward applies
-relu's mask and the pool's scatter from one int8 array. Untaped, the
-forward computes no offsets and adds the bias after the max, an exact
-reordering (see maxpool2_forward).
+The pool forward is the whole rest of an encoder stage after its conv, in
+one lane pass: each image's prompt map and the bias are added in place into
+the conv output, then 2x2 max pooling, then relu. The pool works on the
+four strided views x[:, :, i::2, j::2] of its input, one per window offset
+n = 2i + j, with no reshaped copy: it takes their elementwise max in place
+and finds each window's offset by equality tests in offset order, so ties
+go to the lowest offset by construction. idx records where relu zeroed y
+as offset + 4, so the backward applies relu's mask and the pool's scatter
+from one int8 array: it writes dy's bits, masked to zero where relu zeroed
+y or another offset won, into the view of each offset. Untaped, the forward
+computes no offsets and adds the bias after the max, an exact reordering
+(see maxpool2_forward). Both pools cut the batch into LANES contiguous
+slices.
 
 Lanes. Importing this module pins numpy's bundled OpenBLAS to one thread
 (through ctypes, as scipy_openblas_set_num_threads64_ or
@@ -213,17 +210,17 @@ def _pool_lanes(lane, b):
     _run_lanes(lambda j: lane(ends[j], ends[j + 1]), lanes)
 
 
-def maxpool2_forward(x, *, maps=None, route=None, bias=None, relu=False, index=True):
-    """2x2 stride-2 max pool of (B, C, H, W), H and W even, with an optional
-    epilogue. Returns (y, idx): y (B, C, H/2, W/2) float64, C-contiguous, and
-    idx int8, the row-major offset in each window that y came from, lowest
-    offset on ties, plus 4 where relu zeroed y.
+def maxpool2_forward(x, bias, *, maps=None, route=None, index=True):
+    """The rest of an encoder stage after its conv: prompt maps, bias, 2x2
+    stride-2 max pool and relu over a (B, C, H, W) conv output, H and W
+    even. Returns (y, idx): y (B, C, H/2, W/2) float64, C-contiguous, and
+    idx int8, the row-major offset in each window that the max came from,
+    lowest offset on ties, plus 4 where relu zeroed y.
 
-    The epilogue is one encoder stage after its conv: given (T, C, H, W)
-    maps and (B,) routes into them, each lane adds maps[route] and then the
-    (C,) bias in place into its slice of x, which the caller must own (the
-    stage's fresh conv output); it pools, and with relu sets y to
-    np.where(y > 0, y, 0.0) bit for bit: +0.0 for -0.0 and for NaN.
+    Given (T, C, H, W) maps and (B,) routes into them, each lane adds
+    maps[route] and then the (C,) bias in place into its slice of x, which
+    the caller must own (the stage's fresh conv output); it pools, and sets
+    y to np.where(y > 0, y, 0.0) bit for bit: +0.0 for -0.0 and for NaN.
 
     With index False (inference, no tape) idx is empty, and a finite bias
     is added after the max rather than before. The values are the same:
@@ -232,23 +229,19 @@ def maxpool2_forward(x, *, maps=None, route=None, bias=None, relu=False, index=T
     would turn a -inf in a window into NaN before the max and not after,
     so it is added first.
 
-    y is the elementwise max of the four window views a, b, c, d (offsets
-    0-3), taken in place: max(b, a), then max(c, y), then max(d, y).
-    np.maximum(p, q) returns q when the two compare equal (the kernel tests
-    pin this through the signs of zero), so each step keeps the lower
-    offset's value and the lowest offset decides the sign of a ±0.0 maximum.
-    idx = na · (1 + nb · (1 + nc)) over the 0/1 flags na = (a != y),
-    nb = (b != y), nc = (c != y): 0 if a == y, else 1 if b == y, else 2 if
-    c == y, else 3, so the tie rule holds by construction. relu ANDs y's
-    bits with the flag y > 0 widened to all ones or all zeros, and adds 4
-    to idx where the flag is clear. A window holding NaN gives a NaN max
-    (0 after relu) and an unspecified offset."""
+    The max of the four window views a, b, c, d (offsets 0-3) is taken in
+    place. idx = na · (1 + nb · (1 + nc)) over the 0/1 flags na = (a != m),
+    nb = (b != m), nc = (c != m) against the max m: 0 if a == m, else 1 if
+    b == m, else 2 if c == m, else 3, so the tie rule holds by construction.
+    relu ANDs y's bits with the flag y > 0 widened to all ones or all
+    zeros, and adds 4 to idx where the flag is clear. A window holding NaN
+    gives a NaN max (0 after relu) and an unspecified offset."""
     bsz, ch, h, wd = x.shape
     y = np.empty((bsz, ch, h // 2, wd // 2))
     idx = np.empty(y.shape if index else 0, np.int8)
     flag = np.empty(y.shape, bool)
-    col = None if bias is None else bias[:, None, None]
-    late = relu and not index and col is not None and bool(np.isfinite(bias).all())
+    col = bias[:, None, None]
+    late = not index and bool(np.isfinite(bias).all())
     # each image's (conv output, map) views, made here: views that a lane
     # makes are small allocations in its worker's own malloc arena, and with
     # them the vp-8mode chain peaked 1 MiB higher (212.1 against 211.1 MiB)
@@ -257,7 +250,7 @@ def maxpool2_forward(x, *, maps=None, route=None, bias=None, relu=False, index=T
     def lane(lo, hi):
         for xi, mi in pairs[lo:hi]:
             xi += mi
-        if col is not None and not late:
+        if not late:
             x[lo:hi] += col
         a, b, c, d = _windows(x[lo:hi])
         yl, il, fl = y[lo:hi], idx[lo:hi], flag[lo:hi]
@@ -276,15 +269,14 @@ def maxpool2_forward(x, *, maps=None, route=None, bias=None, relu=False, index=T
             il *= f8
         if late:
             yl += col
-        if relu:
-            np.greater(yl, 0.0, out=fl)
-            np.negative(f8, out=f8)  # -1, all ones, where relu keeps y
-            ybits = yl.view(np.int64)
-            np.bitwise_and(ybits, f8, out=ybits)
-            if index:
-                np.left_shift(f8, 2, out=f8)  # -4 where kept, else 0
-                il += f8
-                il += 4
+        np.greater(yl, 0.0, out=fl)
+        np.negative(f8, out=f8)  # -1, all ones, where relu keeps y
+        ybits = yl.view(np.int64)
+        np.bitwise_and(ybits, f8, out=ybits)
+        if index:
+            np.left_shift(f8, 2, out=f8)  # -4 where kept, else 0
+            il += f8
+            il += 4
 
     _pool_lanes(lane, bsz)
     return y, idx
@@ -294,10 +286,10 @@ def maxpool2_backward(dy, idx):
     """d loss / d x of maxpool2_forward: g = dy · (idx < 4), relu's mask,
     at each window's offset idx mod 4 and +0.0 at the other three, written
     as four strided (B, C, H/2, W/2) slices of a (B, C, H, W) output. g keeps
-    dy's sign where relu zeroed y (dy · 0.0 is ±0.0), and is dy itself
-    without relu. Each slice is g's bits ANDed with a mask of all ones where
-    the offset is its own and all zeros elsewhere: np.where(off == n, g,
-    0.0) bit for bit, with no temporary. dy may have any strides."""
+    dy's sign where relu zeroed y (dy · 0.0 is ±0.0). Each slice is g's
+    bits ANDed with a mask of all ones where the offset is its own and all
+    zeros elsewhere: np.where(off == n, g, 0.0) bit for bit, with no
+    temporary. dy may have any strides."""
     b, c, ho, wo = dy.shape
     dx = np.empty((b, c, 2 * ho, 2 * wo))
     g = np.empty(dy.shape)

@@ -25,13 +25,12 @@ class Sgd:
         return param - self.lr * v
 
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
+
+
 class Adam:
-    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8, weight_decay: float = 0.0):
+    def __init__(self, lr: float, weight_decay: float = 0.0):
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.weight_decay = float(weight_decay)
         self._m = {}
         self._v = {}
@@ -40,12 +39,12 @@ class Adam:
     def step(self, key: str, param: np.ndarray, grad: np.ndarray) -> np.ndarray:
         g = grad + self.weight_decay * param if self.weight_decay else grad
         t = self._t.get(key, 0) + 1
-        m = self.beta1 * self._m.get(key, 0.0) + (1 - self.beta1) * g
-        v = self.beta2 * self._v.get(key, 0.0) + (1 - self.beta2) * g * g
+        m = BETA1 * self._m.get(key, 0.0) + (1 - BETA1) * g
+        v = BETA2 * self._v.get(key, 0.0) + (1 - BETA2) * g * g
         self._t[key], self._m[key], self._v[key] = t, m, v
-        mhat = m / (1 - self.beta1 ** t)
-        vhat = v / (1 - self.beta2 ** t)
-        return param - self.lr * mhat / (np.sqrt(vhat) + self.eps)
+        mhat = m / (1 - BETA1 ** t)
+        vhat = v / (1 - BETA2 ** t)
+        return param - self.lr * mhat / (np.sqrt(vhat) + EPS)
 
 
 def make_optimizer(name: str, lr: float, momentum: float = 0.9,

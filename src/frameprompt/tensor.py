@@ -8,22 +8,23 @@ ndarrays) never get gradient buffers. An op whose operands are all plain
 ndarrays records nothing and returns the plain result, so one forward
 definition serves inference as well as training.
 
-The ops are the ones the encoder, the heads and the loss run: matmul,
-bias_add, conv2d, conv_block, reshape, take and cross_entropy. conv_block is
-one whole encoder stage (conv, each sample's prompt map, bias, 2x2 max pool
-and relu) as one node. Two ops gather: conv_block picks each sample's
-prompt map, and take the mapped heads' feature columns; both backward rules
-sum a repeated index's gradients in one helper, _scatter_sum.
+The ops are the ones the encoder, the heads and the loss run: conv2d,
+conv_block, reshape, linear, take and cross_entropy. Each encoder layer is
+one node: conv_block a whole conv stage (conv, each sample's prompt map,
+bias, 2x2 max pool and relu), linear an affine layer (the fc, and the
+pretraining, tuning and freezing heads). Two ops gather: conv_block picks
+each sample's prompt map, and take the mapped heads' feature columns; both
+backward rules sum a repeated index's gradients in one helper, _scatter_sum.
 
 The tape keeps backward rules, not activations. It holds each Var by weak
 reference, and each node's rule by node id: the ids of the parents that
 gradients reach, and the arrays the rule reads (pooling indices with relu's
-mask folded in, frozen operands, the operands of a matmul or of a weight
-gradient). No rule holds a Var, so an intermediate's value is freed as soon
-as the forward moves past it, and only a Var holds its tape, so nothing
-forms a reference cycle: a finished step's tape is freed with its last Var,
-without waiting for the cyclic collector. backward walks node ids from the
-loss down and sets .grad on the live requires_grad leaves.
+mask folded in, frozen operands, the operands of a linear layer or of a
+weight gradient). No rule holds a Var, so an intermediate's value is freed
+as soon as the forward moves past it, and only a Var holds its tape, so
+nothing forms a reference cycle: a finished step's tape is freed with its
+last Var, without waiting for the cyclic collector. backward walks node ids
+from the loss down and sets .grad on the live requires_grad leaves.
 
 All taped values are float64 and C-contiguous. Nothing here consults global
 RNG state.
@@ -104,28 +105,15 @@ def _val(x):
     return x.value if isinstance(x, Var) else np.asarray(x, dtype=np.float64)
 
 
-def matmul(a, b) -> Var:
-    av, bv = _val(a), _val(b)
-    if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
-        raise ShapeError(f"matmul: shapes {av.shape} and {bv.shape} incompatible")
-    return _record(_tape_of(a, b), av @ bv,
-                   [(a, lambda g: g @ bv.T), (b, lambda g: av.T @ g)])
-
-
-def bias_add(x, b) -> Var:
-    """Add a per-channel bias: (B,k)+(k,) or (B,C,H,W)+(C,)."""
-    xv, bv = _val(x), _val(b)
-    if bv.ndim != 1:
-        raise ShapeError(f"bias_add: bias must be 1-d, got {bv.shape}")
-    if xv.ndim == 2 and xv.shape[1] == bv.shape[0]:
-        val = xv + bv
-        reduce_b = lambda g: g.sum(axis=0)
-    elif xv.ndim == 4 and xv.shape[1] == bv.shape[0]:
-        val = xv + bv[None, :, None, None]
-        reduce_b = lambda g: g.sum(axis=(0, 2, 3))
-    else:
-        raise ShapeError(f"bias_add: shapes {xv.shape} and {bv.shape} incompatible")
-    return _record(_tape_of(x, b), val, [(x, lambda g: g), (b, reduce_b)])
+def linear(x, w, b) -> Var:
+    """An affine layer as one node: x @ w + b for (B, n) x, (n, k) w and a
+    (k,) bias."""
+    xv, wv, bv = _val(x), _val(w), _val(b)
+    if xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[0] or bv.shape != wv.shape[1:]:
+        raise ShapeError(f"linear: shapes {xv.shape}, {wv.shape} and {bv.shape} incompatible")
+    return _record(_tape_of(x, w, b), xv @ wv + bv,
+                   [(x, lambda g: g @ wv.T), (w, lambda g: xv.T @ g),
+                    (b, lambda g: g.sum(axis=0))])
 
 
 def _conv_kernel(op, xv, wv) -> int:
@@ -185,8 +173,8 @@ def conv_block(x, w, b, maps=None, route=None) -> Var:
             raise ShapeError(f"conv_block: route out of range for {len(mv)} maps")
         shape = mv.shape  # the maps rule reads the shape only
     tape = _tape_of(x, w, b, maps)
-    y, idx = kernels.maxpool2_forward(kernels.conv2d_forward(xv, wv), maps=mv, route=route,
-                                      bias=bv, relu=True, index=tape is not None)
+    y, idx = kernels.maxpool2_forward(kernels.conv2d_forward(xv, wv), bv, maps=mv,
+                                      route=route, index=tape is not None)
     operands = (x, w, b, maps)
     wanted = [i for i, p in enumerate(operands) if isinstance(p, Var) and p.requires_grad]
     held = []

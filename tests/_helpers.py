@@ -29,13 +29,14 @@ def rel_err(ad, fd):
 
 
 def project(y, r=None):
-    """Σ y·r (Σ y without r) as a taped scalar, from reshape and matmul: the
-    loss the op tests differentiate. r may be an ndarray or a Var."""
+    """Σ y·r (Σ y without r) as a taped scalar, from reshape and linear with a
+    zero bias: the loss the op tests differentiate. r may be an ndarray or a
+    Var."""
     from frameprompt import tensor as T
 
     if r is None:
         r = np.ones(y.shape)
-    return T.reshape(T.matmul(T.reshape(y, (1, -1)), T.reshape(r, (-1, 1))), ())
+    return T.reshape(T.linear(T.reshape(y, (1, -1)), T.reshape(r, (-1, 1)), np.zeros(1)), ())
 
 
 def assert_gradcheck(build, x, coords=None, tol=1e-6):
@@ -121,7 +122,7 @@ def tie_input(rng):
     """(3, 4, 8, 10) pool input whose first plane holds all 16 sign patterns
     of an all-zero window, then windows that are all equal, all negative,
     and tied at zero with mixed signs; the rest are integer-grid values that
-    tie often. Returns it with the sign patterns and the value grid."""
+    tie often. Returns it with the value grid."""
     grid = np.array([-2.0, -1.0, -0.0, 0.0, 1.0])
     x = rng.choice(grid, size=(3, 4, 8, 10))
     signs = (np.arange(16)[:, None] >> np.arange(4)) & 1
@@ -132,7 +133,7 @@ def tie_input(rng):
                 np.array([[-1.0, -0.0], [0.0, -5.0]])]   # -0.0 ties +0.0
     for k, win in enumerate(windows):
         x[0, 0, 2 * (k // 5):2 * (k // 5) + 2, 2 * (k % 5):2 * (k % 5) + 2] = win
-    return x, signs, grid
+    return x, grid
 
 
 def oracle_conv2d_forward(x, w, stride, pad):

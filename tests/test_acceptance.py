@@ -61,6 +61,9 @@ def test_autodiff_matches_finite_differences_everywhere():
     x3, m3, b3, r3 = (np.random.default_rng(94 + i).standard_normal(s) for i, s in
                       enumerate(((3, 2, 4, 4), (2, 2, 4, 4), (2,), (3, 2, 2, 2))))
     route3 = np.array([1, 0, 1])
+    # one affine layer
+    x4, w4, b4, r4 = (np.random.default_rng(80 + i).standard_normal(s) for i, s in
+                      enumerate(((3, 4), (4, 2), (2,), (3, 2))))
     r_rows = np.random.default_rng(6).standard_normal((5, 2, 3))
     r_cols = np.random.default_rng(7).standard_normal((3, 3))
     cases = {
@@ -72,12 +75,9 @@ def test_autodiff_matches_finite_differences_everywhere():
             T.conv_block(x3, w3, x, m3, route3), r3)),
         "conv_block_maps": ((2, 2, 4, 4), lambda t, x: project(
             T.conv_block(x3, w3, b3, x, route3), r3)),
-        "matmul_a": ((3, 4), lambda t, x: project(T.matmul(x, t.var(
-            np.random.default_rng(2).standard_normal((4, 2)))))),
-        "matmul_b": ((4, 2), lambda t, x: project(T.matmul(t.var(
-            np.random.default_rng(3).standard_normal((3, 4))), x))),
-        "bias_add": ((5,), lambda t, x: project(T.bias_add(t.var(
-            np.random.default_rng(4).standard_normal((3, 5))), x))),
+        "linear_x": ((3, 4), lambda t, x: project(T.linear(x, w4, b4), r4)),
+        "linear_w": ((4, 2), lambda t, x: project(T.linear(x4, x, b4), r4)),
+        "linear_b": ((2,), lambda t, x: project(T.linear(x4, w4, x), r4)),
         "conv2d_x": ((1, 2, 6, 6), lambda t, x: project(T.conv2d(x, w3))),
         "conv2d_w": ((2, 2, 3, 3), lambda t, x: project(T.conv2d(t.var(
             np.random.default_rng(5).standard_normal((1, 2, 6, 6))), x))),

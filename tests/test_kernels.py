@@ -78,7 +78,8 @@ def test_conv_blocks_match_one_block(monkeypatch, batch, budget):
 
 
 def _pool_both(x, dy):
-    y, idx = kernels.maxpool2_forward(x)
+    # the forward adds the bias in place, so it gets a copy
+    y, idx = kernels.maxpool2_forward(x.copy(), np.zeros(x.shape[1]))
     return y, idx, kernels.maxpool2_backward(dy, idx)
 
 
@@ -103,7 +104,7 @@ def test_conv_blocks_are_bit_identical_at_encoder_shapes(monkeypatch, budget, sh
     c, o, hw = shape
     rng = np.random.default_rng(47)
     w = rng.standard_normal((o, c, 3, 3))
-    tie, _, grid = H.tie_input(rng)
+    tie, grid = H.tie_input(rng)
     tie_dy = rng.choice(grid, size=(3, 4, 4, 5))
     default = kernels.COLUMN_BYTES
     switch = sys.getswitchinterval()
@@ -142,54 +143,47 @@ def test_conv_blocks_are_bit_identical_at_encoder_shapes(monkeypatch, budget, sh
         sys.setswitchinterval(switch)
 
 
+def _check_pool(x, dy):
+    """The pool kernels on x with a zero bias against the oracle: y is its
+    max after relu, idx its offset plus 4 where relu zeroed y, and the
+    backward its scatter of dy · (y > 0), byte for byte (where relu zeroed
+    y, dy · 0.0 keeps dy's sign). Returns idx."""
+    ya, ia = kernels.maxpool2_forward(x.copy(), np.zeros(x.shape[1]))
+    yb, ib = H.oracle_maxpool2_forward(x)
+    assert ia.dtype == np.int8 and ia.shape == ya.shape == yb.shape
+    assert ya.dtype == np.float64 and ya.flags.c_contiguous
+    H.same_bits(ya, np.where(yb > 0, yb, 0.0))
+    assert np.array_equal(ia & 3, ib)
+    assert np.array_equal(ia, ib + 4 * (yb <= 0))
+    dxa = kernels.maxpool2_backward(dy, ia)
+    assert dxa.dtype == np.float64 and dxa.flags.c_contiguous
+    H.same_bits(dxa, H.oracle_maxpool2_backward(dy * (yb > 0), ib))
+    return ia
+
+
 def test_maxpool_kernels_match_oracle_exactly():
     rng = np.random.default_rng(43)
     x = rng.standard_normal((3, 5, 8, 6))
     # inject exact ties to exercise the lowest-offset rule
     x[0, 0, 0:2, 0:2] = 1.5
     x[1, 2, 4:6, 2:4] = -0.25
-    ya, ia = kernels.maxpool2_forward(x)
-    yb, ib = H.oracle_maxpool2_forward(x)
-    assert np.array_equal(ya, yb)
-    assert np.array_equal(ia, ib)
-    assert ib[0, 0, 0, 0] == 0 and ib[1, 2, 2, 1] == 0
-    dy = rng.standard_normal(ya.shape)
-    assert np.array_equal(kernels.maxpool2_backward(dy, ia),
-                          H.oracle_maxpool2_backward(dy, ib))
+    ia = _check_pool(x, rng.standard_normal((3, 5, 4, 3)))
+    assert ia[0, 0, 0, 0] == 0 and ia[1, 2, 2, 1] == 4
 
 
 def test_maxpool_kernels_keep_tie_rule_and_zero_signs():
-    """Ties go to the lowest row-major offset, and a ±0.0 maximum carries the
-    sign of that offset, as in the oracle's scan. The first plane holds all
-    16 sign patterns of an all-zero window, then windows that are all equal,
-    all negative, and tied at zero with mixed signs; the rest are
-    integer-grid values that tie often. dy holds ±0.0 too, so the
-    backward's signs are checked as well as its values."""
+    """Ties go to the lowest row-major offset, as in the oracle's scan. The
+    first plane holds all 16 sign patterns of an all-zero window, then
+    windows that are all equal, all negative, and tied at zero with mixed
+    signs; the rest are integer-grid values that tie often. dy holds ±0.0
+    too, so the backward's signs are checked as well as its values."""
     rng = np.random.default_rng(45)
-    x, signs, grid = H.tie_input(rng)
-    ya, ia = kernels.maxpool2_forward(x)
-    yb, ib = H.oracle_maxpool2_forward(x)
-    assert ia.dtype == np.int8 and ia.shape == ya.shape == (3, 4, 4, 5)
-    assert ya.dtype == np.float64 and ya.flags.c_contiguous
-    assert np.array_equal(ya, yb) and np.array_equal(ia, ib)
-    assert np.array_equal(np.signbit(ya), np.signbit(yb))
+    x, grid = H.tie_input(rng)
+    ia = _check_pool(x, rng.choice(grid, size=(3, 4, 4, 5)))
     # the first plane's windows in the order they were placed
-    i0, y0 = ia[0, 0].reshape(-1), ya[0, 0].reshape(-1)
-    assert np.all(i0[:18] == 0) and i0[18] == 1 and i0[19] == 1
-    assert np.array_equal(np.signbit(y0[:16]), signs[:, 0] == 1)
-    assert y0[18] == -1.0 and np.signbit(y0[19])
-    dy = rng.choice(grid, size=ya.shape)
-    dxa = kernels.maxpool2_backward(dy, ia)
-    dxb = H.oracle_maxpool2_backward(dy, ib)
-    assert dxa.dtype == np.float64 and dxa.flags.c_contiguous
-    assert np.array_equal(dxa, dxb)
-    assert np.array_equal(np.signbit(dxa), np.signbit(dxb))
-    # relu adds 4 to idx where it zeroes y, and there the backward's
-    # dy · 0.0 keeps dy's sign: relu's rule, then the pool's
-    yr, ir = kernels.maxpool2_forward(x.copy(), relu=True)
-    H.same_bits(yr, np.where(yb > 0, yb, 0.0))
-    assert np.array_equal(ir, ib + 4 * (yb <= 0))
-    H.same_bits(kernels.maxpool2_backward(dy, ir), H.oracle_maxpool2_backward(dy * (yb > 0), ib))
+    i0 = ia[0, 0].reshape(-1)
+    assert np.all(i0[:16] == 4) and i0[16] == 0 and i0[17] == 4
+    assert i0[18] == 5 and i0[19] == 5
 
 
 def test_conv_forward_matches_direct_sum():

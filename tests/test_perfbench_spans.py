@@ -58,6 +58,9 @@ def test_tracer_counts_one_tiny_adapt(tiny_encoder):
     finally:
         tracer.restore()
     assert tracer.value("adapt.clusters") == bundle.n == 2
+    # the stack leaf, the prompt conv2d, two conv_blocks, reshape, the fc's
+    # linear, the head's take and cross_entropy: one node per layer
+    assert tracer.value("tensor.tape.mean_nodes") == 8
     for metric in ("clustering.route_features.calls", "encoder.features_var.calls",
                    "prompt.grad_step.calls"):
         assert tracer.value(metric) > 0, metric

@@ -30,28 +30,33 @@ def test_add_grads():
                      rng.standard_normal((3, 3, 4, 4)))
 
 
-def test_matmul_grad_both_sides():
+def test_linear_matches_matmul_plus_bias():
+    """The value is x @ w + b and the x, w and b rules give g @ w.T, x.T @ g
+    and g.sum(axis=0), byte for byte; untaped, a plain ndarray comes back.
+    x must be 2-d, w's rows must match x's columns and b w's columns."""
     rng = np.random.default_rng(3)
-    a0 = rng.standard_normal((3, 4))
-    b0 = rng.standard_normal((4, 2))
+    x, w, b, g = (rng.standard_normal(s) for s in ((5, 4), (4, 3), (3,), (5, 3)))
+    tape = T.Tape()
+    leaves = [tape.var(a, requires_grad=True) for a in (x, w, b)]
+    y = T.linear(*leaves)
+    H.same_bits(y.value, x @ w + b)
+    grads = {parent: fn(g) for parent, fn in tape.rules[y.node_id]}
+    for leaf, want in zip(leaves, (g @ w.T, x.T @ g, g.sum(axis=0))):
+        H.same_bits(grads[leaf.node_id], want)
+    plain = T.linear(x, w, b)
+    assert type(plain) is np.ndarray
+    H.same_bits(plain, x @ w + b)
+    for bad in ((x[0], w, b), (x, w[1:], b), (x, w, b[1:]), (x, w, b[None])):
+        with pytest.raises(ShapeError):
+            T.linear(*bad)
 
-    def with_a(tape, x):
-        return project(T.matmul(x, b0))
 
-    def with_b(tape, x):
-        return project(T.matmul(a0, x))
-
-    assert_gradcheck(with_a, a0)
-    assert_gradcheck(with_b, b0)
-
-
-def test_bias_add_grads():
+def test_linear_grads():
     rng = np.random.default_rng(4)
-    x2 = rng.standard_normal((5, 3))
-    x4 = rng.standard_normal((2, 3, 4, 4))
-    b = rng.standard_normal(3)
-    assert_gradcheck(lambda tape, v: project(T.bias_add(x2, v), T.bias_add(x2, v)), b)
-    assert_gradcheck(lambda tape, v: project(T.bias_add(v, b)), x4)
+    x, w, b, r = (rng.standard_normal(s) for s in ((5, 4), (4, 3), (3,), (5, 3)))
+    assert_gradcheck(lambda tape, v: project(T.linear(v, w, b), r), x)
+    assert_gradcheck(lambda tape, v: project(T.linear(x, v, b), r), w)
+    assert_gradcheck(lambda tape, v: project(T.linear(x, w, v), r), b)
 
 
 def test_relu_grad_and_idempotence():
@@ -100,7 +105,7 @@ def test_maxpool_idempotent_on_pooled_signal():
 
 
 def test_pool_then_relu_equals_relu_then_pool():
-    """The pool kernel's relu epilogue, relu(maxpool(z)), is maxpool(relu(z)):
+    """The pool kernel with a zero bias, relu(maxpool(z)), is maxpool(relu(z)):
     equal values with equal sign bits, and input gradients equal under ==.
     The gradients may differ only in where a -0.0 sits: where a window's max
     is <= 0 both orders zero the whole window, but relu-first routes the
@@ -115,7 +120,7 @@ def test_pool_then_relu_equals_relu_then_pool():
     z[0, 1, :2, :2] = [[1.0, 2.0], [2.0, 2.0]]  # positive tie
     z[1, 2] = -np.abs(z[1, 2])               # a plane of non-positive windows
     dy = rng.standard_normal((2, 3, 3, 4))
-    new, idx = kernels.maxpool2_forward(z.copy(), relu=True)
+    new, idx = kernels.maxpool2_forward(z.copy(), np.zeros(3))
     new_grad = kernels.maxpool2_backward(dy, idx)
     old, old_idx = H.oracle_maxpool2_forward(np.where(z > 0, z, 0.0))
     old_grad = H.oracle_maxpool2_backward(dy, old_idx) * (z > 0)
@@ -170,7 +175,7 @@ def test_taped_forward_keeps_only_the_leaf_and_the_output(tiny_encoder):
                      requires_grad=True)
     feats = enc.features_var(x, stack, route)
     alive = [node for node in (ref() for ref in tape.nodes) if node is not None]
-    assert len(tape.nodes) == 7
+    assert len(tape.nodes) == 6
     assert len(alive) == 2 and alive[0] is stack and alive[1] is feats
     for rule in tape.rules.values():
         for _, fn in rule:
@@ -280,7 +285,7 @@ def test_shape_errors_carry_both_shapes():
     assert "(1, 5, 2, 2)" in str(e.value) and "(2, 5, 4, 4)" in str(e.value)
     a = tape.var(np.zeros((2, 3)))
     with pytest.raises(ShapeError):
-        T.matmul(a, a)
+        T.linear(a, a, np.zeros(3))
 
 
 def test_backward_needs_scalar():
@@ -331,7 +336,7 @@ def test_backward_fills_grad_of_trainable_leaves_only():
     a = tape.var(rng.standard_normal(2), requires_grad=True)
     b = tape.var(rng.standard_normal((2, 2)), requires_grad=True)
     frozen = tape.var(rng.standard_normal((2, 2)))
-    total = T.bias_add(frozen, a)
+    total = T.linear(frozen, np.eye(2), a)
     loss = project(total, b)
     assert T.backward(loss) is None
     assert np.array_equal(a.grad, b.value.sum(axis=0))
@@ -379,7 +384,7 @@ def test_conv_block_matches_composed_oracles_bit_for_bit(monkeypatch):
     On random floats the untaped value, with the bias after the max, equals
     the taped one bit for bit."""
     rng = np.random.default_rng(23)
-    tie, _, grid = H.tie_input(rng)  # (3, 4, 8, 10)
+    tie, grid = H.tie_input(rng)  # (3, 4, 8, 10)
     route = np.array([2, 0, 2])
     cases = []
     for w in (np.eye(4)[:, :, None, None],  # pool input = tie_input's values
