@@ -77,9 +77,15 @@ def test_conv_blocks_match_one_block(monkeypatch, batch, budget):
             assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
+def _unbiased(x):
+    """A copy of x, since the pool forward adds its bias in place, and a
+    bias of -0.0, which adds nothing, not even to a -0.0: the pool sees x's
+    own bits."""
+    return x.copy(), np.full(x.shape[1], -0.0)
+
+
 def _pool_both(x, dy):
-    # the forward adds the bias in place, so it gets a copy
-    y, idx = kernels.maxpool2_forward(x.copy(), np.zeros(x.shape[1]))
+    y, idx = kernels.maxpool2_forward(*_unbiased(x))
     return y, idx, kernels.maxpool2_backward(dy, idx)
 
 
@@ -148,7 +154,7 @@ def _check_pool(x, dy):
     max after relu, idx its offset plus 4 where relu zeroed y, and the
     backward its scatter of dy · (y > 0), byte for byte (where relu zeroed
     y, dy · 0.0 keeps dy's sign). Returns idx."""
-    ya, ia = kernels.maxpool2_forward(x.copy(), np.zeros(x.shape[1]))
+    ya, ia = kernels.maxpool2_forward(*_unbiased(x))
     yb, ib = H.oracle_maxpool2_forward(x)
     assert ia.dtype == np.int8 and ia.shape == ya.shape == yb.shape
     assert ya.dtype == np.float64 and ya.flags.c_contiguous

@@ -120,7 +120,7 @@ def test_pool_then_relu_equals_relu_then_pool():
     z[0, 1, :2, :2] = [[1.0, 2.0], [2.0, 2.0]]  # positive tie
     z[1, 2] = -np.abs(z[1, 2])               # a plane of non-positive windows
     dy = rng.standard_normal((2, 3, 3, 4))
-    new, idx = kernels.maxpool2_forward(z.copy(), np.zeros(3))
+    new, idx = kernels.maxpool2_forward(z.copy(), np.full(3, -0.0))  # adds nothing
     new_grad = kernels.maxpool2_backward(dy, idx)
     old, old_idx = H.oracle_maxpool2_forward(np.where(z > 0, z, 0.0))
     old_grad = H.oracle_maxpool2_backward(dy, old_idx) * (z > 0)
