@@ -51,12 +51,20 @@ def test_linear_matches_matmul_plus_bias():
             T.linear(*bad)
 
 
-def test_linear_grads():
-    rng = np.random.default_rng(4)
-    x, w, b, r = (rng.standard_normal(s) for s in ((5, 4), (4, 3), (3,), (5, 3)))
+def test_matmul_grad_both_sides():
+    # linear's x @ w: gradients reach both operands
+    rng = np.random.default_rng(3)
+    x, w, b, r = (rng.standard_normal(s) for s in ((3, 4), (4, 2), (2,), (3, 2)))
     assert_gradcheck(lambda tape, v: project(T.linear(v, w, b), r), x)
     assert_gradcheck(lambda tape, v: project(T.linear(x, v, b), r), w)
+
+
+def test_bias_add_grads():
+    # linear's + b: the bias gradient sums the batch's rows
+    rng = np.random.default_rng(4)
+    x, w, b, r = (rng.standard_normal(s) for s in ((5, 4), (4, 3), (3,), (5, 3)))
     assert_gradcheck(lambda tape, v: project(T.linear(x, w, v), r), b)
+    assert_gradcheck(lambda tape, v: project(T.linear(x, w, v), T.linear(x, w, v)), b)
 
 
 def test_relu_grad_and_idempotence():
