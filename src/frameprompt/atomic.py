@@ -7,7 +7,9 @@ open(path, "wb") would give it (0666 less the umask). Both binary loaders
 early raises TruncatedFileError and one with trailing bytes FormatError. The
 json sidecars and run summaries are written by write_json and read back
 through read_json_object, which raises FormatError for anything but a json
-object."""
+object. read_text reads the text inputs (descriptors, configs, the csv files
+report aggregates) and raises the caller's error type for bytes that are not
+UTF-8."""
 
 import json
 import os
@@ -47,6 +49,17 @@ def read_json_object(path: str, what: str) -> dict:
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: {what} is not a json object")
     return doc
+
+
+def read_text(path: str, error: type) -> str:
+    """The UTF-8 text stored at path; error (a FramePromptError type) if it
+    is not UTF-8."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    try:
+        return blob.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise error(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
 
 
 class Reader:

@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__, kernels
 from . import adapt as adapt_mod
 from . import clustering, data, diversity, encoder as encoder_mod, meta as meta_mod
-from .atomic import read_json_object, write_atomic, write_json
+from .atomic import read_json_object, read_text, write_atomic, write_json
 from .config import RunConfig, load_config
 from .errors import ConfigError, DataError, FormatError, FramePromptError
 from .prompt import PromptBundle, load_bundle, save_bundle
@@ -117,7 +117,7 @@ def _load_encoder_with_tau(path: str):
 def cmd_pretrain(args) -> int:
     cfg = _load_cfg(args)
     ds = data.load_descriptor(args.data)
-    ds = ds.standardize(*ds.channel_stats())
+    ds.standardize(*ds.channel_stats())
     enc = encoder_mod.pretrain(ds, cfg.pretrain_epochs, args.seed,
                                lr=cfg.pretrain_lr, batch_size=cfg.pretrain_batch_size)
     enc.save(args.out)
@@ -133,7 +133,7 @@ def cmd_calibrate(args) -> int:
     cfg = _load_cfg(args)
     enc = encoder_mod.load_encoder(args.encoder)
     ref = data.load_descriptor(args.reference)
-    ref = ref.standardize(*ref.channel_stats())
+    ref.standardize(*ref.channel_stats())
     tau = clustering.calibrate_threshold(enc, ref, probe_size=cfg.probe_size,
                                          seed=args.seed)
     doc = {"tau_star": tau, "encoder_fingerprint": enc.fingerprint,
@@ -169,10 +169,10 @@ def cmd_meta_train(args) -> int:
     if not paths:
         raise UsageError("--datasets must list at least one descriptor")
     datasets = [data.load_descriptor(p) for p in paths]
-    datasets = [ds.standardize(*ds.channel_stats()) for ds in datasets]
     for ds in datasets:
         if _base_id(ds.id) == _base_id(enc.pretrain_dataset_id):
             raise DataError(f"meta dataset {ds.id} equals the pretraining dataset")
+        ds.standardize(*ds.channel_stats())
     result = meta_mod.meta_train(datasets, enc, cfg, seed=args.seed)
     protos = np.zeros((1, enc.spec.feature_dim))
     head = adapt_mod.build_head(enc, adapt_mod.HeadMode("hardcoded", 1))
@@ -269,7 +269,7 @@ def cmd_eval(args) -> int:
     if len(test) == 0:
         raise DataError("test split is empty under the configured fractions")
     res = adapt_mod.evaluate(test, bundle, enc)
-    doc = {"dataset": base, "split": test.split,
+    doc = {"dataset": base, "split": "test",
            "loss": res.loss, "top1": res.top1, "n_clusters": bundle.n,
            "routing_histogram": [int(v) for v in res.histogram]}
     write_json(args.out, doc)
@@ -289,8 +289,7 @@ def cmd_report(args) -> int:
             if name.endswith(".summary.json"):
                 summaries.append(_read_summary(path))
             elif name.endswith(".csv"):
-                with open(path) as fh:
-                    lines = fh.read().splitlines()
+                lines = read_text(path, FormatError).splitlines()
                 if lines and lines[0].startswith("dataset,metric,"):
                     for line in filter(None, lines[1:]):
                         cells = line.split(",")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, fields, replace
 
+from .atomic import read_text
 from .errors import ConfigError
 
 
@@ -143,8 +144,7 @@ def from_dict(raw: dict) -> RunConfig:
 
 
 def load_config(path: str) -> RunConfig:
-    with open(path) as fh:
-        text = fh.read()
+    text = read_text(path, ConfigError)
     if not text.strip():
         return RunConfig()
     try:

@@ -1,20 +1,23 @@
 """Datasets and their IO.
 
-An ImageDataset owns float64 images (n, C, H, W), int64 labels and a string
-id. Raw images live in [0,1]; standardize() shifts to zero-mean/unit-std per
-channel using statistics that are recorded on the dataset so the mapping is
-invertible and reusable on held-out splits.
+An ImageDataset is its arrays: float64 images (n, C, H, W), int64 labels, a
+string id and the class count. Raw images live in [0,1]. standardize(mean,
+std) shifts them in place to zero mean and unit std per channel; the caller
+chooses the statistics (channel_stats of the same data, or of the train
+split for all three parts) and nothing about them is kept on the dataset.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadMagicError, DataError, TruncatedFileError
+from .atomic import read_text
+from .errors import BadMagicError, DataError, FormatError, TruncatedFileError
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -35,9 +38,6 @@ class ImageDataset:
     images: np.ndarray
     labels: np.ndarray
     class_count: int
-    split: str = "full"
-    mean: np.ndarray | None = None
-    std: np.ndarray | None = None
 
     def __post_init__(self):
         self.images = np.ascontiguousarray(self.images, dtype=np.float64)
@@ -53,22 +53,11 @@ class ImageDataset:
     def __len__(self) -> int:
         return self.images.shape[0]
 
-    @property
-    def standardized(self) -> bool:
-        return self.mean is not None
-
-    def standardize(self, mean: np.ndarray, std: np.ndarray) -> "ImageDataset":
-        if self.standardized:
-            raise DataError(f"dataset {self.id} is already standardized")
-        imgs = self.images - mean[None, :, None, None]
-        imgs /= std[None, :, None, None]
-        return replace(self, images=imgs, mean=mean.copy(), std=std.copy())
-
-    def destandardize(self) -> "ImageDataset":
-        if not self.standardized:
-            raise DataError(f"dataset {self.id} is not standardized")
-        imgs = self.images * self.std[None, :, None, None] + self.mean[None, :, None, None]
-        return replace(self, images=imgs, mean=None, std=None)
+    def standardize(self, mean: np.ndarray, std: np.ndarray) -> None:
+        """(images - mean) / std per channel, written into images: -= mean,
+        then /= std, the same two roundings as the out-of-place form."""
+        self.images -= mean[None, :, None, None]
+        self.images /= std[None, :, None, None]
 
     def channel_stats(self) -> tuple[np.ndarray, np.ndarray]:
         if len(self) == 0:
@@ -92,7 +81,9 @@ def _read_idx(path: str, expect_magic: int):
     if len(blob) < header:
         raise TruncatedFileError(f"{path}: header cut short")
     dims = struct.unpack(f">{ndim}i", blob[4:header])
-    count = int(np.prod(dims))
+    if min(dims) < 0:
+        raise FormatError(f"{path}: negative extent in dims {dims}")
+    count = math.prod(dims)  # exact: np.prod wraps past 2**63
     if len(blob) < header + count:
         raise TruncatedFileError(f"{path}: payload has {len(blob) - header} bytes, "
                                  f"dims promise {count}")
@@ -185,9 +176,8 @@ def split_dataset(dataset: ImageDataset, fractions, seed: int):
 
     Per-class counts follow the fractions within one sample (largest
     remainder); a zero fraction yields an empty split. Statistics come from
-    the train split alone and are applied to all three, in place on each
-    part's freshly gathered images: -= mean, then /= std, the same two
-    roundings as (x - mean) / std, and the input dataset is left as it is."""
+    the train split alone and standardize all three parts, each in its own
+    freshly gathered images, so the input dataset is left as it is."""
     fr = np.asarray(fractions, dtype=np.float64)
     if fr.shape != (3,):
         raise DataError(f"need 3 fractions, got {fr.shape}")
@@ -195,8 +185,6 @@ def split_dataset(dataset: ImageDataset, fractions, seed: int):
         raise DataError(f"fractions must be nonnegative: {fractions}")
     if abs(fr.sum() - 1.0) > 1e-9:
         raise DataError(f"fractions sum to {fr.sum()!r}, not 1")
-    if dataset.standardized:
-        raise DataError("split expects raw (unstandardized) input")
     rng = np.random.default_rng(seed)
     buckets: list[list[int]] = [[], [], []]
     for cls in range(dataset.class_count):
@@ -225,15 +213,12 @@ def split_dataset(dataset: ImageDataset, fractions, seed: int):
     for i, name in enumerate(names):
         ids = np.asarray(sorted(buckets[i]), dtype=np.int64)
         parts.append(ImageDataset(f"{dataset.id}/{name}", dataset.images[ids],
-                                  dataset.labels[ids], dataset.class_count, split=name))
+                                  dataset.labels[ids], dataset.class_count))
     if len(parts[0]) == 0:
         raise DataError("train split is empty; cannot compute statistics")
     mean, std = parts[0].channel_stats()
     for p in parts:
-        # the gathered images are this part's own copy
-        p.images -= mean[None, :, None, None]
-        p.images /= std[None, :, None, None]
-        p.mean, p.std = mean.copy(), std.copy()
+        p.standardize(mean, std)
     return tuple(parts)
 
 
@@ -249,11 +234,11 @@ _DESCRIPTOR_FIELDS = {
 def load_descriptor(path: str) -> ImageDataset:
     """Dataset descriptor json: {"kind": "synthetic"|"idx", ...}. DataError
     unless it is an object with every required field, each of its type."""
-    with open(path) as fh:
-        try:
-            desc = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise DataError(f"{path}: invalid json at line {e.lineno}") from e
+    text = read_text(path, DataError)
+    try:
+        desc = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise DataError(f"{path}: invalid json at line {e.lineno}") from e
     if not isinstance(desc, dict):
         raise DataError(f"{path}: descriptor must be a json object")
     kind = desc.get("kind")

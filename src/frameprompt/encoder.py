@@ -324,7 +324,7 @@ def pretrain(dataset, epochs: int, seed: int, lr: float = 1e-3,
         flips = erng.random(n) < 0.5
         for start in range(0, n, batch_size):
             ids = order[start:start + batch_size]
-            xb = dataset.images[ids].copy()
+            xb = dataset.images[ids]  # a gathered copy: the flips stay in it
             fl = flips[start:start + len(ids)]
             xb[fl] = xb[fl][:, :, :, ::-1]
             yb = dataset.labels[ids]

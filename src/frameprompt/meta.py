@@ -114,7 +114,6 @@ class MetaResult:
     dataset_ids: list
     epoch_losses: list = field(default_factory=list)
     update_norms: list = field(default_factory=list)
-    config_snapshot: str = ""
 
 
 def meta_train(datasets, encoder, cfg: RunConfig, seed: int = 0) -> MetaResult:
@@ -132,7 +131,7 @@ def meta_train(datasets, encoder, cfg: RunConfig, seed: int = 0) -> MetaResult:
                           noise_count=cfg.noise_count)
     pm = PromptFrame(spec)
     opt = Adam(lr=cfg.gamma) if cfg.meta_use_adam else None
-    result = MetaResult(pm, ids, config_snapshot=cfg.snapshot())
+    result = MetaResult(pm, ids)
     for epoch in range(cfg.meta_epochs):
         batches = sample_meta_batch(groups, cfg.meta_batch_size,
                                     [seed, _BATCH, epoch])

@@ -248,5 +248,5 @@ def make_modemix(modes, classes_per_mode, samples_per_class, jitter, seed,
                                         classes_per_mode=classes_per_mode,
                                         samples_per_class=samples_per_class,
                                         jitter=jitter, seed=seed, size=size))
-    mean, std = ds.channel_stats()
-    return ds.standardize(mean, std)
+    ds.standardize(*ds.channel_stats())
+    return ds

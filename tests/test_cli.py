@@ -405,6 +405,9 @@ def test_contract_violations_exit_2(pipeline, tmp_path, capsys):
         runs.append((str(path), str(pipeline["config"]), "error: DataError:"))
     runs.append((str(tmp_path / "absent.json"), str(pipeline["config"]), "error:"))
     runs.append((pipeline["pre"], str(tmp_path / "absent_config.json"), "error:"))
+    latin1 = tmp_path / "latin1_config.json"
+    latin1.write_bytes(b'{"optimizer": "adam\xe9"}')
+    runs.append((pipeline["pre"], str(latin1), "error: ConfigError:"))
     for i, (desc, config, prefix) in enumerate(runs):
         out = tmp_path / f"bad{i}.damw"
         rc = cli.main(["pretrain", "--data", desc, "--out", str(out), "--config", config])
@@ -412,6 +415,14 @@ def test_contract_violations_exit_2(pipeline, tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith(prefix), err
         assert not os.path.exists(out)
+    # a diversity csv under report --runs that is not UTF-8
+    latin1_runs = tmp_path / "latin1_runs"
+    latin1_runs.mkdir()
+    (latin1_runs / "d.csv").write_bytes(b"dataset,metric,pairs,seed,score,score_std\n"
+                                        b"caf\xe9,feature_l2,10,0,1.0,0.0\n")
+    assert cli.main(["report", "--runs", str(latin1_runs)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: FormatError:"), err
     # unreadable json sidecars next to a good weight file
     fingerprint = json.load(open(pipeline["enc"] + ".meta.json"))["fingerprint"]
     sidecars = [("enc.calib.json", "[1]"), ("enc.calib.json", "{"),
@@ -460,3 +471,10 @@ def test_descriptor_parse_error_exits_2(tmp_path, pipeline, capsys):
                    "--out", str(tmp_path / "d.csv")])
     assert rc == 2
     assert "line" in capsys.readouterr().err
+    bad.write_bytes(b'{"kind": "synthetic", "id": "caf\xe9"}')
+    rc = cli.main(["diversity", "--data", str(bad), "--space", "pixel_l2",
+                   "--out", str(tmp_path / "d.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: DataError:"), err
+    assert "UTF-8" in err

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from frameprompt import data as D
-from frameprompt.errors import BadMagicError, DataError, TruncatedFileError
+from frameprompt.errors import BadMagicError, DataError, FormatError, TruncatedFileError
 
 
 def idx_bytes(images=None, labels=None):
@@ -54,6 +54,15 @@ def test_load_idx_error_taxonomy(tmp_path):
     lab3.write_bytes(idx_bytes(labels=np.zeros(3, dtype=np.uint8)))
     with pytest.raises(DataError):
         D.load_idx(str(img), str(lab3), "x")
+    # a negative extent, with the payload of its absolute value, and extents
+    # whose product wraps an int64 to 0 are refused, not reshaped
+    for dims in ((-3, 4, 4), (2 ** 21, 2 ** 21, 2 ** 22)):
+        odd = tmp_path / "odd.idx"
+        odd.write_bytes(struct.pack(">iiii", 0x00000803, *dims) + bytes(64))
+        lab4 = tmp_path / "lab4.idx"
+        lab4.write_bytes(idx_bytes(labels=np.zeros(4, dtype=np.uint8)))
+        with pytest.raises(FormatError):
+            D.load_idx(str(odd), str(lab4), "x")
 
 
 def test_modemix_shapes_and_labels():
@@ -100,30 +109,41 @@ def test_modemix_builds_its_images_once():
     assert peak <= 1.25 * ds.images.nbytes
 
 
+def _split_rows(ds, fractions, seed):
+    """Source rows of each part of split_dataset(ds, fractions, seed). The
+    split picks rows from the labels and the seed alone, so a copy whose
+    images are the row numbers gives them back: its parts together hold
+    0..n-1 under one increasing affine map."""
+    n = len(ds)
+    rows = np.arange(n, dtype=np.float64).reshape(n, 1, 1, 1)
+    parts = D.split_dataset(D.ImageDataset("rows", rows, ds.labels, ds.class_count),
+                            fractions, seed)
+    both = np.concatenate([p.images.ravel() for p in parts])
+    lo, hi = both.min(), both.max()
+    return [np.rint((p.images.ravel() - lo) / (hi - lo) * (n - 1)).astype(np.int64)
+            for p in parts]
+
+
+def _standardized_by(raw, mean, std):
+    return (raw - mean[None, :, None, None]) / std[None, :, None, None]
+
+
 def test_split_standardizes_fresh_parts_in_place():
     """Each part is bit for bit the out-of-place (x - mean) / std of its raw
-    rows, with the train rows' statistics; the input keeps its bits, and no
-    part shares its memory."""
+    rows, with the raw train rows' statistics; the input keeps its bits, and
+    no part shares its memory."""
     ds = D.generate_modemix(D.SyntheticSpec(2, 2, 30, jitter=0.05, seed=3))
     before = ds.images.copy()
     parts = D.split_dataset(ds, (0.6, 0.2, 0.2), seed=4)
-    assert np.array_equal(ds.images, before) and not ds.standardized
-    mean, std = parts[0].mean, parts[0].std
-    want = (before - mean[None, :, None, None]) / std[None, :, None, None]
-    row_of = {row.tobytes(): i for i, row in enumerate(want)}
-    assert len(row_of) == len(ds)
-    ids = [[row_of[row.tobytes()] for row in p.images] for p in parts]
-    assert sorted(sum(ids, [])) == list(range(len(ds)))
+    assert np.array_equal(ds.images, before)
+    ids = _split_rows(ds, (0.6, 0.2, 0.2), seed=4)
+    assert sorted(np.concatenate(ids).tolist()) == list(range(len(ds)))
+    raw_train = D.ImageDataset("raw", before[ids[0]], ds.labels[ids[0]], ds.class_count)
+    want = _standardized_by(before, *raw_train.channel_stats())
     for p, mine in zip(parts, ids):
         assert np.array_equal(p.images, want[mine])
         assert np.array_equal(p.labels, ds.labels[mine])
         assert not np.shares_memory(p.images, ds.images)
-    raw_train = D.ImageDataset("raw", before[ids[0]], ds.labels[ids[0]], ds.class_count)
-    for got, stat in zip((mean, std), raw_train.channel_stats()):
-        assert np.array_equal(got, stat)
-    # ImageDataset.standardize gives the same bits out of place
-    std_ds = ds.standardize(mean, std)
-    assert np.array_equal(std_ds.images, want) and np.array_equal(ds.images, before)
 
 
 def test_split_holds_one_copy_of_its_parts():
@@ -152,11 +172,14 @@ def test_split_is_stratified_and_standardized():
         for cls in range(4):
             got = int((part.labels == cls).sum())
             assert abs(got - frac * 30) <= 1  # proportions within one sample
-    # statistics come from train and are shared
+    # statistics come from the raw train rows and are shared
     assert np.allclose(train.images.mean(axis=(0, 2, 3)), 0.0, atol=1e-9)
     assert np.allclose(train.images.std(axis=(0, 2, 3)), 1.0, atol=1e-9)
-    assert np.array_equal(train.mean, val.mean)
-    assert np.array_equal(train.std, test.std)
+    ids = _split_rows(ds, (0.7, 0.15, 0.15), seed=4)
+    mean, std = D.ImageDataset("raw", ds.images[ids[0]], ds.labels[ids[0]],
+                               ds.class_count).channel_stats()
+    for part, rows in zip((val, test), ids[1:]):
+        assert np.array_equal(part.images, _standardized_by(ds.images[rows], mean, std))
     assert abs(float(val.images.mean())) > 1e-12  # val uses train stats, not its own
 
 
@@ -168,13 +191,6 @@ def test_split_deterministic_and_disjoint():
     for x, y in zip(a, b):
         assert np.array_equal(x.images, y.images)
     assert not np.array_equal(a[0].images, c[0].images)
-    # destandardized rows must reappear in the source set exactly once
-    raw = a[0].destandardize()
-    matches = 0
-    for row in raw.images:
-        matches += int(np.any(np.all(np.isclose(ds.images, row, atol=1e-12),
-                                     axis=(1, 2, 3))))
-    assert matches == len(raw)
 
 
 def test_split_zero_fraction_and_errors():
@@ -190,16 +206,14 @@ def test_split_zero_fraction_and_errors():
         D.split_dataset(tiny, (0.5, 0.25, 0.25), seed=0)
 
 
-def test_standardize_destandardize_identity():
+def test_standardize_writes_out_of_place_bits_in_place():
     ds = D.generate_modemix(D.SyntheticSpec(2, 1, 8, jitter=0.05, seed=9))
     mean, std = ds.channel_stats()
-    back = ds.standardize(mean, std).destandardize()
-    assert np.abs(back.images - ds.images).max() < 1e-12
-    with pytest.raises(DataError):
-        ds.destandardize()
-    std_ds = ds.standardize(mean, std)
-    with pytest.raises(DataError):
-        std_ds.standardize(mean, std)
+    want = _standardized_by(ds.images, mean, std)
+    buffer = ds.images
+    assert ds.standardize(mean, std) is None
+    assert ds.images is buffer
+    assert np.array_equal(ds.images, want)
 
 
 def test_descriptor_loading(tmp_path):
