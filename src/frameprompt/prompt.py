@@ -32,7 +32,7 @@ from .errors import BadMagicError, DataError, FormatError, ShapeError
 MAGIC = b"DAMP"
 VERSION = 1
 
-# Images are standardized per channel, and trained prompt values stay within
+# Images are standardised per channel, and trained prompt values stay within
 # a few units of zero: at most about 14 over the test suite and 3.4 over the
 # benchmark workloads. A value past this bound only drowns the image, so a
 # step that produces one has diverged, even where the loss stays finite: an
