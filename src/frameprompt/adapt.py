@@ -112,13 +112,17 @@ def check_frozen(encoder):
 
 @dataclass
 class Metrics:
+    """Rows (epoch, split, loss, top1), a function of the inputs and the seed
+    alone, and apart from them each row's wall-clock seconds, listed by split
+    in row order."""
     rows: list = field(default_factory=list)
+    seconds: dict = field(default_factory=dict)
 
-    HEADER = "epoch,split,loss,top1,n_clusters,seconds"
+    HEADER = "epoch,split,loss,top1"
 
-    def add(self, epoch: int, split: str, loss: float, top1: float,
-            n_clusters: int, seconds: float):
-        self.rows.append((epoch, split, loss, top1, n_clusters, seconds))
+    def add(self, epoch: int, split: str, loss: float, top1: float, seconds: float):
+        self.rows.append((epoch, split, loss, top1))
+        self.seconds.setdefault(split, []).append(seconds)
 
     def final(self, split: str):
         for row in reversed(self.rows):
@@ -128,8 +132,8 @@ class Metrics:
 
     def to_csv(self) -> str:
         lines = [self.HEADER]
-        for e, s, l, a, n, sec in self.rows:
-            lines.append(f"{e},{s},{l:.10g},{a:.10g},{n},{sec:.6f}")
+        for e, s, l, a in self.rows:
+            lines.append(f"{e},{s},{l:.10g},{a:.10g}")
         return "\n".join(lines) + "\n"
 
 
@@ -151,7 +155,7 @@ def evaluate(dataset, bundle: PromptBundle, encoder) -> EvalResult:
     """Route prompt-free features to a prototype, then score each image with
     its routed prompt on the training path (forward_features with the stack).
     Deterministic: no RNG anywhere on this path."""
-    if bundle.encoder_fingerprint and bundle.encoder_fingerprint != encoder.fingerprint:
+    if bundle.encoder_fingerprint != encoder.fingerprint:
         raise FrozenViolationError(
             f"bundle was trained against encoder {bundle.encoder_fingerprint:#x}, "
             f"got {encoder.fingerprint:#x}")
@@ -219,12 +223,11 @@ def adapt(train, encoder, cfg: RunConfig, mode: HeadMode, seed: int = 0,
         raise ShapeError(f"meta prompt spec {meta.spec} vs data spec {spec}")
 
     protos, assign = _build_prototypes(train, encoder, cfg, seed)
-    n_clusters = len(protos)
     if meta is not None:
-        prompts = [meta.copy() for _ in range(n_clusters)]
+        prompts = [meta.copy() for _ in protos]
     else:
         prompts = [PromptFrame.random(spec, cfg.prompt_init_sigma, [seed, _PROMPT, t])
-                   for t in range(n_clusters)]
+                   for t in range(len(protos))]
     head = build_head(encoder, mode)
     val_routes, test_routes = (_route_split(ds, protos, mode.k, encoder)
                                if ds is not None and len(ds) else None for ds in (val, test))
@@ -252,20 +255,18 @@ def adapt(train, encoder, cfg: RunConfig, mode: HeadMode, seed: int = 0,
             loss, hits = _ce_and_top1(logits, labels)
             epoch_loss += loss
             epoch_hits += hits
-        metrics.add(epoch, "train", epoch_loss / n, epoch_hits / n, n_clusters,
+        metrics.add(epoch, "train", epoch_loss / n, epoch_hits / n,
                     time.perf_counter() - t0)
         if val_routes is not None:
             t1 = time.perf_counter()
             r = _score_routed(val, val_routes, prompts, head, encoder)
-            metrics.add(epoch, "val", r.loss, r.top1, n_clusters,
-                        time.perf_counter() - t1)
+            metrics.add(epoch, "val", r.loss, r.top1, time.perf_counter() - t1)
     bundle = PromptBundle(prompts, protos, head, encoder.fingerprint,
                           cfg.snapshot(), meta_initialized=meta is not None)
     if test_routes is not None:
         t1 = time.perf_counter()
         r = _score_routed(test, test_routes, prompts, head, encoder)
-        metrics.add(cfg.epochs - 1, "test", r.loss, r.top1, n_clusters,
-                    time.perf_counter() - t1)
+        metrics.add(cfg.epochs - 1, "test", r.loss, r.top1, time.perf_counter() - t1)
     check_frozen(encoder)
     return bundle, metrics
 

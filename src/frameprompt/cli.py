@@ -5,7 +5,9 @@ path that cannot be read or written. Every
 hyperparameter lives in the config file; flags carry only paths, the seed and
 the head mode. Each command that writes artifacts also writes a manifest with
 content hashes of inputs and (canonicalized) outputs, so re-running with the
-same inputs yields the same hashes regardless of wall clock.
+same inputs yields the same hashes regardless of wall clock: timings live only
+under the seconds key of adapt's summary json, which the hash leaves out, and
+every other output, the metrics csv included, is the same bytes on a rerun.
 """
 
 from __future__ import annotations
@@ -46,25 +48,12 @@ def _file_sha(path: str) -> str:
 
 
 def canonical_bytes(path: str) -> bytes:
-    """Output bytes with volatile fields removed: the seconds column of
-    metrics CSVs is blanked, and the seconds key of json files dropped."""
+    """Output bytes with volatile fields removed: a json object loses its
+    top-level seconds key, the one place an output holds wall-clock time.
+    Every other output is hashed as written."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    name = os.path.basename(path)
-    if name.endswith(".csv"):
-        text = blob.decode("utf-8")
-        lines = text.splitlines()
-        if lines and "seconds" in lines[0].split(","):
-            col = lines[0].split(",").index("seconds")
-            out = [lines[0]]
-            for line in lines[1:]:
-                cells = line.split(",")
-                if len(cells) > col:
-                    cells[col] = ""
-                out.append(",".join(cells))
-            return ("\n".join(out) + "\n").encode("utf-8")
-        return blob
-    if name.endswith(".json"):
+    if path.endswith(".json"):
         doc = json.loads(blob)
         if isinstance(doc, dict):
             doc.pop("seconds", None)
@@ -244,7 +233,7 @@ def cmd_adapt(args) -> int:
         "test_top1": test_row[3] if test_row else None,
         "test_loss": test_row[2] if test_row else None,
         "encoder_fingerprint": enc.fingerprint,
-        "seconds": sum(r[5] for r in metrics.rows),
+        "seconds": metrics.seconds,
     }
     write_json(stem + ".summary.json", summary)
     ins = _inputs(args, "data", "encoder", "config")

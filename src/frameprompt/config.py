@@ -1,13 +1,15 @@
 """Flat json run configuration.
 
-Unknown keys, duplicate keys and constraint violations are hard errors; an
-empty file means all defaults. The frozen snapshot of a config rides along in
-prompt bundles so a run can be reproduced from its artifacts.
+Unknown keys, duplicate keys, numbers that are not finite and constraint
+violations are hard errors; an empty file means all defaults. The frozen
+snapshot of a config rides along in prompt bundles so a run can be reproduced
+from its artifacts.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields, replace
 
 from .atomic import read_text
@@ -66,28 +68,35 @@ def _reject_duplicates(pairs):
     return dict(pairs)
 
 
+def _finite(key: str, value) -> float:
+    """value as a finite float: not a boolean, NaN, an infinity, or an integer
+    too large for a float."""
+    try:
+        if not isinstance(value, bool) and math.isfinite(value):
+            return float(value)
+    except (TypeError, OverflowError):
+        pass
+    raise ConfigError(f"{key} must be a finite number, got {value!r}")
+
+
 def _coerce(key: str, value):
     want = _TYPES[key]
     if key == "split_fractions":
         if not isinstance(value, (list, tuple)) or len(value) != 3:
             raise ConfigError(f"split_fractions must be a 3-element list, got {value!r}")
-        return tuple(float(v) for v in value)
+        return tuple(_finite(key, v) for v in value)
     if key == "tau":
-        if isinstance(value, str):
-            if value != "calibrate":
-                raise ConfigError(f"tau must be a number or \"calibrate\", got {value!r}")
+        if value == "calibrate":
             return value
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            return float(value)
-        raise ConfigError(f"tau must be a number or \"calibrate\", got {value!r}")
+        if isinstance(value, str):
+            raise ConfigError(f"tau must be a number or \"calibrate\", got {value!r}")
+        return _finite(key, value)
     if want is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{key} must be an integer, got {value!r}")
         return value
     if want is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{key} must be a number, got {value!r}")
-        return float(value)
+        return _finite(key, value)
     if want is bool:
         if not isinstance(value, bool):
             raise ConfigError(f"{key} must be true or false, got {value!r}")
@@ -149,8 +158,8 @@ def load_config(path: str) -> RunConfig:
         return RunConfig()
     try:
         raw = json.loads(text, object_pairs_hook=_reject_duplicates)
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"{path}: json parse error at line {e.lineno}: {e.msg}") from e
+    except ValueError as e:  # bad syntax, or an integer literal over 4300 digits
+        raise ConfigError(f"{path}: json parse error: {e}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a json object")
     return from_dict(raw)

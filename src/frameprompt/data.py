@@ -237,8 +237,8 @@ def load_descriptor(path: str) -> ImageDataset:
     text = read_text(path, DataError)
     try:
         desc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise DataError(f"{path}: invalid json at line {e.lineno}") from e
+    except ValueError as e:  # bad syntax, or an integer literal over 4300 digits
+        raise DataError(f"{path}: invalid json: {e}") from None
     if not isinstance(desc, dict):
         raise DataError(f"{path}: descriptor must be a json object")
     kind = desc.get("kind")

@@ -247,40 +247,27 @@ def load_weights(path: str) -> tuple[dict, int]:
 
 
 def load_encoder(path: str) -> FrozenEncoder:
+    """The weights at path with their sidecar (meta_path), which is required:
+    it holds the pretraining dataset id and the f0 the weights must give."""
     weights, fp = load_weights(path)
-    try:
-        meta = read_json_object(meta_path(path), "encoder metadata")
-    except FileNotFoundError:
-        meta = _infer_meta(weights)
+    meta = read_json_object(meta_path(path), "encoder metadata")
     try:
         spec = EncoderSpec(in_channels=int(meta["in_channels"]), height=int(meta["height"]),
                            width=int(meta["width"]))
-        extras = {"pretrain_dataset_id": str(meta.get("pretrain_dataset_id", "")),
-                  "train_accuracy": float(meta.get("train_accuracy", 0.0)),
-                  "seed": int(meta.get("seed", 0))}
-        golden = np.asarray(meta["f0"], dtype=np.float64) if "f0" in meta else None
+        extras = {"pretrain_dataset_id": str(meta["pretrain_dataset_id"]),
+                  "train_accuracy": float(meta["train_accuracy"]),
+                  "seed": int(meta["seed"])}
+        golden = np.asarray(meta["f0"], dtype=np.float64)
     except (KeyError, TypeError, ValueError) as e:
         raise FormatError(f"{meta_path(path)}: encoder metadata field missing or "
                           f"mistyped: {e!r}") from None
     enc = FrozenEncoder(spec, weights, **extras)
     if enc.fingerprint != fp:
         raise FingerprintMismatchError("weights changed between parse and construction")
-    if golden is not None and (golden.shape != enc.f0.shape
-                               or not np.array_equal(golden, enc.f0)):
+    if not np.array_equal(golden, enc.f0):
         raise FingerprintMismatchError("stored zero-input response differs from "
                                        "recomputed one")
     return enc
-
-
-def _infer_meta(weights: dict) -> dict:
-    # no sidecar: recover a square spatial size from the fc fan-in
-    cin = weights["conv1_w"].shape[1]
-    fc_in = weights["fc_w"].shape[0]
-    side4 = np.sqrt(fc_in / 32)
-    hw = int(round(side4)) * 4
-    if 32 * (hw // 4) ** 2 != fc_in:
-        raise FormatError("cannot infer input size; sidecar metadata required")
-    return {"in_channels": cin, "height": hw, "width": hw}
 
 
 def _init_params(spec: EncoderSpec, seed: int) -> dict:

@@ -213,16 +213,16 @@ def test_one_tape_matches_per_cluster_tapes(tiny_encoder):
 
 def test_metrics_csv_and_final():
     m = A.Metrics()
-    m.add(0, "train", 1.5, 0.25, 3, 0.01)
-    m.add(0, "val", 1.4, 0.30, 3, 0.02)
-    m.add(1, "train", 1.2, 0.50, 3, 0.01)
+    m.add(0, "train", 1.5, 0.25, 0.01)
+    m.add(0, "val", 1.4, 0.30, 0.02)
+    m.add(1, "train", 1.2, 0.50, 0.03)
     text = m.to_csv()
     lines = text.splitlines()
-    assert lines[0] == "epoch,split,loss,top1,n_clusters,seconds"
-    assert len(lines) == 4
-    cells = lines[1].split(",")
-    assert cells[:2] == ["0", "train"] and float(cells[5]) == pytest.approx(0.01)
-    assert m.final("train")[0] == 1
+    assert lines[0] == "epoch,split,loss,top1"
+    assert lines[1:] == ["0,train,1.5,0.25", "0,val,1.4,0.3", "1,train,1.2,0.5"]
+    assert m.rows[0] == (0, "train", 1.5, 0.25)
+    assert m.seconds == {"train": [0.01, 0.03], "val": [0.02]}
+    assert m.final("train") == (1, "train", 1.2, 0.5)
     assert m.final("test") is None
 
 
@@ -281,8 +281,10 @@ def test_evaluate_rejects_fingerprint_mismatch(tiny_encoder):
         np.zeros((1, enc.spec.feature_dim)),
         A.build_head(enc, A.HeadMode("hardcoded", 4)),
         enc.fingerprint + 1, "{}")
-    with pytest.raises(FrozenViolationError):
-        A.evaluate(ds, bundle, enc)
+    # a fingerprint of 0 is compared like any other, not read as "unknown"
+    for fp in (enc.fingerprint + 1, 0):
+        with pytest.raises(FrozenViolationError):
+            A.evaluate(ds, dataclasses.replace(bundle, encoder_fingerprint=fp), enc)
     empty = dataclasses.replace(ds, images=ds.images[:0], labels=ds.labels[:0])
     good = dataclasses.replace(bundle, encoder_fingerprint=enc.fingerprint)
     with pytest.raises(DataError):
@@ -303,8 +305,7 @@ def test_adapt_is_deterministic(tiny_encoder, splits):
         assert np.array_equal(p.values, q.values)
     assert np.array_equal(b1.prototypes, b2.prototypes)
     assert np.array_equal(b1.head.weight, b2.head.weight)
-    for r1, r2 in zip(m1.rows, m2.rows):
-        assert r1[:5] == r2[:5]  # seconds may differ
+    assert m1.rows == m2.rows and m1.to_csv() == m2.to_csv()
     b3, _ = A.adapt(train, enc, cfg, mode, seed=6)
     assert not all(np.array_equal(p.values, q.values)
                    for p, q in zip(b1.prompts, b3.prompts))
@@ -328,7 +329,7 @@ def test_adapt_val_and_test_rows(tiny_encoder, splits):
                          seed=0, val=val, test=test)
     seq = [(r[0], r[1]) for r in metrics.rows]
     assert seq == [(0, "train"), (0, "val"), (1, "train"), (1, "val"), (1, "test")]
-    assert all(r[4] == metrics.rows[0][4] for r in metrics.rows)
+    assert {k: len(v) for k, v in metrics.seconds.items()} == {"train": 2, "val": 2, "test": 1}
 
 
 def test_baseline_matches_adapt_with_huge_tau(tiny_encoder, splits):

@@ -118,9 +118,14 @@ def test_adapt_artifacts(pipeline):
     assert summary["n_clusters"] >= 1
     assert 0 <= summary["test_top1"] <= 1
     lines = open(stem + ".metrics.csv").read().splitlines()
-    assert lines[0] == "epoch,split,loss,top1,n_clusters,seconds"
+    assert lines[0] == "epoch,split,loss,top1"
     # 2 epochs x (train+val) + test
     assert len(lines) == 1 + 2 * 2 + 1
+    assert [len(summary["seconds"][k]) for k in ("train", "val", "test")] == [2, 2, 1]
+    assert all(t >= 0 for ts in summary["seconds"].values() for t in ts)
+    # the rows hold no timing, so the manifest hashes the csv as written
+    csv = stem + ".metrics.csv"
+    assert cli.canonical_bytes(csv) == open(csv, "rb").read()
     vp_summary = json.load(open(pipeline["vp_bundle"][: -len(".dampb")]
                                 + ".summary.json"))
     assert vp_summary["force_single_prompt"] and vp_summary["n_clusters"] == 1
@@ -222,6 +227,9 @@ def test_manifest_hash_reproducible(pipeline, tmp_path):
         outs.append(json.load(open(str(d / "run.manifest.json"))))
     assert outs[0]["outputs_hash"] == outs[1]["outputs_hash"]
     assert outs[0]["outputs"] == outs[1]["outputs"]
+    # the bundle and the metrics csv are the same bytes, not only the same hash
+    for name in ("run.dampb", "run.metrics.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 _CHAIN = """
@@ -408,6 +416,9 @@ def test_contract_violations_exit_2(pipeline, tmp_path, capsys):
     latin1 = tmp_path / "latin1_config.json"
     latin1.write_bytes(b'{"optimizer": "adam\xe9"}')
     runs.append((pipeline["pre"], str(latin1), "error: ConfigError:"))
+    nan_tau = tmp_path / "nan_tau.json"
+    nan_tau.write_text('{"tau": NaN}')
+    runs.append((pipeline["pre"], str(nan_tau), "error: ConfigError:"))
     for i, (desc, config, prefix) in enumerate(runs):
         out = tmp_path / f"bad{i}.damw"
         rc = cli.main(["pretrain", "--data", desc, "--out", str(out), "--config", config])
@@ -423,23 +434,33 @@ def test_contract_violations_exit_2(pipeline, tmp_path, capsys):
     assert cli.main(["report", "--runs", str(latin1_runs)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: FormatError:"), err
-    # unreadable json sidecars next to a good weight file
-    fingerprint = json.load(open(pipeline["enc"] + ".meta.json"))["fingerprint"]
+    # unreadable, incomplete or missing json sidecars next to a good weight
+    # file; without its metadata an encoder would not know its pretraining set
+    meta = json.load(open(pipeline["enc"] + ".meta.json"))
+    without = {key: json.dumps({k: v for k, v in meta.items() if k != key})
+               for key in ("f0", "pretrain_dataset_id")}
     sidecars = [("enc.calib.json", "[1]"), ("enc.calib.json", "{"),
-                ("enc.calib.json", json.dumps({"encoder_fingerprint": fingerprint})),
-                ("enc.damw.meta.json", "{"), ("enc.damw.meta.json", "{}")]
+                ("enc.calib.json", json.dumps({"encoder_fingerprint": meta["fingerprint"]})),
+                ("enc.damw.meta.json", "{"), ("enc.damw.meta.json", "{}"),
+                ("enc.damw.meta.json", without["f0"]),
+                ("enc.damw.meta.json", without["pretrain_dataset_id"]),
+                ("enc.damw.meta.json", None)]
     for i, (name, text) in enumerate(sidecars):
         d = tmp_path / f"sidecar{i}"
         d.mkdir()
         shutil.copy(pipeline["enc"], d / "enc.damw")
         shutil.copy(pipeline["enc"] + ".meta.json", d / "enc.damw.meta.json")
-        (d / name).write_text(text)
+        if text is None:
+            (d / name).unlink()
+        else:
+            (d / name).write_text(text)
         rc = cli.main(["adapt", "--data", pipeline["down"], "--encoder", str(d / "enc.damw"),
                        "--mode", "active", "--out", str(d / "run.dampb"),
                        "--config", str(pipeline["config"])])
         assert rc == 2, (name, text)
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("error: FormatError:"), err
+        prefix = "error: FileNotFoundError:" if text is None else "error: FormatError:"
+        assert err.count("\n") == 1 and err.startswith(prefix), err
         assert not os.path.exists(d / "run.dampb")
 
 
@@ -478,3 +499,10 @@ def test_descriptor_parse_error_exits_2(tmp_path, pipeline, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: DataError:"), err
     assert "UTF-8" in err
+    # an integer literal longer than Python parses (4300 digits)
+    bad.write_text('{"kind": "synthetic", "size": 1%s}' % ("0" * 5000))
+    rc = cli.main(["diversity", "--data", str(bad), "--space", "pixel_l2",
+                   "--out", str(tmp_path / "d.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: DataError:"), err

@@ -102,3 +102,24 @@ def test_snapshot_roundtrips_through_json():
     assert doc["gamma"] == 0.5
     restored = from_dict(doc)
     assert restored == cfg
+
+
+def test_numbers_must_be_finite(tmp_path):
+    # json literals the parser accepts: NaN, Infinity, 1e400 (parsed as inf)
+    # and an integer too large for a float; booleans are not fractions
+    huge = "1" + "0" * 400
+    bad = ['{"split_fractions": ["a", 0, 0]}', '{"split_fractions": [null, 0.5, 0.5]}',
+           '{"split_fractions": [true, false, false]}',
+           '{"split_fractions": [NaN, 0.5, 0.5]}', '{"lr": %s}' % huge,
+           '{"tau": %s}' % huge, '{"tau": null}', '{"tau": true}',
+           '{"lr": 1%s}' % ("0" * 5000)]  # past the 4300 digits json parses
+    for literal in ("NaN", "Infinity", "-Infinity", "1e400"):
+        bad += ['{"lr": %s}' % literal, '{"momentum": %s}' % literal,
+                '{"tau": %s}' % literal, '{"split_fractions": [%s, 0, 0]}' % literal]
+    for i, text in enumerate(bad):
+        p = tmp_path / f"c{i}.json"
+        p.write_text(text)
+        with pytest.raises(ConfigError):
+            load_config(str(p))
+    assert from_dict({"tau": 3, "lr": 1}) == from_dict({"tau": 3.0, "lr": 1.0})
+    assert from_dict({"split_fractions": [1, 0, 0]}).split_fractions == (1.0, 0.0, 0.0)

@@ -173,15 +173,14 @@ def test_load_distinguishes_failure_modes(tmp_path, tiny_encoder):
     assert type(info.value) is FormatError and "2 trailing bytes" in str(info.value)
 
 
-def test_load_without_sidecar_infers_square_input(tmp_path, tiny_encoder):
-    enc, ds = tiny_encoder
+def test_load_without_sidecar_raises(tmp_path, tiny_encoder):
+    # the sidecar names the pretraining dataset that adapt must refuse
+    enc, _ = tiny_encoder
     path = str(tmp_path / "enc.damw")
     enc.save(path)
     (tmp_path / "enc.damw.meta.json").unlink()
-    loaded = E.load_encoder(path)
-    assert loaded.spec.height == enc.spec.height
-    assert np.array_equal(loaded.forward_features(ds.images[:2]),
-                          enc.forward_features(ds.images[:2]))
+    with pytest.raises(FileNotFoundError):
+        E.load_encoder(path)
 
 
 def test_pretrain_validates_inputs(tiny_encoder):
