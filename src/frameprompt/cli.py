@@ -212,7 +212,6 @@ def cmd_adapt(args) -> int:
             raise DataError(f"adaptation dataset {base} was used for meta training")
     classes = full.class_count
     train, val, test = data.split_dataset(full, cfg.split_fractions, args.seed)
-    del full  # the splits are copies; the raw images need not outlive them
     mode = adapt_mod.HeadMode(args.mode, classes,
                               noise_count=cfg.noise_count, seed=args.seed)
     bundle, metrics = adapt_mod.adapt(train, enc, cfg, mode, seed=args.seed,
@@ -254,7 +253,6 @@ def cmd_eval(args) -> int:
     full = data.load_descriptor(args.data)
     base = _base_id(full.id)
     _, _, test = data.split_dataset(full, cfg.split_fractions, args.seed)
-    del full  # the splits are copies; the raw images need not outlive them
     if len(test) == 0:
         raise DataError("test split is empty under the configured fractions")
     res = adapt_mod.evaluate(test, bundle, enc)

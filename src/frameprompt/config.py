@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, fields, replace
 
 from .atomic import read_text
@@ -126,6 +127,10 @@ def validate(cfg: RunConfig) -> RunConfig:
     for key in ("lr", "pretrain_lr"):
         if getattr(cfg, key) <= 0:
             raise ConfigError(f"{key} must be > 0, got {getattr(cfg, key)}")
+    for key, value in asdict(cfg).items():
+        if isinstance(value, int) and value > sys.maxsize:
+            raise ConfigError(f"{key} is {value}, more than any array extent "
+                              f"({sys.maxsize})")
     if cfg.noise_count < 2:
         raise ConfigError(f"noise_count must be >= 2, got {cfg.noise_count}")
     if cfg.weight_decay < 0 or not 0 <= cfg.momentum < 1:

@@ -5,6 +5,8 @@ string id and the class count. Raw images live in [0,1]. standardize(mean,
 std) shifts them in place to zero mean and unit std per channel; the caller
 chooses the statistics (channel_stats of the same data, or of the train
 split for all three parts) and nothing about them is kept on the dataset.
+split_dataset consumes its input: the parts it returns are row-slices of the
+input's own buffer, reordered and standardized in place.
 """
 
 from __future__ import annotations
@@ -150,10 +152,13 @@ def generate_modemix(spec: SyntheticSpec) -> ImageDataset:
         raise DataError("classes_per_mode, samples_per_class and size must be >= 1")
     if spec.jitter < 0 or spec.seed < 0:
         raise DataError(f"jitter and seed must be >= 0, got {spec.jitter} and {spec.seed}")
-    rng = np.random.default_rng(spec.seed)
     size = spec.size
     classes = spec.modes * spec.classes_per_mode
-    images = np.empty((classes * spec.samples_per_class, 3, size, size))
+    shape = (classes * spec.samples_per_class, 3, size, size)
+    if math.prod(shape) * 8 > np.iinfo(np.intp).max:
+        raise DataError(f"images of shape {shape} are more than any array can hold")
+    rng = np.random.default_rng(spec.seed)
+    images = np.empty(shape)
     labels = np.repeat(np.arange(classes), spec.samples_per_class)
     i = 0
     for m in range(spec.modes):
@@ -175,9 +180,11 @@ def split_dataset(dataset: ImageDataset, fractions, seed: int):
     """Stratified (train, val, test) split with train-split standardization.
 
     Per-class counts follow the fractions within one sample (largest
-    remainder); a zero fraction yields an empty split. Statistics come from
-    the train split alone and standardize all three parts, each in its own
-    freshly gathered images, so the input dataset is left as it is."""
+    remainder); a zero fraction yields an empty split. The split consumes
+    the input: it reorders the rows of its images and labels in place into
+    [train | val | test], each part in ascending source-row order,
+    standardizes the whole buffer with the train rows' statistics, and
+    returns the three parts as consecutive row-slices of it."""
     fr = np.asarray(fractions, dtype=np.float64)
     if fr.shape != (3,):
         raise DataError(f"need 3 fractions, got {fr.shape}")
@@ -186,7 +193,7 @@ def split_dataset(dataset: ImageDataset, fractions, seed: int):
     if abs(fr.sum() - 1.0) > 1e-9:
         raise DataError(f"fractions sum to {fr.sum()!r}, not 1")
     rng = np.random.default_rng(seed)
-    buckets: list[list[int]] = [[], [], []]
+    part_of_row = np.empty(len(dataset), dtype=np.int8)
     for cls in range(dataset.class_count):
         members = np.flatnonzero(dataset.labels == cls)
         if len(members) < 3:
@@ -204,22 +211,37 @@ def split_dataset(dataset: ImageDataset, fractions, seed: int):
         gap = len(members) - take.sum()
         if gap:
             take[np.argmax(fr)] += gap
-        offs = np.cumsum(take)
-        buckets[0].extend(members[: offs[0]])
-        buckets[1].extend(members[offs[0]: offs[1]])
-        buckets[2].extend(members[offs[1]: offs[2]])
-    names = ("train", "val", "test")
-    parts = []
-    for i, name in enumerate(names):
-        ids = np.asarray(sorted(buckets[i]), dtype=np.int64)
-        parts.append(ImageDataset(f"{dataset.id}/{name}", dataset.images[ids],
-                                  dataset.labels[ids], dataset.class_count))
-    if len(parts[0]) == 0:
+        part_of_row[members] = np.repeat(np.arange(3), take)
+    ends = np.cumsum(np.bincount(part_of_row, minlength=3))
+    if ends[0] == 0:
         raise DataError("train split is empty; cannot compute statistics")
-    mean, std = parts[0].channel_stats()
-    for p in parts:
-        p.standardize(mean, std)
-    return tuple(parts)
+    _reorder_rows(dataset, np.argsort(part_of_row, kind="stable"))
+    parts = tuple(ImageDataset(f"{dataset.id}/{name}", dataset.images[lo:hi],
+                               dataset.labels[lo:hi], dataset.class_count)
+                  for name, lo, hi in zip(("train", "val", "test"), (0, *ends), ends))
+    dataset.standardize(*parts[0].channel_stats())
+    return parts
+
+
+def _reorder_rows(dataset: ImageDataset, order: np.ndarray) -> None:
+    """Row k of images and labels becomes the old row order[k], in place:
+    each cycle of the permutation moves through one spare image."""
+    images = dataset.images
+    spare = np.empty_like(images[0])
+    src = order.tolist()
+    placed = bytearray(len(src))
+    for start in range(len(src)):
+        if placed[start] or src[start] == start:
+            continue
+        spare[...] = images[start]
+        k = start
+        while src[k] != start:
+            images[k] = images[src[k]]
+            placed[k] = 1
+            k = src[k]
+        images[k] = spare
+        placed[k] = 1
+    dataset.labels[:] = dataset.labels[order]
 
 
 # descriptor fields by kind: name -> (accepted types, required)

@@ -485,6 +485,26 @@ def test_divergence_exits_2_and_writes_nothing(pipeline, tmp_path, capsys):
     assert os.listdir(tmp_path) == ["diverge.json"]
 
 
+def test_extents_no_array_can_hold_exit_2(tmp_path, pipeline, capsys):
+    """A descriptor size or a config integer past what any array can hold
+    is refused by its shape check, before anything large is allocated."""
+    out = str(tmp_path / "out")
+    huge = _descriptor(tmp_path / "huge.json", modes=2, samples_per_class=3,
+                       size=10 ** 20)
+    assert cli.main(["diversity", "--data", huge, "--space", "pixel_l2",
+                     "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: DataError:"), err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**CONFIG, "noise_count": 10 ** 20}))
+    assert cli.main(["adapt", "--data", pipeline["down"], "--encoder", pipeline["enc"],
+                     "--mode", "active", "--out", out, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ConfigError:"), err
+    assert "noise_count" in err
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json", "huge.json"]
+
+
 def test_descriptor_parse_error_exits_2(tmp_path, pipeline, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from frameprompt.config import RunConfig, from_dict, load_config
@@ -123,3 +125,12 @@ def test_numbers_must_be_finite(tmp_path):
             load_config(str(p))
     assert from_dict({"tau": 3, "lr": 1}) == from_dict({"tau": 3.0, "lr": 1.0})
     assert from_dict({"split_fractions": [1, 0, 0]}).split_fractions == (1.0, 0.0, 0.0)
+
+
+def test_integers_no_array_extent_can_hold_rejected():
+    big = sys.maxsize + 1
+    for key in ("noise_count", "pairs", "epochs", "batch_size", "max_clusters"):
+        with pytest.raises(ConfigError) as e:
+            from_dict({key: big})
+        assert key in str(e.value)
+    assert from_dict({"noise_count": sys.maxsize}).noise_count == sys.maxsize
