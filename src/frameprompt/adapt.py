@@ -27,56 +27,40 @@ from . import clustering, tensor as T
 from .config import RunConfig
 from .errors import ConfigError, DataError, FrozenViolationError, ShapeError
 from .optim import cosine_warmup_lr, make_optimizer
-from .prompt import (HEAD_ACTIVE, HEAD_FREEZING, HEAD_HARDCODED, HEAD_TUNING,
-                     FrameSpec, HeadState, PromptBundle, PromptFrame)
+from .prompt import HEAD_KINDS, FrameSpec, HeadState, PromptBundle, PromptFrame
 
 _PROBE, _PROMPT, _EPOCH = 0xAD01, 0xAD02, 0xAD03
 
-MODE_TAGS = {"tuning": HEAD_TUNING, "freezing": HEAD_FREEZING,
-             "hardcoded": HEAD_HARDCODED, "active": HEAD_ACTIVE}
-
-
-@dataclass(frozen=True)
-class HeadMode:
-    kind: str
-    k: int
-    noise_count: int = 256
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.kind not in MODE_TAGS:
-            raise ConfigError(f"unknown head mode {self.kind!r}; "
-                              f"expected one of {sorted(MODE_TAGS)}")
-        if self.k < 1:
-            raise ConfigError(f"head needs k >= 1, got {self.k}")
-
-
-def build_head(encoder, mode: HeadMode) -> HeadState:
+def build_head(encoder, kind: str, k: int, noise_count: int, seed: int) -> HeadState:
+    """A k-logit head of the given kind; the active kind ranks the channels
+    by their variance over noise_count noise images drawn from seed."""
+    if kind not in HEAD_KINDS:
+        raise ConfigError(f"unknown head mode {kind!r}; expected one of {HEAD_KINDS}")
+    if k < 1:
+        raise ConfigError(f"head needs k >= 1, got {k}")
     d = encoder.spec.feature_dim
-    if mode.kind == "tuning":
-        rng = np.random.default_rng([mode.seed, 0x7EAD])
-        w = 0.01 * rng.standard_normal((d, mode.k))
-        return HeadState(HEAD_TUNING, mode.k, weight=w, bias=np.zeros(mode.k))
-    if mode.kind == "freezing":
-        if mode.k > encoder.spec.head_dim:
+    if kind == "tuning":
+        rng = np.random.default_rng([seed, 0x7EAD])
+        return HeadState(kind, weight=0.01 * rng.standard_normal((d, k)), bias=np.zeros(k))
+    if kind == "freezing":
+        if k > encoder.spec.head_dim:
             raise ConfigError(f"freezing head supports k <= {encoder.spec.head_dim}, "
-                              f"got {mode.k}")
-        return HeadState(HEAD_FREEZING, mode.k,
-                         weight=encoder.weights["head_w"][:, :mode.k].copy(),
-                         bias=encoder.weights["head_b"][:mode.k].copy())
-    if mode.k > d:
-        raise ConfigError(f"mapping head needs k <= {d}, got {mode.k}")
-    if mode.kind == "hardcoded":
-        return HeadState(HEAD_HARDCODED, mode.k, indices=np.arange(mode.k, dtype=np.int64))
-    variance = encoder.probe_channel_variance(mode.noise_count, mode.seed)
+                              f"got {k}")
+        return HeadState(kind, weight=encoder.weights["head_w"][:, :k].copy(),
+                         bias=encoder.weights["head_b"][:k].copy())
+    if k > d:
+        raise ConfigError(f"mapping head needs k <= {d}, got {k}")
+    if kind == "hardcoded":
+        return HeadState(kind, indices=np.arange(k, dtype=np.int64))
+    variance = encoder.probe_channel_variance(noise_count, seed)
     order = np.argsort(-variance, kind="stable")  # ties fall to the lower index
-    return HeadState(HEAD_ACTIVE, mode.k, indices=order[: mode.k].astype(np.int64))
+    return HeadState(kind, indices=order[:k].astype(np.int64))
 
 
 def head_logits(head: HeadState, feats):
     """Logits of a (B, d) feature batch. feats and the head's arrays may be
     plain ndarrays (nothing is taped) or Vars on one tape."""
-    if head.tag in (HEAD_TUNING, HEAD_FREEZING):
+    if head.indices is None:
         return T.linear(feats, head.weight, head.bias)
     return T.take(feats, head.indices, 1)
 
@@ -208,15 +192,14 @@ def resolve_tau(cfg: RunConfig, encoder) -> float:
     return float(cfg.tau)
 
 
-def adapt(train, encoder, cfg: RunConfig, mode: HeadMode, seed: int = 0,
+def adapt(train, encoder, cfg: RunConfig, mode: str, seed: int = 0,
           meta: PromptFrame | None = None, val=None, test=None
           ) -> tuple[PromptBundle, Metrics]:
-    """Full adaptation pass. Same inputs and seed give bit-identical bundles."""
+    """Full adaptation pass with a head of kind mode, one logit per class of
+    train. Same inputs and seed give bit-identical bundles."""
     check_frozen(encoder)
     if len(train) == 0:
         raise DataError("adaptation training set is empty")
-    if train.class_count > mode.k:
-        raise DataError(f"{train.class_count} classes but head emits {mode.k} logits")
     c, h, w = train.images.shape[1:]
     spec = FrameSpec.for_input(c, h, w)
     if meta is not None and meta.spec != spec:
@@ -228,8 +211,8 @@ def adapt(train, encoder, cfg: RunConfig, mode: HeadMode, seed: int = 0,
     else:
         prompts = [PromptFrame.random(spec, cfg.prompt_init_sigma, [seed, _PROMPT, t])
                    for t in range(len(protos))]
-    head = build_head(encoder, mode)
-    val_routes, test_routes = (_route_split(ds, protos, mode.k, encoder)
+    head = build_head(encoder, mode, train.class_count, cfg.noise_count, seed)
+    val_routes, test_routes = (_route_split(ds, protos, head.k, encoder)
                                if ds is not None and len(ds) else None for ds in (val, test))
     opt = make_optimizer(cfg.optimizer, cfg.lr, momentum=cfg.momentum,
                          weight_decay=cfg.weight_decay)
@@ -270,9 +253,3 @@ def adapt(train, encoder, cfg: RunConfig, mode: HeadMode, seed: int = 0,
     check_frozen(encoder)
     return bundle, metrics
 
-
-def baseline_vp(train, encoder, cfg: RunConfig, mode: HeadMode, seed: int = 0,
-                meta: PromptFrame | None = None, val=None, test=None):
-    """Single-prompt baseline: identical to adapt with clustering collapsed."""
-    forced = replace(cfg, force_single_prompt=True)
-    return adapt(train, encoder, forced, mode, seed=seed, meta=meta, val=val, test=test)

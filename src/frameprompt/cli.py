@@ -26,7 +26,7 @@ from . import clustering, data, diversity, encoder as encoder_mod, meta as meta_
 from .atomic import read_json_object, read_text, write_atomic, write_json
 from .config import RunConfig, load_config
 from .errors import ConfigError, DataError, FormatError, FramePromptError
-from .prompt import PromptBundle, load_bundle, save_bundle
+from .prompt import HEAD_KINDS, HeadState, PromptBundle, load_bundle, save_bundle
 
 
 class UsageError(Exception):
@@ -97,9 +97,11 @@ def _load_encoder_with_tau(path: str):
     if os.path.exists(calib):
         doc = read_json_object(calib, "calibration")
         if doc.get("encoder_fingerprint") == enc.fingerprint:
-            if not _is_number(doc.get("tau_star")):
-                raise FormatError(f"{calib}: calibration has no numeric tau_star")
-            enc.tau_star = float(doc["tau_star"])
+            tau = doc.get("tau_star")
+            if not (_is_number(tau) and 0 < tau <= sys.float_info.max):
+                raise FormatError(f"{calib}: calibration needs a finite positive "
+                                  f"tau_star, got {tau!r}")
+            enc.tau_star = float(tau)
     return enc
 
 
@@ -164,7 +166,7 @@ def cmd_meta_train(args) -> int:
         ds.standardize(*ds.channel_stats())
     result = meta_mod.meta_train(datasets, enc, cfg, seed=args.seed)
     protos = np.zeros((1, enc.spec.feature_dim))
-    head = adapt_mod.build_head(enc, adapt_mod.HeadMode("hardcoded", 1))
+    head = HeadState("hardcoded", indices=np.zeros(1, np.int64))
     snapshot = json.dumps({"meta_dataset_ids": result.dataset_ids,
                            "config": json.loads(cfg.snapshot()),
                            "epoch_losses": result.epoch_losses,
@@ -210,11 +212,8 @@ def cmd_adapt(args) -> int:
         meta_prompt, meta_ids = _load_meta_prompt(args.meta, enc)
         if base in {_base_id(i) for i in meta_ids}:
             raise DataError(f"adaptation dataset {base} was used for meta training")
-    classes = full.class_count
     train, val, test = data.split_dataset(full, cfg.split_fractions, args.seed)
-    mode = adapt_mod.HeadMode(args.mode, classes,
-                              noise_count=cfg.noise_count, seed=args.seed)
-    bundle, metrics = adapt_mod.adapt(train, enc, cfg, mode, seed=args.seed,
+    bundle, metrics = adapt_mod.adapt(train, enc, cfg, args.mode, seed=args.seed,
                                       meta=meta_prompt, val=val, test=test)
     save_bundle(args.out, bundle)
     stem = args.out[:-len(".dampb")] if args.out.endswith(".dampb") else args.out
@@ -375,7 +374,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--data", required=True)
     sp.add_argument("--encoder", required=True)
     sp.add_argument("--meta", default=None)
-    sp.add_argument("--mode", required=True, choices=sorted(adapt_mod.MODE_TAGS))
+    sp.add_argument("--mode", required=True, choices=HEAD_KINDS)
     sp.add_argument("--out", required=True)
     common(sp)
     sp.set_defaults(fn=cmd_adapt)

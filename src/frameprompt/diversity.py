@@ -30,6 +30,8 @@ def sample_pairs(n: int, pairs: int, seed) -> tuple[np.ndarray, np.ndarray]:
         raise DataError(f"diversity needs at least 2 samples, got {n}")
     if pairs < 1:
         raise DataError(f"pair count must be >= 1, got {pairs}")
+    if pairs * 8 > np.iinfo(np.intp).max:
+        raise DataError(f"{pairs} pairs are more than any array can hold")
     rng = np.random.default_rng(seed)
     a = rng.integers(0, n, size=pairs)
     b = rng.integers(0, n - 1, size=pairs)

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -47,6 +48,14 @@ from .errors import (BadMagicError, DataError, FingerprintMismatchError,
 
 MAGIC = b"DAMW"
 VERSION = 1
+
+# Images per forward_features chunk. 64 holds half the transient memory of
+# 128 (a traced peak of 26.7 against 53.1 MiB on 320 32px images) and runs
+# faster. Chunks of 16, 64, 128 and the whole batch give bit-identical
+# features; chunks of 1 or 5 do not. The convs give the same bits at any
+# chunk, but BLAS runs the fc matmul (chunk, 2048) @ (2048, 64) with another
+# summation order at 1 or 5 rows, which moves features by about 2e-14.
+CHUNK = 64
 
 PARAM_ORDER = ("conv1_w", "conv1_b", "conv2_w", "conv2_b",
                "fc_w", "fc_b", "head_w", "head_b")
@@ -136,39 +145,26 @@ class FrozenEncoder:
         self.train_accuracy = float(train_accuracy)
         self.seed = int(seed)
         self.tau_star: float | None = None
-        self.f0 = self.forward_features(np.zeros((spec.in_channels, spec.height, spec.width)))
+        self.f0 = self.forward_features(
+            np.zeros((1, spec.in_channels, spec.height, spec.width)))[0]
 
-    def _check_input(self, x: np.ndarray) -> np.ndarray:
+    def forward_features(self, x: np.ndarray, prompts: np.ndarray | None = None,
+                         route: np.ndarray | None = None) -> np.ndarray:
+        """Features of a (B, C, H, W) batch, encoded CHUNK images at a time;
+        with a (T, C, H, W) prompt stack and (B,) routes into it, of
+        x + prompts[route] on prompt training's path."""
         s = self.spec
         x = np.ascontiguousarray(x, dtype=np.float64)
-        if x.ndim == 3:
-            x = x[None]
         if x.ndim != 4 or x.shape[1:] != (s.in_channels, s.height, s.width):
             raise ShapeError(f"encoder expects (B,{s.in_channels},{s.height},{s.width}), "
                              f"got {x.shape}")
-        return x
-
-    def forward_features(self, x: np.ndarray, prompts: np.ndarray | None = None,
-                         route: np.ndarray | None = None, chunk: int = 64) -> np.ndarray:
-        """Features of (B, C, H, W) or one (C, H, W) image, encoded chunk
-        images at a time; with a (T, C, H, W) prompt stack and (B,) routes
-        into it, of x + prompts[route] on prompt training's path. A chunk of
-        64 holds half the transient memory of 128 (a traced peak of 26.7
-        against 53.1 MiB on 320 32px images) and runs faster. Chunks of 16,
-        64, 128 and the whole batch give bit-identical features; chunks of 1
-        or 5 do not. The convs give the same bits at any chunk, but BLAS runs
-        the fc matmul (chunk, 2048) @ (2048, 64) with another summation order
-        at 1 or 5 rows, which moves features by about 2e-14."""
-        squeeze = np.asarray(x).ndim == 3
-        x = self._check_input(x)
         # the stack's conv1 does not depend on the chunk: one call serves all
         maps = None if prompts is None else T.conv2d(prompts, self.weights["conv1_w"])
         # untaped, so each chunk's intermediates are freed as it goes
-        parts = [_encode(x[i:i + chunk], self.weights, maps,
-                         None if route is None else route[i:i + chunk])
-                 for i in range(0, len(x), chunk)]
-        feats = np.concatenate(parts) if len(parts) > 1 else parts[0]
-        return feats[0] if squeeze else feats
+        parts = [_encode(x[i:i + CHUNK], self.weights, maps,
+                         None if route is None else route[i:i + CHUNK])
+                 for i in range(0, len(x), CHUNK)]
+        return np.concatenate(parts) if len(parts) > 1 else parts[0]
 
     def features_var(self, images: np.ndarray, x_var: T.Var, route: np.ndarray) -> T.Var:
         """Features of images + x_var[route] for a taped (T, C, H, W) prompt
@@ -181,7 +177,10 @@ class FrozenEncoder:
         if count < 2:
             raise DataError(f"probe needs at least 2 noise images, got {count}")
         s = self.spec
-        noise = T.randn((count, s.in_channels, s.height, s.width), seed)
+        shape = (count, s.in_channels, s.height, s.width)
+        if math.prod(shape) * 8 > np.iinfo(np.intp).max:
+            raise DataError(f"{count} noise images are more than any array can hold")
+        noise = T.randn(shape, seed)
         feats = self.forward_features(noise)
         return feats.var(axis=0, ddof=1)
 

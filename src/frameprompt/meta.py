@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import clustering
-from .adapt import HeadMode, build_head, check_frozen, prompt_step, resolve_tau
+from .adapt import build_head, check_frozen, prompt_step, resolve_tau
 from .config import RunConfig
 from .errors import DataError, ShapeError
 from .optim import Adam, Sgd
@@ -47,8 +47,7 @@ def build_groups(datasets, encoder, tau: float, probe_size: int, seed: int,
         all_feats = encoder.forward_features(ds.images)
         protos, assign = clustering.fit_prototypes(all_feats, tau, ds.class_count,
                                                    probe_size, [seed, _GROUP, di])
-        head = build_head(encoder, HeadMode("active", ds.class_count,
-                                            noise_count=noise_count, seed=seed))
+        head = build_head(encoder, "active", ds.class_count, noise_count, seed)
         for t in range(len(protos)):
             members = np.flatnonzero(assign == t)
             groups.append(MetaTaskGroup(gid, di, members, head))

@@ -13,7 +13,8 @@ Bundle format "DAMP" v1, all integers little-endian:
   magic, u32 version, u32 prompt count N,
   5x u32 frame spec (channels, height, width, border, reserved=0),
   u32 feature dim d, N*d f64 prototypes,
-  u8 head tag (0 tuning / 1 freezing / 2 hardcoded / 3 active),
+  u8 head tag (the kind's index in HEAD_KINDS: 0 tuning / 1 freezing /
+  2 hardcoded / 3 active),
   u8 flags (bit0 = meta-initialized), u32 k, head payload,
   u64 encoder fingerprint, N prompt payloads of C*H*W f64,
   u32 byte length + utf-8 config snapshot.
@@ -39,7 +40,9 @@ VERSION = 1
 # untrained head reads a few feature channels and need not overflow.
 PROMPT_BOUND = 1e6
 
-HEAD_TUNING, HEAD_FREEZING, HEAD_HARDCODED, HEAD_ACTIVE = 0, 1, 2, 3
+# A head's kind by name; a bundle stores its index. The first two kinds hold
+# an affine map, the others feature indices.
+HEAD_KINDS = ("tuning", "freezing", "hardcoded", "active")
 
 
 @dataclass(frozen=True)
@@ -117,20 +120,24 @@ class PromptFrame:
 
 @dataclass
 class HeadState:
-    """Classifier state carried in a bundle.
+    """Classifier state carried in a bundle, of one of HEAD_KINDS.
 
-    tuning/freezing hold an affine map (d,k)+(k,); the two mapping modes hold
+    tuning/freezing hold an affine map (d,k)+(k,); the two mapping kinds hold
     k channel indices into the feature vector."""
-    tag: int
-    k: int
+    kind: str
     weight: np.ndarray | None = None
     bias: np.ndarray | None = None
     indices: np.ndarray | None = None
 
     @property
+    def k(self) -> int:
+        # .shape serves plain arrays and taped Vars alike
+        return (self.bias if self.indices is None else self.indices).shape[0]
+
+    @property
     def trainable(self) -> bool:
-        # only the tuning head learns; the tag alone decides
-        return self.tag == HEAD_TUNING
+        # only the tuning head learns; the kind alone decides
+        return self.kind == "tuning"
 
 
 @dataclass
@@ -147,16 +154,19 @@ class PromptBundle:
         return len(self.prompts)
 
 
-def _head_payload(head: HeadState) -> bytes:
-    if head.tag in (HEAD_TUNING, HEAD_FREEZING):
+def _head_payload(head: HeadState, tag: int) -> bytes:
+    if (head.indices is None) != (tag < 2):
+        raise ShapeError(f"a {head.kind} head needs "
+                         f"{'weight and bias' if tag < 2 else 'indices'}")
+    if head.indices is None:
         w = np.ascontiguousarray(head.weight, dtype=np.float64)
         b = np.ascontiguousarray(head.bias, dtype=np.float64)
-        if w.shape[1] != head.k or b.shape != (head.k,):
-            raise ShapeError(f"head arrays {w.shape}/{b.shape} vs k={head.k}")
+        if w.ndim != 2 or b.shape != (w.shape[1],):
+            raise ShapeError(f"head arrays {w.shape}/{b.shape} disagree on k")
         return struct.pack("<I", w.shape[0]) + w.astype("<f8").tobytes() + b.astype("<f8").tobytes()
     idx = np.ascontiguousarray(head.indices, dtype=np.int64)
-    if idx.shape != (head.k,):
-        raise ShapeError(f"head indices {idx.shape} vs k={head.k}")
+    if idx.ndim != 1:
+        raise ShapeError(f"head indices {idx.shape} are not one row")
     return idx.astype("<i8").tobytes()
 
 
@@ -172,8 +182,9 @@ def save_bundle(path: str, bundle: PromptBundle):
     out.append(struct.pack("<I", protos.shape[1]))
     out.append(np.ascontiguousarray(protos).astype("<f8").tobytes())
     flags = 1 if bundle.meta_initialized else 0
-    out.append(struct.pack("<BBI", bundle.head.tag, flags, bundle.head.k))
-    out.append(_head_payload(bundle.head))
+    tag = HEAD_KINDS.index(bundle.head.kind)
+    payload = _head_payload(bundle.head, tag)  # checks the arrays k is read off
+    out += [struct.pack("<BBI", tag, flags, bundle.head.k), payload]
     out.append(struct.pack("<Q", bundle.encoder_fingerprint))
     for p in bundle.prompts:
         if p.spec != spec:
@@ -201,18 +212,18 @@ def load_bundle(path: str) -> PromptBundle:
     (d,) = r.unpack("I")
     cents = np.frombuffer(r.take(8 * n * d), dtype="<f8").reshape(n, d).copy()
     tag, flags, k = r.unpack("BBI")
-    if tag not in (HEAD_TUNING, HEAD_FREEZING, HEAD_HARDCODED, HEAD_ACTIVE):
+    if tag >= len(HEAD_KINDS):
         raise FormatError(f"{path}: unknown head tag {tag}")
     if flags & ~1:
         raise FormatError(f"{path}: unknown flag bits {flags:#x}")
-    if tag in (HEAD_TUNING, HEAD_FREEZING):
+    if tag < 2:
         (feat,) = r.unpack("I")
         weight = np.frombuffer(r.take(8 * feat * k), dtype="<f8").reshape(feat, k).copy()
         bias = np.frombuffer(r.take(8 * k), dtype="<f8").copy()
-        head = HeadState(tag, k, weight=weight, bias=bias)
+        head = HeadState(HEAD_KINDS[tag], weight=weight, bias=bias)
     else:
         idx = np.frombuffer(r.take(8 * k), dtype="<i8").astype(np.int64)
-        head = HeadState(tag, k, indices=idx)
+        head = HeadState(HEAD_KINDS[tag], indices=idx)
     (fp,) = r.unpack("Q")
     prompts = []
     for _ in range(n):

@@ -15,7 +15,7 @@ import pytest
 
 from _helpers import make_modemix, oracle_agglomerate, project
 from frameprompt import cli, clustering as C, encoder as E, tensor as T
-from frameprompt.adapt import HeadMode, adapt, baseline_vp
+from frameprompt.adapt import adapt
 from frameprompt.config import RunConfig
 from frameprompt.data import SyntheticSpec, generate_modemix, split_dataset
 from frameprompt.meta import meta_train, meta_update
@@ -248,14 +248,14 @@ def test_gain_over_single_prompt_grows_with_diversity(desk):
     t0 = time.perf_counter()
     enc = desk.encoder
     cfg = suite_cfg(enc)
+    vp_cfg = suite_cfg(enc, force_single_prompt=True)
     means = {}
     for modes in (1, 2, 4, 8):
         gains = []
         for seed in SUITE_SEEDS:
             train, _, test = suite_splits(modes, seed)
-            mode = HeadMode("active", train.class_count, 256, seed)
-            _, m_dam = adapt(train, enc, cfg, mode, seed=seed, test=test)
-            _, m_vp = baseline_vp(train, enc, cfg, mode, seed=seed, test=test)
+            _, m_dam = adapt(train, enc, cfg, "active", seed=seed, test=test)
+            _, m_vp = adapt(train, enc, vp_cfg, "active", seed=seed, test=test)
             gains.append(m_dam.final("test")[3] - m_vp.final("test")[3])
         means[modes] = float(np.mean(gains))
     assert all(v >= -1e-12 for v in means.values()), f"negative mean gain {means}"
@@ -287,9 +287,8 @@ def test_meta_initialization_speeds_up_and_stabilizes_adaptation(desk):
     final = {"meta": [], "random": []}
     for seed in EVAL_SEEDS:
         train, _, test = suite_splits(4, seed)
-        mode = HeadMode("active", train.class_count, 256, seed)
         for arm, init in (("meta", result.prompt), ("random", None)):
-            _, metrics = adapt(train, enc, cfg, mode, seed=seed, meta=init,
+            _, metrics = adapt(train, enc, cfg, "active", seed=seed, meta=init,
                                val=test, test=test)
             val_rows = [r for r in metrics.rows if r[1] == "val"]
             first[arm].append(val_rows[0][3])
@@ -318,8 +317,7 @@ def test_variance_selected_mapping_beats_first_channels(desk):
     for seed in SUITE_SEEDS:
         train, _, test = suite_splits(4, seed)
         for kind in accs:
-            mode = HeadMode(kind, train.class_count, 256, seed)
-            _, metrics = adapt(train, enc, cfg, mode, seed=seed, test=test)
+            _, metrics = adapt(train, enc, cfg, kind, seed=seed, test=test)
             accs[kind].append(metrics.final("test")[3])
     mean_active = float(np.mean(accs["active"]))
     mean_hard = float(np.mean(accs["hardcoded"]))
@@ -347,7 +345,7 @@ def test_frozen_bytes_roundtrips_and_reproducible_manifests(desk, tmp_path):
     train, _, _ = split_dataset(raw, (0.7, 0.15, 0.15), seed=81)
     cfg = suite_cfg(enc, epochs=1, meta_epochs=1, inner_steps=1,
                     meta_batch_size=8)
-    bundle, _ = adapt(train, enc, cfg, HeadMode("active", 2, 256, 81), seed=81)
+    bundle, _ = adapt(train, enc, cfg, "active", seed=81)
     meta_train([make_modemix(2, 2, 10, 0.05, seed=82)], enc, cfg, seed=82)
     assert weights_digest(enc) == before, "encoder bytes changed"
 

@@ -14,9 +14,7 @@ from frameprompt.config import RunConfig
 from frameprompt.data import SyntheticSpec, generate_modemix, split_dataset
 from frameprompt.errors import (ConfigError, DataError, FrozenViolationError,
                                 ShapeError)
-from frameprompt.prompt import (HEAD_ACTIVE, HEAD_FREEZING, HEAD_HARDCODED,
-                                HEAD_TUNING, FrameSpec, PromptBundle,
-                                PromptFrame)
+from frameprompt.prompt import FrameSpec, PromptBundle, PromptFrame
 
 from _helpers import project
 
@@ -53,71 +51,72 @@ class _VarianceStub:
 
 # ---------------------------------------------------------------- head modes
 
-def test_head_mode_validation():
+def test_head_mode_validation(tiny_encoder):
+    enc, _ = tiny_encoder
     with pytest.raises(ConfigError):
-        A.HeadMode("linear", 4)
+        A.build_head(enc, "linear", 4, 256, 0)
     with pytest.raises(ConfigError):
-        A.HeadMode("tuning", 0)
+        A.build_head(enc, "tuning", 0, 256, 0)
 
 
 def test_tuning_head(tiny_encoder):
     enc, _ = tiny_encoder
-    head = A.build_head(enc, A.HeadMode("tuning", 4, seed=9))
-    assert head.tag == HEAD_TUNING and head.trainable
+    head = A.build_head(enc, "tuning", 4, 256, 9)
+    assert head.kind == "tuning" and head.trainable
     assert head.weight.shape == (enc.spec.feature_dim, 4)
     assert np.all(head.bias == 0)
-    again = A.build_head(enc, A.HeadMode("tuning", 4, seed=9))
+    again = A.build_head(enc, "tuning", 4, 256, 9)
     assert np.array_equal(head.weight, again.weight)
-    other = A.build_head(enc, A.HeadMode("tuning", 4, seed=10))
+    other = A.build_head(enc, "tuning", 4, 256, 10)
     assert not np.array_equal(head.weight, other.weight)
 
 
 def test_freezing_head_slices_pretrain_head(tiny_encoder):
     enc, _ = tiny_encoder
-    head = A.build_head(enc, A.HeadMode("freezing", 4))
-    assert head.tag == HEAD_FREEZING and not head.trainable
+    head = A.build_head(enc, "freezing", 4, 256, 0)
+    assert head.kind == "freezing" and not head.trainable
     assert np.array_equal(head.weight, enc.weights["head_w"][:, :4])
     assert np.array_equal(head.bias, enc.weights["head_b"][:4])
     with pytest.raises(ConfigError):
-        A.build_head(enc, A.HeadMode("freezing", enc.spec.head_dim + 1))
+        A.build_head(enc, "freezing", enc.spec.head_dim + 1, 256, 0)
 
 
 def test_hardcoded_head(tiny_encoder):
     enc, _ = tiny_encoder
-    head = A.build_head(enc, A.HeadMode("hardcoded", 5))
-    assert head.tag == HEAD_HARDCODED
+    head = A.build_head(enc, "hardcoded", 5, 256, 0)
+    assert head.kind == "hardcoded"
     assert np.array_equal(head.indices, np.arange(5))
     with pytest.raises(ConfigError):
-        A.build_head(enc, A.HeadMode("hardcoded", enc.spec.feature_dim + 1))
+        A.build_head(enc, "hardcoded", enc.spec.feature_dim + 1, 256, 0)
 
 
 def test_active_head_picks_top_variance_channels():
     stub = _VarianceStub([0.1, 5.0, 0.2, 3.0])
-    head = A.build_head(stub, A.HeadMode("active", 2))
-    assert head.tag == HEAD_ACTIVE
+    head = A.build_head(stub, "active", 2, 256, 0)
+    assert head.kind == "active"
     assert head.indices.tolist() == [1, 3]
 
 
 def test_active_head_breaks_variance_ties_low():
     stub = _VarianceStub([1.0, 2.0, 2.0, 0.5])
-    head = A.build_head(stub, A.HeadMode("active", 2))
+    head = A.build_head(stub, "active", 2, 256, 0)
     assert head.indices.tolist() == [1, 2]
 
 
 def test_head_logits_nd_matches_manual(tiny_encoder):
     enc, ds = tiny_encoder
     feats = enc.forward_features(ds.images[:6])
-    affine = A.build_head(enc, A.HeadMode("tuning", 4, seed=1))
+    affine = A.build_head(enc, "tuning", 4, 256, 1)
     assert np.array_equal(A.head_logits(affine, feats),
                           feats @ affine.weight + affine.bias)
-    mapped = A.build_head(enc, A.HeadMode("hardcoded", 3))
+    mapped = A.build_head(enc, "hardcoded", 3, 256, 0)
     assert np.array_equal(A.head_logits(mapped, feats), feats[:, :3])
 
 
 def test_head_logits_on_tape_matches_plain_path(tiny_encoder):
     enc, ds = tiny_encoder
     feats = enc.forward_features(ds.images[:6])
-    affine = A.build_head(enc, A.HeadMode("tuning", 4, seed=1))
+    affine = A.build_head(enc, "tuning", 4, 256, 1)
     tape = T.Tape()
     fv = tape.var(feats, requires_grad=True)
     taped = dataclasses.replace(affine, weight=tape.var(affine.weight, requires_grad=True),
@@ -128,7 +127,7 @@ def test_head_logits_on_tape_matches_plain_path(tiny_encoder):
     assert np.array_equal(taped.weight.grad, feats.T @ np.ones((6, 4)))
     assert np.array_equal(taped.bias.grad, np.full(4, 6.0))
     assert np.array_equal(fv.grad, np.ones((6, 4)) @ affine.weight.T)
-    mapped = A.build_head(enc, A.HeadMode("hardcoded", 3))
+    mapped = A.build_head(enc, "hardcoded", 3, 256, 0)
     fv = T.Tape().var(feats, requires_grad=True)
     T.backward(project(A.head_logits(mapped, fv)))
     want = np.zeros_like(feats)
@@ -144,7 +143,7 @@ def test_prompt_step_frees_its_tape_without_the_cycle_collector(tiny_encoder):
     # a tape and its Vars must not form a reference cycle, or every finished
     # step's activations wait for the cyclic collector
     enc, ds = tiny_encoder
-    head = A.build_head(enc, A.HeadMode("tuning", ds.class_count, seed=1))
+    head = A.build_head(enc, "tuning", ds.class_count, 256, 1)
     stack = np.zeros((1,) + ds.images.shape[1:])
     route = np.zeros(4, dtype=np.int64)
     gc.collect()
@@ -170,7 +169,7 @@ def test_prompt_step_peak_memory_at_batch_64():
     stack = 0.1 * rng.standard_normal((8, 3, 32, 32))
     route = np.arange(64) % 8
     labels = rng.integers(0, 10, 64)
-    head = A.build_head(enc, A.HeadMode("tuning", 10, seed=1))
+    head = A.build_head(enc, "tuning", 10, 256, 1)
     tracemalloc.start()
     try:
         A.prompt_step(images, stack, route, labels, enc, head)
@@ -185,7 +184,7 @@ def test_one_tape_matches_per_cluster_tapes(tiny_encoder):
     # the gradient of its own cluster's mean loss, and the head their sum,
     # as one tape per cluster on the prompted images does
     enc, ds = tiny_encoder
-    head = A.build_head(enc, A.HeadMode("tuning", ds.class_count, seed=2))
+    head = A.build_head(enc, "tuning", ds.class_count, 256, 2)
     spec = FrameSpec.for_input(3, 16, 16)
     stack = np.stack([PromptFrame.random(spec, 0.5, seed=[4, t]).values
                       for t in range(3)])
@@ -235,7 +234,7 @@ def test_evaluate_matches_manual_cross_entropy(tiny_encoder):
     bundle = PromptBundle(
         [PromptFrame(spec)],
         np.zeros((1, enc.spec.feature_dim)),
-        A.build_head(enc, A.HeadMode("hardcoded", ds.class_count)),
+        A.build_head(enc, "hardcoded", ds.class_count, 256, 0),
         enc.fingerprint, "{}")
     res = A.evaluate(sub, bundle, enc)
     logits = enc.forward_features(sub.images)[:, :ds.class_count]
@@ -258,7 +257,7 @@ def test_evaluate_matches_input_space_oracle(tiny_encoder):
     prompts = [PromptFrame.random(spec, 0.5, [9, t]) for t in range(2)]
     feats = enc.forward_features(ds.images)
     protos = feats[[0, int(np.argmax(((feats - feats[0]) ** 2).sum(axis=1)))]]
-    head = A.build_head(enc, A.HeadMode("tuning", ds.class_count, seed=4))
+    head = A.build_head(enc, "tuning", ds.class_count, 256, 4)
     res = A.evaluate(ds, PromptBundle(prompts, protos, head, enc.fingerprint, "{}"), enc)
     routes = clustering.route_features(feats, protos)
     assert set(routes) == {0, 1}
@@ -279,7 +278,7 @@ def test_evaluate_rejects_fingerprint_mismatch(tiny_encoder):
     bundle = PromptBundle(
         [PromptFrame(spec)],
         np.zeros((1, enc.spec.feature_dim)),
-        A.build_head(enc, A.HeadMode("hardcoded", 4)),
+        A.build_head(enc, "hardcoded", 4, 256, 0),
         enc.fingerprint + 1, "{}")
     # a fingerprint of 0 is compared like any other, not read as "unknown"
     for fp in (enc.fingerprint + 1, 0):
@@ -297,16 +296,15 @@ def test_adapt_is_deterministic(tiny_encoder, splits):
     enc, _ = tiny_encoder
     train = splits[0]
     cfg = small_cfg()
-    mode = A.HeadMode("tuning", train.class_count, seed=5)
-    b1, m1 = A.adapt(train, enc, cfg, mode, seed=5)
-    b2, m2 = A.adapt(train, enc, cfg, mode, seed=5)
+    b1, m1 = A.adapt(train, enc, cfg, "tuning", seed=5)
+    b2, m2 = A.adapt(train, enc, cfg, "tuning", seed=5)
     assert len(b1.prompts) == len(b2.prompts)
     for p, q in zip(b1.prompts, b2.prompts):
         assert np.array_equal(p.values, q.values)
     assert np.array_equal(b1.prototypes, b2.prototypes)
     assert np.array_equal(b1.head.weight, b2.head.weight)
     assert m1.rows == m2.rows and m1.to_csv() == m2.to_csv()
-    b3, _ = A.adapt(train, enc, cfg, mode, seed=6)
+    b3, _ = A.adapt(train, enc, cfg, "tuning", seed=6)
     assert not all(np.array_equal(p.values, q.values)
                    for p, q in zip(b1.prompts, b3.prompts))
 
@@ -315,8 +313,7 @@ def test_adapt_reduces_training_loss(tiny_encoder, splits):
     enc, _ = tiny_encoder
     train = splits[0]
     cfg = small_cfg(epochs=4)
-    _, metrics = A.adapt(train, enc, cfg, A.HeadMode("tuning", train.class_count),
-                         seed=0)
+    _, metrics = A.adapt(train, enc, cfg, "tuning", seed=0)
     train_rows = [r for r in metrics.rows if r[1] == "train"]
     assert train_rows[-1][2] < train_rows[0][2]
 
@@ -325,8 +322,7 @@ def test_adapt_val_and_test_rows(tiny_encoder, splits):
     enc, _ = tiny_encoder
     train, val, test = splits
     cfg = small_cfg(epochs=2)
-    _, metrics = A.adapt(train, enc, cfg, A.HeadMode("tuning", train.class_count),
-                         seed=0, val=val, test=test)
+    _, metrics = A.adapt(train, enc, cfg, "tuning", seed=0, val=val, test=test)
     seq = [(r[0], r[1]) for r in metrics.rows]
     assert seq == [(0, "train"), (0, "val"), (1, "train"), (1, "val"), (1, "test")]
     assert {k: len(v) for k, v in metrics.seconds.items()} == {"train": 2, "val": 2, "test": 1}
@@ -337,9 +333,9 @@ def test_baseline_matches_adapt_with_huge_tau(tiny_encoder, splits):
     # same computation, bit for bit
     enc, _ = tiny_encoder
     train = splits[0]
-    mode = A.HeadMode("tuning", train.class_count, seed=3)
-    via_tau, _ = A.adapt(train, enc, small_cfg(tau=1e9), mode, seed=3)
-    forced, _ = A.baseline_vp(train, enc, small_cfg(tau=1e9), mode, seed=3)
+    via_tau, _ = A.adapt(train, enc, small_cfg(tau=1e9), "tuning", seed=3)
+    forced, _ = A.adapt(train, enc, small_cfg(tau=1e9, force_single_prompt=True),
+                        "tuning", seed=3)
     assert len(via_tau.prompts) == len(forced.prompts) == 1
     assert np.array_equal(via_tau.prompts[0].values, forced.prompts[0].values)
     assert np.array_equal(via_tau.prototypes, forced.prototypes)
@@ -350,8 +346,7 @@ def test_baseline_matches_adapt_with_huge_tau(tiny_encoder, splits):
 def test_adapt_leaves_encoder_untouched(tiny_encoder, splits):
     enc, _ = tiny_encoder
     before = weights_digest(enc)
-    A.adapt(splits[0], enc, small_cfg(epochs=1),
-            A.HeadMode("tuning", splits[0].class_count), seed=0)
+    A.adapt(splits[0], enc, small_cfg(epochs=1), "tuning", seed=0)
     assert weights_digest(enc) == before
 
 
@@ -361,9 +356,8 @@ def test_adapt_with_meta_prompt(tiny_encoder, splits):
     spec = FrameSpec.for_input(3, 16, 16)
     meta = PromptFrame.random(spec, 0.05, seed=[99])
     cfg = small_cfg(epochs=1)
-    mode = A.HeadMode("tuning", train.class_count)
-    with_meta, _ = A.adapt(train, enc, cfg, mode, seed=0, meta=meta)
-    without, _ = A.adapt(train, enc, cfg, mode, seed=0)
+    with_meta, _ = A.adapt(train, enc, cfg, "tuning", seed=0, meta=meta)
+    without, _ = A.adapt(train, enc, cfg, "tuning", seed=0)
     assert with_meta.meta_initialized and not without.meta_initialized
     assert not np.array_equal(with_meta.prompts[0].values, without.prompts[0].values)
 
@@ -371,16 +365,13 @@ def test_adapt_with_meta_prompt(tiny_encoder, splits):
 def test_adapt_input_validation(tiny_encoder, splits):
     enc, _ = tiny_encoder
     train = splits[0]
-    with pytest.raises(DataError):
-        A.adapt(train, enc, small_cfg(), A.HeadMode("tuning", train.class_count - 1))
     empty = dataclasses.replace(train, images=train.images[:0],
                                 labels=train.labels[:0])
     with pytest.raises(DataError):
-        A.adapt(empty, enc, small_cfg(), A.HeadMode("tuning", 4))
+        A.adapt(empty, enc, small_cfg(), "tuning")
     wrong = PromptFrame.random(FrameSpec(3, 8, 8, 1), 0.01, seed=[1])
     with pytest.raises(ShapeError):
-        A.adapt(train, enc, small_cfg(), A.HeadMode("tuning", train.class_count),
-                meta=wrong)
+        A.adapt(train, enc, small_cfg(), "tuning", meta=wrong)
 
 
 def test_resolve_tau():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from frameprompt import cli, encoder as E
-from frameprompt.prompt import HEAD_HARDCODED, HeadState, load_bundle, save_bundle
+from frameprompt.prompt import HeadState, load_bundle, save_bundle
 
 CONFIG = {"pretrain_epochs": 2, "epochs": 2, "batch_size": 16, "lr": 0.05,
           "warmup_epochs": 1, "probe_size": 128, "pairs": 200,
@@ -268,7 +268,7 @@ enc = E.FrozenEncoder(spec, E._init_params(spec, 0))
 rng = np.random.default_rng(0)
 images = rng.standard_normal((320, 3, 32, 32))
 stack = 0.1 * rng.standard_normal((8, 3, 32, 32))
-head = adapt.build_head(enc, adapt.HeadMode("tuning", 10, seed=1))
+head = adapt.build_head(enc, "tuning", 10, 256, 1)
 loss, logits, grad, (gw, gb) = adapt.prompt_step(
     images[:64], stack, np.arange(64) % 8, rng.integers(0, 10, 64), enc, head)
 digest = hashlib.sha256()
@@ -349,7 +349,7 @@ def test_contract_violations_exit_2(pipeline, tmp_path, capsys):
     assert rc == 2
     # a 2-logit head cannot score the 4-class downstream data
     bundle = load_bundle(pipeline["dam_bundle"])
-    bundle.head = HeadState(HEAD_HARDCODED, 2, indices=np.arange(2))
+    bundle.head = HeadState("hardcoded", indices=np.arange(2))
     small = str(tmp_path / "k2.dampb")
     save_bundle(small, bundle)
     capsys.readouterr()
@@ -439,8 +439,11 @@ def test_contract_violations_exit_2(pipeline, tmp_path, capsys):
     meta = json.load(open(pipeline["enc"] + ".meta.json"))
     without = {key: json.dumps({k: v for k, v in meta.items() if k != key})
                for key in ("f0", "pretrain_dataset_id")}
+    calib = {"encoder_fingerprint": meta["fingerprint"]}
     sidecars = [("enc.calib.json", "[1]"), ("enc.calib.json", "{"),
-                ("enc.calib.json", json.dumps({"encoder_fingerprint": meta["fingerprint"]})),
+                ("enc.calib.json", json.dumps(calib)),
+                *(("enc.calib.json", json.dumps({**calib, "tau_star": tau}))
+                  for tau in (float("nan"), float("inf"), 0.0)),
                 ("enc.damw.meta.json", "{"), ("enc.damw.meta.json", "{}"),
                 ("enc.damw.meta.json", without["f0"]),
                 ("enc.damw.meta.json", without["pretrain_dataset_id"]),
@@ -502,6 +505,21 @@ def test_extents_no_array_can_hold_exit_2(tmp_path, pipeline, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ConfigError:"), err
     assert "noise_count" in err
+    # within sys.maxsize, so the config takes them, but past any array's bytes
+    cfg.write_text(json.dumps({**CONFIG, "noise_count": 2 ** 62, "tau": 5.0}))
+    assert cli.main(["adapt", "--data", pipeline["down"], "--encoder", pipeline["enc"],
+                     "--mode", "active", "--out", out, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: DataError:"), err
+    assert "noise images" in err
+    cfg.write_text(json.dumps({**CONFIG, "pairs": 2 ** 62}))
+    for space in ("feature_l2", "pixel_l2"):
+        assert cli.main(["diversity", "--data", pipeline["down"], "--encoder",
+                         pipeline["enc"], "--space", space, "--out", out,
+                         "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: DataError:"), err
+        assert "pairs" in err
     assert sorted(os.listdir(tmp_path)) == ["cfg.json", "huge.json"]
 
 

@@ -33,27 +33,27 @@ def test_forward_features_shapes_and_purity(tiny_encoder):
     x = ds.images[:5]
     before = {k: v.copy() for k, v in enc.weights.items()}
     batch = enc.forward_features(x)
-    single = enc.forward_features(x[0])
+    single = enc.forward_features(x[:1])
     assert batch.shape == (5, 64)
-    assert single.shape == (64,)
+    assert single.shape == (1, 64)
     # single vs batched goes through different gemm shapes: working precision
-    assert np.allclose(batch[0], single, rtol=1e-12, atol=1e-12)
+    assert np.allclose(batch[:1], single, rtol=1e-12, atol=1e-12)
     again = enc.forward_features(x)
     assert np.array_equal(batch, again)  # same shape: bit-identical
     for k in before:
         assert np.array_equal(before[k], enc.weights[k])
 
 
-def test_forward_features_chunking_is_invisible(tiny_encoder):
+def test_forward_features_chunking_is_invisible(tiny_encoder, monkeypatch):
     enc, ds = tiny_encoder
     x = ds.images[:10]
-    assert np.allclose(enc.forward_features(x, chunk=3),
-                       enc.forward_features(x, chunk=128),
-                       rtol=1e-12, atol=1e-12)
+    whole = enc.forward_features(x)
+    monkeypatch.setattr(E, "CHUNK", 3)
+    assert np.allclose(enc.forward_features(x), whole, rtol=1e-12, atol=1e-12)
 
 
-def test_forward_features_chunks_are_bit_identical():
-    """Chunks of 16, 64 (the default), 128 and the whole batch give the same
+def test_forward_features_chunks_are_bit_identical(monkeypatch):
+    """Chunks of 16, 64 (CHUNK), 128 and the whole batch give the same
     bits on 320 images of the 32px encoder, plain and with a prompt stack
     routed per image. Chunks of 1 or 5 are left out: the convs give the same
     bits there too, but BLAS sums the fc matmul (chunk, 2048) @ (2048, 64) in
@@ -63,12 +63,14 @@ def test_forward_features_chunks_are_bit_identical():
     rng = np.random.default_rng(6)
     x = rng.standard_normal((320, 3, 32, 32))
     prompted = (rng.standard_normal((3, 3, 32, 32)), rng.integers(0, 3, len(x)))
+    assert E.CHUNK == 64
     for extra in ((), prompted):
-        whole = enc.forward_features(x, *extra, chunk=len(x))
-        assert np.array_equal(enc.forward_features(x, *extra), whole)
-        for chunk in (16, 64, 128):
-            assert np.array_equal(enc.forward_features(x, *extra, chunk=chunk),
-                                  whole), (chunk, len(extra))
+        default = enc.forward_features(x, *extra)
+        for chunk in (16, 64, 128, len(x)):
+            monkeypatch.setattr(E, "CHUNK", chunk)
+            assert np.array_equal(enc.forward_features(x, *extra),
+                                  default), (chunk, len(extra))
+        monkeypatch.undo()
 
 
 def test_var_path_matches_pure_path(tiny_encoder):
@@ -98,8 +100,8 @@ def test_weights_are_frozen(tiny_encoder):
 def test_zero_input_response_recorded(tiny_encoder):
     enc, _ = tiny_encoder
     s = enc.spec
-    want = enc.forward_features(np.zeros((s.in_channels, s.height, s.width)))
-    assert np.array_equal(enc.f0, want)
+    want = enc.forward_features(np.zeros((1, s.in_channels, s.height, s.width)))
+    assert np.array_equal(enc.f0, want[0])
     assert np.any(enc.f0 != 0.0)  # bias-only response survives training
 
 
@@ -107,6 +109,9 @@ def test_input_shape_validated(tiny_encoder):
     enc, _ = tiny_encoder
     with pytest.raises(ShapeError):
         enc.forward_features(np.zeros((3, 8, 8)))
+    with pytest.raises(ShapeError):  # one image is a batch of one, not (C, H, W)
+        enc.forward_features(np.zeros((enc.spec.in_channels, enc.spec.height,
+                                       enc.spec.width)))
 
 
 def test_probe_variance_matches_two_pass_oracle(tiny_encoder):

@@ -3,7 +3,7 @@ import pytest
 
 from _helpers import make_modemix
 from frameprompt import meta as M
-from frameprompt.adapt import HeadMode, build_head
+from frameprompt.adapt import build_head
 from frameprompt.config import RunConfig
 from frameprompt.errors import DataError, ShapeError
 from frameprompt.prompt import FrameSpec, PromptFrame
@@ -103,7 +103,7 @@ def test_inner_update_eta_zero_is_identity(tiny_encoder, meta_sets):
     ds = meta_sets[0]
     spec = FrameSpec.for_input(3, 16, 16)
     start = PromptFrame.random(spec, 0.01, seed=[8])
-    head = build_head(enc, HeadMode("active", ds.class_count))
+    head = build_head(enc, "active", ds.class_count, 256, 0)
     snap, first_loss = M.inner_update(start, ds.images[:8], ds.labels[:8],
                                       enc, head, eta=0.0, steps=2)
     assert snap is not start
@@ -116,7 +116,7 @@ def test_inner_update_descends_and_keeps_interior_zero(tiny_encoder, meta_sets):
     ds = meta_sets[0]
     spec = FrameSpec.for_input(3, 16, 16)
     start = PromptFrame(spec)
-    head = build_head(enc, HeadMode("active", ds.class_count))
+    head = build_head(enc, "active", ds.class_count, 256, 0)
     snap, first_loss = M.inner_update(start, ds.images[:16], ds.labels[:16],
                                       enc, head, eta=0.05, steps=4)
     _, loss_after = M.inner_update(snap, ds.images[:16], ds.labels[:16],

@@ -54,7 +54,7 @@ def test_tracer_counts_one_tiny_adapt(tiny_encoder):
                     batch_size=16)
     tracer = spans.Tracer().install()
     try:
-        bundle, _ = A.adapt(ds, enc, cfg, A.HeadMode("active", ds.class_count), seed=0)
+        bundle, _ = A.adapt(ds, enc, cfg, "active", seed=0)
     finally:
         tracer.restore()
     assert tracer.value("adapt.clusters") == bundle.n == 2

@@ -93,35 +93,44 @@ def test_steps_refuse_a_prompt_past_the_bound():
                                       np.full((1, 8, 8), np.nan))
 
 
-def _bundle(n=3, meta=False, tag=P.HEAD_ACTIVE):
+# the on-disk tag of each head kind: existing bundles are read by these
+TAGS = {0: "tuning", 1: "freezing", 2: "hardcoded", 3: "active"}
+
+
+def _bundle(n=3, meta=False, kind="active"):
     spec = P.FrameSpec(3, 16, 16, 2)
     prompts = [P.PromptFrame.random(spec, 0.1, seed=i) for i in range(n)]
     rng = np.random.default_rng(9)
     protos = rng.standard_normal((n, 64))
-    if tag in (P.HEAD_TUNING, P.HEAD_FREEZING):
-        head = P.HeadState(tag, 5, weight=rng.standard_normal((64, 5)),
+    if kind in ("tuning", "freezing"):
+        head = P.HeadState(kind, weight=rng.standard_normal((64, 5)),
                            bias=rng.standard_normal(5))
     else:
-        head = P.HeadState(tag, 5, indices=np.array([3, 1, 60, 2, 7]))
+        head = P.HeadState(kind, indices=np.array([3, 1, 60, 2, 7]))
     return P.PromptBundle(prompts, protos, head, 0xABCD,
                           '{"lr": 0.1}', meta_initialized=meta)
 
 
-@pytest.mark.parametrize("tag", [P.HEAD_TUNING, P.HEAD_FREEZING,
-                                 P.HEAD_HARDCODED, P.HEAD_ACTIVE])
+def _tag_offset(bundle):
+    # header 12 + spec 20 + d-field 4 + prototypes
+    return 12 + 20 + 4 + 8 * bundle.prototypes.size
+
+
+@pytest.mark.parametrize("tag", sorted(TAGS))
 def test_bundle_roundtrip_bit_exact(tmp_path, tag):
-    bundle = _bundle(tag=tag)
+    bundle = _bundle(kind=TAGS[tag])
     path = str(tmp_path / "run.dampb")
     P.save_bundle(path, bundle)
+    assert (tmp_path / "run.dampb").read_bytes()[_tag_offset(bundle)] == tag
     loaded = P.load_bundle(path)
     assert loaded.n == bundle.n
-    assert loaded.head.tag == tag
+    assert loaded.head.kind == TAGS[tag] and loaded.head.k == 5
     assert loaded.encoder_fingerprint == bundle.encoder_fingerprint
     assert loaded.config_snapshot == bundle.config_snapshot
     assert np.array_equal(loaded.prototypes, bundle.prototypes)
     for a, b in zip(loaded.prompts, bundle.prompts):
         assert np.array_equal(a.values, b.values)
-    if tag in (P.HEAD_TUNING, P.HEAD_FREEZING):
+    if tag < 2:
         assert np.array_equal(loaded.head.weight, bundle.head.weight)
         assert np.array_equal(loaded.head.bias, bundle.head.bias)
     else:
@@ -162,6 +171,18 @@ def test_bundle_error_taxonomy(tmp_path):
     (tmp_path / "reserved.dampb").write_bytes(bytes(bad_reserved))
     with pytest.raises(FormatError):
         P.load_bundle(str(tmp_path / "reserved.dampb"))
+
+    bad_tag = bytearray(blob)
+    bad_tag[_tag_offset(_bundle())] = len(P.HEAD_KINDS)
+    (tmp_path / "tag.dampb").write_bytes(bytes(bad_tag))
+    with pytest.raises(FormatError, match="head tag"):
+        P.load_bundle(str(tmp_path / "tag.dampb"))
+
+    # a head whose arrays do not match its kind would write an unreadable file
+    mismatched = _bundle()
+    mismatched.head = P.HeadState("tuning", indices=np.arange(5))
+    with pytest.raises(ShapeError):
+        P.save_bundle(str(tmp_path / "mismatched.dampb"), mismatched)
 
     # the config snapshot is the last field; 0xFF never occurs in UTF-8
     (tmp_path / "snap.dampb").write_bytes(blob[:-1] + b"\xff")
