@@ -11,6 +11,11 @@ samples before conv1's backward-input (see encoder._encode). Scoring hands
 the same stack and routes to FrozenEncoder.forward_features, so prompts are
 scored by the function they were trained on.
 
+evaluate encodes each image's conv1 once: per chunk, the prompt-free pass
+that routes and the prompted pass that scores both continue from it. adapt
+routes its val and test splits once and scores them every epoch. A single
+prototype routes every image to 0 with no prompt-free pass at all.
+
 The affine heads (tuning, freezing) are one tensor.linear, as the encoder's
 fc; the mapped heads (hardcoded, active) pick their feature columns with
 tensor.take.
@@ -66,11 +71,13 @@ def head_logits(head: HeadState, feats):
 
 
 def prompt_step(images: np.ndarray, stack: np.ndarray, route: np.ndarray,
-                labels: np.ndarray, encoder, head: HeadState):
+                labels: np.ndarray, encoder, head: HeadState, conv1=None):
     """One forward and backward pass of images + stack[route] against the
     frozen encoder, the taped (T, C, H, W) prompt stack its leaf; the step
     that adaptation and the meta inner loop share. Per-sample weights 1/n_t
-    make the loss the sum of each prompt's mean cross entropy.
+    make the loss the sum of each prompt's mean cross entropy. conv1 is None
+    or encoder.conv1(images), for a caller that steps on the same images
+    again (see FrozenEncoder.features_var).
 
     Returns (loss, logits, prompt gradients (T, C, H, W), head gradients as
     (weight, bias) or None for an untrained head). A non-finite loss or
@@ -80,7 +87,7 @@ def prompt_step(images: np.ndarray, stack: np.ndarray, route: np.ndarray,
     if head.trainable:
         head = replace(head, weight=tape.var(head.weight, requires_grad=True),
                        bias=tape.var(head.bias, requires_grad=True))
-    logits = head_logits(head, encoder.features_var(images, sv, route))
+    logits = head_logits(head, encoder.features_var(images, sv, route, conv1))
     loss = T.cross_entropy(logits, labels, 1.0 / np.bincount(route)[route])
     T.backward(loss)
     head_grads = (head.weight.grad, head.bias.grad) if head.trainable else None
@@ -136,38 +143,68 @@ def _ce_and_top1(logits: np.ndarray, labels: np.ndarray) -> tuple[float, int]:
 
 
 def evaluate(dataset, bundle: PromptBundle, encoder) -> EvalResult:
-    """Route prompt-free features to a prototype, then score each image with
-    its routed prompt on the training path (forward_features with the stack).
-    Deterministic: no RNG anywhere on this path."""
+    """Route each image to the prototype nearest its prompt-free features,
+    then score it with its routed prompt on the training path
+    (forward_features with the stack). Per chunk, conv1 of the images runs
+    once and both passes continue from it; with one prototype every image
+    routes to it, and there is no prompt-free pass. Deterministic: no RNG
+    anywhere on this path."""
     if bundle.encoder_fingerprint != encoder.fingerprint:
         raise FrozenViolationError(
             f"bundle was trained against encoder {bundle.encoder_fingerprint:#x}, "
             f"got {encoder.fingerprint:#x}")
-    routes = _route_split(dataset, bundle.prototypes, bundle.head.k, encoder)
-    return _score_routed(dataset, routes, bundle.prompts, bundle.head, encoder)
+    _check_split(dataset, bundle.head.k)
+    protos = bundle.prototypes
+    if protos.shape[1:] != (encoder.spec.feature_dim,):
+        raise ShapeError(f"prototypes {protos.shape} vs encoder features of width "
+                         f"{encoder.spec.feature_dim}")
+    stack = np.stack([p.values for p in bundle.prompts])
+    if len(protos) == 1:
+        routes = np.zeros(len(dataset), dtype=np.int64)
+        feats = encoder.forward_features(dataset.images, stack, routes)
+    else:
+        feats, routes = encoder.forward_features(dataset.images, stack, prototypes=protos)
+    return _scored(head_logits(bundle.head, feats), dataset.labels, routes, len(stack))
 
 
-def _route_split(dataset, protos, k: int, encoder) -> np.ndarray:
-    """Prototype index of every sample of a non-empty dataset whose labels a
-    k-logit head can score. The routes depend on the prototypes and the frozen
-    encoder only, so adapt computes them once per split, not once per epoch."""
+def _check_split(dataset, k: int):
+    """DataError unless the dataset is non-empty and a k-logit head can
+    score its labels."""
     if len(dataset) == 0:
         raise DataError("cannot evaluate an empty dataset")
     top = int(dataset.labels.max())
     if top >= k:
         raise DataError(f"dataset has labels up to {top}, bundle head emits "
                         f"{k} logits")
+
+
+def _route_split(dataset, protos, k: int, encoder) -> np.ndarray:
+    """Prototype index of every sample of a dataset that _check_split
+    accepts, by its prompt-free features; with one prototype every sample
+    routes to 0 without a forward. The routes depend on the prototypes and
+    the frozen encoder only, so adapt computes them once per split, not once
+    per epoch."""
+    _check_split(dataset, k)
+    if len(protos) == 1:
+        return np.zeros(len(dataset), dtype=np.int64)
     return clustering.route_features(encoder.forward_features(dataset.images), protos)
 
 
 def _score_routed(dataset, routes: np.ndarray, prompts, head: HeadState,
-                 encoder) -> EvalResult:
+                  encoder) -> EvalResult:
     """Mean loss and top-1 of each sample prompted by its routed cluster."""
     stack = np.stack([p.values for p in prompts])
     logits = head_logits(head, encoder.forward_features(dataset.images, stack, routes))
-    loss, hits = _ce_and_top1(logits, dataset.labels)
-    n = len(dataset)
-    return EvalResult(loss / n, hits / n, np.bincount(routes, minlength=len(prompts)))
+    return _scored(logits, dataset.labels, routes, len(prompts))
+
+
+def _scored(logits: np.ndarray, labels: np.ndarray, routes: np.ndarray,
+            count: int) -> EvalResult:
+    """Mean loss and top-1 of the logits, and the histogram of the routes
+    over count prompts."""
+    loss, hits = _ce_and_top1(logits, labels)
+    n = len(labels)
+    return EvalResult(loss / n, hits / n, np.bincount(routes, minlength=count))
 
 
 def _build_prototypes(train, encoder, cfg: RunConfig, seed: int):

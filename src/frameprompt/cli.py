@@ -1,7 +1,7 @@
 """Command line front end.
 
-Exit codes: 0 success, 1 usage error, 2 data or contract violation, or a
-path that cannot be read or written. Every
+Exit codes: 0 success, 1 usage error, 2 data or contract violation, a
+path that cannot be read or written, or an array too large for memory. Every
 hyperparameter lives in the config file; flags carry only paths, the seed and
 the head mode. Each command that writes artifacts also writes a manifest with
 content hashes of inputs and (canonicalized) outputs, so re-running with the
@@ -405,9 +405,13 @@ def main(argv=None) -> int:
         msg = str(e).replace("\n", " ")
         print(f"usage error: {msg}", file=sys.stderr)
         return 1
-    except (FramePromptError, OSError) as e:  # OSError: a path that cannot be read
+    except (FramePromptError, OSError, MemoryError) as e:
+        # OSError: a path that cannot be read; MemoryError: an array within
+        # any address space but past this machine's memory (numpy raises a
+        # private subclass, so its public name is printed)
+        kind = "MemoryError" if isinstance(e, MemoryError) else type(e).__name__
         msg = str(e).replace("\n", " ")
-        print(f"error: {type(e).__name__}: {msg}", file=sys.stderr)
+        print(f"error: {kind}: {msg}", file=sys.stderr)
         return 2
 
 

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import tensor as T
+from . import clustering, tensor as T
 from .atomic import Reader, read_json_object, write_atomic
 from .errors import (BadMagicError, DataError, FingerprintMismatchError,
                      FormatError, ShapeError)
@@ -114,16 +114,28 @@ def _freeze_arrays(weights: dict) -> dict:
     return out
 
 
-def _encode(x, params: dict, maps=None, route=None):
+def _encode(x, params: dict, maps=None, route=None, conv1=None):
     """Features of a (B, C, H, W) batch, or of x + prompts[route] given maps,
     conv1 (unbiased) of a (T, C, H, W) prompt stack, and (B,) indices into
     it. x, params and maps may be plain ndarrays (nothing is taped) or Vars
-    on one tape (gradients reach trainable Vars)."""
+    on one tape (gradients reach trainable Vars). conv1 is None or the plain
+    conv1 (unbiased) of x itself, computed already: the first stage reads it
+    and leaves it unwritten, so one conv1 serves every pass over x."""
     # conv1(x + p) = conv1(x) + conv1(p): each sample's prompt map is added
     # to its conv1 output, and the maps' gradient is the per-prompt sum
-    y = T.conv_block(x, params["conv1_w"], params["conv1_b"], maps, route)
+    y = T.conv_block(x, params["conv1_w"], params["conv1_b"], maps, route, conv1)
     y = T.conv_block(y, params["conv2_w"], params["conv2_b"])
     return T.linear(T.reshape(y, (y.shape[0], -1)), params["fc_w"], params["fc_b"])
+
+
+def _routed(x, params: dict, maps, protos) -> tuple:
+    """(features, routes) of a plain chunk routed by its own prompt-free
+    features to the nearest of protos, then prompted by maps[routes]. Both
+    passes continue from one conv1 of x, which is freed on return, before
+    the next chunk's is made."""
+    conv1 = T.conv2d(x, params["conv1_w"])
+    route = clustering.route_features(_encode(x, params, conv1=conv1), protos)
+    return _encode(x, params, maps, route, conv1), route
 
 
 class FrozenEncoder:
@@ -149,10 +161,16 @@ class FrozenEncoder:
             np.zeros((1, spec.in_channels, spec.height, spec.width)))[0]
 
     def forward_features(self, x: np.ndarray, prompts: np.ndarray | None = None,
-                         route: np.ndarray | None = None) -> np.ndarray:
+                         route: np.ndarray | None = None,
+                         prototypes: np.ndarray | None = None):
         """Features of a (B, C, H, W) batch, encoded CHUNK images at a time;
         with a (T, C, H, W) prompt stack and (B,) routes into it, of
-        x + prompts[route] on prompt training's path."""
+        x + prompts[route] on prompt training's path.
+
+        Given (N, d) prototypes in place of routes, each chunk routes itself:
+        its prompt-free features go to their nearest prototype, and its
+        prompted features are then taken with those routes, both from one
+        conv1 of the chunk. Returns (features, routes) then."""
         s = self.spec
         x = np.ascontiguousarray(x, dtype=np.float64)
         if x.ndim != 4 or x.shape[1:] != (s.in_channels, s.height, s.width):
@@ -161,16 +179,28 @@ class FrozenEncoder:
         # the stack's conv1 does not depend on the chunk: one call serves all
         maps = None if prompts is None else T.conv2d(prompts, self.weights["conv1_w"])
         # untaped, so each chunk's intermediates are freed as it goes
+        chunks = range(0, len(x), CHUNK)
+        if prototypes is not None:
+            feats, routes = zip(*(_routed(x[i:i + CHUNK], self.weights, maps, prototypes)
+                                  for i in chunks))
+            return np.concatenate(feats), np.concatenate(routes)
         parts = [_encode(x[i:i + CHUNK], self.weights, maps,
-                         None if route is None else route[i:i + CHUNK])
-                 for i in range(0, len(x), CHUNK)]
+                         None if route is None else route[i:i + CHUNK]) for i in chunks]
         return np.concatenate(parts) if len(parts) > 1 else parts[0]
 
-    def features_var(self, images: np.ndarray, x_var: T.Var, route: np.ndarray) -> T.Var:
+    def conv1(self, images: np.ndarray) -> np.ndarray:
+        """conv1 (unbiased) of a (B, C, H, W) batch, for a caller that encodes
+        the same images more than once: features_var continues from it."""
+        return T.conv2d(images, self.weights["conv1_w"])
+
+    def features_var(self, images: np.ndarray, x_var: T.Var, route: np.ndarray,
+                     conv1: np.ndarray | None = None) -> T.Var:
         """Features of images + x_var[route] for a taped (T, C, H, W) prompt
         stack x_var, bit for bit forward_features(images, x_var.value, route);
-        the gradient flows to x_var only."""
-        return _encode(images, self.weights, T.conv2d(x_var, self.weights["conv1_w"]), route)
+        the gradient flows to x_var only. conv1 is None or self.conv1(images),
+        which is then read and not recomputed."""
+        return _encode(images, self.weights, T.conv2d(x_var, self.weights["conv1_w"]), route,
+                       conv1)
 
     def probe_channel_variance(self, count: int, seed: int) -> np.ndarray:
         """Unbiased per-channel feature variance over standard-normal noise."""

@@ -44,17 +44,18 @@ summed in another order, within 1e-12.
 
 The pool forward is the whole rest of an encoder stage after its conv, in
 one lane pass: each image's prompt map and the bias are added in place into
-the conv output, then 2x2 max pooling, then relu. The pool works on the
-four strided views x[:, :, i::2, j::2] of its input, one per window offset
-n = 2i + j, with no reshaped copy: it takes their elementwise max in place
-and finds each window's offset by equality tests in offset order, so ties
-go to the lowest offset by construction. idx records where relu zeroed y
-as offset + 4, so the backward applies relu's mask and the pool's scatter
-from one int8 array: it writes dy's bits, masked to zero where relu zeroed
-y or another offset won, into the view of each offset. Untaped, the forward
-computes no offsets and adds the bias after the max, an exact reordering
-(see maxpool2_forward). Both pools cut the batch into LANES contiguous
-slices.
+the conv output (or, when other passes share that output, into a fresh
+array that the first add writes), then 2x2 max pooling, then relu. The pool
+works on the four strided views x[:, :, i::2, j::2] of its input, one per
+window offset n = 2i + j, with no reshaped copy: it takes their elementwise
+max in place and finds each window's offset by equality tests in offset
+order, so ties go to the lowest offset by construction. idx records where
+relu zeroed y as offset + 4, so the backward applies relu's mask and the
+pool's scatter from one int8 array: it writes dy's bits, masked to zero
+where relu zeroed y or another offset won, into the view of each offset.
+Untaped, the forward computes no offsets and adds the bias after the max,
+an exact reordering (see maxpool2_forward). Both pools cut the batch into
+LANES contiguous slices.
 
 Lanes. Importing this module pins numpy's bundled OpenBLAS to one thread
 (through ctypes, as scipy_openblas_set_num_threads64_ or
@@ -65,9 +66,9 @@ LANES is 1 and every kernel runs in its caller. Three rules hold:
 
 - Lanes allocate nothing large. The caller allocates every array a lane
   writes: the output, the padded input, the (LANES, k·widest·n) column
-  scratch, the pools' y, idx, flag, g, offset and mask arrays, and the
-  pool epilogue's per-image map views. A
-  worker thread that allocated its own column blocks would get its own
+  scratch, the pools' y, idx, flag, g, offset and mask arrays, and the pool
+  epilogue's per-image views and its fresh array for a shared conv output.
+  A worker thread that allocated its own column blocks would get its own
   malloc arena and keep its freed pages there: the adapt-8mode chain
   (adapt, then eval in one process) peaked at 236 MiB that way, against
   219 MiB with caller-owned scratch.
@@ -210,7 +211,7 @@ def _pool_lanes(lane, b):
     _run_lanes(lambda j: lane(ends[j], ends[j + 1]), lanes)
 
 
-def maxpool2_forward(x, bias, *, maps=None, route=None, index=True):
+def maxpool2_forward(x, bias, *, maps=None, route=None, index=True, shared=False):
     """The rest of an encoder stage after its conv: prompt maps, bias, 2x2
     stride-2 max pool and relu over a (B, C, H, W) conv output, H and W
     even. Returns (y, idx): y (B, C, H/2, W/2) float64, C-contiguous, and
@@ -221,6 +222,11 @@ def maxpool2_forward(x, bias, *, maps=None, route=None, index=True):
     maps[route] and then the (C,) bias in place into its slice of x, which
     the caller must own (the stage's fresh conv output); it pools, and sets
     y to np.where(y > 0, y, 0.0) bit for bit: +0.0 for -0.0 and for NaN.
+    With shared true, x is a conv output that other passes read too, and it
+    stays unwritten: the first add reads x and writes a fresh array, and the
+    later adds go in place into that one, the same ufuncs on the same
+    operands. Untaped with a finite bias and no maps, nothing is added
+    before the max, so no fresh array is made.
 
     With index False (inference, no tape) idx is empty, and a finite bias
     is added after the max rather than before. The values are the same:
@@ -242,17 +248,24 @@ def maxpool2_forward(x, bias, *, maps=None, route=None, index=True):
     flag = np.empty(y.shape, bool)
     col = bias[:, None, None]
     late = not index and bool(np.isfinite(bias).all())
-    # each image's (conv output, map) views, made here: views that a lane
-    # makes are small allocations in its worker's own malloc arena, and with
-    # them the vp-8mode chain peaked 1 MiB higher (212.1 against 211.1 MiB)
-    pairs = [] if maps is None else [(x[i], maps[r]) for i, r in enumerate(route)]
+    # where the adds go: x itself, or a fresh array when x is shared
+    z = np.empty(x.shape) if shared and (maps is not None or not late) else x
+    # each image's (conv output, map, destination) views, made here: views
+    # that a lane makes are small allocations in its worker's own malloc
+    # arena, and with them the vp-8mode chain peaked 1 MiB higher (212.1
+    # against 211.1 MiB)
+    views = [] if maps is None else [(x[i], maps[r], z[i]) for i, r in enumerate(route)]
 
     def lane(lo, hi):
-        for xi, mi in pairs[lo:hi]:
-            xi += mi
+        src = x[lo:hi]
+        if maps is not None:
+            for xi, mi, zi in views[lo:hi]:
+                np.add(xi, mi, out=zi)
+            src = z[lo:hi]
         if not late:
-            x[lo:hi] += col
-        a, b, c, d = _windows(x[lo:hi])
+            np.add(src, col, out=z[lo:hi])
+            src = z[lo:hi]
+        a, b, c, d = _windows(src)
         yl, il, fl = y[lo:hi], idx[lo:hi], flag[lo:hi]
         np.maximum(b, a, out=yl)
         np.maximum(c, yl, out=yl)

@@ -4,7 +4,9 @@ Groups come from clustering each meta-training dataset separately, one per
 prototype of clustering.fit_prototypes, so none is empty. Within an
 epoch the inner loop is chained: each group starts from the previous group's
 snapshot, and the meta prompt moves toward the snapshot average by the meta
-step gamma (optionally through Adam on the pseudo-gradient).
+step gamma (optionally through Adam on the pseudo-gradient). The inner loop
+steps several times on the same images, so it computes their conv1 once and
+hands it to every step.
 """
 
 from __future__ import annotations
@@ -74,15 +76,17 @@ def inner_update(prompt: PromptFrame, images: np.ndarray, labels: np.ndarray,
                  ) -> tuple[PromptFrame, float]:
     """Plain masked gradient descent from the given start; returns the
     snapshot and the loss before the first step. eta=0 returns an unchanged
-    copy."""
+    copy. conv1 of the images runs once, and every step continues from it."""
     if steps < 1:
         raise DataError(f"inner steps must be >= 1, got {steps}")
     p = prompt.copy()
     sgd = Sgd(eta, momentum=0.0)
     route = np.zeros(len(images), dtype=np.int64)
+    conv1 = encoder.conv1(images)
     first_loss = 0.0
     for s in range(steps):
-        loss, _, grad, _ = prompt_step(images, p.values[None], route, labels, encoder, head)
+        loss, _, grad, _ = prompt_step(images, p.values[None], route, labels, encoder, head,
+                                       conv1)
         if s == 0:
             first_loss = loss
         p.grad_step(sgd, "inner", grad[0])

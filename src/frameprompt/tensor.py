@@ -140,16 +140,19 @@ def conv2d(x, w) -> Var:
          (w, lambda g: kernels.conv2d_backward_weight(xv, _f64(g), k))])
 
 
-def conv_block(x, w, b, maps=None, route=None) -> Var:
+def conv_block(x, w, b, maps=None, route=None, conv=None) -> Var:
     """One encoder stage, one tape node: relu(maxpool2(conv2d(x, w)
     + maps[route] + b)), the bias per channel. maps is None or a
     (T, Cout, H, W) stack of prompt maps with (B,) routes into it; an index
     may repeat, and its gradients then add up. The conv output's height and
-    width must be even.
+    width must be even. conv is None or conv2d(x, w) computed already, as a
+    plain array that other passes over x share: the stage reads it in place
+    of the conv and leaves it unwritten.
 
     kernels.maxpool2_forward runs the epilogue on the kernel lanes, in place
-    in the fresh conv output; untaped, it computes no argmax and adds the
-    bias after the max (the same values, see there). The rule turns the
+    in the fresh conv output, or from a shared one into a fresh array of its
+    own; untaped, it computes no argmax and adds the bias after the max (the
+    same values, see there). The rule turns the
     output gradient into the pre-pool gradient once per backward, at the
     first requires_grad operand's turn, and lets it go at the last one's:
     backward-input, backward-weight, the bias sum and the per-prompt sum
@@ -172,9 +175,13 @@ def conv_block(x, w, b, maps=None, route=None) -> Var:
         if route.size and (route.min() < 0 or route.max() >= len(mv)):
             raise ShapeError(f"conv_block: route out of range for {len(mv)} maps")
         shape = mv.shape  # the maps rule reads the shape only
+    if conv is not None and conv.shape != xv.shape[:1] + wv.shape[:1] + xv.shape[2:]:
+        raise ShapeError(f"conv_block: conv output {conv.shape} for images {xv.shape} "
+                         f"and weights {wv.shape}")
     tape = _tape_of(x, w, b, maps)
-    y, idx = kernels.maxpool2_forward(kernels.conv2d_forward(xv, wv), bv, maps=mv,
-                                      route=route, index=tape is not None)
+    y, idx = kernels.maxpool2_forward(
+        kernels.conv2d_forward(xv, wv) if conv is None else conv, bv, maps=mv,
+        route=route, index=tape is not None, shared=conv is not None)
     operands = (x, w, b, maps)
     wanted = [i for i, p in enumerate(operands) if isinstance(p, Var) and p.requires_grad]
     held = []

@@ -250,3 +250,22 @@ def make_modemix(modes, classes_per_mode, samples_per_class, jitter, seed,
                                         jitter=jitter, seed=seed, size=size))
     ds.standardize(*ds.channel_stats())
     return ds
+
+
+def routed_bundle(enc, ds, count, seed=0):
+    """A PromptBundle of count random prompts over ds's image size, a tuning
+    head over its classes, and count prototypes taken from ds's features:
+    row 0, then each next the row farthest from those already taken, so a
+    bundle of two or more routes to more than one prototype."""
+    from frameprompt.adapt import build_head
+    from frameprompt.prompt import FrameSpec, PromptBundle, PromptFrame
+
+    spec = FrameSpec.for_input(*ds.images.shape[1:])
+    prompts = [PromptFrame.random(spec, 0.5, [seed, t]) for t in range(count)]
+    feats = enc.forward_features(ds.images)
+    rows = [0]
+    while len(rows) < count:
+        dist = ((feats[:, None, :] - feats[rows][None]) ** 2).sum(axis=2).min(axis=1)
+        rows.append(int(np.argmax(dist)))
+    head = build_head(enc, "tuning", ds.class_count, 256, seed)
+    return PromptBundle(prompts, feats[rows], head, enc.fingerprint, "{}")

@@ -16,7 +16,7 @@ from frameprompt.errors import (ConfigError, DataError, FrozenViolationError,
                                 ShapeError)
 from frameprompt.prompt import FrameSpec, PromptBundle, PromptFrame
 
-from _helpers import project
+from _helpers import make_modemix, project, routed_bundle
 
 
 @pytest.fixture(scope="module")
@@ -288,6 +288,65 @@ def test_evaluate_rejects_fingerprint_mismatch(tiny_encoder):
     good = dataclasses.replace(bundle, encoder_fingerprint=enc.fingerprint)
     with pytest.raises(DataError):
         A.evaluate(empty, good, enc)
+
+
+@pytest.fixture(scope="module")
+def set150():
+    """150 16 px images in 6 classes: chunks of 64, 64 and a partial 22."""
+    return make_modemix(3, 2, 25, 0.08, seed=9, size=16)
+
+
+def _same_result(got, want):
+    assert np.float64(got.loss).tobytes() == np.float64(want.loss).tobytes()
+    assert got.top1 == want.top1
+    assert got.histogram.dtype == want.histogram.dtype
+    assert np.array_equal(got.histogram, want.histogram)
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_evaluate_trunk_matches_two_passes(tiny_encoder, set150, count):
+    """evaluate encodes each chunk's conv1 once for routing and scoring; the
+    result is byte for byte that of the two whole-split passes, routing
+    (_route_split) and then scoring (_score_routed). One prototype routes
+    every image to it."""
+    enc, _ = tiny_encoder
+    bundle = routed_bundle(enc, set150, count)
+    res = A.evaluate(set150, bundle, enc)
+    routes = A._route_split(set150, bundle.prototypes, bundle.head.k, enc)
+    _same_result(res, A._score_routed(set150, routes, bundle.prompts, bundle.head, enc))
+    if count == 1:
+        assert res.histogram.tolist() == [150]
+    else:
+        assert np.count_nonzero(res.histogram) > 1
+        # the route features of the two-pass path, taken here afresh
+        from frameprompt import clustering
+        assert np.array_equal(
+            routes, clustering.route_features(enc.forward_features(set150.images),
+                                              bundle.prototypes))
+
+
+def test_evaluate_checks_before_any_forward(tiny_encoder, set150, monkeypatch):
+    """An empty set, labels past the head, or prototypes of another width
+    than the encoder's features are refused before anything is encoded, a
+    one-prototype bundle included, which never reaches route_features."""
+    enc, _ = tiny_encoder
+    bundles = [routed_bundle(enc, set150, count) for count in (1, 2)]
+
+    def encoded(*args, **kwargs):
+        raise AssertionError("evaluate encoded before its checks")
+
+    monkeypatch.setattr(E.FrozenEncoder, "forward_features", encoded)
+    for bundle in bundles:
+        empty = dataclasses.replace(set150, images=set150.images[:0],
+                                    labels=set150.labels[:0])
+        with pytest.raises(DataError):
+            A.evaluate(empty, bundle, enc)
+        narrow = dataclasses.replace(bundle, head=A.build_head(enc, "hardcoded", 5, 256, 0))
+        with pytest.raises(DataError):
+            A.evaluate(set150, narrow, enc)
+        thin = dataclasses.replace(bundle, prototypes=bundle.prototypes[:, :63])
+        with pytest.raises(ShapeError):
+            A.evaluate(set150, thin, enc)
 
 
 # ----------------------------------------------------------------- adapt run

@@ -523,6 +523,53 @@ def test_extents_no_array_can_hold_exit_2(tmp_path, pipeline, capsys):
     assert sorted(os.listdir(tmp_path)) == ["cfg.json", "huge.json"]
 
 
+def test_array_past_memory_exits_2(tmp_path, pipeline):
+    """A pair count that fits an array's extents but not the memory the
+    process may map ends as one typed error line and exit 2, with nothing
+    written. The address-space limit (RLIMIT_AS, 4 GiB) is set in the child
+    process only, so the 8 TiB draw fails at once."""
+    import resource
+    import subprocess
+    import sys
+
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    limit = 4 << 30 if hard == resource.RLIM_INFINITY else min(4 << 30, hard)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**CONFIG, "pairs": 2 ** 40}))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys; from frameprompt import cli; "
+         "sys.exit(cli.main(sys.argv[1:]))", "diversity", "--data", pipeline["down"],
+         "--space", "pixel_l2", "--out", str(tmp_path / "d.csv"), "--config", str(cfg)],
+        env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, hard)))
+    assert run.returncode == 2, run.stderr
+    assert run.stderr.count("\n") == 1, run.stderr
+    assert run.stderr.startswith("error: MemoryError:"), run.stderr
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+def test_eval_refuses_prototype_width_of_one_prototype_bundle(tmp_path, pipeline, capsys):
+    """A one-prototype bundle routes without a forward, so nothing compares
+    its prototype with the features on the way; eval still refuses a width
+    of 63 against the encoder's 64."""
+    bundle = load_bundle(pipeline["vp_bundle"])
+    assert bundle.n == 1 and E.load_encoder(pipeline["enc"]).spec.feature_dim == 64
+    bundle.prototypes = bundle.prototypes[:, :63]
+    thin = str(tmp_path / "thin.dampb")
+    save_bundle(thin, bundle)
+    out = tmp_path / "thin.json"
+    rc = cli.main(["eval", "--data", pipeline["down"], "--bundle", thin,
+                   "--encoder", pipeline["enc"], "--out", str(out),
+                   "--config", str(pipeline["config"])])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ShapeError:"), err
+    assert not out.exists()
+
+
 def test_descriptor_parse_error_exits_2(tmp_path, pipeline, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -91,6 +91,34 @@ def test_var_path_matches_pure_path(tiny_encoder):
     assert not np.array_equal(pure, enc.forward_features(x))
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_shared_conv1_is_never_written(tiny_encoder):
+    """The prompt-free and the prompted continuation from one conv1 output
+    leave it unwritten (it is read-only here, so a write would raise) and
+    give the bits of an encode that runs its own conv1; so does the taped
+    path. That holds with a non-finite conv1 bias too, which the pool adds
+    before the max rather than after."""
+    from frameprompt import tensor as T
+    from _helpers import same_bits
+    enc, ds = tiny_encoder
+    x = ds.images[:10]
+    route = np.arange(10) % 3
+    stack = np.random.default_rng(4).standard_normal((3,) + x.shape[1:])
+    conv1 = enc.conv1(x)
+    conv1.setflags(write=False)
+    before = conv1.copy()
+    bias = enc.weights["conv1_b"].copy()
+    bias[[1, 5]] = np.inf, np.nan
+    for params in (enc.weights, {**enc.weights, "conv1_b": bias}):
+        maps = T.conv2d(stack, params["conv1_w"])
+        for m, r in ((None, None), (maps, route)):
+            same_bits(E._encode(x, params, m, r, conv1), E._encode(x, params, m, r))
+        same_bits(conv1, before)
+    var = T.Tape().var(stack, requires_grad=True)
+    same_bits(enc.features_var(x, var, route, conv1).value, enc.features_var(x, var, route).value)
+    same_bits(conv1, before)
+
+
 def test_weights_are_frozen(tiny_encoder):
     enc, _ = tiny_encoder
     with pytest.raises(ValueError):

@@ -3,9 +3,10 @@ import pytest
 
 from _helpers import make_modemix
 from frameprompt import meta as M
-from frameprompt.adapt import build_head
+from frameprompt.adapt import build_head, prompt_step
 from frameprompt.config import RunConfig
 from frameprompt.errors import DataError, ShapeError
+from frameprompt.optim import Sgd
 from frameprompt.prompt import FrameSpec, PromptFrame
 
 
@@ -127,6 +128,27 @@ def test_inner_update_descends_and_keeps_interior_zero(tiny_encoder, meta_sets):
     with pytest.raises(DataError):
         M.inner_update(start, ds.images[:4], ds.labels[:4], enc, head,
                        eta=0.1, steps=0)
+
+
+def test_inner_update_matches_per_step_recompute(tiny_encoder, meta_sets):
+    """inner_update encodes conv1 of its images once for all its steps; the
+    snapshot and first loss equal, bit for bit, those of the loop that
+    encodes the images afresh at every step."""
+    enc, _ = tiny_encoder
+    ds = meta_sets[0]
+    images, labels = ds.images[:16], ds.labels[:16]
+    start = PromptFrame.random(FrameSpec.for_input(3, 16, 16), 0.01, seed=[8])
+    head = build_head(enc, "active", ds.class_count, 256, 0)
+    snap, first_loss = M.inner_update(start, images, labels, enc, head, eta=0.05, steps=4)
+    p, sgd, losses = start.copy(), Sgd(0.05, momentum=0.0), []
+    for _ in range(4):
+        loss, _, grad, _ = prompt_step(images, p.values[None], np.zeros(16, np.int64),
+                                       labels, enc, head)
+        losses.append(loss)
+        p.grad_step(sgd, "inner", grad[0])
+    assert snap.values.tobytes() == p.values.tobytes()
+    assert np.float64(first_loss).tobytes() == np.float64(losses[0]).tobytes()
+    assert len(set(losses)) == 4  # every step moved the prompt
 
 
 # ---------------------------------------------------------------- meta_train

@@ -9,10 +9,11 @@ from pathlib import Path
 
 import numpy as np
 
-from frameprompt import adapt as A, encoder as E, kernels, tensor as T
+from frameprompt import adapt as A, encoder as E, kernels, meta as M, tensor as T
 from frameprompt.config import RunConfig
+from frameprompt.prompt import FrameSpec, PromptFrame
 
-from _helpers import project
+from _helpers import make_modemix, project, routed_bundle
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -103,3 +104,33 @@ def test_tracer_reads_the_fused_pool_taped_and_untaped(monkeypatch):
             assert tracer.value(f"{key}.{field}") > 0, (key, field)
     for key in ("kernels.pool1.bwd", "kernels.pool2.bwd"):
         assert tracer.value(key + ".calls") == 1, key
+
+
+def test_tracer_counts_conv1_once_per_image_chunk(tiny_encoder):
+    """evaluate of 150 images runs conv1 once per 64-image chunk, for its
+    routing and its scoring both, and once on the prompt stack; inner_update
+    runs it once on its images however many steps it takes, and once per
+    step on the prompt."""
+    enc, _ = tiny_encoder
+    ds = make_modemix(3, 2, 25, 0.08, seed=9, size=16)
+    bundle = routed_bundle(enc, ds, 3)
+    spans = _load_spans()
+    tracer = spans.Tracer().install()
+    try:
+        A.evaluate(ds, bundle, enc)
+    finally:
+        tracer.restore()
+    assert tracer.value("kernels.conv1.fwd.calls") == 3 + 1
+    # two passes of two stages per chunk; at 16 px both stages read as pool2
+    assert tracer.value("kernels.pool2.fwd.calls") == 2 * 2 * 3
+    assert tracer.value("encoder.forward_features.images") == 150
+    head = A.build_head(enc, "active", ds.class_count, 256, 0)
+    start = PromptFrame.random(FrameSpec.for_input(3, 16, 16), 0.01, seed=[8])
+    tracer = spans.Tracer().install()
+    try:
+        M.inner_update(start, ds.images[:16], ds.labels[:16], enc, head, eta=0.05, steps=4)
+    finally:
+        tracer.restore()
+    # one 16-image call and four 1-prompt calls
+    assert tracer.value("kernels.conv1.fwd.calls") == 1 + 4
+    assert tracer.value("kernels.conv1.fwd.mean_batch") == (16 + 4) / 5

@@ -435,12 +435,50 @@ def test_conv_block_matches_composed_oracles_bit_for_bit(monkeypatch):
         sys.setswitchinterval(switch)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_conv_block_leaves_a_shared_conv_unwritten(monkeypatch):
+    """Given conv2d(x, w) as conv, a stage reads it and writes nothing into
+    it (it is read-only here, so a write would raise), and its value, taped
+    or not, and its maps gradient equal those of the stage that runs its
+    own conv, bit for bit, at 1, 2 and 5 lanes: without maps and with, with
+    a finite bias and with a non-finite one, which is added before the max
+    rather than after."""
+    rng = np.random.default_rng(29)
+    x, w, maps = (rng.standard_normal(s) for s in ((6, 4, 8, 10), (5, 4, 3, 3), (3, 5, 8, 10)))
+    route = rng.integers(0, 3, size=6)
+    dy = rng.standard_normal((6, 5, 4, 5))
+    conv = kernels.conv2d_forward(x, w)
+    conv.setflags(write=False)
+    before = conv.copy()
+    with ThreadPoolExecutor(4) as pool:
+        monkeypatch.setattr(kernels, "_POOL", pool)
+        for lanes in (1, 2, 5):
+            monkeypatch.setattr(kernels, "LANES", lanes)
+            for b in (rng.standard_normal(5), np.array([0.5, np.inf, -1.0, np.nan, 2.0])):
+                for m, r in ((None, None), (maps, route)):
+                    H.same_bits(T.conv_block(x, w, b, m, r, conv), T.conv_block(x, w, b, m, r))
+                got, want = (_maps_grad(x, w, b, maps, route, dy, c) for c in (conv, None))
+                for g, r in zip(got, want):
+                    H.same_bits(g, r)
+                H.same_bits(conv, before)
+
+
+def _maps_grad(x, w, b, maps, route, dy, conv):
+    """A taped stage's value and maps gradient for output cotangent dy."""
+    tape = T.Tape()
+    mv = tape.var(maps, requires_grad=True)
+    y = T.conv_block(x, w, b, mv, route, conv)
+    (_, fn), = tape.rules[y.node_id]
+    return y.value, fn(dy)
+
+
 def test_conv_block_checks_its_operands():
     x, w, b = np.zeros((2, 3, 4, 4)), np.zeros((5, 3, 3, 3)), np.zeros(5)
     maps = np.zeros((2, 5, 4, 4))
     for bad in (dict(b=np.zeros(4)), dict(w=np.zeros((5, 2, 3, 3))),
                 dict(w=np.zeros((5, 3, 2, 2))), dict(route=[0]), dict(route=[0, 2]),
-                dict(route=[-1, 0]), dict(maps=np.zeros((2, 5, 4, 2)))):
+                dict(route=[-1, 0]), dict(maps=np.zeros((2, 5, 4, 2))),
+                dict(conv=np.zeros((2, 5, 4, 2))), dict(conv=np.zeros((1, 5, 4, 4)))):
         args = dict(x=x, w=w, b=b, maps=maps, route=[0, 1]) | bad
         with pytest.raises(ShapeError):
             T.conv_block(**args)
