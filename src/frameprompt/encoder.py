@@ -25,6 +25,14 @@ gets its prompt's map added inside the first stage. That gather's backward
 sums each prompt's samples, so conv1's backward-input runs at batch T on a
 minibatch that spans T prompts.
 
+conv1 of the images is computed once per use, because the weights are
+frozen: a first stage given conv1 of its images reads it and leaves it
+unwritten. forward_features, given prototypes, encodes each chunk's conv1
+once and continues from it twice, prompt-free to route the chunk and
+prompted to score it; FrozenEncoder.conv1 lets the meta inner loop hand its
+images' conv1 to every step. (Evaluation with a single prototype routes
+every image to it without any prompt-free pass, see adapt.evaluate.)
+
 Weights live in an ordered dict of read-only float64 arrays. The on-disk
 format is magic "DAMW", u32 version, u32 record count, then per array a u32
 rank, rank u32 extents and the raw little-endian float64 payload, finished

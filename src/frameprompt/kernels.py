@@ -248,8 +248,10 @@ def maxpool2_forward(x, bias, *, maps=None, route=None, index=True, shared=False
     flag = np.empty(y.shape, bool)
     col = bias[:, None, None]
     late = not index and bool(np.isfinite(bias).all())
-    # where the adds go: x itself, or a fresh array when x is shared
+    # z takes the adds and is pooled: x itself unless x is shared and
+    # something is added before the max
     z = np.empty(x.shape) if shared and (maps is not None or not late) else x
+    src = x if maps is None else z  # what the bias add reads
     # each image's (conv output, map, destination) views, made here: views
     # that a lane makes are small allocations in its worker's own malloc
     # arena, and with them the vp-8mode chain peaked 1 MiB higher (212.1
@@ -257,15 +259,11 @@ def maxpool2_forward(x, bias, *, maps=None, route=None, index=True, shared=False
     views = [] if maps is None else [(x[i], maps[r], z[i]) for i, r in enumerate(route)]
 
     def lane(lo, hi):
-        src = x[lo:hi]
-        if maps is not None:
-            for xi, mi, zi in views[lo:hi]:
-                np.add(xi, mi, out=zi)
-            src = z[lo:hi]
+        for xi, mi, zi in views[lo:hi]:
+            np.add(xi, mi, out=zi)
         if not late:
-            np.add(src, col, out=z[lo:hi])
-            src = z[lo:hi]
-        a, b, c, d = _windows(src)
+            np.add(src[lo:hi], col, out=z[lo:hi])
+        a, b, c, d = _windows(z[lo:hi])
         yl, il, fl = y[lo:hi], idx[lo:hi], flag[lo:hi]
         np.maximum(b, a, out=yl)
         np.maximum(c, yl, out=yl)

@@ -108,9 +108,10 @@ def test_tracer_reads_the_fused_pool_taped_and_untaped(monkeypatch):
 
 def test_tracer_counts_conv1_once_per_image_chunk(tiny_encoder):
     """evaluate of 150 images runs conv1 once per 64-image chunk, for its
-    routing and its scoring both, and once on the prompt stack; inner_update
-    runs it once on its images however many steps it takes, and once per
-    step on the prompt."""
+    routing and its scoring both, and once on the prompt stack; with one
+    prototype it runs no routing pass at all. inner_update runs conv1 once
+    on its images however many steps it takes, and once per step on the
+    prompt."""
     enc, _ = tiny_encoder
     ds = make_modemix(3, 2, 25, 0.08, seed=9, size=16)
     bundle = routed_bundle(enc, ds, 3)
@@ -124,6 +125,18 @@ def test_tracer_counts_conv1_once_per_image_chunk(tiny_encoder):
     # two passes of two stages per chunk; at 16 px both stages read as pool2
     assert tracer.value("kernels.pool2.fwd.calls") == 2 * 2 * 3
     assert tracer.value("encoder.forward_features.images") == 150
+    # one prototype: no prompt-free pass, in evaluate and in adapt's routing
+    single = routed_bundle(enc, ds, 1)
+    tracer = spans.Tracer().install()
+    try:
+        A.evaluate(ds, single, enc)
+        routes = A._route_split(ds, single.prototypes, single.head.k, enc)
+    finally:
+        tracer.restore()
+    assert routes.tolist() == [0] * 150
+    assert tracer.value("kernels.conv1.fwd.calls") == 3 + 1
+    assert tracer.value("kernels.pool2.fwd.calls") == 2 * 3
+    assert tracer.value("clustering.route_features.calls") == 0
     head = A.build_head(enc, "active", ds.class_count, 256, 0)
     start = PromptFrame.random(FrameSpec.for_input(3, 16, 16), 0.01, seed=[8])
     tracer = spans.Tracer().install()
