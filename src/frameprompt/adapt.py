@@ -36,9 +36,18 @@ from .prompt import HEAD_KINDS, FrameSpec, HeadState, PromptBundle, PromptFrame
 
 _PROBE, _PROMPT, _EPOCH = 0xAD01, 0xAD02, 0xAD03
 
-def build_head(encoder, kind: str, k: int, noise_count: int, seed: int) -> HeadState:
-    """A k-logit head of the given kind; the active kind ranks the channels
-    by their variance over noise_count noise images drawn from seed."""
+def rank_channels(encoder, noise_count: int, seed: int) -> np.ndarray:
+    """The encoder's feature channels by falling variance over noise_count
+    noise images drawn from seed; ties fall to the lower index."""
+    variance = encoder.probe_channel_variance(noise_count, seed)
+    return np.argsort(-variance, kind="stable").astype(np.int64)
+
+
+def build_head(encoder, kind: str, k: int, noise_count: int, seed: int,
+               ranking: np.ndarray | None = None) -> HeadState:
+    """A k-logit head of the given kind; the active kind maps the first k
+    channels of ranking, rank_channels(encoder, noise_count, seed) unless a
+    caller building several heads passes it in."""
     if kind not in HEAD_KINDS:
         raise ConfigError(f"unknown head mode {kind!r}; expected one of {HEAD_KINDS}")
     if k < 1:
@@ -57,9 +66,9 @@ def build_head(encoder, kind: str, k: int, noise_count: int, seed: int) -> HeadS
         raise ConfigError(f"mapping head needs k <= {d}, got {k}")
     if kind == "hardcoded":
         return HeadState(kind, indices=np.arange(k, dtype=np.int64))
-    variance = encoder.probe_channel_variance(noise_count, seed)
-    order = np.argsort(-variance, kind="stable")  # ties fall to the lower index
-    return HeadState(kind, indices=order[:k].astype(np.int64))
+    if ranking is None:
+        ranking = rank_channels(encoder, noise_count, seed)
+    return HeadState(kind, indices=ranking[:k].copy())
 
 
 def head_logits(head: HeadState, feats):

@@ -211,15 +211,21 @@ class FrozenEncoder:
                        conv1)
 
     def probe_channel_variance(self, count: int, seed: int) -> np.ndarray:
-        """Unbiased per-channel feature variance over standard-normal noise."""
+        """Unbiased per-channel feature variance over count standard-normal
+        noise images from one generator, drawn and encoded CHUNK at a time:
+        standard_normal fills C order, so the chunks hold the bits of one
+        (count, C, H, W) draw, and forward_features encodes CHUNK at a time
+        anyway."""
         if count < 2:
             raise DataError(f"probe needs at least 2 noise images, got {count}")
         s = self.spec
-        shape = (count, s.in_channels, s.height, s.width)
-        if math.prod(shape) * 8 > np.iinfo(np.intp).max:
+        image = (s.in_channels, s.height, s.width)
+        if math.prod(image) * count * 8 > np.iinfo(np.intp).max:
             raise DataError(f"{count} noise images are more than any array can hold")
-        noise = T.randn(shape, seed)
-        feats = self.forward_features(noise)
+        rng = np.random.default_rng(seed)
+        feats = np.concatenate([
+            self.forward_features(rng.standard_normal((min(CHUNK, count - i),) + image))
+            for i in range(0, count, CHUNK)])
         return feats.var(axis=0, ddof=1)
 
     # ---- persistence ----

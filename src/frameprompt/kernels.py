@@ -16,31 +16,23 @@ directions:
 The correlation is one GEMM per block of images: the (O, C·kh·kw) weight
 matrix times the (C·kh·kw, images·Ho·Wo) column matrix, copied from a
 (C, kh, kw, B, Ho, Wo) window view of the zero-padded input, written into
-the block's columns of one (O, B·Ho·Wo) output. The batch is cut into a
-multiple of LANES balanced blocks, and lane j pads, copies and multiplies
-blocks j, j + LANES, ... (see lanes below). COLUMN_BYTES (16 MiB) bounds
-the column scratch of one call, all lanes' blocks together, so a conv's
-transient memory is its padded input and output plus at most 16 MiB
-whatever the batch: conv2's backward-input at batch 61,
-whose column matrix is 34 MiB, runs as six blocks of 10 or 11 images on two
-lanes. Each block's GEMM is single-threaded and the lanes run side by side,
-so a larger budget buys no parallelism, only fewer, wider GEMMs. 24 MiB
-took the same time on adapt-8mode, but the larger scratch stayed in the
-heap after prompt training, and the chain's peak resident memory, set by
-eval's dataset split, read 221.8 against 217.6 MiB.
+the block's columns of one (O, B·Ho·Wo) output. The blocks depend on the
+shapes alone (_blocks): balanced, about BLOCK_BYTES (1 MiB) of columns
+each, and never under GEMM_MIN multiply-adds unless the whole product is
+one block. The lanes only share them out: lane j pads, copies and
+multiplies blocks j, j + LANES, ... (see lanes below) in a scratch of one
+widest block, so a conv's transient memory is its padded input and output
+plus one block per lane, whatever the batch. conv1's forward on a 64-image
+chunk, 14 MB of columns, runs as 16 blocks of 4 images. Backward-weight
+blocks take WEIGHT_BLOCK_BYTES (5 MiB): there K is B·H·W and each block
+reads all of dy again. At batch 64 that is three one-channel blocks for
+conv1 and four of four channels for conv2, whose 16 one-channel blocks
+under 1 MiB took 11.3 against 4.7 ms (two AVX-512 vCPUs).
 
-OpenBLAS (scipy-openblas 0.3.31 on an AVX-512 host) sums a product of up
-to about 10^6 multiply-adds in an order that depends on the product's
-width, through its small-matrix path; above that, it sums each output
-element in the same order whatever the block. So a product is split
-across lanes only into blocks of at least GEMM_MIN (2^20) multiply-adds,
-and fewer lanes take it otherwise: the blocks at several lanes are no
-wider than at one, so they are summed as one lane sums them, and results
-do not depend on the lane count. At the encoder's shapes they do not
-depend on COLUMN_BYTES or the batch either (test_kernels checks conv1 and
-conv2 bit for bit). A budget so small that one block at one lane is such a
-product, as a one-channel backward-weight block of a tiny image, may be
-summed in another order, within 1e-12.
+A block of at least GEMM_MIN multiply-adds gets each output element summed
+in the same order as the whole product does (smaller OpenBLAS products may
+not be), so results depend on neither the lane count nor the budgets nor
+the batch; test_kernels checks conv1 and conv2 bit for bit.
 
 The pool forward is the whole rest of an encoder stage after its conv, in
 one lane pass: each image's prompt map and the bias are added in place into
@@ -94,8 +86,9 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 BACKEND = "numpy"
-COLUMN_BYTES = 16 << 20  # all lanes' column blocks of one _correlate, in bytes
-GEMM_MIN = 1 << 20  # fewest multiply-adds in a product split across lanes
+BLOCK_BYTES = 1 << 20  # columns of one forward or backward-input block, in bytes
+WEIGHT_BLOCK_BYTES = 5 << 20  # columns of one backward-weight block, in bytes
+GEMM_MIN = 1 << 20  # fewest multiply-adds in a block of a product cut in several
 
 
 def _pin_blas() -> bool:
@@ -142,10 +135,23 @@ def _pad_into(dst, src, pad):
     dst[:, :, pad:-pad, pad:-pad] = src
 
 
-def _correlate(x, w, pad):
+def _blocks(b, o, k, n, budget):
+    """Bounds of the balanced blocks that a correlation over b images cuts
+    its GEMM into, each image being k·n column elements and o·k·n
+    multiply-adds: about budget bytes of columns per block, raised so that
+    every block holds at least GEMM_MIN multiply-adds, and one block when
+    the whole product holds fewer. A function of the shapes alone."""
+    fewest = -(-GEMM_MIN // max(1, o * k * n))  # images in GEMM_MIN multiply-adds
+    per = max(1, budget // max(1, k * n * 8), fewest)
+    # no more blocks than keep the smallest balanced one at GEMM_MIN
+    return _split(b, max(1, min(-(-b // per), b // fewest)))
+
+
+def _correlate(x, w, pad, budget):
     """Stride-1 cross-correlation of (B, C, H, W) with (O, C, kh, kw), x
     zero-padded by pad on every side: (B, O, H + 2·pad − kh + 1, ...), a
-    transposed view of one (O, B, Ho, Wo) array."""
+    transposed view of one (O, B, Ho, Wo) array. budget is the column bytes
+    of one block (see _blocks)."""
     b, c, h, wd = x.shape
     # each lane pads its own blocks' images into this caller-owned buffer
     padded = np.empty((b, c, h + 2 * pad, wd + 2 * pad)) if pad else x
@@ -158,16 +164,10 @@ def _correlate(x, w, pad):
     k, n = c * kh * kw, ho * wo
     rows = w.reshape(o, k)
     out = np.empty((o, b * n))
-    lanes = min(LANES, b) or 1
-    while True:
-        per = max(1, COLUMN_BYTES // max(1, lanes * k * n * 8))  # images per block
-        blocks = lanes * max(1, -(-b // (lanes * per)))
-        # split across lanes only into blocks of at least GEMM_MIN multiply-adds
-        if lanes == 1 or o * k * n * (b // blocks) >= GEMM_MIN:
-            break
-        lanes -= 1
-    ends = _split(b, blocks)
-    cols = np.empty((lanes, k * n * -(-b // blocks)))  # each lane's widest block
+    ends = _blocks(b, o, k, n, budget)
+    lanes = min(LANES, len(ends) - 1)
+    widest = max(hi - lo for lo, hi in zip(ends, ends[1:]))
+    cols = np.empty((lanes, k * n * widest))
 
     def lane(j):
         for lo, hi in zip(ends[j::lanes], ends[j + 1::lanes]):
@@ -183,18 +183,19 @@ def _correlate(x, w, pad):
 
 
 def conv2d_forward(x, w):
-    return _correlate(x, w, w.shape[2] // 2)
+    return _correlate(x, w, w.shape[2] // 2, BLOCK_BYTES)
 
 
 def conv2d_backward_input(dy, w):
     """d loss / d x given d loss / d y; same shape as dy but Cin channels."""
-    return _correlate(dy, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), w.shape[2] // 2)
+    return _correlate(dy, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), w.shape[2] // 2,
+                      BLOCK_BYTES)
 
 
 def conv2d_backward_weight(x, dy, k):
     """d loss / d w for a k×k kernel: (Cout, Cin, k, k)."""
     return _correlate(x.transpose(1, 0, 2, 3), dy.transpose(1, 0, 2, 3),
-                      k // 2).transpose(1, 0, 2, 3)
+                      k // 2, WEIGHT_BLOCK_BYTES).transpose(1, 0, 2, 3)
 
 
 def _windows(x):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import clustering
-from .adapt import build_head, check_frozen, prompt_step, resolve_tau
+from .adapt import build_head, check_frozen, prompt_step, rank_channels, resolve_tau
 from .config import RunConfig
 from .errors import DataError, ShapeError
 from .optim import Adam, Sgd
@@ -41,6 +41,8 @@ def build_groups(datasets, encoder, tau: float, probe_size: int, seed: int,
     """Per-dataset partition; group ids ascend across datasets in order."""
     if not datasets:
         raise DataError("meta training needs at least one dataset")
+    # every dataset's active head maps the top channels of one ranking
+    ranking = rank_channels(encoder, noise_count, seed)
     groups = []
     gid = 0
     for di, ds in enumerate(datasets):
@@ -49,7 +51,7 @@ def build_groups(datasets, encoder, tau: float, probe_size: int, seed: int,
         all_feats = encoder.forward_features(ds.images)
         protos, assign = clustering.fit_prototypes(all_feats, tau, ds.class_count,
                                                    probe_size, [seed, _GROUP, di])
-        head = build_head(encoder, "active", ds.class_count, noise_count, seed)
+        head = build_head(encoder, "active", ds.class_count, noise_count, seed, ranking)
         for t in range(len(protos)):
             members = np.flatnonzero(assign == t)
             groups.append(MetaTaskGroup(gid, di, members, head))

@@ -298,8 +298,3 @@ def require_finite(what: str, *values):
     for v in values:
         if not np.all(np.isfinite(v)):
             raise DataError(f"{what} diverged: non-finite loss or gradient")
-
-
-def randn(shape, seed: int) -> np.ndarray:
-    """Standard normal draw from a private generator; same seed, same bits."""
-    return np.random.default_rng(seed).standard_normal(shape)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import _helpers as H
 from frameprompt import encoder as E
 from frameprompt.errors import (BadMagicError, DataError,
                                 FingerprintMismatchError, FormatError,
@@ -142,18 +143,31 @@ def test_input_shape_validated(tiny_encoder):
                                        enc.spec.width)))
 
 
+def _noise(enc, count, seed):
+    s = enc.spec
+    return np.random.default_rng(seed).standard_normal((count, s.in_channels, s.height,
+                                                        s.width))
+
+
 def test_probe_variance_matches_two_pass_oracle(tiny_encoder):
-    from frameprompt import tensor as T
     enc, _ = tiny_encoder
     got = enc.probe_channel_variance(64, seed=11)
-    s = enc.spec
-    noise = T.randn((64, s.in_channels, s.height, s.width), 11)
-    feats = enc.forward_features(noise)
+    feats = enc.forward_features(_noise(enc, 64, 11))
     mean = feats.mean(axis=0)
     want = ((feats - mean) ** 2).sum(axis=0) / (64 - 1)
     rel = np.abs(got - want) / np.maximum(1e-30, np.abs(want))
     assert rel.max() < 1e-10
     assert enc.probe_channel_variance(64, seed=11)[0] == got[0]  # deterministic
+
+
+@pytest.mark.parametrize("count", [256, 150])
+def test_probe_variance_draws_noise_by_chunk_with_whole_draw_bits(tiny_encoder, count):
+    """The probe draws and encodes its noise CHUNK images at a time from one
+    generator, and gets the variance of one whole-batch draw byte for byte,
+    the last chunk short or not."""
+    enc, _ = tiny_encoder
+    whole = enc.forward_features(_noise(enc, count, 11)).var(axis=0, ddof=1)
+    H.same_bits(enc.probe_channel_variance(count, seed=11), whole)
 
 
 def test_probe_variance_needs_two(tiny_encoder):

@@ -3,6 +3,7 @@ to float64 working precision, and the discrete pooling choices must match
 exactly."""
 
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -47,12 +48,19 @@ def _conv_all(x, w, dy):
             kernels.conv2d_backward_weight(x, dy, w.shape[2]))
 
 
+def _set_budgets(monkeypatch, block, weight_block):
+    """Column bytes per block: forward and backward-input, backward-weight."""
+    monkeypatch.setattr(kernels, "BLOCK_BYTES", block)
+    monkeypatch.setattr(kernels, "WEIGHT_BLOCK_BYTES", weight_block)
+
+
 @pytest.mark.parametrize("batch", [7, 1])
 @pytest.mark.parametrize("budget", [1, 55296])
 def test_conv_blocks_match_one_block(monkeypatch, batch, budget):
-    """A column budget below one image's columns runs every image alone; one
-    of 55296 bytes (four forward images, three backward-input ones) splits a
-    batch of 7 into uneven blocks: forward 4 + 3, backward-input 3 + 3 + 1.
+    """With GEMM_MIN at 1, so that even these small products are cut, a
+    column budget below one image's columns runs every image alone; one of
+    55296 bytes (four forward images, three backward-input ones) splits a
+    batch of 7 into uneven blocks: forward 3 + 4, backward-input 2 + 2 + 3.
     Those equal the one-block run bit for bit. Backward-weight blocks over
     the 3 input channels, one per block, so each block is a product only
     9 columns wide, which OpenBLAS may sum in another order: it must match
@@ -63,7 +71,8 @@ def test_conv_blocks_match_one_block(monkeypatch, batch, budget):
     w = rng.standard_normal((4, 3, 3, 3))
     dy = rng.standard_normal((batch, 4, 8, 8))
     whole = _conv_all(x, w, dy)
-    monkeypatch.setattr(kernels, "COLUMN_BYTES", budget)
+    _set_budgets(monkeypatch, budget, budget)
+    monkeypatch.setattr(kernels, "GEMM_MIN", 1)
     blocked = _conv_all(x, w, dy)
     oracles = (H.oracle_conv2d_forward(x, w, 1, 1),
                H.oracle_conv2d_backward_input(dy, w, 1, 1, 8, 8),
@@ -96,23 +105,21 @@ def test_conv_blocks_are_bit_identical_at_encoder_shapes(monkeypatch, budget, sh
     pools on the conv output and on the tie and signed-zero input, give the
     same bits at two lanes, and at five (more than the cores, switching
     threads as often as the interpreter can), as at one, and as one block at
-    one lane. The budgets run every image alone, in 3 MiB blocks (conv2
-    forward at batch 61: 8, 9, 9, 8, 9, 9, 9 images at one lane, 14 blocks
-    of 4 or 5 at two) and at the default (conv2 backward-input at 61:
-    20 + 20 + 21 at one lane, six blocks of 10 or 11 at two; backward-weight
-    8 + 8 channels at one lane, 4 × 4 at two). Across lanes no block holds
-    fewer than GEMM_MIN multiply-adds, so backward-weight at batch 1 stays
-    in one block at two lanes. Run alone, one channel's
-    backward-weight at batch 1 (and conv2's at 13) is such a product, which
-    OpenBLAS sums in another order than the whole: within 1e-12 of one
-    block, as in test_conv_blocks_match_one_block. Batch 0 gives empty
-    (0, O, H, W) maps and a zero weight gradient."""
+    one lane. The budgets run every image alone, or as few together as hold
+    GEMM_MIN multiply-adds (conv1 forward at batch 13: 3, 3, 3, 4), in 3 MiB
+    blocks (conv2 forward at batch 61: 8, 9, 9, 8, 9, 9, 9 images) and at
+    the defaults (conv2 forward at 61: 21 blocks of 2 or 3 images, its
+    backward-input 61 blocks of one; backward-weight at 64: 3 blocks of one
+    channel for conv1 and 4 of four for conv2). No block holds fewer than
+    GEMM_MIN multiply-adds unless it is the only one, so even a one-channel
+    backward-weight block is summed as the whole product. Batch 0 gives
+    empty (0, O, H, W) maps and a zero weight gradient."""
     c, o, hw = shape
     rng = np.random.default_rng(47)
     w = rng.standard_normal((o, c, 3, 3))
     tie, grid = H.tie_input(rng)
     tie_dy = rng.choice(grid, size=(3, 4, 4, 5))
-    default = kernels.COLUMN_BYTES
+    default = kernels.BLOCK_BYTES, kernels.WEIGHT_BLOCK_BYTES
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -122,31 +129,101 @@ def test_conv_blocks_are_bit_identical_at_encoder_shapes(monkeypatch, budget, sh
                 dy = rng.standard_normal((b, o, hw, hw))
                 pool_dy = rng.standard_normal((b, o, hw // 2, hw // 2))
                 pool_dy[:, ::2] *= -0.0
-                monkeypatch.setattr(kernels, "COLUMN_BYTES", 1 << 40)
+                _set_budgets(monkeypatch, 1 << 40, 1 << 40)
                 monkeypatch.setattr(kernels, "LANES", 1)
                 whole = _conv_all(x, w, dy)
                 whole += _pool_both(whole[0], pool_dy) + _pool_both(tie, tie_dy)
                 assert whole[0].shape == (b, o, hw, hw) and whole[1].shape == (b, c, hw, hw)
                 if b == 0:
                     assert whole[2].shape == w.shape and not whole[2].any()
-                monkeypatch.setattr(kernels, "COLUMN_BYTES", budget or default)
+                _set_budgets(monkeypatch, *(default if budget is None else (budget, budget)))
                 monkeypatch.setattr(kernels, "_POOL", pool)
                 runs = []
                 for lanes in (1, 2, 5):
                     monkeypatch.setattr(kernels, "LANES", lanes)
                     got = _conv_all(x, w, dy)
                     runs.append(got + _pool_both(got[0], pool_dy) + _pool_both(tie, tie_dy))
-                # one channel's backward-weight product alone, under GEMM_MIN
-                narrow = budget == 1 and o * b * hw * hw * 9 < kernels.GEMM_MIN
-                for i, (one, two, five, want) in enumerate(zip(*runs, whole)):
+                for one, two, five, want in zip(*runs, whole):
                     H.same_bits(two, one)
                     H.same_bits(five, one)
-                    if i == 2 and narrow:
-                        assert np.allclose(one, want, rtol=1e-12, atol=1e-12)
-                    else:
-                        H.same_bits(one, want)
+                    H.same_bits(one, want)
     finally:
         sys.setswitchinterval(switch)
+
+
+def _gemms(monkeypatch, call):
+    """(first output column, operand shapes) of every GEMM that call() makes,
+    in column order, whichever thread makes it."""
+    seen = []
+    matmul = np.matmul
+
+    def record(a, b, out):
+        seen.append(((out.ctypes.data - out.base.ctypes.data) // 8, a.shape, b.shape))
+        return matmul(a, b, out=out)
+
+    with monkeypatch.context() as m:
+        m.setattr(kernels.np, "matmul", record)
+        call()
+    return sorted(seen)
+
+
+@pytest.mark.parametrize("shape", [(16, 32, 16), (3, 16, 32)])
+def test_conv_block_geometry_ignores_the_lane_count(monkeypatch, shape):
+    """Each conv direction cuts the same blocks and makes the same GEMMs at
+    one, two and five lanes, so its bits cannot depend on the lane count.
+    The blocks tile the output's columns in order, and each holds at least
+    GEMM_MIN multiply-adds unless it is the only one. The batches include
+    conv1's backward-input on prompt stacks of 1 and 13."""
+    c, o, hw = shape
+    rng = np.random.default_rng(48)
+    w = rng.standard_normal((o, c, 3, 3))
+    with ThreadPoolExecutor(4) as pool:
+        monkeypatch.setattr(kernels, "_POOL", pool)
+        for b in (1, 13, 16, 61, 64):
+            x = rng.standard_normal((b, c, hw, hw))
+            dy = rng.standard_normal((b, o, hw, hw))
+            for call in (lambda: kernels.conv2d_forward(x, w),
+                         lambda: kernels.conv2d_backward_input(dy, w),
+                         lambda: kernels.conv2d_backward_weight(x, dy, 3)):
+                runs = []
+                for lanes in (1, 2, 5):
+                    monkeypatch.setattr(kernels, "LANES", lanes)
+                    runs.append(_gemms(monkeypatch, call))
+                assert runs[1] == runs[0] and runs[2] == runs[0]
+                start = 0
+                for first, (rows, k), (k2, width) in runs[0]:
+                    assert first == start and k == k2
+                    assert rows * k * width >= kernels.GEMM_MIN or len(runs[0]) == 1
+                    start += width
+
+
+@pytest.mark.parametrize("direction, shape", [("fwd", (3, 16, 32)), ("fwd", (16, 32, 16)),
+                                              ("bwd_input", (16, 32, 16))])
+def test_conv_scratch_is_one_block_per_lane(direction, shape):
+    """At the encoder's shapes and batch 64, a conv allocates its output,
+    its padded input and, per lane, one block of about 1 MiB of columns,
+    whatever the batch: the traced peak stays within those plus 256 KiB.
+    (conv1's backward-input runs only on prompt stacks, not on batches.)"""
+    c, o, hw = shape
+    b, block = 64, 1 << 20
+    rng = np.random.default_rng(49)
+    w = rng.standard_normal((o, c, 3, 3))
+    if direction == "fwd":
+        x = rng.standard_normal((b, c, hw, hw))
+        call, cin, cout = lambda: kernels.conv2d_forward(x, w), c, o
+    else:
+        dy = rng.standard_normal((b, o, hw, hw))
+        call, cin, cout = lambda: kernels.conv2d_backward_input(dy, w), o, c
+    call()  # let the lanes' threads start outside the traced window
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    out, padded = b * cout * hw * hw * 8, b * cin * (hw + 2) ** 2 * 8
+    assert peak <= out + padded + kernels.LANES * block + (256 << 10)
 
 
 def _check_pool(x, dy):

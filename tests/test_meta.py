@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import _helpers as H
 from _helpers import make_modemix
 from frameprompt import meta as M
 from frameprompt.adapt import build_head, prompt_step
@@ -65,6 +66,30 @@ def test_build_groups_partitions_each_dataset(tiny_encoder, meta_sets):
         assert np.array_equal(np.sort(members), np.arange(len(ds)))
         # all groups of one dataset share that dataset's head
         assert len({id(g.head) for g in mine}) == 1
+
+
+def test_build_groups_probes_the_noise_once(monkeypatch, tiny_encoder):
+    """The active heads of all datasets slice one channel ranking: two
+    datasets with 4 and 6 classes run one noise probe, and each dataset's
+    head is the one build_head gives it alone, so the meta prompt's bytes
+    do not change."""
+    enc, _ = tiny_encoder
+    sets = [make_modemix(2, 2, 10, 0.08, seed=61, size=16),
+            make_modemix(2, 3, 10, 0.08, seed=62, size=16)]
+    alone = [build_head(enc, "active", ds.class_count, 256, 0).indices for ds in sets]
+    probe = type(enc).probe_channel_variance
+    calls = []
+
+    def counted(self, count, seed):
+        calls.append((count, seed))
+        return probe(self, count, seed)
+
+    monkeypatch.setattr(type(enc), "probe_channel_variance", counted)
+    groups = M.build_groups(sets, enc, tau=0.5, probe_size=1000, seed=0)
+    assert calls == [(256, 0)]
+    assert {g.dataset_index for g in groups} == {0, 1}
+    for g in groups:
+        H.same_bits(g.head.indices, alone[g.dataset_index])
 
 
 def test_build_groups_rejects_empty(tiny_encoder, meta_sets):

@@ -330,14 +330,6 @@ def test_replay_is_bit_identical():
     assert np.array_equal(g1, g2)
 
 
-def test_randn_free_function_deterministic():
-    a = T.randn((3, 3), seed=5)
-    b = T.randn((3, 3), seed=5)
-    c = T.randn((3, 3), seed=6)
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, c)
-
-
 def test_backward_fills_grad_of_trainable_leaves_only():
     rng = np.random.default_rng(19)
     tape = T.Tape()
