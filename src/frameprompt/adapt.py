@@ -11,10 +11,13 @@ samples before conv1's backward-input (see encoder._encode). Scoring hands
 the same stack and routes to FrozenEncoder.forward_features, so prompts are
 scored by the function they were trained on.
 
-evaluate encodes each image's conv1 once: per chunk, the prompt-free pass
-that routes and the prompted pass that scores both continue from it. adapt
-routes its val and test splits once and scores them every epoch. A single
-prototype routes every image to 0 with no prompt-free pass at all.
+evaluate is the one route-and-score path, for the eval command and for
+adapt's val and test rows. It encodes each image's conv1 once: per chunk,
+the prompt-free pass that routes and the prompted pass that scores both
+continue from it. A single prototype routes every image to 0 with no
+prompt-free pass at all. Given the routes of an earlier result on the same
+split, it scores with them and routes nothing, so adapt routes its val split
+at the first epoch only.
 
 The affine heads (tuning, freezing) are one tensor.linear, as the encoder's
 fc; the mapped heads (hardcoded, active) pick their feature columns with
@@ -142,6 +145,7 @@ class EvalResult:
     loss: float
     top1: float
     histogram: np.ndarray
+    routes: np.ndarray
 
 
 def _ce_and_top1(logits: np.ndarray, labels: np.ndarray) -> tuple[float, int]:
@@ -151,13 +155,14 @@ def _ce_and_top1(logits: np.ndarray, labels: np.ndarray) -> tuple[float, int]:
     return loss, hits
 
 
-def evaluate(dataset, bundle: PromptBundle, encoder) -> EvalResult:
+def evaluate(dataset, bundle: PromptBundle, encoder, routes=None) -> EvalResult:
     """Route each image to the prototype nearest its prompt-free features,
     then score it with its routed prompt on the training path
     (forward_features with the stack). Per chunk, conv1 of the images runs
     once and both passes continue from it; with one prototype every image
-    routes to it, and there is no prompt-free pass. Deterministic: no RNG
-    anywhere on this path."""
+    routes to it, and there is no prompt-free pass. Given the routes of an
+    earlier result on the same split, it scores with them and routes
+    nothing. Deterministic: no RNG anywhere on this path."""
     if bundle.encoder_fingerprint != encoder.fingerprint:
         raise FrozenViolationError(
             f"bundle was trained against encoder {bundle.encoder_fingerprint:#x}, "
@@ -168,12 +173,15 @@ def evaluate(dataset, bundle: PromptBundle, encoder) -> EvalResult:
         raise ShapeError(f"prototypes {protos.shape} vs encoder features of width "
                          f"{encoder.spec.feature_dim}")
     stack = np.stack([p.values for p in bundle.prompts])
-    if len(protos) == 1:
+    if routes is None and len(protos) == 1:
         routes = np.zeros(len(dataset), dtype=np.int64)
-        feats = encoder.forward_features(dataset.images, stack, routes)
-    else:
+    if routes is None:
         feats, routes = encoder.forward_features(dataset.images, stack, prototypes=protos)
-    return _scored(head_logits(bundle.head, feats), dataset.labels, routes, len(stack))
+    else:
+        feats = encoder.forward_features(dataset.images, stack, routes)
+    loss, hits = _ce_and_top1(head_logits(bundle.head, feats), dataset.labels)
+    n = len(dataset)
+    return EvalResult(loss / n, hits / n, np.bincount(routes, minlength=len(stack)), routes)
 
 
 def _check_split(dataset, k: int):
@@ -185,35 +193,6 @@ def _check_split(dataset, k: int):
     if top >= k:
         raise DataError(f"dataset has labels up to {top}, bundle head emits "
                         f"{k} logits")
-
-
-def _route_split(dataset, protos, k: int, encoder) -> np.ndarray:
-    """Prototype index of every sample of a dataset that _check_split
-    accepts, by its prompt-free features; with one prototype every sample
-    routes to 0 without a forward. The routes depend on the prototypes and
-    the frozen encoder only, so adapt computes them once per split, not once
-    per epoch."""
-    _check_split(dataset, k)
-    if len(protos) == 1:
-        return np.zeros(len(dataset), dtype=np.int64)
-    return clustering.route_features(encoder.forward_features(dataset.images), protos)
-
-
-def _score_routed(dataset, routes: np.ndarray, prompts, head: HeadState,
-                  encoder) -> EvalResult:
-    """Mean loss and top-1 of each sample prompted by its routed cluster."""
-    stack = np.stack([p.values for p in prompts])
-    logits = head_logits(head, encoder.forward_features(dataset.images, stack, routes))
-    return _scored(logits, dataset.labels, routes, len(prompts))
-
-
-def _scored(logits: np.ndarray, labels: np.ndarray, routes: np.ndarray,
-            count: int) -> EvalResult:
-    """Mean loss and top-1 of the logits, and the histogram of the routes
-    over count prompts."""
-    loss, hits = _ce_and_top1(logits, labels)
-    n = len(labels)
-    return EvalResult(loss / n, hits / n, np.bincount(routes, minlength=count))
 
 
 def _build_prototypes(train, encoder, cfg: RunConfig, seed: int):
@@ -258,12 +237,19 @@ def adapt(train, encoder, cfg: RunConfig, mode: str, seed: int = 0,
         prompts = [PromptFrame.random(spec, cfg.prompt_init_sigma, [seed, _PROMPT, t])
                    for t in range(len(protos))]
     head = build_head(encoder, mode, train.class_count, cfg.noise_count, seed)
-    val_routes, test_routes = (_route_split(ds, protos, head.k, encoder)
-                               if ds is not None and len(ds) else None for ds in (val, test))
+    # training steps prompts and head in place, so the bundle scores the
+    # current epoch's state
+    bundle = PromptBundle(prompts, protos, head, encoder.fingerprint,
+                          cfg.snapshot(), meta_initialized=meta is not None)
+    val, test = (ds if ds is not None and len(ds) else None for ds in (val, test))
+    for ds in (val, test):
+        if ds is not None:
+            _check_split(ds, head.k)
     opt = make_optimizer(cfg.optimizer, cfg.lr, momentum=cfg.momentum,
                          weight_decay=cfg.weight_decay)
     metrics = Metrics()
     n = len(train)
+    val_routes = None
     for epoch in range(cfg.epochs):
         t0 = time.perf_counter()
         opt.lr = cosine_warmup_lr(cfg.lr, epoch, cfg.epochs, cfg.warmup_epochs)
@@ -286,16 +272,14 @@ def adapt(train, encoder, cfg: RunConfig, mode: str, seed: int = 0,
             epoch_hits += hits
         metrics.add(epoch, "train", epoch_loss / n, epoch_hits / n,
                     time.perf_counter() - t0)
-        if val_routes is not None:
+        if val is not None:
             t1 = time.perf_counter()
-            r = _score_routed(val, val_routes, prompts, head, encoder)
+            r = evaluate(val, bundle, encoder, val_routes)
+            val_routes = r.routes
             metrics.add(epoch, "val", r.loss, r.top1, time.perf_counter() - t1)
-    bundle = PromptBundle(prompts, protos, head, encoder.fingerprint,
-                          cfg.snapshot(), meta_initialized=meta is not None)
-    if test_routes is not None:
+    if test is not None:
         t1 = time.perf_counter()
-        r = _score_routed(test, test_routes, prompts, head, encoder)
+        r = evaluate(test, bundle, encoder)
         metrics.add(cfg.epochs - 1, "test", r.loss, r.top1, time.perf_counter() - t1)
     check_frozen(encoder)
     return bundle, metrics
-

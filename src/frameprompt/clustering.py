@@ -201,9 +201,11 @@ def calibrate_threshold(encoder, reference, probe_size: int = 1000,
                         seed: int = 0) -> float:
     """Distance scale from a designated single-mode reference dataset: 0.8 of
     the largest linkage distance of the probe's dendrogram, the smallest tau
-    at which cut() leaves one cluster."""
-    if len(reference) < 2:
-        raise DataError(f"calibration needs >= 2 samples, got {len(reference)}")
+    at which cut() leaves one cluster. A probe of one point has no linkage
+    distance, so fewer than two probe points is a DataError."""
+    if min(len(reference), probe_size) < 2:
+        raise DataError(f"calibration needs a probe of >= 2 samples, got "
+                        f"{min(len(reference), probe_size)}")
     ids = probe_indices(len(reference), probe_size, [seed, 0xCA11])
     feats = encoder.forward_features(reference.images[ids])
     top = agglomerate(feats).max_distance()

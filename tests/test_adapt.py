@@ -16,7 +16,7 @@ from frameprompt.errors import (ConfigError, DataError, FrozenViolationError,
                                 ShapeError)
 from frameprompt.prompt import FrameSpec, PromptBundle, PromptFrame
 
-from _helpers import make_modemix, project, routed_bundle
+from _helpers import make_modemix, project, routed_bundle, same_bits
 
 
 @pytest.fixture(scope="module")
@@ -306,23 +306,24 @@ def _same_result(got, want):
 @pytest.mark.parametrize("count", [1, 3])
 def test_evaluate_trunk_matches_two_passes(tiny_encoder, set150, count):
     """evaluate encodes each chunk's conv1 once for routing and scoring; the
-    result is byte for byte that of the two whole-split passes, routing
-    (_route_split) and then scoring (_score_routed). One prototype routes
-    every image to it."""
+    result is byte for byte that of two whole-split passes: routes from the
+    prompt-free features (all zeros for one prototype), then evaluate given
+    those routes. The result carries the routes it scored with."""
+    from frameprompt import clustering
     enc, _ = tiny_encoder
     bundle = routed_bundle(enc, set150, count)
     res = A.evaluate(set150, bundle, enc)
-    routes = A._route_split(set150, bundle.prototypes, bundle.head.k, enc)
-    _same_result(res, A._score_routed(set150, routes, bundle.prompts, bundle.head, enc))
+    if count == 1:
+        routes = np.zeros(len(set150), dtype=np.int64)
+    else:
+        routes = clustering.route_features(enc.forward_features(set150.images),
+                                           bundle.prototypes)
+    _same_result(res, A.evaluate(set150, bundle, enc, routes))
+    same_bits(res.routes, routes)
     if count == 1:
         assert res.histogram.tolist() == [150]
     else:
         assert np.count_nonzero(res.histogram) > 1
-        # the route features of the two-pass path, taken here afresh
-        from frameprompt import clustering
-        assert np.array_equal(
-            routes, clustering.route_features(enc.forward_features(set150.images),
-                                              bundle.prototypes))
 
 
 def test_evaluate_checks_before_any_forward(tiny_encoder, set150, monkeypatch):
@@ -385,6 +386,37 @@ def test_adapt_val_and_test_rows(tiny_encoder, splits):
     seq = [(r[0], r[1]) for r in metrics.rows]
     assert seq == [(0, "train"), (0, "val"), (1, "train"), (1, "val"), (1, "test")]
     assert {k: len(v) for k, v in metrics.seconds.items()} == {"train": 2, "val": 2, "test": 1}
+
+
+def test_adapt_scores_val_and_test_with_evaluate(tiny_encoder, splits):
+    """adapt's val and test rows are evaluate's of the bundle it returns,
+    byte for byte; at one epoch the val row scores that same bundle."""
+    enc, _ = tiny_encoder
+    train, val, test = splits
+    bundle, metrics = A.adapt(train, enc, small_cfg(epochs=1), "tuning", seed=0,
+                              val=val, test=test)
+    for split, ds in (("val", val), ("test", test)):
+        _, _, loss, top1 = metrics.final(split)
+        r = A.evaluate(ds, bundle, enc)
+        assert np.float64(loss).tobytes() == np.float64(r.loss).tobytes()
+        assert top1 == r.top1
+
+
+def test_adapt_checks_val_and_test_before_training(tiny_encoder, splits, monkeypatch):
+    """A val or test split whose labels a k-logit head cannot score fails
+    before the first prompt step."""
+    enc, _ = tiny_encoder
+    train, val, test = splits
+
+    def stepped(*args, **kwargs):
+        raise AssertionError("adapt stepped before checking its splits")
+
+    monkeypatch.setattr(A, "prompt_step", stepped)
+    k = train.class_count
+    past = dataclasses.replace(val, labels=np.full(len(val), k), class_count=k + 1)
+    for kw in ({"val": past, "test": test}, {"val": val, "test": past}):
+        with pytest.raises(DataError):
+            A.adapt(train, enc, small_cfg(epochs=1), "tuning", seed=0, **kw)
 
 
 def test_baseline_matches_adapt_with_huge_tau(tiny_encoder, splits):

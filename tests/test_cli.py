@@ -488,6 +488,19 @@ def test_divergence_exits_2_and_writes_nothing(pipeline, tmp_path, capsys):
     assert os.listdir(tmp_path) == ["diverge.json"]
 
 
+def test_calibrate_on_a_one_sample_probe_exits_2(pipeline, tmp_path, capsys):
+    """A probe of one point has no linkage distance to scale a threshold by."""
+    one = tmp_path / "probe1.json"
+    one.write_text(json.dumps({"probe_size": 1}))
+    out = tmp_path / "probe1.calib.json"
+    capsys.readouterr()
+    assert cli.main(["calibrate", "--encoder", pipeline["enc"], "--reference", pipeline["ref"],
+                     "--out", str(out), "--config", str(one)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: DataError:"), err
+    assert os.listdir(tmp_path) == ["probe1.json"]
+
+
 def test_extents_no_array_can_hold_exit_2(tmp_path, pipeline, capsys):
     """A descriptor size or a config integer past what any array can hold
     is refused by its shape check, before anything large is allocated."""

@@ -330,3 +330,6 @@ def test_calibrate_needs_two_samples():
     ds = _WrapDataset(np.zeros((1, 1, 1, 2)))
     with pytest.raises(DataError):
         C.calibrate_threshold(IdentityEncoder(), ds)
+    two = _WrapDataset(np.arange(4.0).reshape(2, 1, 1, 2))
+    with pytest.raises(DataError):
+        C.calibrate_threshold(IdentityEncoder(), two, probe_size=1)
