@@ -315,15 +315,13 @@ def test_evaluate_trunk_matches_two_passes(tiny_encoder, set150, count):
     res = A.evaluate(set150, bundle, enc)
     if count == 1:
         routes = np.zeros(len(set150), dtype=np.int64)
+        assert res.histogram.tolist() == [150]
     else:
         routes = clustering.route_features(enc.forward_features(set150.images),
                                            bundle.prototypes)
+        assert np.count_nonzero(res.histogram) > 1
     _same_result(res, A.evaluate(set150, bundle, enc, routes))
     same_bits(res.routes, routes)
-    if count == 1:
-        assert res.histogram.tolist() == [150]
-    else:
-        assert np.count_nonzero(res.histogram) > 1
 
 
 def test_evaluate_checks_before_any_forward(tiny_encoder, set150, monkeypatch):

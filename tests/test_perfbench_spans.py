@@ -109,22 +109,31 @@ def test_tracer_reads_the_fused_pool_taped_and_untaped(monkeypatch):
 def test_tracer_counts_conv1_once_per_image_chunk(tiny_encoder):
     """evaluate of 150 images runs conv1 once per 64-image chunk, for its
     routing and its scoring both, and once on the prompt stack; with one
-    prototype it runs no routing pass at all. inner_update runs conv1 once
-    on its images however many steps it takes, and once per step on the
-    prompt."""
+    prototype, or given the routes of an earlier result, it runs no routing
+    pass at all. inner_update runs conv1 once on its images however many
+    steps it takes, and once per step on the prompt."""
     enc, _ = tiny_encoder
     ds = make_modemix(3, 2, 25, 0.08, seed=9, size=16)
     bundle = routed_bundle(enc, ds, 3)
     spans = _load_spans()
     tracer = spans.Tracer().install()
     try:
-        A.evaluate(ds, bundle, enc)
+        routes = A.evaluate(ds, bundle, enc).routes
     finally:
         tracer.restore()
     assert tracer.value("kernels.conv1.fwd.calls") == 3 + 1
     # two passes of two stages per chunk; at 16 px both stages read as pool2
     assert tracer.value("kernels.pool2.fwd.calls") == 2 * 2 * 3
     assert tracer.value("encoder.forward_features.images") == 150
+    # given routes: scored with them and handed back, nothing routed
+    tracer = spans.Tracer().install()
+    try:
+        assert A.evaluate(ds, bundle, enc, routes).routes is routes
+    finally:
+        tracer.restore()
+    assert tracer.value("kernels.conv1.fwd.calls") == 3 + 1
+    assert tracer.value("kernels.pool2.fwd.calls") == 2 * 3
+    assert tracer.value("clustering.route_features.calls") == 0
     # one prototype: no prompt-free pass
     single = routed_bundle(enc, ds, 1)
     tracer = spans.Tracer().install()
@@ -146,22 +155,3 @@ def test_tracer_counts_conv1_once_per_image_chunk(tiny_encoder):
     # one 16-image call and four 1-prompt calls
     assert tracer.value("kernels.conv1.fwd.calls") == 1 + 4
     assert tracer.value("kernels.conv1.fwd.mean_batch") == (16 + 4) / 5
-
-
-def test_evaluate_given_routes_routes_nothing(tiny_encoder):
-    """evaluate given the routes of an earlier result scores with them and
-    returns them: no route_features call, and conv1 once per 64-image chunk
-    and once on the prompt stack."""
-    enc, _ = tiny_encoder
-    ds = make_modemix(3, 2, 25, 0.08, seed=9, size=16)
-    bundle = routed_bundle(enc, ds, 3)
-    routes = A.evaluate(ds, bundle, enc).routes
-    spans = _load_spans()
-    tracer = spans.Tracer().install()
-    try:
-        again = A.evaluate(ds, bundle, enc, routes)
-    finally:
-        tracer.restore()
-    assert again.routes is routes
-    assert tracer.value("clustering.route_features.calls") == 0
-    assert tracer.value("kernels.conv1.fwd.calls") == 3 + 1
