@@ -2,32 +2,38 @@
 
 Shared shape conventions: images are (B, C, H, W) float64, conv weights are
 (Cout, Cin, k, k) with k odd. The encoder's convs are same-padded and
-stride 1, so one stride-1 correlation, `_correlate`, serves all three conv
-directions:
+stride 1. All three conv directions multiply image columns, copied from a
+(C, k, k, B, H, W) window view of the input zero-padded by k // 2:
 
-- forward correlates x with w, zero-padded by k // 2;
-- backward-input is the transposed convolution, which at stride 1 is a
-  correlation of dy with the kernel rotated by 180 degrees and its channel
+- forward is a stride-1 correlation, `_correlate`, of x with w;
+- backward-input is the transposed convolution, which at stride 1 is
+  `_correlate` of dy with the kernel rotated by 180 degrees and its channel
   axes swapped, padded by k - 1 - k // 2 = k // 2;
-- backward-weight correlates x with dy once batch and channels swap roles:
-  each input channel is an "image" over the batch, each output channel of dy
-  a (H, W) "kernel", and the k×k result is the weight gradient.
+- backward-weight is one GEMM, dy as (Cout, B·H·W) times the
+  (Cin·k·k, B·H·W) columns of x transposed, its K in (b, h, w) order.
 
-The correlation is one GEMM per block of images: the (O, C·kh·kw) weight
-matrix times the (C·kh·kw, images·Ho·Wo) column matrix, copied from a
-(C, kh, kw, B, Ho, Wo) window view of the zero-padded input, written into
-the block's columns of one (O, B·Ho·Wo) output. The blocks depend on the
+_correlate is one GEMM per block of images: the (O, C·kh·kw) weight matrix
+times the block's (C·kh·kw, images·Ho·Wo) columns, written into the
+block's columns of one (O, B·Ho·Wo) output. The blocks depend on the
 shapes alone (_blocks): balanced, about BLOCK_BYTES (1 MiB) of columns
-each, and never under GEMM_MIN multiply-adds unless the whole product is
-one block. The lanes only share them out: lane j pads, copies and
-multiplies blocks j, j + LANES, ... (see lanes below) in a scratch of one
-widest block, so a conv's transient memory is its padded input and output
-plus one block per lane, whatever the batch. conv1's forward on a 64-image
-chunk, 14 MB of columns, runs as 16 blocks of 4 images. Backward-weight
-blocks take WEIGHT_BLOCK_BYTES (5 MiB): there K is B·H·W and each block
-reads all of dy again. At batch 64 that is three one-channel blocks for
-conv1 and four of four channels for conv2, whose 16 one-channel blocks
-under 1 MiB took 11.3 against 4.7 ms (two AVX-512 vCPUs).
+each, never under GEMM_MIN multiply-adds unless the whole product is one
+block, and an even count of several unless that needs a wider block than
+the widest (one image per block at an odd batch). The lanes only share
+them out: lane j pads, copies and multiplies blocks j, j + LANES, ... (see
+lanes below) in a scratch of one widest block, so a conv's transient
+memory is its padded input and output plus one block per lane, whatever
+the batch. conv1's forward on a 64-image chunk, 14 MB of columns, runs as
+16 blocks of 4 images.
+
+Backward-weight has K = B·H·W, and every block of it reads all of dy, so
+it copies all its columns first: each lane pads and copies a contiguous
+range of images into one (Cin·k·k, B·H·W) array. Then the lanes multiply
+blocks of output columns, cut by _blocks as well, each at least twice
+dy's rows wide: narrower, the packing of dy outweighs the work. At batch
+64 conv1's 27 columns are one block (a call took 3.3 ms, against 4.0 ms
+as two) and conv2's 144 two of 72 (2.6 ms, against 4.1 ms as one), on two
+AVX-512 vCPUs. dy is read through its (Cout, B, H, W) transpose, which is
+free when dy is channel-major (maxpool2_backward's channel_major).
 
 A block of at least GEMM_MIN multiply-adds gets each output element summed
 in the same order as the whole product does (smaller OpenBLAS products may
@@ -46,8 +52,8 @@ relu zeroed y as offset + 4, so the backward applies relu's mask and the
 pool's scatter from one int8 array: it writes dy's bits, masked to zero
 where relu zeroed y or another offset won, into the view of each offset.
 Untaped, the forward computes no offsets and adds the bias after the max,
-an exact reordering (see maxpool2_forward). Both pools cut the batch into
-LANES contiguous slices.
+an exact reordering (see maxpool2_forward). Both pools, and
+backward-weight's column copy, cut the batch into LANES contiguous slices.
 
 Lanes. Importing this module pins numpy's bundled OpenBLAS to one thread
 (through ctypes, as scipy_openblas_set_num_threads64_ or
@@ -57,9 +63,10 @@ runs lane 0 itself and the other lanes on the pool. If no setter is found,
 LANES is 1 and every kernel runs in its caller. Three rules hold:
 
 - Lanes allocate nothing large. The caller allocates every array a lane
-  writes: the output, the padded input, the (LANES, k·widest·n) column
-  scratch, the pools' y, idx, flag, g, offset and mask arrays, and the pool
-  epilogue's per-image views and its fresh array for a shared conv output.
+  writes: the output, the padded input, _correlate's (LANES, k·widest·n)
+  column scratch, backward-weight's (Cin·k·k, B·H·W) columns, the pools'
+  y, idx, flag, g, offset and mask arrays, and the pool epilogue's
+  per-image views and its fresh array for a shared conv output.
   A worker thread that allocated its own column blocks would get its own
   malloc arena and keep its freed pages there: the adapt-8mode chain
   (adapt, then eval in one process) peaked at 236 MiB that way, against
@@ -87,7 +94,6 @@ from numpy.lib.stride_tricks import as_strided
 
 BACKEND = "numpy"
 BLOCK_BYTES = 1 << 20  # columns of one forward or backward-input block, in bytes
-WEIGHT_BLOCK_BYTES = 5 << 20  # columns of one backward-weight block, in bytes
 GEMM_MIN = 1 << 20  # fewest multiply-adds in a block of a product cut in several
 
 
@@ -126,6 +132,13 @@ def _split(b, parts):
     return [b * i // parts for i in range(parts + 1)]
 
 
+def _slice_lanes(lane, b):
+    """lane(lo, hi) over LANES contiguous slices of a batch of b."""
+    lanes = min(LANES, b) or 1
+    ends = _split(b, lanes)
+    _run_lanes(lambda j: lane(ends[j], ends[j + 1]), lanes)
+
+
 def _pad_into(dst, src, pad):
     """src framed by pad zeros on every side of its last two axes, into dst."""
     dst[:, :, :pad] = 0.0
@@ -135,36 +148,56 @@ def _pad_into(dst, src, pad):
     dst[:, :, pad:-pad, pad:-pad] = src
 
 
-def _blocks(b, o, k, n, budget):
-    """Bounds of the balanced blocks that a correlation over b images cuts
-    its GEMM into, each image being k·n column elements and o·k·n
-    multiply-adds: about budget bytes of columns per block, raised so that
-    every block holds at least GEMM_MIN multiply-adds, and one block when
-    the whole product holds fewer. A function of the shapes alone."""
-    fewest = -(-GEMM_MIN // max(1, o * k * n))  # images in GEMM_MIN multiply-adds
-    per = max(1, budget // max(1, k * n * 8), fewest)
-    # no more blocks than keep the smallest balanced one at GEMM_MIN
-    return _split(b, max(1, min(-(-b // per), b // fewest)))
+def _blocks(b, per, fewest):
+    """Bounds of the balanced blocks that cut range(b): about per units
+    each, never fewer than fewest units unless the whole range is one
+    block. A count of several is made even, so that two lanes taking
+    blocks in turn get equal shares: rounded up where every block still
+    holds fewest units, else down where the widest block stays as wide.
+    It stays odd only where both fail, as when every block is one image:
+    merging two would double the widest block, which sizes each lane's
+    scratch. A function of the shapes alone."""
+    most = b // fewest
+    count = max(1, min(-(-b // per), most))
+    if count > 1 and count % 2:
+        if count < most:
+            count += 1
+        elif -(-b // (count - 1)) == -(-b // count):
+            count -= 1
+    return _split(b, count)
 
 
-def _correlate(x, w, pad, budget):
+def _fewest(madds):
+    """The fewest units of madds multiply-adds each that hold GEMM_MIN."""
+    return -(-GEMM_MIN // max(1, madds))
+
+
+def _patches(x, pad, kh, kw):
+    """A caller-owned buffer for x zero-padded by pad on every side (x
+    itself when pad is 0), which the lanes fill, and its view of every
+    (kh, kw) patch: (C, kh, kw, B, Ho, Wo)."""
+    b, c, h, wd = x.shape
+    padded = np.empty((b, c, h + 2 * pad, wd + 2 * pad)) if pad else x
+    sb, sc, sh, sw = padded.strides
+    return padded, as_strided(padded, shape=(c, kh, kw, b, h + 2 * pad - kh + 1,
+                                             wd + 2 * pad - kw + 1),
+                              strides=(sc, sh, sw, sb, sh, sw), writeable=False)
+
+
+def _correlate(x, w, pad):
     """Stride-1 cross-correlation of (B, C, H, W) with (O, C, kh, kw), x
     zero-padded by pad on every side: (B, O, H + 2·pad − kh + 1, ...), a
-    transposed view of one (O, B, Ho, Wo) array. budget is the column bytes
-    of one block (see _blocks)."""
-    b, c, h, wd = x.shape
-    # each lane pads its own blocks' images into this caller-owned buffer
-    padded = np.empty((b, c, h + 2 * pad, wd + 2 * pad)) if pad else x
-    o, _, kh, kw = w.shape
-    ho, wo = h + 2 * pad - kh + 1, wd + 2 * pad - kw + 1
-    sb, sc, sh, sw = padded.strides
-    # view of every (kh, kw) patch: (C, kh, kw, B, Ho, Wo)
-    win = as_strided(padded, shape=(c, kh, kw, b, ho, wo),
-                     strides=(sc, sh, sw, sb, sh, sw), writeable=False)
+    transposed view of one (O, B, Ho, Wo) array, cut into blocks of about
+    BLOCK_BYTES of columns (see _blocks)."""
+    o, c, kh, kw = w.shape
+    # each lane pads its own blocks' images
+    padded, win = _patches(x, pad, kh, kw)
+    b, ho, wo = win.shape[3:]
     k, n = c * kh * kw, ho * wo
     rows = w.reshape(o, k)
     out = np.empty((o, b * n))
-    ends = _blocks(b, o, k, n, budget)
+    fewest = _fewest(o * k * n)
+    ends = _blocks(b, max(1, BLOCK_BYTES // max(1, k * n * 8)), fewest)
     lanes = min(LANES, len(ends) - 1)
     widest = max(hi - lo for lo, hi in zip(ends, ends[1:]))
     cols = np.empty((lanes, k * n * widest))
@@ -183,19 +216,50 @@ def _correlate(x, w, pad, budget):
 
 
 def conv2d_forward(x, w):
-    return _correlate(x, w, w.shape[2] // 2, BLOCK_BYTES)
+    return _correlate(x, w, w.shape[2] // 2)
 
 
 def conv2d_backward_input(dy, w):
     """d loss / d x given d loss / d y; same shape as dy but Cin channels."""
-    return _correlate(dy, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), w.shape[2] // 2,
-                      BLOCK_BYTES)
+    return _correlate(dy, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), w.shape[2] // 2)
 
 
 def conv2d_backward_weight(x, dy, k):
-    """d loss / d w for a k×k kernel: (Cout, Cin, k, k)."""
-    return _correlate(x.transpose(1, 0, 2, 3), dy.transpose(1, 0, 2, 3),
-                      k // 2, WEIGHT_BLOCK_BYTES).transpose(1, 0, 2, 3)
+    """d loss / d w for a k×k kernel: (Cout, Cin, k, k), as one GEMM: dy
+    read as (Cout, B·H·W) times the (Cin·k·k, B·H·W) columns of x
+    transposed. dy is read through its (Cout, B, H, W) transpose, a view
+    when dy is channel-major (maxpool2_backward's channel_major) and a copy
+    otherwise."""
+    b, c, h, wd = x.shape
+    o, pad, n, m = dy.shape[1], k // 2, c * k * k, b * h * wd
+    rows = dy.transpose(1, 0, 2, 3).reshape(o, m)
+    # the columns before the padded input: in this order pretrain-calibrate's
+    # peak read 99.4-99.7 MiB over 12 runs, the other way round 109.5-109.9
+    # (heap layout: 99.0 both ways under MALLOC_MMAP_THRESHOLD_=131072)
+    cols = np.empty((n, m))
+    padded, win = _patches(x, pad, k, k)
+    grid = cols.reshape(win.shape)
+    out = np.empty((o, n))
+
+    def copy(lo, hi):
+        # each lane pads its images and copies their columns
+        if pad:
+            _pad_into(padded[lo:hi], x[lo:hi], pad)
+        grid[:, :, :, lo:hi] = win[:, :, :, lo:hi]
+
+    _slice_lanes(copy, b)
+    # each block packs the whole of dy, which outweighs its work when the
+    # block is narrower than about twice dy's rows
+    fewest = max(2 * o, _fewest(o * m))
+    ends = _blocks(n, fewest, fewest)
+    lanes = min(LANES, len(ends) - 1)
+
+    def multiply(j):
+        for lo, hi in zip(ends[j::lanes], ends[j + 1::lanes]):
+            np.matmul(rows, cols[lo:hi].T, out=out[:, lo:hi])
+
+    _run_lanes(multiply, lanes)
+    return out.reshape(o, c, k, k)
 
 
 def _windows(x):
@@ -203,13 +267,6 @@ def _windows(x):
     per offset of the 2x2 window in row-major order."""
     return (x[:, :, 0::2, 0::2], x[:, :, 0::2, 1::2],
             x[:, :, 1::2, 0::2], x[:, :, 1::2, 1::2])
-
-
-def _pool_lanes(lane, b):
-    """lane(lo, hi) over LANES contiguous slices of a batch of b."""
-    lanes = min(LANES, b) or 1
-    ends = _split(b, lanes)
-    _run_lanes(lambda j: lane(ends[j], ends[j + 1]), lanes)
 
 
 def maxpool2_forward(x, bias, *, maps=None, route=None, index=True, shared=False):
@@ -290,20 +347,24 @@ def maxpool2_forward(x, bias, *, maps=None, route=None, index=True, shared=False
             il += f8
             il += 4
 
-    _pool_lanes(lane, bsz)
+    _slice_lanes(lane, bsz)
     return y, idx
 
 
-def maxpool2_backward(dy, idx):
+def maxpool2_backward(dy, idx, channel_major=False):
     """d loss / d x of maxpool2_forward: g = dy · (idx < 4), relu's mask,
     at each window's offset idx mod 4 and +0.0 at the other three, written
     as four strided (B, C, H/2, W/2) slices of a (B, C, H, W) output. g keeps
     dy's sign where relu zeroed y (dy · 0.0 is ±0.0). Each slice is g's
     bits ANDed with a mask of all ones where the offset is its own and all
     zeros elsewhere: np.where(off == n, g, 0.0) bit for bit, with no
-    temporary. dy may have any strides."""
+    temporary. dy may have any strides. With channel_major true the output
+    is written into (C, B, H, W) memory and returned as its (B, C, H, W)
+    view, the same bits in the layout conv2d_backward_weight reads
+    without a copy."""
     b, c, ho, wo = dy.shape
-    dx = np.empty((b, c, 2 * ho, 2 * wo))
+    dx = (np.empty((c, b, 2 * ho, 2 * wo)).transpose(1, 0, 2, 3) if channel_major
+          else np.empty((b, c, 2 * ho, 2 * wo)))
     g = np.empty(dy.shape)
     off = np.empty(dy.shape, np.int8)
     mask = np.empty(dy.shape, np.int64)
@@ -319,5 +380,5 @@ def maxpool2_backward(dy, idx):
             np.negative(m, out=m)
             np.bitwise_and(gbits[lo:hi], m, out=view)
 
-    _pool_lanes(lane, b)
+    _slice_lanes(lane, b)
     return dx

@@ -156,7 +156,11 @@ def conv_block(x, w, b, maps=None, route=None, conv=None) -> Var:
     output gradient into the pre-pool gradient once per backward, at the
     first requires_grad operand's turn, and lets it go at the last one's:
     backward-input, backward-weight, the bias sum and the per-prompt sum
-    all read that one array."""
+    all read that one array. When w needs a gradient (pretraining) that
+    array is channel-major, a (B, Cout, H, W) view of (Cout, B, H, W)
+    memory, which backward-weight reads as its GEMM operand without a copy;
+    otherwise it is C-contiguous. The bias gradient is _channel_sum, the
+    bits of g.sum(axis=(0, 2, 3)) in either layout."""
     xv, wv, bv = _val(x), _val(w), _val(b)
     k = _conv_kernel("conv_block", xv, wv)
     if xv.shape[2] % 2 or xv.shape[3] % 2:
@@ -189,14 +193,21 @@ def conv_block(x, w, b, maps=None, route=None, conv=None) -> Var:
     def pre_pool(g, i):
         # backward calls a node's rules in order: the first computes, the last drops
         if i == wanted[0]:
-            held[:] = [kernels.maxpool2_backward(g, idx)]
+            held[:] = [kernels.maxpool2_backward(g, idx, channel_major=1 in wanted)]
         return held.pop() if i == wanted[-1] else held[0]
 
     return _record(tape, y, [
         (x, lambda g: kernels.conv2d_backward_input(pre_pool(g, 0), wv)),
         (w, lambda g: kernels.conv2d_backward_weight(xv, pre_pool(g, 1), k)),
-        (b, lambda g: pre_pool(g, 2).sum(axis=(0, 2, 3))),
+        (b, lambda g: _channel_sum(pre_pool(g, 2))),
         (maps, lambda g: _scatter_sum(pre_pool(g, 3), route, shape, 0))])
+
+
+def _channel_sum(g):
+    """g.sum(axis=(0, 2, 3)) of a (B, C, H, W) array in either layout, with
+    its bits: each image's planes summed, then the images added in order
+    from a C-contiguous (B, C) array, as numpy reduces a C-contiguous g."""
+    return np.ascontiguousarray(g.sum(axis=(2, 3))).sum(axis=0)
 
 
 def reshape(x, shape) -> Var:

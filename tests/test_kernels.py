@@ -19,6 +19,8 @@ CASES = [
     dict(x=(1, 2, 9, 9), w=(3, 2, 3, 3)),
     dict(x=(2, 4, 7, 5), w=(2, 4, 3, 3)),
     dict(x=(1, 1, 5, 5), w=(1, 1, 5, 5)),
+    dict(x=(3, 4, 6, 6), w=(5, 4, 1, 1)),
+    dict(x=(0, 3, 8, 8), w=(4, 3, 3, 3)),
 ]
 
 
@@ -41,37 +43,44 @@ def test_conv_kernels_match_oracle(case):
     dwb = H.oracle_conv2d_backward_weight(x, dy, 1, k // 2, k, k)
     assert dwa.shape == dwb.shape
     assert np.allclose(dwa, dwb, rtol=1e-12, atol=1e-12)
+    H.same_bits(kernels.conv2d_backward_weight(x, _channel_major(dy), k), dwa)
+    if len(x) == 0:
+        assert not dwa.any()
+
+
+def _channel_major(a):
+    """a's values in (C, B, H, W) memory, as the (B, C, H, W) view that
+    maxpool2_backward returns with channel_major true."""
+    return np.ascontiguousarray(a.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
 
 
 def _conv_all(x, w, dy):
-    return (kernels.conv2d_forward(x, w), kernels.conv2d_backward_input(dy, w),
-            kernels.conv2d_backward_weight(x, dy, w.shape[2]))
-
-
-def _set_budgets(monkeypatch, block, weight_block):
-    """Column bytes per block: forward and backward-input, backward-weight."""
-    monkeypatch.setattr(kernels, "BLOCK_BYTES", block)
-    monkeypatch.setattr(kernels, "WEIGHT_BLOCK_BYTES", weight_block)
+    """The three conv directions; the weight gradient from a channel-major
+    dy must have the same bits."""
+    dw = kernels.conv2d_backward_weight(x, dy, w.shape[2])
+    H.same_bits(kernels.conv2d_backward_weight(x, _channel_major(dy), w.shape[2]), dw)
+    return kernels.conv2d_forward(x, w), kernels.conv2d_backward_input(dy, w), dw
 
 
 @pytest.mark.parametrize("batch", [7, 1])
 @pytest.mark.parametrize("budget", [1, 55296])
 def test_conv_blocks_match_one_block(monkeypatch, batch, budget):
     """With GEMM_MIN at 1, so that even these small products are cut, a
-    column budget below one image's columns runs every image alone; one of
-    55296 bytes (four forward images, three backward-input ones) splits a
-    batch of 7 into uneven blocks: forward 3 + 4, backward-input 2 + 2 + 3.
-    Those equal the one-block run bit for bit. Backward-weight blocks over
-    the 3 input channels, one per block, so each block is a product only
-    9 columns wide, which OpenBLAS may sum in another order: it must match
-    the one-block run to 1e-12 (about 4e-14 apart here). All three match
-    the oracles to 1e-12."""
+    column budget below one image's columns runs every image alone (seven
+    blocks: an even count would need a block of two); one of 55296 bytes
+    (four forward images, three backward-input ones) splits a batch of 7
+    into uneven blocks: forward 3 + 4, backward-input 1 + 2 + 2 + 2. Those
+    equal the one-block run bit for bit. Backward-weight cuts its 27 output
+    columns into three blocks of 9 whatever the budget, as a block holds at
+    least twice dy's 4 rows. Those products are far under OpenBLAS's
+    small-matrix size, which may sum in another order: they must match the
+    one-block run to 1e-12. All three match the oracles to 1e-12."""
     rng = np.random.default_rng(46)
     x = rng.standard_normal((batch, 3, 8, 8))
     w = rng.standard_normal((4, 3, 3, 3))
     dy = rng.standard_normal((batch, 4, 8, 8))
     whole = _conv_all(x, w, dy)
-    _set_budgets(monkeypatch, budget, budget)
+    monkeypatch.setattr(kernels, "BLOCK_BYTES", budget)
     monkeypatch.setattr(kernels, "GEMM_MIN", 1)
     blocked = _conv_all(x, w, dy)
     oracles = (H.oracle_conv2d_forward(x, w, 1, 1),
@@ -94,8 +103,14 @@ def _unbiased(x):
 
 
 def _pool_both(x, dy):
+    """Both pools; the backward written channel-major must have the same
+    bits, in (C, B, H, W) memory."""
     y, idx = kernels.maxpool2_forward(*_unbiased(x))
-    return y, idx, kernels.maxpool2_backward(dy, idx)
+    dx = kernels.maxpool2_backward(dy, idx)
+    major = kernels.maxpool2_backward(dy, idx, channel_major=True)
+    assert major.transpose(1, 0, 2, 3).flags.c_contiguous
+    H.same_bits(major, dx)
+    return y, idx, dx
 
 
 @pytest.mark.parametrize("budget", [1, 3 << 20, None])
@@ -105,21 +120,24 @@ def test_conv_blocks_are_bit_identical_at_encoder_shapes(monkeypatch, budget, sh
     pools on the conv output and on the tie and signed-zero input, give the
     same bits at two lanes, and at five (more than the cores, switching
     threads as often as the interpreter can), as at one, and as one block at
-    one lane. The budgets run every image alone, or as few together as hold
-    GEMM_MIN multiply-adds (conv1 forward at batch 13: 3, 3, 3, 4), in 3 MiB
-    blocks (conv2 forward at batch 61: 8, 9, 9, 8, 9, 9, 9 images) and at
-    the defaults (conv2 forward at 61: 21 blocks of 2 or 3 images, its
-    backward-input 61 blocks of one; backward-weight at 64: 3 blocks of one
-    channel for conv1 and 4 of four for conv2). No block holds fewer than
-    GEMM_MIN multiply-adds unless it is the only one, so even a one-channel
-    backward-weight block is summed as the whole product. Batch 0 gives
-    empty (0, O, H, W) maps and a zero weight gradient."""
+    one lane (GEMM_MIN beyond any product). The weight gradient from a
+    channel-major dy and the channel-major pool backward match too. The
+    budgets run every image alone, or as few together as hold GEMM_MIN
+    multiply-adds (conv1 forward at batch 13: 3, 3, 3, 4), in 3 MiB blocks
+    (conv2 forward at batch 61: 7 or 8 images in 8 blocks) and at the
+    defaults (conv2 forward at 61: 22 blocks of 2 or 3 images, its
+    backward-input 61 blocks of one). Backward-weight
+    cuts its output columns whatever the budget: at 64, conv1's 27 are one
+    block and conv2's 144 two of 72. No block holds fewer than GEMM_MIN
+    multiply-adds unless it is the only one, so each is summed as the whole
+    product. Batch 0 gives empty (0, O, H, W) maps and a zero weight
+    gradient."""
     c, o, hw = shape
     rng = np.random.default_rng(47)
     w = rng.standard_normal((o, c, 3, 3))
     tie, grid = H.tie_input(rng)
     tie_dy = rng.choice(grid, size=(3, 4, 4, 5))
-    default = kernels.BLOCK_BYTES, kernels.WEIGHT_BLOCK_BYTES
+    default = kernels.BLOCK_BYTES, kernels.GEMM_MIN
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -129,14 +147,15 @@ def test_conv_blocks_are_bit_identical_at_encoder_shapes(monkeypatch, budget, sh
                 dy = rng.standard_normal((b, o, hw, hw))
                 pool_dy = rng.standard_normal((b, o, hw // 2, hw // 2))
                 pool_dy[:, ::2] *= -0.0
-                _set_budgets(monkeypatch, 1 << 40, 1 << 40)
+                monkeypatch.setattr(kernels, "GEMM_MIN", 1 << 62)
                 monkeypatch.setattr(kernels, "LANES", 1)
                 whole = _conv_all(x, w, dy)
                 whole += _pool_both(whole[0], pool_dy) + _pool_both(tie, tie_dy)
                 assert whole[0].shape == (b, o, hw, hw) and whole[1].shape == (b, c, hw, hw)
                 if b == 0:
                     assert whole[2].shape == w.shape and not whole[2].any()
-                _set_budgets(monkeypatch, *(default if budget is None else (budget, budget)))
+                monkeypatch.setattr(kernels, "GEMM_MIN", default[1])
+                monkeypatch.setattr(kernels, "BLOCK_BYTES", budget or default[0])
                 monkeypatch.setattr(kernels, "_POOL", pool)
                 runs = []
                 for lanes in (1, 2, 5):
@@ -171,9 +190,13 @@ def _gemms(monkeypatch, call):
 def test_conv_block_geometry_ignores_the_lane_count(monkeypatch, shape):
     """Each conv direction cuts the same blocks and makes the same GEMMs at
     one, two and five lanes, so its bits cannot depend on the lane count.
-    The blocks tile the output's columns in order, and each holds at least
-    GEMM_MIN multiply-adds unless it is the only one. The batches include
-    conv1's backward-input on prompt stacks of 1 and 13."""
+    The blocks tile the output's columns in order, each holds at least
+    GEMM_MIN multiply-adds unless it is the only one, and a count of
+    several is even, so that two lanes get equal shares, unless an even
+    count would need a wider block than the widest (conv2's backward-input
+    at 13 and 61, one image per block). The batches include conv1's
+    backward-input on prompt stacks of 1, 13 and 16 (four blocks of four
+    images)."""
     c, o, hw = shape
     rng = np.random.default_rng(48)
     w = rng.standard_normal((o, c, 3, 3))
@@ -195,6 +218,8 @@ def test_conv_block_geometry_ignores_the_lane_count(monkeypatch, shape):
                     assert first == start and k == k2
                     assert rows * k * width >= kernels.GEMM_MIN or len(runs[0]) == 1
                     start += width
+                count, widest = len(runs[0]), max(g[2][1] for g in runs[0])
+                assert count == 1 or count % 2 == 0 or -(-start // (count - 1)) > widest
 
 
 @pytest.mark.parametrize("direction, shape", [("fwd", (3, 16, 32)), ("fwd", (16, 32, 16)),
@@ -224,6 +249,51 @@ def test_conv_scratch_is_one_block_per_lane(direction, shape):
         tracemalloc.stop()
     out, padded = b * cout * hw * hw * 8, b * cin * (hw + 2) ** 2 * 8
     assert peak <= out + padded + kernels.LANES * block + (256 << 10)
+
+
+def test_odd_batch_scratch_stays_one_image_per_lane():
+    """conv2's backward-input at batch 61 runs one image per block, an odd
+    count: an even one would need a block of two images and double each
+    lane's scratch. The traced peak stays within the output, the padded
+    input and one image's columns per lane, plus 256 KiB."""
+    b, c, o, hw = 61, 16, 32, 16
+    rng = np.random.default_rng(51)
+    w = rng.standard_normal((o, c, 3, 3))
+    dy = rng.standard_normal((b, o, hw, hw))
+    kernels.conv2d_backward_input(dy, w)  # start the lanes' threads
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        kernels.conv2d_backward_input(dy, w)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    out, padded, image = b * c * hw * hw * 8, b * o * (hw + 2) ** 2 * 8, o * 9 * hw * hw * 8
+    assert peak <= out + padded + kernels.LANES * image + (256 << 10)
+
+
+@pytest.mark.parametrize("shape", [(16, 32, 16), (3, 16, 32)])
+def test_weight_gradient_scratch_is_padded_input_and_columns(shape):
+    """At the encoder's shapes and batch 64, the weight gradient from a
+    channel-major dy, as pretraining hands it over, allocates its padded
+    input, the (Cin·9, 64·H·W) columns and its output, and no copy of dy:
+    the traced peak stays within those plus 256 KiB."""
+    c, o, hw = shape
+    b = 64
+    rng = np.random.default_rng(50)
+    x = rng.standard_normal((b, c, hw, hw))
+    dy = _channel_major(rng.standard_normal((b, o, hw, hw)))
+    kernels.conv2d_backward_weight(x, dy, 3)  # start the lanes' threads
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        kernels.conv2d_backward_weight(x, dy, 3)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    padded, cols, out = b * c * (hw + 2) ** 2 * 8, c * 9 * b * hw * hw * 8, o * c * 9 * 8
+    assert peak <= padded + cols + out + (256 << 10)
+    assert o * b * hw * hw * 8 > 256 << 10  # a copy of dy would break the bound
 
 
 def _check_pool(x, dy):

@@ -344,6 +344,25 @@ def test_backward_fills_grad_of_trainable_leaves_only():
     assert frozen.grad is None and total.grad is None and loss.grad is None
 
 
+@pytest.mark.parametrize("shape", [(64, 16, 32, 32), (64, 32, 16, 16), (61, 16, 32, 32),
+                                   (16, 32, 16, 16), (3, 5, 4, 5), (1, 4, 2, 2), (0, 3, 2, 2)])
+def test_bias_gradient_sums_like_numpy_in_either_layout(shape):
+    """The bias rule gives g.sum(axis=(0, 2, 3)) byte for byte, from a
+    C-contiguous g and from a channel-major one (a (B, C, H, W) view of
+    (C, B, H, W) memory, as the pre-pool gradient is in pretraining).
+    Channel 0 is all -0.0 and channel 1 mixes ±0.0, so the signs of zero
+    sums must match too; the rest span sixteen decades, so that a change
+    of summation order shows in the bits."""
+    rng = np.random.default_rng(29)
+    g = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+    g[:, 0] = -0.0
+    g[:, 1] = rng.choice([-0.0, 0.0], size=g[:, 1].shape)
+    want = g.sum(axis=(0, 2, 3))
+    major = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+    H.same_bits(T._channel_sum(g), want)
+    H.same_bits(T._channel_sum(major), want)
+
+
 def _stage_reference(x, w, b, maps, route, dy):
     """One encoder stage composed from the oracles: conv, the gathered map
     add, bias, 2x2 max pool and np.where relu; then dy back through each to
