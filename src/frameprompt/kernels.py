@@ -233,9 +233,10 @@ def conv2d_backward_weight(x, dy, k):
     b, c, h, wd = x.shape
     o, pad, n, m = dy.shape[1], k // 2, c * k * k, b * h * wd
     rows = dy.transpose(1, 0, 2, 3).reshape(o, m)
-    # the columns before the padded input: in this order pretrain-calibrate's
-    # peak read 99.4-99.7 MiB over 12 runs, the other way round 109.5-109.9
-    # (heap layout: 99.0 both ways under MALLOC_MMAP_THRESHOLD_=131072)
+    # the columns before the padded input: the other order made
+    # pretrain-calibrate's peak read 109.5-109.8 MiB in every run, this one
+    # 99.5-108.7 (heap layout: 99.0 both ways under
+    # MALLOC_MMAP_THRESHOLD_=131072)
     cols = np.empty((n, m))
     padded, win = _patches(x, pad, k, k)
     grid = cols.reshape(win.shape)

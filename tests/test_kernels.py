@@ -126,12 +126,11 @@ def test_conv_blocks_are_bit_identical_at_encoder_shapes(monkeypatch, budget, sh
     multiply-adds (conv1 forward at batch 13: 3, 3, 3, 4), in 3 MiB blocks
     (conv2 forward at batch 61: 7 or 8 images in 8 blocks) and at the
     defaults (conv2 forward at 61: 22 blocks of 2 or 3 images, its
-    backward-input 61 blocks of one). Backward-weight
-    cuts its output columns whatever the budget: at 64, conv1's 27 are one
-    block and conv2's 144 two of 72. No block holds fewer than GEMM_MIN
-    multiply-adds unless it is the only one, so each is summed as the whole
-    product. Batch 0 gives empty (0, O, H, W) maps and a zero weight
-    gradient."""
+    backward-input 61 blocks of one). Backward-weight cuts its output
+    columns whatever the budget: at 64, conv1's 27 are one block and
+    conv2's 144 two of 72. No block holds fewer than GEMM_MIN multiply-adds
+    unless it is the only one, so each is summed as the whole product.
+    Batch 0 gives empty (0, O, H, W) maps and a zero weight gradient."""
     c, o, hw = shape
     rng = np.random.default_rng(47)
     w = rng.standard_normal((o, c, 3, 3))
@@ -222,6 +221,20 @@ def test_conv_block_geometry_ignores_the_lane_count(monkeypatch, shape):
                 assert count == 1 or count % 2 == 0 or -(-start // (count - 1)) > widest
 
 
+def _traced_peak(call):
+    """Bytes that call() allocates at its peak, traced by tracemalloc; it
+    runs once untraced first, so that the lanes' threads start outside the
+    traced window."""
+    call()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("direction, shape", [("fwd", (3, 16, 32)), ("fwd", (16, 32, 16)),
                                               ("bwd_input", (16, 32, 16))])
 def test_conv_scratch_is_one_block_per_lane(direction, shape):
@@ -239,14 +252,7 @@ def test_conv_scratch_is_one_block_per_lane(direction, shape):
     else:
         dy = rng.standard_normal((b, o, hw, hw))
         call, cin, cout = lambda: kernels.conv2d_backward_input(dy, w), o, c
-    call()  # let the lanes' threads start outside the traced window
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        call()
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    peak = _traced_peak(call)
     out, padded = b * cout * hw * hw * 8, b * cin * (hw + 2) ** 2 * 8
     assert peak <= out + padded + kernels.LANES * block + (256 << 10)
 
@@ -260,14 +266,7 @@ def test_odd_batch_scratch_stays_one_image_per_lane():
     rng = np.random.default_rng(51)
     w = rng.standard_normal((o, c, 3, 3))
     dy = rng.standard_normal((b, o, hw, hw))
-    kernels.conv2d_backward_input(dy, w)  # start the lanes' threads
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        kernels.conv2d_backward_input(dy, w)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    peak = _traced_peak(lambda: kernels.conv2d_backward_input(dy, w))
     out, padded, image = b * c * hw * hw * 8, b * o * (hw + 2) ** 2 * 8, o * 9 * hw * hw * 8
     assert peak <= out + padded + kernels.LANES * image + (256 << 10)
 
@@ -283,14 +282,7 @@ def test_weight_gradient_scratch_is_padded_input_and_columns(shape):
     rng = np.random.default_rng(50)
     x = rng.standard_normal((b, c, hw, hw))
     dy = _channel_major(rng.standard_normal((b, o, hw, hw)))
-    kernels.conv2d_backward_weight(x, dy, 3)  # start the lanes' threads
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        kernels.conv2d_backward_weight(x, dy, 3)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    peak = _traced_peak(lambda: kernels.conv2d_backward_weight(x, dy, 3))
     padded, cols, out = b * c * (hw + 2) ** 2 * 8, c * 9 * b * hw * hw * 8, o * c * 9 * 8
     assert peak <= padded + cols + out + (256 << 10)
     assert o * b * hw * hw * 8 > 256 << 10  # a copy of dy would break the bound
