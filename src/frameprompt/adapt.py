@@ -198,23 +198,14 @@ def _check_split(dataset, k: int):
 def _build_prototypes(train, encoder, cfg: RunConfig, seed: int):
     """Cluster a probe subset of the training features; returns the (N, d)
     prototypes, each of which some training sample routes to, and the route of
-    every training sample. The forced single prompt needs no threshold, so it
-    runs on an uncalibrated encoder."""
+    every training sample. The forced single prompt is a cap of one cluster,
+    which fit_prototypes builds without reading cfg.tau."""
     all_feats = encoder.forward_features(train.images)
-    tau, cap = float("inf"), 1
+    cap = 1
     if not cfg.force_single_prompt:
-        tau = resolve_tau(cfg, encoder)
         cap = cfg.max_clusters if cfg.max_clusters is not None else train.class_count
-    return clustering.fit_prototypes(all_feats, tau, cap, cfg.probe_size, [seed, _PROBE])
-
-
-def resolve_tau(cfg: RunConfig, encoder) -> float:
-    if isinstance(cfg.tau, str):
-        if getattr(encoder, "tau_star", None) is None:
-            raise ConfigError("tau is \"calibrate\" but the encoder has no "
-                              "calibrated threshold; run the calibrate command first")
-        return float(encoder.tau_star)
-    return float(cfg.tau)
+    return clustering.fit_prototypes(all_feats, cfg.tau, cap, cfg.probe_size,
+                                     [seed, _PROBE])
 
 
 def adapt(train, encoder, cfg: RunConfig, mode: str, seed: int = 0,

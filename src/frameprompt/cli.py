@@ -3,11 +3,11 @@
 Exit codes: 0 success, 1 usage error, 2 data or contract violation, a
 path that cannot be read or written, or an array too large for memory. Every
 hyperparameter lives in the config file; flags carry only paths, the seed and
-the head mode. Each command that writes artifacts also writes a manifest with
-content hashes of inputs and (canonicalized) outputs, so re-running with the
-same inputs yields the same hashes regardless of wall clock: timings live only
-under the seconds key of adapt's summary json, which the hash leaves out, and
-every other output, the metrics csv included, is the same bytes on a rerun.
+the head mode; adapt and meta-train resolve tau "calibrate" from the encoder's
+calibration sidecar. A command that writes artifacts writes a manifest with
+hashes of the files it read and of its (canonicalized) outputs; timings live
+only under the seconds key of adapt's summary json, which the hash leaves
+out, so a rerun on the same inputs writes the same bytes and hashes.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -91,18 +92,21 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _load_encoder_with_tau(path: str):
-    enc = encoder_mod.load_encoder(path)
-    calib = encoder_mod.calib_path(path)
-    if os.path.exists(calib):
-        doc = read_json_object(calib, "calibration")
-        if doc.get("encoder_fingerprint") == enc.fingerprint:
-            tau = doc.get("tau_star")
-            if not (_is_number(tau) and 0 < tau <= sys.float_info.max):
-                raise FormatError(f"{calib}: calibration needs a finite positive "
-                                  f"tau_star, got {tau!r}")
-            enc.tau_star = float(tau)
-    return enc
+def _calibrated(cfg: RunConfig, enc, encoder_path: str, ins: dict) -> RunConfig:
+    """cfg with tau set to the tau_star that the calibrate command wrote for
+    enc, beside its weights; that sidecar joins ins as calib."""
+    path = os.path.splitext(encoder_path)[0] + ".calib.json"
+    if not os.path.exists(path):
+        raise ConfigError(f"no {path} for tau \"calibrate\"; run the calibrate command first")
+    doc = read_json_object(path, "calibration")
+    if doc.get("encoder_fingerprint") != enc.fingerprint:
+        raise DataError(f"{path}: calibrated for another encoder than {enc.fingerprint:#x}")
+    tau = doc.get("tau_star")
+    if not (_is_number(tau) and 0 < tau <= sys.float_info.max):
+        raise FormatError(f"{path}: calibration needs a finite positive "
+                          f"tau_star, got {tau!r}")
+    ins["calib"] = path
+    return replace(cfg, tau=float(tau))
 
 
 def cmd_pretrain(args) -> int:
@@ -155,10 +159,14 @@ def cmd_diversity(args) -> int:
 
 def cmd_meta_train(args) -> int:
     cfg = _load_cfg(args)
-    enc = _load_encoder_with_tau(args.encoder)
+    enc = encoder_mod.load_encoder(args.encoder)
     paths = [p for p in args.datasets.split(",") if p]
     if not paths:
         raise UsageError("--datasets must list at least one descriptor")
+    ins = _inputs(args, "encoder", "config")
+    ins.update((f"datasets[{i}]", p) for i, p in enumerate(paths))
+    if cfg.tau == "calibrate":
+        cfg = _calibrated(cfg, enc, args.encoder, ins)
     datasets = [data.load_descriptor(p) for p in paths]
     for ds in datasets:
         if _base_id(ds.id) == _base_id(enc.pretrain_dataset_id):
@@ -174,8 +182,8 @@ def cmd_meta_train(args) -> int:
     bundle = PromptBundle([result.prompt], protos, head, enc.fingerprint,
                           snapshot, meta_initialized=True)
     save_bundle(args.out, bundle)
-    write_manifest(args.out + ".manifest.json", "meta-train", args.seed, cfg,
-                   _inputs(args, "encoder", "config"), [args.out])
+    write_manifest(args.out + ".manifest.json", "meta-train", args.seed, cfg, ins,
+                   [args.out])
     print(f"meta prompt over {len(datasets)} datasets: "
           f"loss {result.epoch_losses[0]:.4f} -> {result.epoch_losses[-1]:.4f}, "
           f"out {args.out}")
@@ -202,7 +210,10 @@ def _load_meta_prompt(path: str, enc):
 
 def cmd_adapt(args) -> int:
     cfg = _load_cfg(args)
-    enc = _load_encoder_with_tau(args.encoder)
+    enc = encoder_mod.load_encoder(args.encoder)
+    ins = _inputs(args, "data", "encoder", "meta", "config")
+    if cfg.tau == "calibrate" and not cfg.force_single_prompt:
+        cfg = _calibrated(cfg, enc, args.encoder, ins)
     full = data.load_descriptor(args.data)
     base = _base_id(full.id)
     if base == _base_id(enc.pretrain_dataset_id):
@@ -234,9 +245,6 @@ def cmd_adapt(args) -> int:
         "seconds": metrics.seconds,
     }
     write_json(stem + ".summary.json", summary)
-    ins = _inputs(args, "data", "encoder", "config")
-    if args.meta:
-        ins["meta"] = args.meta
     write_manifest(stem + ".manifest.json", "adapt", args.seed, cfg, ins,
                    [args.out, stem + ".metrics.csv", stem + ".summary.json"])
     shown = "nan" if test_row is None else f"{test_row[3]:.4f}"
@@ -269,9 +277,12 @@ def cmd_eval(args) -> int:
 def cmd_report(args) -> int:
     div_by_dataset = {}
     summaries = []
-    for root, _, files in sorted(os.walk(args.runs)):
+    read = {}
+    for root, _, files in sorted(os.walk(args.runs, onerror=_raise)):
         for name in sorted(files):
             path = os.path.join(root, name)
+            if name.endswith((".summary.json", ".csv")):
+                read[os.path.relpath(path, args.runs)] = path
             if name.endswith(".summary.json"):
                 summaries.append(_read_summary(path))
             elif name.endswith(".csv"):
@@ -300,10 +311,14 @@ def cmd_report(args) -> int:
     blob = "\n".join(lines) + "\n"
     if args.out:
         write_atomic(args.out, blob.encode("utf-8"))
-        write_manifest(args.out + ".manifest.json", "report", 0, None, {},
+        write_manifest(args.out + ".manifest.json", "report", 0, None, read,
                        [args.out])
     sys.stdout.write(blob)
     return 0
+
+
+def _raise(error: OSError):
+    raise error
 
 
 def _score(path: str, cell: str) -> float:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -105,8 +106,8 @@ def agglomerate(features: np.ndarray) -> Dendrogram:
 def cut(dendrogram: Dendrogram, tau: float, max_clusters: int | None = None) -> ClusterCut:
     """Stop merging at the first linkage above tau; if that leaves more than
     max_clusters groups, keep merging in dendrogram order down to the cap."""
-    if tau <= 0:
-        raise DataError(f"threshold must be positive, got {tau}")
+    if not (isinstance(tau, Real) and tau > 0):
+        raise DataError(f"threshold must be a positive number, got {tau!r}")
     if max_clusters is not None and max_clusters < 1:
         raise DataError(f"max_clusters must be >= 1, got {max_clusters}")
     n = dendrogram.n_leaves

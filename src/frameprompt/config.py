@@ -1,9 +1,9 @@
 """Flat json run configuration.
 
 Unknown keys, duplicate keys, numbers that are not finite and constraint
-violations are hard errors; an empty file means all defaults. The frozen
-snapshot of a config rides along in prompt bundles so a run can be reproduced
-from its artifacts.
+violations are hard errors; an empty file means all defaults. The command
+line resolves tau "calibrate" to a number before the library reads it, so
+the snapshot that rides along in prompt bundles reproduces the run.
 """
 
 from __future__ import annotations

@@ -164,7 +164,6 @@ class FrozenEncoder:
         self.pretrain_dataset_id = pretrain_dataset_id
         self.train_accuracy = float(train_accuracy)
         self.seed = int(seed)
-        self.tau_star: float | None = None
         self.f0 = self.forward_features(
             np.zeros((1, spec.in_channels, spec.height, spec.width)))[0]
 
@@ -251,12 +250,6 @@ class FrozenEncoder:
 
 def meta_path(weights_path: str) -> str:
     return str(weights_path) + ".meta.json"
-
-
-def calib_path(weights_path: str) -> str:
-    base = str(weights_path)
-    stem = base[: base.rfind(".")] if "." in base.rsplit("/", 1)[-1] else base
-    return stem + ".calib.json"
 
 
 def load_weights(path: str) -> tuple[dict, int]:

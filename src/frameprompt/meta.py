@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import clustering
-from .adapt import build_head, check_frozen, prompt_step, rank_channels, resolve_tau
+from .adapt import build_head, check_frozen, prompt_step, rank_channels
 from .config import RunConfig
 from .errors import DataError, ShapeError
 from .optim import Adam, Sgd
@@ -131,8 +131,7 @@ def meta_train(datasets, encoder, cfg: RunConfig, seed: int = 0) -> MetaResult:
         raise DataError(f"duplicate meta dataset ids: {ids}")
     c, h, w = next(iter(shapes))
     spec = FrameSpec.for_input(c, h, w)
-    tau = resolve_tau(cfg, encoder)
-    groups = build_groups(datasets, encoder, tau, cfg.probe_size, seed,
+    groups = build_groups(datasets, encoder, cfg.tau, cfg.probe_size, seed,
                           noise_count=cfg.noise_count)
     pm = PromptFrame(spec)
     opt = Adam(lr=cfg.gamma) if cfg.meta_use_adam else None

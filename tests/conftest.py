@@ -26,7 +26,7 @@ class DeskBench:
         self.pretrain_data = make_modemix(4, 4, 30, 0.06, seed=11)
         self.encoder = E.pretrain(self.pretrain_data, epochs=4, seed=11)
         self.reference = make_modemix(1, 2, 150, 0.05, seed=21)
-        self.encoder.tau_star = clustering.calibrate_threshold(
+        self.tau_star = clustering.calibrate_threshold(
             self.encoder, self.reference, probe_size=300, seed=0)
         self.setup_seconds = time.perf_counter() - t0
 

@@ -34,8 +34,8 @@ def suite_splits(modes, seed):
     return split_dataset(raw, (0.7, 0.15, 0.15), seed=seed)
 
 
-def suite_cfg(enc, **kw):
-    base = dict(epochs=6, tau=enc.tau_star, lr=0.1, warmup_epochs=2,
+def suite_cfg(desk, **kw):
+    base = dict(epochs=6, tau=desk.tau_star, lr=0.1, warmup_epochs=2,
                 batch_size=64)
     base.update(kw)
     return RunConfig(**base)
@@ -229,7 +229,7 @@ def test_calibrated_threshold_adapts_cluster_count_to_diversity(desk):
             train = suite_splits(modes, seed)[0]
             feats = enc.forward_features(train.images)
             dend = C.agglomerate(feats)
-            cut = C.cut(dend, enc.tau_star, max_clusters=train.class_count)
+            cut = C.cut(dend, desk.tau_star, max_clusters=train.class_count)
             counts[modes].append(cut.n_clusters)
     assert all(n <= 2 for n in counts[1]), f"1-mode clusters {counts[1]}"
     assert all(n >= 4 for n in counts[8]), f"8-mode clusters {counts[8]}"
@@ -247,8 +247,8 @@ def test_gain_over_single_prompt_grows_with_diversity(desk):
     one accuracy point of zero at 1 mode."""
     t0 = time.perf_counter()
     enc = desk.encoder
-    cfg = suite_cfg(enc)
-    vp_cfg = suite_cfg(enc, force_single_prompt=True)
+    cfg = suite_cfg(desk)
+    vp_cfg = suite_cfg(desk, force_single_prompt=True)
     means = {}
     for modes in (1, 2, 4, 8):
         gains = []
@@ -276,8 +276,8 @@ def test_meta_initialization_speeds_up_and_stabilizes_adaptation(desk):
     of final accuracy does not widen."""
     t0 = time.perf_counter()
     enc = desk.encoder
-    cfg = suite_cfg(enc, meta_epochs=10, inner_steps=4, eta=0.5, gamma=0.5,
-                    meta_batch_size=16)
+    cfg = suite_cfg(desk, meta_epochs=10, inner_steps=4, eta=0.5, gamma=0.5,
+                     meta_batch_size=16)
     meta_sets = [make_modemix(4, 2, 40, 0.05, seed=41),
                  make_modemix(4, 2, 40, 0.05, seed=42)]
     result = meta_train(meta_sets, enc, cfg, seed=7)
@@ -312,7 +312,7 @@ def test_variance_selected_mapping_beats_first_channels(desk):
     of final test accuracy)."""
     t0 = time.perf_counter()
     enc = desk.encoder
-    cfg = suite_cfg(enc)
+    cfg = suite_cfg(desk)
     accs = {"active": [], "hardcoded": []}
     for seed in SUITE_SEEDS:
         train, _, test = suite_splits(4, seed)
@@ -343,8 +343,8 @@ def test_frozen_bytes_roundtrips_and_reproducible_manifests(desk, tmp_path):
                                          samples_per_class=20, jitter=0.03,
                                          seed=81))
     train, _, _ = split_dataset(raw, (0.7, 0.15, 0.15), seed=81)
-    cfg = suite_cfg(enc, epochs=1, meta_epochs=1, inner_steps=1,
-                    meta_batch_size=8)
+    cfg = suite_cfg(desk, epochs=1, meta_epochs=1, inner_steps=1,
+                     meta_batch_size=8)
     bundle, _ = adapt(train, enc, cfg, "active", seed=81)
     meta_train([make_modemix(2, 2, 10, 0.05, seed=82)], enc, cfg, seed=82)
     assert weights_digest(enc) == before, "encoder bytes changed"
@@ -368,7 +368,7 @@ def test_frozen_bytes_roundtrips_and_reproducible_manifests(desk, tmp_path):
                                 "classes_per_mode": 2, "samples_per_class": 20,
                                 "jitter": 0.03, "seed": 81}))
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"epochs": 1, "tau": float(enc.tau_star),
+    cfg_path.write_text(json.dumps({"epochs": 1, "tau": desk.tau_star,
                                     "batch_size": 64}))
     hashes = []
     for sub in ("a", "b"):

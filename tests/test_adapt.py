@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import hashlib
+import json
 import tracemalloc
 from types import SimpleNamespace
 
@@ -9,6 +10,7 @@ import pytest
 
 from frameprompt import adapt as A
 from frameprompt import encoder as E
+from frameprompt import meta as M
 from frameprompt import tensor as T
 from frameprompt.config import RunConfig
 from frameprompt.data import SyntheticSpec, generate_modemix, split_dataset
@@ -463,11 +465,21 @@ def test_adapt_input_validation(tiny_encoder, splits):
         A.adapt(train, enc, small_cfg(), "tuning", meta=wrong)
 
 
-def test_resolve_tau():
-    assert A.resolve_tau(RunConfig(tau=3.5), SimpleNamespace(tau_star=None)) == 3.5
-    assert A.resolve_tau(RunConfig(), SimpleNamespace(tau_star=7.25)) == 7.25
-    with pytest.raises(ConfigError):
-        A.resolve_tau(RunConfig(), SimpleNamespace(tau_star=None))
+def test_uncalibrated_tau_is_a_typed_error_where_it_cuts(tiny_encoder, splits):
+    """The library reads tau as a number: "calibrate" is resolved by the
+    command line, and reaching the clusterer unresolved is a DataError, not a
+    TypeError. The forced single prompt cuts nothing, so it runs and its
+    snapshot keeps the string."""
+    enc, _ = tiny_encoder
+    train = splits[0]
+    with pytest.raises(DataError, match="'calibrate'"):
+        A.adapt(train, enc, small_cfg(tau="calibrate"), "tuning")
+    with pytest.raises(DataError, match="'calibrate'"):
+        M.build_groups([train], enc, "calibrate", probe_size=16, seed=0, noise_count=8)
+    bundle, _ = A.adapt(train, enc, small_cfg(tau="calibrate", force_single_prompt=True,
+                                              epochs=1), "tuning")
+    assert bundle.n == 1
+    assert json.loads(bundle.config_snapshot)["tau"] == "calibrate"
 
 
 def test_check_frozen_flags_writeable_weights():

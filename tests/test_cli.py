@@ -1,7 +1,9 @@
 """End-to-end command line coverage on 16px synthetic data."""
 
+import hashlib
 import json
 import os
+import shlex
 import shutil
 
 import numpy as np
@@ -131,6 +133,99 @@ def test_adapt_artifacts(pipeline):
     assert vp_summary["force_single_prompt"] and vp_summary["n_clusters"] == 1
 
 
+def _sha256(path):
+    return hashlib.sha256(open(path, "rb").read()).hexdigest()
+
+
+def _encoder_copy(pipeline, d, calib=None):
+    """The pipeline's encoder and its metadata in directory d, with calib as
+    its enc.calib.json sidecar unless calib is None."""
+    d.mkdir()
+    shutil.copy(pipeline["enc"], d / "enc.damw")
+    shutil.copy(pipeline["enc"] + ".meta.json", d / "enc.damw.meta.json")
+    if calib is not None:
+        (d / "enc.calib.json").write_text(json.dumps(calib))
+    return str(d / "enc.damw")
+
+
+def test_clustered_runs_record_the_calibrated_threshold(pipeline):
+    """adapt and meta-train resolve "calibrate" from the encoder's sidecar:
+    the manifest lists the sidecar as calib and both the manifest's config
+    and the bundle's snapshot hold the number. The forced single prompt
+    reads no sidecar and keeps the string."""
+    tau = json.load(open(pipeline["calib"]))["tau_star"]
+    calib = {"path": "enc.calib.json", "sha256": _sha256(pipeline["calib"])}
+    dam = json.load(open(pipeline["dam_bundle"][: -len(".dampb")] + ".manifest.json"))
+    assert dam["inputs"]["calib"] == calib
+    assert dam["config"]["tau"] == tau
+    assert json.loads(load_bundle(pipeline["dam_bundle"]).config_snapshot)["tau"] == tau
+    meta = json.load(open(pipeline["meta_bundle"] + ".manifest.json"))
+    assert meta["inputs"]["calib"] == calib
+    assert meta["config"]["tau"] == tau
+    snapshot = json.loads(load_bundle(pipeline["meta_bundle"]).config_snapshot)
+    assert snapshot["config"]["tau"] == tau
+    vp = json.load(open(pipeline["vp_bundle"][: -len(".dampb")] + ".manifest.json"))
+    assert set(vp["inputs"]) == {"data", "encoder", "config"}
+    assert vp["config"]["tau"] == "calibrate"
+    assert json.loads(load_bundle(pipeline["vp_bundle"]).config_snapshot)["tau"] == "calibrate"
+
+
+def test_meta_train_manifest_lists_every_descriptor(pipeline):
+    inputs = json.load(open(pipeline["meta_bundle"] + ".manifest.json"))["inputs"]
+    assert set(inputs) == {"encoder", "config", "calib", "datasets[0]", "datasets[1]"}
+    for i, name in enumerate(("meta1", "meta2")):
+        assert inputs[f"datasets[{i}]"] == {"path": f"{name}.json",
+                                            "sha256": _sha256(pipeline[name])}
+
+
+def test_editing_the_sidecar_moves_its_hash_and_the_snapshot(pipeline, tmp_path):
+    doc = json.load(open(pipeline["calib"]))
+    doc["tau_star"] *= 2
+    enc = _encoder_copy(pipeline, tmp_path / "enc", doc)
+    out = tmp_path / "run.dampb"
+    assert cli.main(["adapt", "--data", pipeline["down"], "--encoder", enc,
+                     "--mode", "active", "--out", str(out), "--seed", "1",
+                     "--config", str(pipeline["config"])]) == 0
+    inputs = json.load(open(tmp_path / "run.manifest.json"))["inputs"]
+    assert inputs["calib"]["sha256"] == _sha256(tmp_path / "enc" / "enc.calib.json")
+    assert inputs["calib"]["sha256"] != _sha256(pipeline["calib"])
+    assert json.loads(load_bundle(str(out)).config_snapshot)["tau"] == doc["tau_star"]
+
+
+def test_a_missing_or_stale_calibration_exits_2(pipeline, tmp_path, capsys):
+    """A sidecar for another encoder is refused, not skipped; a clustered
+    run without a sidecar names the path it looked for."""
+    stale = {**json.load(open(pipeline["calib"])), "encoder_fingerprint": 12345}
+    cases = [(_encoder_copy(pipeline, tmp_path / "stale", stale), "error: DataError:"),
+             (_encoder_copy(pipeline, tmp_path / "none"), "error: ConfigError:")]
+    for enc, prefix in cases:
+        d = os.path.dirname(enc)
+        for argv in (["adapt", "--data", pipeline["down"], "--mode", "active"],
+                     ["meta-train", "--datasets", pipeline["meta1"]]):
+            out = os.path.join(d, "run.dampb")
+            capsys.readouterr()
+            rc = cli.main(argv + ["--encoder", enc, "--out", out,
+                                  "--config", str(pipeline["config"])])
+            assert rc == 2, (prefix, argv[0])
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and err.startswith(prefix), err
+            assert os.path.join(d, "enc.calib.json") in err
+            assert not os.path.exists(out)
+
+
+def test_force_single_prompt_runs_without_a_sidecar(pipeline, tmp_path):
+    enc = _encoder_copy(pipeline, tmp_path / "enc")
+    out = tmp_path / "vp.dampb"
+    assert cli.main(["adapt", "--data", pipeline["down"], "--encoder", enc,
+                     "--mode", "active", "--out", str(out), "--seed", "1",
+                     "--config", str(pipeline["vp_config"])]) == 0
+    assert json.loads(load_bundle(str(out)).config_snapshot)["tau"] == "calibrate"
+    manifest = json.load(open(tmp_path / "vp.manifest.json"))
+    assert "calib" not in manifest["inputs"]
+    # the same bundle as the pipeline's, whose encoder had a sidecar beside it
+    assert out.read_bytes() == open(pipeline["vp_bundle"], "rb").read()
+
+
 def test_eval_histogram_covers_test_split(pipeline):
     doc = json.load(open(pipeline["eval_json"]))
     assert doc["split"] == "test"
@@ -174,6 +269,35 @@ def test_report_leaves_runs_without_test_accuracy_out(pipeline, tmp_path, capsys
     vp = json.load(open(vp_summary))["test_top1"]
     rows = capsys.readouterr().out.splitlines()
     assert rows[1:] == [f"{summary['dataset']},nan,{vp:.6f},nan,nan"]
+
+
+def test_report_manifest_lists_every_file_it_read(pipeline, tmp_path):
+    manifest = json.load(open(pipeline["report_csv"] + ".manifest.json"))
+    read = ["dam.metrics.csv", "dam.summary.json", "down.diversity.csv",
+            "vp.metrics.csv", "vp.summary.json"]
+    assert manifest["inputs"] == {name: {"path": name,
+                                         "sha256": _sha256(pipeline["runs"] / name)}
+                                  for name in read}
+    # a file in a subdirectory is keyed by its path under --runs
+    runs = tmp_path / "runs"
+    (runs / "sub").mkdir(parents=True)
+    shutil.copy(pipeline["runs"] / "vp.summary.json", runs / "sub")
+    out = str(tmp_path / "report.csv")
+    assert cli.main(["report", "--runs", str(runs), "--out", out]) == 0
+    inputs = json.load(open(out + ".manifest.json"))["inputs"]
+    assert list(inputs) == [os.path.join("sub", "vp.summary.json")]
+
+
+def test_report_on_a_missing_runs_directory_exits_2(tmp_path, capsys):
+    out = tmp_path / "report.csv"
+    capsys.readouterr()
+    assert cli.main(["report", "--runs", str(tmp_path / "absent"), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err
+    assert err.count("\n") == 1 and err.startswith("error: FileNotFoundError:"), err
+    assert "absent" in err
+    assert not out.exists()
 
 
 def test_report_refuses_malformed_summaries(tmp_path, capsys):
@@ -313,6 +437,21 @@ def test_outputs_hash_independent_of_blas_threads(tmp_path):
     assert len({lanes["sha256"] for _, lanes in runs}) == 1
 
 
+def test_readme_command_lines_parse():
+    """Each example in README's "Command line" block, continuation lines
+    joined, parses with the command's own parser."""
+    readme = open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")).read()
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    examples = block.replace("\\\n", " ").split("\n")
+    commands = [shlex.split(line) for line in examples if line.strip()]
+    assert [argv[1] for argv in commands] == ["pretrain", "calibrate", "diversity",
+                                              "meta-train", "adapt", "eval", "report"]
+    for argv in commands:
+        assert argv[0] == "frameprompt"
+        args = cli.build_parser().parse_args(argv[1:])
+        assert args.command == argv[1]
+
+
 def test_usage_errors_exit_1(capsys):
     assert cli.main(["adapt"]) == 1
     err = capsys.readouterr().err
@@ -450,9 +589,7 @@ def test_contract_violations_exit_2(pipeline, tmp_path, capsys):
                 ("enc.damw.meta.json", None)]
     for i, (name, text) in enumerate(sidecars):
         d = tmp_path / f"sidecar{i}"
-        d.mkdir()
-        shutil.copy(pipeline["enc"], d / "enc.damw")
-        shutil.copy(pipeline["enc"] + ".meta.json", d / "enc.damw.meta.json")
+        _encoder_copy(pipeline, d)
         if text is None:
             (d / name).unlink()
         else:

@@ -151,10 +151,11 @@ def test_cut_stops_at_first_gap_then_caps():
 
 def test_cut_rejects_bad_tau():
     dend = C.agglomerate(np.zeros((2, 2)))
-    with pytest.raises(DataError):
-        C.cut(dend, 0.0)
-    with pytest.raises(DataError):
-        C.cut(dend, -1.0)
+    # an unresolved "calibrate" is a typed error, not a TypeError
+    for tau in (0.0, -1.0, float("nan"), "calibrate", None):
+        with pytest.raises(DataError):
+            C.cut(dend, tau)
+    assert C.cut(dend, np.float32(1.0)).n_clusters == 1
 
 
 def test_labels_are_canonical_partition():
