@@ -200,10 +200,11 @@ def _build_prototypes(train, encoder, cfg: RunConfig, seed: int):
     prototypes, each of which some training sample routes to, and the route of
     every training sample. The forced single prompt is a cap of one cluster,
     which fit_prototypes builds without reading cfg.tau."""
-    all_feats = encoder.forward_features(train.images)
     cap = 1
     if not cfg.force_single_prompt:
+        clustering.check_threshold(cfg.tau)
         cap = cfg.max_clusters if cfg.max_clusters is not None else train.class_count
+    all_feats = encoder.forward_features(train.images)
     return clustering.fit_prototypes(all_feats, cfg.tau, cap, cfg.probe_size,
                                      [seed, _PROBE])
 

@@ -1,21 +1,62 @@
-"""The one artifact writer and reader.
+"""The one artifact writer and reader, and the record manifests are made of.
 
 Every file the package writes goes through write_atomic, so a crash or a
 failed run never leaves a half-written file, and the file gets the mode that
-open(path, "wb") would give it (0666 less the umask). Both binary loaders
-(.damw weights and .dampb bundles) parse through Reader, so a file that ends
-early raises TruncatedFileError and one with trailing bytes FormatError. The
-json sidecars and run summaries are written by write_json and read back
-through read_json_object, which raises FormatError for anything but a json
-object. read_text reads the text inputs (descriptors, configs, the csv files
-report aggregates) and raises the caller's error type for bytes that are not
-UTF-8."""
+open(path, "wb") would give it (0666 less the umask). Every file it reads
+goes through read_bytes: both binary loaders (.damw weights, .dampb bundles)
+parse through Reader, so a file that ends early raises TruncatedFileError
+and one with trailing bytes FormatError; json sidecars and run summaries
+through read_json_object, FormatError for anything but a json object; text
+inputs (descriptors, configs, report's csv files) through read_text, the
+caller's error type for bytes that are not UTF-8. Inside recording(),
+read_bytes notes the sha256 of each path's bytes at its first read and
+write_atomic that of each blob's canonical_bytes, so a command's manifest
+lists what it read and wrote, whichever loader opened the file."""
 
+import contextlib
+import contextvars
+import hashlib
 import json
 import os
 import struct
 
 from .errors import FormatError, TruncatedFileError
+
+_record = contextvars.ContextVar("record", default=None)  # (inputs, outputs)
+
+
+@contextlib.contextmanager
+def recording():
+    """Record reads and writes until the scope closes."""
+    token = _record.set(({}, {}))
+    try:
+        yield
+    finally:
+        _record.reset(token)
+
+
+def recorded() -> tuple[dict, dict]:
+    """The open scope's (inputs, outputs), each path -> sha256; empty outside."""
+    return _record.get() or ({}, {})
+
+
+def canonical_bytes(path: str, blob: bytes) -> bytes:
+    """blob as a manifest hashes it: a json object loses its top-level seconds
+    key, the one place an output holds wall-clock time; all else is as written."""
+    if path.endswith(".json"):
+        doc = json.loads(blob)
+        if isinstance(doc, dict):
+            doc.pop("seconds", None)
+        return json.dumps(doc, sort_keys=True).encode("utf-8")
+    return blob
+
+
+def read_bytes(path: str) -> bytes:
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    if (record := _record.get()) is not None and path not in record[0]:
+        record[0][path] = hashlib.sha256(blob).hexdigest()
+    return blob
 
 
 def write_atomic(path: str, blob: bytes):
@@ -31,6 +72,8 @@ def write_atomic(path: str, blob: bytes):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    if (record := _record.get()) is not None:
+        record[1][path] = hashlib.sha256(canonical_bytes(path, blob)).hexdigest()
 
 
 def write_json(path: str, doc):
@@ -40,10 +83,8 @@ def write_json(path: str, doc):
 
 def read_json_object(path: str, what: str) -> dict:
     """The json object stored at path; what names the file in the error."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
     try:
-        doc = json.loads(blob)
+        doc = json.loads(read_bytes(path))
     except ValueError as e:  # invalid json or invalid utf-8
         raise FormatError(f"{path}: {what} is not valid json: {e}") from None
     if not isinstance(doc, dict):
@@ -54,10 +95,8 @@ def read_json_object(path: str, what: str) -> dict:
 def read_text(path: str, error: type) -> str:
     """The UTF-8 text stored at path; error (a FramePromptError type) if it
     is not UTF-8."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
     try:
-        return blob.decode("utf-8")
+        return read_bytes(path).decode("utf-8")
     except UnicodeDecodeError as e:
         raise error(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
 
@@ -66,8 +105,7 @@ class Reader:
     """Cursor over a whole artifact; every value is little-endian."""
 
     def __init__(self, path: str):
-        with open(path, "rb") as fh:
-            self.blob = fh.read()
+        self.blob = read_bytes(path)
         self.path = path
         self.pos = 0
 

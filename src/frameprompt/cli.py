@@ -4,10 +4,11 @@ Exit codes: 0 success, 1 usage error, 2 data or contract violation, a
 path that cannot be read or written, or an array too large for memory. Every
 hyperparameter lives in the config file; flags carry only paths, the seed and
 the head mode; adapt and meta-train resolve tau "calibrate" from the encoder's
-calibration sidecar. A command that writes artifacts writes a manifest with
-hashes of the files it read and of its (canonicalized) outputs; timings live
-only under the seconds key of adapt's summary json, which the hash leaves
-out, so a rerun on the same inputs writes the same bytes and hashes.
+calibration sidecar. A command that writes artifacts writes a manifest of
+what it read and wrote (atomic.recording): the sha256 of each file read, by
+path, and of each (canonicalized) output; timings live only under the
+seconds key of adapt's summary json, which the hash leaves out, so a rerun
+on the same inputs writes the same bytes and hashes.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from . import __version__, kernels
 from . import adapt as adapt_mod
 from . import clustering, data, diversity, encoder as encoder_mod, meta as meta_mod
-from .atomic import read_json_object, read_text, write_atomic, write_json
+from .atomic import read_json_object, read_text, recorded, recording, write_atomic, write_json
 from .config import RunConfig, load_config
 from .errors import ConfigError, DataError, FormatError, FramePromptError
 from .prompt import HEAD_KINDS, HeadState, PromptBundle, load_bundle, save_bundle
@@ -39,32 +40,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _sha(blob: bytes) -> str:
-    return hashlib.sha256(blob).hexdigest()
-
-
-def _file_sha(path: str) -> str:
-    with open(path, "rb") as fh:
-        return _sha(fh.read())
-
-
-def canonical_bytes(path: str) -> bytes:
-    """Output bytes with volatile fields removed: a json object loses its
-    top-level seconds key, the one place an output holds wall-clock time.
-    Every other output is hashed as written."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if path.endswith(".json"):
-        doc = json.loads(blob)
-        if isinstance(doc, dict):
-            doc.pop("seconds", None)
-        return json.dumps(doc, sort_keys=True).encode("utf-8")
-    return blob
-
-
-def write_manifest(out_path: str, command: str, seed: int, cfg: RunConfig | None,
-                   inputs: dict, outputs: list):
-    entries = {os.path.basename(p): _sha(canonical_bytes(p)) for p in outputs}
+def write_manifest(out_path: str, command: str, seed: int, cfg: RunConfig | None):
+    """The running command's record (atomic.recorded) as its manifest."""
+    inputs, written = recorded()
+    entries = {os.path.basename(p): sha for p, sha in written.items()}
     joined = "".join(f"{k}:{v};" for k, v in sorted(entries.items()))
     manifest = {
         "command": command,
@@ -72,10 +51,9 @@ def write_manifest(out_path: str, command: str, seed: int, cfg: RunConfig | None
         "config": json.loads(cfg.snapshot()) if cfg is not None else None,
         "backend": kernels.BACKEND,
         "version": __version__,
-        "inputs": {flag: {"path": os.path.basename(p), "sha256": _file_sha(p)}
-                   for flag, p in inputs.items()},
+        "inputs": inputs,
         "outputs": entries,
-        "outputs_hash": _sha(joined.encode("utf-8")),
+        "outputs_hash": hashlib.sha256(joined.encode("utf-8")).hexdigest(),
     }
     write_json(out_path, manifest)
 
@@ -92,9 +70,9 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _calibrated(cfg: RunConfig, enc, encoder_path: str, ins: dict) -> RunConfig:
+def _calibrated(cfg: RunConfig, enc, encoder_path: str) -> RunConfig:
     """cfg with tau set to the tau_star that the calibrate command wrote for
-    enc, beside its weights; that sidecar joins ins as calib."""
+    enc, beside its weights."""
     path = os.path.splitext(encoder_path)[0] + ".calib.json"
     if not os.path.exists(path):
         raise ConfigError(f"no {path} for tau \"calibrate\"; run the calibrate command first")
@@ -105,7 +83,6 @@ def _calibrated(cfg: RunConfig, enc, encoder_path: str, ins: dict) -> RunConfig:
     if not (_is_number(tau) and 0 < tau <= sys.float_info.max):
         raise FormatError(f"{path}: calibration needs a finite positive "
                           f"tau_star, got {tau!r}")
-    ins["calib"] = path
     return replace(cfg, tau=float(tau))
 
 
@@ -116,9 +93,7 @@ def cmd_pretrain(args) -> int:
     enc = encoder_mod.pretrain(ds, cfg.pretrain_epochs, args.seed,
                                lr=cfg.pretrain_lr, batch_size=cfg.pretrain_batch_size)
     enc.save(args.out)
-    write_manifest(args.out + ".manifest.json", "pretrain", args.seed, cfg,
-                   _inputs(args, "data", "config"),
-                   [args.out, encoder_mod.meta_path(args.out)])
+    write_manifest(args.out + ".manifest.json", "pretrain", args.seed, cfg)
     print(f"pretrained encoder on {ds.id}: train_top1={enc.train_accuracy:.4f} "
           f"fingerprint={enc.fingerprint:#x} -> {args.out}")
     return 0
@@ -135,8 +110,7 @@ def cmd_calibrate(args) -> int:
            "reference_dataset_id": _base_id(ref.id), "probe_size": cfg.probe_size,
            "seed": args.seed}
     write_json(args.out, doc)
-    write_manifest(args.out + ".manifest.json", "calibrate", args.seed, cfg,
-                   _inputs(args, "encoder", "reference", "config"), [args.out])
+    write_manifest(args.out + ".manifest.json", "calibrate", args.seed, cfg)
     print(f"calibrated tau_star={tau:.6f} on {ref.id} -> {args.out}")
     return 0
 
@@ -151,8 +125,7 @@ def cmd_diversity(args) -> int:
            f"{res.score:.6f},{res.spread:.6f}")
     blob = "dataset,metric,pairs,seed,score,score_std\n" + row + "\n"
     write_atomic(args.out, blob.encode("utf-8"))
-    write_manifest(args.out + ".manifest.json", "diversity", args.seed, cfg,
-                   _inputs(args, "data", "encoder", "config"), [args.out])
+    write_manifest(args.out + ".manifest.json", "diversity", args.seed, cfg)
     print(row)
     return 0
 
@@ -163,10 +136,8 @@ def cmd_meta_train(args) -> int:
     paths = [p for p in args.datasets.split(",") if p]
     if not paths:
         raise UsageError("--datasets must list at least one descriptor")
-    ins = _inputs(args, "encoder", "config")
-    ins.update((f"datasets[{i}]", p) for i, p in enumerate(paths))
     if cfg.tau == "calibrate":
-        cfg = _calibrated(cfg, enc, args.encoder, ins)
+        cfg = _calibrated(cfg, enc, args.encoder)
     datasets = [data.load_descriptor(p) for p in paths]
     for ds in datasets:
         if _base_id(ds.id) == _base_id(enc.pretrain_dataset_id):
@@ -182,8 +153,7 @@ def cmd_meta_train(args) -> int:
     bundle = PromptBundle([result.prompt], protos, head, enc.fingerprint,
                           snapshot, meta_initialized=True)
     save_bundle(args.out, bundle)
-    write_manifest(args.out + ".manifest.json", "meta-train", args.seed, cfg, ins,
-                   [args.out])
+    write_manifest(args.out + ".manifest.json", "meta-train", args.seed, cfg)
     print(f"meta prompt over {len(datasets)} datasets: "
           f"loss {result.epoch_losses[0]:.4f} -> {result.epoch_losses[-1]:.4f}, "
           f"out {args.out}")
@@ -211,9 +181,8 @@ def _load_meta_prompt(path: str, enc):
 def cmd_adapt(args) -> int:
     cfg = _load_cfg(args)
     enc = encoder_mod.load_encoder(args.encoder)
-    ins = _inputs(args, "data", "encoder", "meta", "config")
     if cfg.tau == "calibrate" and not cfg.force_single_prompt:
-        cfg = _calibrated(cfg, enc, args.encoder, ins)
+        cfg = _calibrated(cfg, enc, args.encoder)
     full = data.load_descriptor(args.data)
     base = _base_id(full.id)
     if base == _base_id(enc.pretrain_dataset_id):
@@ -245,8 +214,7 @@ def cmd_adapt(args) -> int:
         "seconds": metrics.seconds,
     }
     write_json(stem + ".summary.json", summary)
-    write_manifest(stem + ".manifest.json", "adapt", args.seed, cfg, ins,
-                   [args.out, stem + ".metrics.csv", stem + ".summary.json"])
+    write_manifest(stem + ".manifest.json", "adapt", args.seed, cfg)
     shown = "nan" if test_row is None else f"{test_row[3]:.4f}"
     print(f"adapted {base} mode={args.mode} n_clusters={bundle.n} "
           f"test_top1={shown} -> {args.out}")
@@ -267,8 +235,7 @@ def cmd_eval(args) -> int:
            "loss": res.loss, "top1": res.top1, "n_clusters": bundle.n,
            "routing_histogram": [int(v) for v in res.histogram]}
     write_json(args.out, doc)
-    write_manifest(args.out + ".manifest.json", "eval", args.seed, cfg,
-                   _inputs(args, "data", "encoder", "bundle", "config"), [args.out])
+    write_manifest(args.out + ".manifest.json", "eval", args.seed, cfg)
     print(f"eval {doc['dataset']}/{doc['split']}: top1={res.top1:.4f} "
           f"loss={res.loss:.4f} n_clusters={bundle.n}")
     return 0
@@ -277,12 +244,9 @@ def cmd_eval(args) -> int:
 def cmd_report(args) -> int:
     div_by_dataset = {}
     summaries = []
-    read = {}
     for root, _, files in sorted(os.walk(args.runs, onerror=_raise)):
         for name in sorted(files):
             path = os.path.join(root, name)
-            if name.endswith((".summary.json", ".csv")):
-                read[os.path.relpath(path, args.runs)] = path
             if name.endswith(".summary.json"):
                 summaries.append(_read_summary(path))
             elif name.endswith(".csv"):
@@ -311,8 +275,7 @@ def cmd_report(args) -> int:
     blob = "\n".join(lines) + "\n"
     if args.out:
         write_atomic(args.out, blob.encode("utf-8"))
-        write_manifest(args.out + ".manifest.json", "report", 0, None, read,
-                       [args.out])
+        write_manifest(args.out + ".manifest.json", "report", 0, None)
     sys.stdout.write(blob)
     return 0
 
@@ -335,15 +298,6 @@ def _read_summary(path: str) -> dict:
         raise FormatError(f"{path}: run summary needs a dataset name and a numeric "
                           f"or null test_top1")
     return doc
-
-
-def _inputs(args, *flags) -> dict:
-    out = {}
-    for flag in flags:
-        path = getattr(args, flag, None)
-        if path:
-            out[flag] = path
-    return out
 
 
 def build_parser() -> _Parser:
@@ -413,7 +367,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.fn(args)
+        with recording():
+            return args.fn(args)
     except SystemExit as e:  # --help and friends
         return int(e.code or 0)
     except UsageError as e:

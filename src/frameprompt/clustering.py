@@ -103,11 +103,16 @@ def agglomerate(features: np.ndarray) -> Dendrogram:
     return Dendrogram(n, tuple(merges))
 
 
+def check_threshold(tau):
+    """DataError unless tau is a positive number; callers check it early."""
+    if not (isinstance(tau, Real) and tau > 0):
+        raise DataError(f"threshold must be a positive number, got {tau!r}")
+
+
 def cut(dendrogram: Dendrogram, tau: float, max_clusters: int | None = None) -> ClusterCut:
     """Stop merging at the first linkage above tau; if that leaves more than
     max_clusters groups, keep merging in dendrogram order down to the cap."""
-    if not (isinstance(tau, Real) and tau > 0):
-        raise DataError(f"threshold must be a positive number, got {tau!r}")
+    check_threshold(tau)
     if max_clusters is not None and max_clusters < 1:
         raise DataError(f"max_clusters must be >= 1, got {max_clusters}")
     n = dendrogram.n_leaves

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atomic import read_text
+from .atomic import read_bytes, read_text
 from .errors import BadMagicError, DataError, FormatError, TruncatedFileError
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -71,8 +71,7 @@ class ImageDataset:
 
 
 def _read_idx(path: str, expect_magic: int):
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    blob = read_bytes(path)
     if len(blob) < 4:
         raise TruncatedFileError(f"{path}: too short for a magic number")
     magic = struct.unpack(">i", blob[:4])[0]

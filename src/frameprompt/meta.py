@@ -41,6 +41,7 @@ def build_groups(datasets, encoder, tau: float, probe_size: int, seed: int,
     """Per-dataset partition; group ids ascend across datasets in order."""
     if not datasets:
         raise DataError("meta training needs at least one dataset")
+    clustering.check_threshold(tau)
     # every dataset's active head maps the top channels of one ranking
     ranking = rank_channels(encoder, noise_count, seed)
     groups = []

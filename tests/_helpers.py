@@ -1,6 +1,17 @@
 """Shared test utilities: finite-difference oracle and tiny builders."""
 
+import struct
+
 import numpy as np
+
+
+def idx_bytes(images=None, labels=None):
+    """An IDX file of (n, h, w) uint8 images, or else of (n,) uint8 labels."""
+    if images is not None:
+        n, h, w = images.shape
+        return struct.pack(">iiii", 0x00000803, n, h, w) + images.tobytes()
+    n = labels.shape[0]
+    return struct.pack(">ii", 0x00000801, n) + labels.tobytes()
 
 
 def fd_grad(f, x, coords=None, h=1e-5):

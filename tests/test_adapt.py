@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from frameprompt import adapt as A
+from frameprompt import clustering as C
 from frameprompt import encoder as E
 from frameprompt import meta as M
 from frameprompt import tensor as T
@@ -465,21 +466,32 @@ def test_adapt_input_validation(tiny_encoder, splits):
         A.adapt(train, enc, small_cfg(), "tuning", meta=wrong)
 
 
-def test_uncalibrated_tau_is_a_typed_error_where_it_cuts(tiny_encoder, splits):
+def test_uncalibrated_tau_is_a_typed_error_where_it_cuts(tiny_encoder, splits,
+                                                         monkeypatch):
     """The library reads tau as a number: "calibrate" is resolved by the
     command line, and reaching the clusterer unresolved is a DataError, not a
-    TypeError. The forced single prompt cuts nothing, so it runs and its
-    snapshot keeps the string."""
+    TypeError, raised before anything is encoded or linked. So is a tau that
+    is not positive. The forced single prompt cuts nothing, so it runs and
+    its snapshot keeps the string."""
     enc, _ = tiny_encoder
     train = splits[0]
-    with pytest.raises(DataError, match="'calibrate'"):
-        A.adapt(train, enc, small_cfg(tau="calibrate"), "tuning")
-    with pytest.raises(DataError, match="'calibrate'"):
-        M.build_groups([train], enc, "calibrate", probe_size=16, seed=0, noise_count=8)
     bundle, _ = A.adapt(train, enc, small_cfg(tau="calibrate", force_single_prompt=True,
                                               epochs=1), "tuning")
     assert bundle.n == 1
     assert json.loads(bundle.config_snapshot)["tau"] == "calibrate"
+
+    def reached(*args, **kwargs):
+        raise AssertionError("encoded or linked before checking tau")
+
+    monkeypatch.setattr(E.FrozenEncoder, "forward_features", reached)
+    monkeypatch.setattr(C, "agglomerate", reached)
+    for tau in ("calibrate", 0.0, -1.0, float("nan")):
+        with pytest.raises(DataError, match="threshold must be a positive number"):
+            A.adapt(train, enc, small_cfg(tau=tau), "tuning")
+        with pytest.raises(DataError, match="threshold must be a positive number"):
+            M.build_groups([train], enc, tau, probe_size=16, seed=0, noise_count=8)
+    with pytest.raises(DataError, match="'calibrate'"):
+        A.adapt(train, enc, small_cfg(tau="calibrate"), "tuning")
 
 
 def test_check_frozen_flags_writeable_weights():

@@ -1,10 +1,12 @@
+import ast
+import hashlib
 import os
 import stat
 
 import pytest
 
 from frameprompt import atomic
-from frameprompt.atomic import Reader, write_atomic
+from frameprompt.atomic import Reader, write_atomic, write_json
 from frameprompt.errors import FormatError, TruncatedFileError
 
 
@@ -56,3 +58,52 @@ def test_reader_takes_unpacks_and_checks_the_end(tmp_path):
         r.take(3)
     assert r.take(2) == b"xy"
     r.end()
+
+
+def _sha(blob):
+    return hashlib.sha256(blob).hexdigest()
+
+
+def test_recording_keeps_first_reads_and_canonical_writes(tmp_path):
+    src = str(tmp_path / "in.bin")
+    out = str(tmp_path / "run.summary.json")
+    write_atomic(src, b"abc")
+    atomic.read_bytes(src)
+    assert atomic.recorded() == ({}, {})
+    with atomic.recording():
+        atomic.read_bytes(src)
+        write_atomic(src, b"overwritten")
+        Reader(src)
+        write_json(out, {"a": 1, "seconds": [0.5]})
+        inputs, outputs = atomic.recorded()
+    # the bytes first read, though the run then wrote over them
+    assert inputs == {src: _sha(b"abc")}
+    assert outputs == {src: _sha(b"overwritten"), out: _sha(b'{"a": 1}')}
+    assert atomic.recorded() == ({}, {})
+
+
+def test_canonical_bytes_drop_only_top_level_seconds():
+    assert atomic.canonical_bytes("m.csv", b"seconds\n") == b"seconds\n"
+    doc = b'{"z": {"seconds": 1}, "seconds": 2, "a": 3}'
+    assert atomic.canonical_bytes("s.json", doc) == b'{"a": 3, "z": {"seconds": 1}}'
+    assert atomic.canonical_bytes("l.json", b"[1,  2]") == b"[1, 2]"
+
+
+def _opens(path):
+    """Line numbers of the open(...) and <module>.open(...) calls in a file."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and (isinstance(node.func, ast.Name) and node.func.id == "open"
+                 or isinstance(node.func, ast.Attribute) and node.func.attr == "open")]
+
+
+def test_only_atomic_opens_files():
+    """Every read goes through read_bytes and every write through
+    write_atomic, so no module can open a file that its manifest misses."""
+    pkg = os.path.dirname(atomic.__file__)
+    assert _opens(atomic.__file__)  # the scan sees the calls it looks for
+    found = {name: _opens(os.path.join(pkg, name)) for name in sorted(os.listdir(pkg))
+             if name.endswith(".py") and name != "atomic.py"}
+    assert "cli.py" in found
+    assert {name: lines for name, lines in found.items() if lines} == {}

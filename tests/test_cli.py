@@ -9,8 +9,10 @@ import shutil
 import numpy as np
 import pytest
 
-from frameprompt import cli, encoder as E
+from frameprompt import atomic, cli, encoder as E
 from frameprompt.prompt import HeadState, load_bundle, save_bundle
+
+from _helpers import idx_bytes
 
 CONFIG = {"pretrain_epochs": 2, "epochs": 2, "batch_size": 16, "lr": 0.05,
           "warmup_epochs": 1, "probe_size": 128, "pairs": 200,
@@ -85,7 +87,8 @@ def test_pretrain_writes_weights_sidecar_and_manifest(pipeline):
     assert meta["pretrain_dataset_id"].startswith("modemix-m2c2n12")
     manifest = json.load(open(pipeline["enc"] + ".manifest.json"))
     assert manifest["command"] == "pretrain"
-    assert set(manifest["inputs"]) == {"data", "config"}
+    assert manifest["inputs"] == _hashed(pipeline["pre"], pipeline["config"])
+    assert set(manifest["outputs"]) == {"enc.damw", "enc.damw.meta.json"}
     assert len(manifest["outputs_hash"]) == 64
 
 
@@ -126,8 +129,8 @@ def test_adapt_artifacts(pipeline):
     assert [len(summary["seconds"][k]) for k in ("train", "val", "test")] == [2, 2, 1]
     assert all(t >= 0 for ts in summary["seconds"].values() for t in ts)
     # the rows hold no timing, so the manifest hashes the csv as written
-    csv = stem + ".metrics.csv"
-    assert cli.canonical_bytes(csv) == open(csv, "rb").read()
+    csv = open(stem + ".metrics.csv", "rb").read()
+    assert atomic.canonical_bytes(stem + ".metrics.csv", csv) == csv
     vp_summary = json.load(open(pipeline["vp_bundle"][: -len(".dampb")]
                                 + ".summary.json"))
     assert vp_summary["force_single_prompt"] and vp_summary["n_clusters"] == 1
@@ -135,6 +138,15 @@ def test_adapt_artifacts(pipeline):
 
 def _sha256(path):
     return hashlib.sha256(open(path, "rb").read()).hexdigest()
+
+
+def _hashed(*paths):
+    """A manifest's inputs for these files: path as opened -> sha256."""
+    return {str(p): _sha256(p) for p in paths}
+
+
+def _encoder_files(enc):
+    return enc, enc + ".meta.json"
 
 
 def _encoder_copy(pipeline, d, calib=None):
@@ -150,32 +162,31 @@ def _encoder_copy(pipeline, d, calib=None):
 
 def test_clustered_runs_record_the_calibrated_threshold(pipeline):
     """adapt and meta-train resolve "calibrate" from the encoder's sidecar:
-    the manifest lists the sidecar as calib and both the manifest's config
-    and the bundle's snapshot hold the number. The forced single prompt
-    reads no sidecar and keeps the string."""
+    the manifest lists the sidecar and both the manifest's config and the
+    bundle's snapshot hold the number. The forced single prompt reads no
+    sidecar and keeps the string."""
     tau = json.load(open(pipeline["calib"]))["tau_star"]
-    calib = {"path": "enc.calib.json", "sha256": _sha256(pipeline["calib"])}
+    calib = _sha256(pipeline["calib"])
     dam = json.load(open(pipeline["dam_bundle"][: -len(".dampb")] + ".manifest.json"))
-    assert dam["inputs"]["calib"] == calib
+    assert dam["inputs"][pipeline["calib"]] == calib
     assert dam["config"]["tau"] == tau
     assert json.loads(load_bundle(pipeline["dam_bundle"]).config_snapshot)["tau"] == tau
     meta = json.load(open(pipeline["meta_bundle"] + ".manifest.json"))
-    assert meta["inputs"]["calib"] == calib
+    assert meta["inputs"][pipeline["calib"]] == calib
     assert meta["config"]["tau"] == tau
     snapshot = json.loads(load_bundle(pipeline["meta_bundle"]).config_snapshot)
     assert snapshot["config"]["tau"] == tau
     vp = json.load(open(pipeline["vp_bundle"][: -len(".dampb")] + ".manifest.json"))
-    assert set(vp["inputs"]) == {"data", "encoder", "config"}
+    assert vp["inputs"] == _hashed(pipeline["down"], *_encoder_files(pipeline["enc"]),
+                                   pipeline["vp_config"])
     assert vp["config"]["tau"] == "calibrate"
     assert json.loads(load_bundle(pipeline["vp_bundle"]).config_snapshot)["tau"] == "calibrate"
 
 
 def test_meta_train_manifest_lists_every_descriptor(pipeline):
     inputs = json.load(open(pipeline["meta_bundle"] + ".manifest.json"))["inputs"]
-    assert set(inputs) == {"encoder", "config", "calib", "datasets[0]", "datasets[1]"}
-    for i, name in enumerate(("meta1", "meta2")):
-        assert inputs[f"datasets[{i}]"] == {"path": f"{name}.json",
-                                            "sha256": _sha256(pipeline[name])}
+    assert inputs == _hashed(*_encoder_files(pipeline["enc"]), pipeline["config"],
+                             pipeline["calib"], pipeline["meta1"], pipeline["meta2"])
 
 
 def test_editing_the_sidecar_moves_its_hash_and_the_snapshot(pipeline, tmp_path):
@@ -187,8 +198,9 @@ def test_editing_the_sidecar_moves_its_hash_and_the_snapshot(pipeline, tmp_path)
                      "--mode", "active", "--out", str(out), "--seed", "1",
                      "--config", str(pipeline["config"])]) == 0
     inputs = json.load(open(tmp_path / "run.manifest.json"))["inputs"]
-    assert inputs["calib"]["sha256"] == _sha256(tmp_path / "enc" / "enc.calib.json")
-    assert inputs["calib"]["sha256"] != _sha256(pipeline["calib"])
+    calib = str(tmp_path / "enc" / "enc.calib.json")
+    assert inputs[calib] == _sha256(calib)
+    assert inputs[calib] != _sha256(pipeline["calib"])
     assert json.loads(load_bundle(str(out)).config_snapshot)["tau"] == doc["tau_star"]
 
 
@@ -221,7 +233,8 @@ def test_force_single_prompt_runs_without_a_sidecar(pipeline, tmp_path):
                      "--config", str(pipeline["vp_config"])]) == 0
     assert json.loads(load_bundle(str(out)).config_snapshot)["tau"] == "calibrate"
     manifest = json.load(open(tmp_path / "vp.manifest.json"))
-    assert "calib" not in manifest["inputs"]
+    assert manifest["inputs"] == _hashed(pipeline["down"], *_encoder_files(enc),
+                                         pipeline["vp_config"])
     # the same bundle as the pipeline's, whose encoder had a sidecar beside it
     assert out.read_bytes() == open(pipeline["vp_bundle"], "rb").read()
 
@@ -275,17 +288,58 @@ def test_report_manifest_lists_every_file_it_read(pipeline, tmp_path):
     manifest = json.load(open(pipeline["report_csv"] + ".manifest.json"))
     read = ["dam.metrics.csv", "dam.summary.json", "down.diversity.csv",
             "vp.metrics.csv", "vp.summary.json"]
-    assert manifest["inputs"] == {name: {"path": name,
-                                         "sha256": _sha256(pipeline["runs"] / name)}
-                                  for name in read}
-    # a file in a subdirectory is keyed by its path under --runs
+    assert manifest["inputs"] == _hashed(*(pipeline["runs"] / name for name in read))
+    # a file in a subdirectory is keyed by the path report opened
     runs = tmp_path / "runs"
     (runs / "sub").mkdir(parents=True)
     shutil.copy(pipeline["runs"] / "vp.summary.json", runs / "sub")
     out = str(tmp_path / "report.csv")
     assert cli.main(["report", "--runs", str(runs), "--out", out]) == 0
     inputs = json.load(open(out + ".manifest.json"))["inputs"]
-    assert list(inputs) == [os.path.join("sub", "vp.summary.json")]
+    assert list(inputs) == [os.path.join(str(runs), "sub", "vp.summary.json")]
+
+
+def test_report_over_its_stale_output_lists_the_bytes_it_read(pipeline, tmp_path,
+                                                              monkeypatch):
+    """report reads every csv under --runs, its own earlier output included;
+    the manifest records the bytes it read, not the ones it wrote over them."""
+    monkeypatch.chdir(tmp_path)
+    os.mkdir("runs")
+    shutil.copy(pipeline["runs"] / "vp.summary.json", "runs")
+    stale = b"dataset,diversity,vp_accuracy,damvp_accuracy,gain\nold,0,0,0,0\n"
+    with open("runs/report.csv", "wb") as fh:
+        fh.write(stale)
+    assert cli.main(["report", "--runs", "runs", "--out", "runs/report.csv"]) == 0
+    manifest = json.load(open("runs/report.csv.manifest.json"))
+    assert manifest["inputs"] == {
+        os.path.join("runs", "report.csv"): hashlib.sha256(stale).hexdigest(),
+        os.path.join("runs", "vp.summary.json"): _sha256("runs/vp.summary.json")}
+    assert manifest["outputs"] == {"report.csv": _sha256("runs/report.csv")}
+    assert _sha256("runs/report.csv") != hashlib.sha256(stale).hexdigest()
+
+
+def test_adapt_over_idx_lists_every_file_it_read(pipeline, tmp_path):
+    """The files a loader opens under a flag are inputs too: the IDX pair an
+    idx descriptor points at and the encoder's metadata, whose pretraining
+    id decides whether the task is disjoint from it."""
+    rng = np.random.default_rng(0)
+    images, labels = str(tmp_path / "img.idx"), str(tmp_path / "lab.idx")
+    with open(images, "wb") as fh:
+        fh.write(idx_bytes(images=rng.integers(0, 256, (40, 16, 16), dtype=np.uint8)))
+    with open(labels, "wb") as fh:
+        fh.write(idx_bytes(labels=np.arange(40, dtype=np.uint8) % 2))
+    desc = tmp_path / "digits.json"
+    desc.write_text(json.dumps({"kind": "idx", "images": images, "labels": labels,
+                                "id": "digits"}))
+    out = tmp_path / "digits.dampb"
+    assert cli.main(["adapt", "--data", str(desc), "--encoder", pipeline["enc"],
+                     "--mode", "active", "--out", str(out), "--seed", "1",
+                     "--config", str(pipeline["config"])]) == 0
+    manifest = json.load(open(tmp_path / "digits.manifest.json"))
+    assert manifest["inputs"] == _hashed(desc, images, labels, *_encoder_files(pipeline["enc"]),
+                                         pipeline["calib"], pipeline["config"])
+    assert set(manifest["outputs"]) == {"digits.dampb", "digits.metrics.csv",
+                                        "digits.summary.json"}
 
 
 def test_report_on_a_missing_runs_directory_exits_2(tmp_path, capsys):

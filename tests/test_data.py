@@ -8,13 +8,7 @@ import pytest
 from frameprompt import data as D
 from frameprompt.errors import BadMagicError, DataError, FormatError, TruncatedFileError
 
-
-def idx_bytes(images=None, labels=None):
-    if images is not None:
-        n, h, w = images.shape
-        return struct.pack(">iiii", 0x00000803, n, h, w) + images.tobytes()
-    n = labels.shape[0]
-    return struct.pack(">ii", 0x00000801, n) + labels.tobytes()
+from _helpers import idx_bytes
 
 
 def test_load_idx_roundtrip(tmp_path):
