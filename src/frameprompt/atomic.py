@@ -11,7 +11,7 @@ inputs (descriptors, configs, report's csv files) through read_text, the
 caller's error type for bytes that are not UTF-8. Inside recording(),
 read_bytes notes the sha256 of each path's bytes at its first read and
 write_atomic that of each blob's canonical_bytes, so a command's manifest
-lists what it read and wrote, whichever loader opened the file."""
+lists what it read (in read order) and wrote, whichever loader opened it."""
 
 import contextlib
 import contextvars
@@ -22,7 +22,7 @@ import struct
 
 from .errors import FormatError, TruncatedFileError
 
-_record = contextvars.ContextVar("record", default=None)  # (inputs, outputs)
+_record = contextvars.ContextVar("atomic.recording() scope")  # (inputs, outputs)
 
 
 @contextlib.contextmanager
@@ -36,8 +36,8 @@ def recording():
 
 
 def recorded() -> tuple[dict, dict]:
-    """The open scope's (inputs, outputs), each path -> sha256; empty outside."""
-    return _record.get() or ({}, {})
+    """The open scope's (inputs, outputs), each path -> sha256; LookupError outside."""
+    return _record.get()
 
 
 def canonical_bytes(path: str, blob: bytes) -> bytes:
@@ -54,7 +54,7 @@ def canonical_bytes(path: str, blob: bytes) -> bytes:
 def read_bytes(path: str) -> bytes:
     with open(path, "rb") as fh:
         blob = fh.read()
-    if (record := _record.get()) is not None and path not in record[0]:
+    if (record := _record.get(None)) is not None and path not in record[0]:
         record[0][path] = hashlib.sha256(blob).hexdigest()
     return blob
 
@@ -72,7 +72,7 @@ def write_atomic(path: str, blob: bytes):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-    if (record := _record.get()) is not None:
+    if (record := _record.get(None)) is not None:
         record[1][path] = hashlib.sha256(canonical_bytes(path, blob)).hexdigest()
 
 

@@ -5,10 +5,10 @@ path that cannot be read or written, or an array too large for memory. Every
 hyperparameter lives in the config file; flags carry only paths, the seed and
 the head mode; adapt and meta-train resolve tau "calibrate" from the encoder's
 calibration sidecar. A command that writes artifacts writes a manifest of
-what it read and wrote (atomic.recording): the sha256 of each file read, by
-path, and of each (canonicalized) output; timings live only under the
-seconds key of adapt's summary json, which the hash leaves out, so a rerun
-on the same inputs writes the same bytes and hashes.
+what it read and wrote (atomic.recording): [path, sha256] of each file read,
+in read order, and the sha256 of each (canonicalized) output; timings live
+only under the seconds key of adapt's summary json, which the hash leaves
+out, so a rerun on the same inputs writes the same bytes and hashes.
 """
 
 from __future__ import annotations
@@ -41,7 +41,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def write_manifest(out_path: str, command: str, seed: int, cfg: RunConfig | None):
-    """The running command's record (atomic.recorded) as its manifest."""
+    """The running command's record (atomic.recorded) as its manifest; inputs
+    keep read order, which can decide the outputs (meta-train's --datasets)."""
     inputs, written = recorded()
     entries = {os.path.basename(p): sha for p, sha in written.items()}
     joined = "".join(f"{k}:{v};" for k, v in sorted(entries.items()))
@@ -51,7 +52,7 @@ def write_manifest(out_path: str, command: str, seed: int, cfg: RunConfig | None
         "config": json.loads(cfg.snapshot()) if cfg is not None else None,
         "backend": kernels.BACKEND,
         "version": __version__,
-        "inputs": inputs,
+        "inputs": [[p, sha] for p, sha in inputs.items()],
         "outputs": entries,
         "outputs_hash": hashlib.sha256(joined.encode("utf-8")).hexdigest(),
     }
@@ -71,8 +72,7 @@ def _is_number(value) -> bool:
 
 
 def _calibrated(cfg: RunConfig, enc, encoder_path: str) -> RunConfig:
-    """cfg with tau set to the tau_star that the calibrate command wrote for
-    enc, beside its weights."""
+    """cfg with tau set to the tau_star that calibrate wrote beside enc's weights."""
     path = os.path.splitext(encoder_path)[0] + ".calib.json"
     if not os.path.exists(path):
         raise ConfigError(f"no {path} for tau \"calibrate\"; run the calibrate command first")

@@ -67,9 +67,12 @@ def _sha(blob):
 def test_recording_keeps_first_reads_and_canonical_writes(tmp_path):
     src = str(tmp_path / "in.bin")
     out = str(tmp_path / "run.summary.json")
+    later = str(tmp_path / "later.bin")
     write_atomic(src, b"abc")
+    write_atomic(later, b"later")
     atomic.read_bytes(src)
-    assert atomic.recorded() == ({}, {})
+    with pytest.raises(LookupError):
+        atomic.recorded()
     with atomic.recording():
         atomic.read_bytes(src)
         write_atomic(src, b"overwritten")
@@ -79,7 +82,12 @@ def test_recording_keeps_first_reads_and_canonical_writes(tmp_path):
     # the bytes first read, though the run then wrote over them
     assert inputs == {src: _sha(b"abc")}
     assert outputs == {src: _sha(b"overwritten"), out: _sha(b'{"a": 1}')}
-    assert atomic.recorded() == ({}, {})
+    # once the scope has closed, reads and writes land in no record
+    atomic.read_bytes(later)
+    write_atomic(later, b"again")
+    assert inputs == {src: _sha(b"abc")} and later not in outputs
+    with pytest.raises(LookupError):
+        atomic.recorded()
 
 
 def test_canonical_bytes_drop_only_top_level_seconds():

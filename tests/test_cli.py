@@ -87,7 +87,7 @@ def test_pretrain_writes_weights_sidecar_and_manifest(pipeline):
     assert meta["pretrain_dataset_id"].startswith("modemix-m2c2n12")
     manifest = json.load(open(pipeline["enc"] + ".manifest.json"))
     assert manifest["command"] == "pretrain"
-    assert manifest["inputs"] == _hashed(pipeline["pre"], pipeline["config"])
+    assert manifest["inputs"] == _hashed(pipeline["config"], pipeline["pre"])
     assert set(manifest["outputs"]) == {"enc.damw", "enc.damw.meta.json"}
     assert len(manifest["outputs_hash"]) == 64
 
@@ -141,8 +141,9 @@ def _sha256(path):
 
 
 def _hashed(*paths):
-    """A manifest's inputs for these files: path as opened -> sha256."""
-    return {str(p): _sha256(p) for p in paths}
+    """A manifest's inputs for these files, read in this order: [path as
+    opened, sha256] each."""
+    return [[str(p), _sha256(p)] for p in paths]
 
 
 def _encoder_files(enc):
@@ -168,25 +169,36 @@ def test_clustered_runs_record_the_calibrated_threshold(pipeline):
     tau = json.load(open(pipeline["calib"]))["tau_star"]
     calib = _sha256(pipeline["calib"])
     dam = json.load(open(pipeline["dam_bundle"][: -len(".dampb")] + ".manifest.json"))
-    assert dam["inputs"][pipeline["calib"]] == calib
+    assert dict(dam["inputs"])[pipeline["calib"]] == calib
     assert dam["config"]["tau"] == tau
     assert json.loads(load_bundle(pipeline["dam_bundle"]).config_snapshot)["tau"] == tau
     meta = json.load(open(pipeline["meta_bundle"] + ".manifest.json"))
-    assert meta["inputs"][pipeline["calib"]] == calib
+    assert dict(meta["inputs"])[pipeline["calib"]] == calib
     assert meta["config"]["tau"] == tau
     snapshot = json.loads(load_bundle(pipeline["meta_bundle"]).config_snapshot)
     assert snapshot["config"]["tau"] == tau
     vp = json.load(open(pipeline["vp_bundle"][: -len(".dampb")] + ".manifest.json"))
-    assert vp["inputs"] == _hashed(pipeline["down"], *_encoder_files(pipeline["enc"]),
-                                   pipeline["vp_config"])
+    assert vp["inputs"] == _hashed(pipeline["vp_config"], *_encoder_files(pipeline["enc"]),
+                                   pipeline["down"])
     assert vp["config"]["tau"] == "calibrate"
     assert json.loads(load_bundle(pipeline["vp_bundle"]).config_snapshot)["tau"] == "calibrate"
 
 
-def test_meta_train_manifest_lists_every_descriptor(pipeline):
+def test_meta_train_manifest_lists_every_descriptor(pipeline, tmp_path):
+    """The descriptors are listed in --datasets order, which numbers the
+    datasets and so decides the groups: reversed, both the inputs and the
+    outputs differ."""
     inputs = json.load(open(pipeline["meta_bundle"] + ".manifest.json"))["inputs"]
-    assert inputs == _hashed(*_encoder_files(pipeline["enc"]), pipeline["config"],
+    assert inputs == _hashed(pipeline["config"], *_encoder_files(pipeline["enc"]),
                              pipeline["calib"], pipeline["meta1"], pipeline["meta2"])
+    out = str(tmp_path / "meta.dampb")
+    assert cli.main(["meta-train", "--datasets", f"{pipeline['meta2']},{pipeline['meta1']}",
+                     "--encoder", pipeline["enc"], "--out", out,
+                     "--config", str(pipeline["config"])]) == 0
+    reversed_ = json.load(open(out + ".manifest.json"))
+    assert reversed_["inputs"] == inputs[:-2] + inputs[:-3:-1]
+    forward = json.load(open(pipeline["meta_bundle"] + ".manifest.json"))
+    assert reversed_["outputs_hash"] != forward["outputs_hash"]
 
 
 def test_editing_the_sidecar_moves_its_hash_and_the_snapshot(pipeline, tmp_path):
@@ -197,7 +209,7 @@ def test_editing_the_sidecar_moves_its_hash_and_the_snapshot(pipeline, tmp_path)
     assert cli.main(["adapt", "--data", pipeline["down"], "--encoder", enc,
                      "--mode", "active", "--out", str(out), "--seed", "1",
                      "--config", str(pipeline["config"])]) == 0
-    inputs = json.load(open(tmp_path / "run.manifest.json"))["inputs"]
+    inputs = dict(json.load(open(tmp_path / "run.manifest.json"))["inputs"])
     calib = str(tmp_path / "enc" / "enc.calib.json")
     assert inputs[calib] == _sha256(calib)
     assert inputs[calib] != _sha256(pipeline["calib"])
@@ -233,8 +245,8 @@ def test_force_single_prompt_runs_without_a_sidecar(pipeline, tmp_path):
                      "--config", str(pipeline["vp_config"])]) == 0
     assert json.loads(load_bundle(str(out)).config_snapshot)["tau"] == "calibrate"
     manifest = json.load(open(tmp_path / "vp.manifest.json"))
-    assert manifest["inputs"] == _hashed(pipeline["down"], *_encoder_files(enc),
-                                         pipeline["vp_config"])
+    assert manifest["inputs"] == _hashed(pipeline["vp_config"], *_encoder_files(enc),
+                                         pipeline["down"])
     # the same bundle as the pipeline's, whose encoder had a sidecar beside it
     assert out.read_bytes() == open(pipeline["vp_bundle"], "rb").read()
 
@@ -296,7 +308,7 @@ def test_report_manifest_lists_every_file_it_read(pipeline, tmp_path):
     out = str(tmp_path / "report.csv")
     assert cli.main(["report", "--runs", str(runs), "--out", out]) == 0
     inputs = json.load(open(out + ".manifest.json"))["inputs"]
-    assert list(inputs) == [os.path.join(str(runs), "sub", "vp.summary.json")]
+    assert [p for p, _ in inputs] == [os.path.join(str(runs), "sub", "vp.summary.json")]
 
 
 def test_report_over_its_stale_output_lists_the_bytes_it_read(pipeline, tmp_path,
@@ -311,9 +323,9 @@ def test_report_over_its_stale_output_lists_the_bytes_it_read(pipeline, tmp_path
         fh.write(stale)
     assert cli.main(["report", "--runs", "runs", "--out", "runs/report.csv"]) == 0
     manifest = json.load(open("runs/report.csv.manifest.json"))
-    assert manifest["inputs"] == {
-        os.path.join("runs", "report.csv"): hashlib.sha256(stale).hexdigest(),
-        os.path.join("runs", "vp.summary.json"): _sha256("runs/vp.summary.json")}
+    assert manifest["inputs"] == [
+        [os.path.join("runs", "report.csv"), hashlib.sha256(stale).hexdigest()],
+        [os.path.join("runs", "vp.summary.json"), _sha256("runs/vp.summary.json")]]
     assert manifest["outputs"] == {"report.csv": _sha256("runs/report.csv")}
     assert _sha256("runs/report.csv") != hashlib.sha256(stale).hexdigest()
 
@@ -336,8 +348,8 @@ def test_adapt_over_idx_lists_every_file_it_read(pipeline, tmp_path):
                      "--mode", "active", "--out", str(out), "--seed", "1",
                      "--config", str(pipeline["config"])]) == 0
     manifest = json.load(open(tmp_path / "digits.manifest.json"))
-    assert manifest["inputs"] == _hashed(desc, images, labels, *_encoder_files(pipeline["enc"]),
-                                         pipeline["calib"], pipeline["config"])
+    assert manifest["inputs"] == _hashed(pipeline["config"], *_encoder_files(pipeline["enc"]),
+                                         pipeline["calib"], desc, images, labels)
     assert set(manifest["outputs"]) == {"digits.dampb", "digits.metrics.csv",
                                         "digits.summary.json"}
 
