@@ -5,10 +5,13 @@ path that cannot be read or written, or an array too large for memory. Every
 hyperparameter lives in the config file; flags carry only paths, the seed and
 the head mode; adapt and meta-train resolve tau "calibrate" from the encoder's
 calibration sidecar. A command that writes artifacts writes a manifest of
-what it read and wrote (atomic.recording): [path, sha256] of each file read,
-in read order, and the sha256 of each (canonicalized) output; timings live
-only under the seconds key of adapt's summary json, which the hash leaves
-out, so a rerun on the same inputs writes the same bytes and hashes.
+what it read and wrote (atomic.recording): its working directory, [path as
+opened, sha256] of each file read, in read order, and the sha256 of each
+(canonicalized) output; timings live only under the seconds key of adapt's
+summary json, which the hash leaves out, so a rerun on the same inputs
+writes the same bytes and hashes. report reads the *.summary.json and
+*.diversity.csv files under --runs, one row per (dataset, mode,
+meta_initialized) arm.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ def write_manifest(out_path: str, command: str, seed: int, cfg: RunConfig | None
     joined = "".join(f"{k}:{v};" for k, v in sorted(entries.items()))
     manifest = {
         "command": command,
+        "cwd": os.getcwd(),
         "seed": seed,
         "config": json.loads(cfg.snapshot()) if cfg is not None else None,
         "backend": kernels.BACKEND,
@@ -57,6 +61,9 @@ def write_manifest(out_path: str, command: str, seed: int, cfg: RunConfig | None
         "outputs_hash": hashlib.sha256(joined.encode("utf-8")).hexdigest(),
     }
     write_json(out_path, manifest)
+
+
+_DIVERSITY_HEADER = "dataset,metric,pairs,seed,score,score_std"
 
 
 def _load_cfg(args) -> RunConfig:
@@ -123,7 +130,7 @@ def cmd_diversity(args) -> int:
                                     metric=args.space)
     row = (f"{_base_id(ds.id)},{res.metric},{res.pairs},{args.seed},"
            f"{res.score:.6f},{res.spread:.6f}")
-    blob = "dataset,metric,pairs,seed,score,score_std\n" + row + "\n"
+    blob = _DIVERSITY_HEADER + "\n" + row + "\n"
     write_atomic(args.out, blob.encode("utf-8"))
     write_manifest(args.out + ".manifest.json", "diversity", args.seed, cfg)
     print(row)
@@ -146,7 +153,7 @@ def cmd_meta_train(args) -> int:
     result = meta_mod.meta_train(datasets, enc, cfg, seed=args.seed)
     protos = np.zeros((1, enc.spec.feature_dim))
     head = HeadState("hardcoded", indices=np.zeros(1, np.int64))
-    snapshot = json.dumps({"meta_dataset_ids": result.dataset_ids,
+    snapshot = json.dumps({"meta_dataset_ids": [ds.id for ds in datasets],
                            "config": json.loads(cfg.snapshot()),
                            "epoch_losses": result.epoch_losses,
                            "update_norms": result.update_norms}, sort_keys=True)
@@ -243,35 +250,34 @@ def cmd_eval(args) -> int:
 
 def cmd_report(args) -> int:
     div_by_dataset = {}
-    summaries = []
+    by_arm = {}
     for root, _, files in sorted(os.walk(args.runs, onerror=_raise)):
         for name in sorted(files):
             path = os.path.join(root, name)
             if name.endswith(".summary.json"):
-                summaries.append(_read_summary(path))
-            elif name.endswith(".csv"):
+                s = _read_summary(path)
+                slot = by_arm.setdefault((s["dataset"], s["mode"], s["meta_initialized"]),
+                                         {True: [], False: []})
+                # a run without a test accuracy (an empty test split) stays out
+                if s["test_top1"] is not None:
+                    slot[s["force_single_prompt"]].append(s["test_top1"])
+            elif name.endswith(".diversity.csv"):
                 lines = read_text(path, FormatError).splitlines()
-                if lines and lines[0].startswith("dataset,metric,"):
-                    for line in filter(None, lines[1:]):
-                        cells = line.split(",")
-                        if len(cells) < 5:
-                            raise FormatError(f"{path}: diversity row {line!r} has "
-                                              f"{len(cells)} cells, not 5 or more")
-                        div_by_dataset[cells[0]] = _score(path, cells[4])
-    # a run without a test accuracy (an empty test split) stays out of the mean
-    by_dataset = {}
-    for s in summaries:
-        slot = by_dataset.setdefault(s["dataset"], {"vp": [], "damvp": []})
-        if s.get("test_top1") is not None:
-            slot["vp" if s.get("force_single_prompt") else "damvp"].append(s["test_top1"])
-    lines = ["dataset,diversity,vp_accuracy,damvp_accuracy,gain"]
-    for ds in sorted(by_dataset):
-        slot = by_dataset[ds]
-        vp = np.mean(slot["vp"]) if slot["vp"] else float("nan")
-        dam = np.mean(slot["damvp"]) if slot["damvp"] else float("nan")
+                if lines[:1] != [_DIVERSITY_HEADER]:
+                    raise FormatError(f"{path}: not a diversity csv")
+                for line in filter(None, lines[1:]):
+                    cells = line.split(",")
+                    if len(cells) < 5:
+                        raise FormatError(f"{path}: diversity row {line!r} has "
+                                          f"{len(cells)} cells, not 5 or more")
+                    div_by_dataset[cells[0]] = _score(path, cells[4])
+    lines = ["dataset,mode,meta_initialized,diversity,vp_accuracy,damvp_accuracy,gain"]
+    for (ds, mode, meta), slot in sorted(by_arm.items()):
+        # slot[True] holds the forced single prompts, slot[False] the rest
+        vp, dam = (np.mean(slot[k]) if slot[k] else float("nan") for k in (True, False))
         gain = (dam - vp) * 100.0
         div = div_by_dataset.get(ds, float("nan"))
-        lines.append(f"{ds},{div:.6f},{vp:.6f},{dam:.6f},{gain:.6f}")
+        lines.append(f"{ds},{mode},{str(meta).lower()},{div:.6f},{vp:.6f},{dam:.6f},{gain:.6f}")
     blob = "\n".join(lines) + "\n"
     if args.out:
         write_atomic(args.out, blob.encode("utf-8"))
@@ -294,9 +300,13 @@ def _score(path: str, cell: str) -> float:
 def _read_summary(path: str) -> dict:
     doc = read_json_object(path, "run summary")
     top1 = doc.get("test_top1")
-    if not isinstance(doc.get("dataset"), str) or not (top1 is None or _is_number(top1)):
-        raise FormatError(f"{path}: run summary needs a dataset name and a numeric "
-                          f"or null test_top1")
+    if not (isinstance(doc.get("dataset"), str) and isinstance(doc.get("mode"), str)
+            and isinstance(doc.get("force_single_prompt"), bool)
+            and isinstance(doc.get("meta_initialized"), bool)
+            and (top1 is None or _is_number(top1))):
+        raise FormatError(f"{path}: run summary needs string dataset and mode, "
+                          f"boolean force_single_prompt and meta_initialized, and a "
+                          f"numeric or null test_top1")
     return doc
 
 

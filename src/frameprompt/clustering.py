@@ -110,39 +110,22 @@ def check_threshold(tau):
 
 
 def cut(dendrogram: Dendrogram, tau: float, max_clusters: int | None = None) -> ClusterCut:
-    """Stop merging at the first linkage above tau; if that leaves more than
-    max_clusters groups, keep merging in dendrogram order down to the cap."""
+    """Replay the merges before the first linkage above tau; if that leaves
+    more than max_clusters groups, replay further in dendrogram order down to
+    the cap. Clusters are numbered by their smallest member id."""
     check_threshold(tau)
     if max_clusters is not None and max_clusters < 1:
         raise DataError(f"max_clusters must be >= 1, got {max_clusters}")
-    n = dendrogram.n_leaves
-    parent = {}
-
-    def root(cid):
-        while cid in parent:
-            cid = parent[cid]
-        return cid
-
-    applied = 0
-    for a, b, dist, new_id in dendrogram.merges:
-        if dist > tau:
-            break
-        parent[a] = parent[b] = new_id
-        applied += 1
-    remaining = dendrogram.merges[applied:]
-    k = n - applied
+    n, merges = dendrogram.n_leaves, dendrogram.merges
+    applied = next((i for i, m in enumerate(merges) if m[2] > tau), len(merges))
     if max_clusters is not None:
-        for a, b, dist, new_id in remaining:
-            if k <= max_clusters:
-                break
-            parent[a] = parent[b] = new_id
-            k -= 1
-    roots = [root(i) for i in range(n)]
-    order = {}
-    for r in roots:
-        if r not in order:
-            order[r] = len(order)
-    # harmless relabeling: clusters numbered by smallest member id
+        applied = max(applied, n - max_clusters)
+    # replayed newest first, the id a merge makes already holds its root
+    root = list(range(n + applied))
+    for a, b, _, new_id in reversed(merges[:applied]):
+        root[a] = root[b] = root[new_id]
+    roots = root[:n]
+    order = {r: c for c, r in enumerate(dict.fromkeys(roots))}
     labels = np.asarray([order[r] for r in roots], dtype=np.int64)
     return ClusterCut(labels, len(order))
 

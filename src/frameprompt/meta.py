@@ -1,7 +1,9 @@
 """Reptile-style meta initialization of a single frame prompt.
 
-Groups come from clustering each meta-training dataset separately, one per
-prototype of clustering.fit_prototypes, so none is empty. Within an
+Groups are plain (dataset_index, member_ids, head) tuples from clustering
+each meta-training dataset separately, one per prototype of
+clustering.fit_prototypes, so none is empty; they run in list order,
+datasets in order and clusters in order within each. Within an
 epoch the inner loop is chained: each group starts from the previous group's
 snapshot, and the meta prompt moves toward the snapshot average by the meta
 step gamma (optionally through Adam on the pseudo-gradient). The inner loop
@@ -25,27 +27,17 @@ from .prompt import FrameSpec, HeadState, PromptFrame
 _GROUP, _BATCH = 0x3E01, 0x3E02
 
 
-@dataclass(frozen=True)
-class MetaTaskGroup:
-    gid: int
-    dataset_index: int
-    member_ids: np.ndarray
-    head: HeadState
-
-    def __len__(self) -> int:
-        return len(self.member_ids)
-
-
 def build_groups(datasets, encoder, tau: float, probe_size: int, seed: int,
                  noise_count: int = 256) -> list:
-    """Per-dataset partition; group ids ascend across datasets in order."""
+    """(dataset_index, member_ids, head) per cluster, datasets in order and
+    each dataset's clusters in prototype order; a dataset's clusters share
+    its head."""
     if not datasets:
         raise DataError("meta training needs at least one dataset")
     clustering.check_threshold(tau)
     # every dataset's active head maps the top channels of one ranking
     ranking = rank_channels(encoder, noise_count, seed)
     groups = []
-    gid = 0
     for di, ds in enumerate(datasets):
         if len(ds) == 0:
             raise DataError(f"meta dataset {ds.id} is empty")
@@ -53,25 +45,18 @@ def build_groups(datasets, encoder, tau: float, probe_size: int, seed: int,
         protos, assign = clustering.fit_prototypes(all_feats, tau, ds.class_count,
                                                    probe_size, [seed, _GROUP, di])
         head = build_head(encoder, "active", ds.class_count, noise_count, seed, ranking)
-        for t in range(len(protos)):
-            members = np.flatnonzero(assign == t)
-            groups.append(MetaTaskGroup(gid, di, members, head))
-            gid += 1
+        groups += [(di, np.flatnonzero(assign == t), head) for t in range(len(protos))]
     return groups
 
 
 def sample_meta_batch(groups, batch_size: int, seed) -> list:
-    """One batch per group, in ascending gid order, sampled without
-    replacement within the group."""
+    """One sorted batch of member ids per group, in list order, sampled
+    without replacement within the group."""
     if batch_size < 1:
         raise DataError(f"meta batch size must be >= 1, got {batch_size}")
     rng = np.random.default_rng(seed)
-    out = []
-    for g in sorted(groups, key=lambda g: g.gid):
-        take = min(batch_size, len(g))
-        picked = rng.choice(g.member_ids, size=take, replace=False)
-        out.append((g, np.sort(picked)))
-    return out
+    return [np.sort(rng.choice(members, size=min(batch_size, len(members)), replace=False))
+            for _, members, _ in groups]
 
 
 def inner_update(prompt: PromptFrame, images: np.ndarray, labels: np.ndarray,
@@ -117,7 +102,6 @@ def meta_update(pm: np.ndarray, snapshots: list, gamma: float) -> np.ndarray:
 @dataclass
 class MetaResult:
     prompt: PromptFrame
-    dataset_ids: list
     epoch_losses: list = field(default_factory=list)
     update_norms: list = field(default_factory=list)
 
@@ -136,17 +120,17 @@ def meta_train(datasets, encoder, cfg: RunConfig, seed: int = 0) -> MetaResult:
                           noise_count=cfg.noise_count)
     pm = PromptFrame(spec)
     opt = Adam(lr=cfg.gamma) if cfg.meta_use_adam else None
-    result = MetaResult(pm, ids)
+    result = MetaResult(pm)
     for epoch in range(cfg.meta_epochs):
         batches = sample_meta_batch(groups, cfg.meta_batch_size,
                                     [seed, _BATCH, epoch])
         snapshots = []
         losses = []
         p_prev = pm
-        for g, picked in batches:
-            ds = datasets[g.dataset_index]
+        for (di, _, head), picked in zip(groups, batches):
+            ds = datasets[di]
             p_j, l0 = inner_update(p_prev, ds.images[picked], ds.labels[picked],
-                                   encoder, g.head, cfg.eta, cfg.inner_steps)
+                                   encoder, head, cfg.eta, cfg.inner_steps)
             snapshots.append(p_j.values)
             losses.append(l0)
             p_prev = p_j

@@ -105,6 +105,29 @@ def oracle_agglomerate(features):
     return merges
 
 
+def oracle_cut(n, merges, tau, cap=None):
+    """Labels of a dendrogram cut, applying merges one at a time: up to the
+    first linkage above tau, then on while there are more clusters than cap.
+    Clusters are numbered by their smallest member id."""
+    clusters = {i: [i] for i in range(n)}
+    step = 0
+
+    def merge():
+        a, b, _, new_id = merges[step]
+        clusters[new_id] = clusters.pop(a) + clusters.pop(b)
+
+    while step < len(merges) and merges[step][2] <= tau:
+        merge()
+        step += 1
+    while cap is not None and len(clusters) > cap:
+        merge()
+        step += 1
+    labels = np.empty(n, dtype=np.int64)
+    for label, members in enumerate(sorted(clusters.values(), key=min)):
+        labels[members] = label
+    return labels
+
+
 def rescan_agglomerate(dist):
     """Average linkage by a full rescan of the summed-distance matrix at every
     merge, from a given (n, n) distance matrix. It performs the same additions

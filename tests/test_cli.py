@@ -261,15 +261,49 @@ def test_eval_histogram_covers_test_split(pipeline):
 
 
 def test_report_aggregates_both_arms(pipeline):
+    """The pipeline's two adapt runs are two arms of one (dataset, mode):
+    the meta-initialised multi-prompt run and the forced single prompt from a
+    random start. Each gets its own row, so neither column mixes them."""
     lines = open(pipeline["report_csv"]).read().splitlines()
-    assert lines[0] == "dataset,diversity,vp_accuracy,damvp_accuracy,gain"
-    rows = {l.split(",")[0]: l.split(",") for l in lines[1:]}
-    ds_id = json.load(open(pipeline["dam_bundle"][: -len(".dampb")]
-                           + ".summary.json"))["dataset"]
-    row = rows[ds_id]
-    vp, dam, gain = float(row[2]), float(row[3]), float(row[4])
-    assert gain == pytest.approx((dam - vp) * 100.0, abs=1e-9)
-    assert float(row[1]) > 0  # diversity column joined from the csv
+    assert lines[0] == ("dataset,mode,meta_initialized,diversity,vp_accuracy,"
+                        "damvp_accuracy,gain")
+    stem = lambda bundle: bundle[: -len(".dampb")] + ".summary.json"
+    dam = json.load(open(stem(pipeline["dam_bundle"])))
+    vp = json.load(open(stem(pipeline["vp_bundle"])))
+    div = float(open(pipeline["div_csv"]).read().splitlines()[1].split(",")[4])
+    ds = dam["dataset"]
+    assert lines[1:] == [f"{ds},active,false,{div:.6f},{vp['test_top1']:.6f},nan,nan",
+                         f"{ds},active,true,{div:.6f},nan,{dam['test_top1']:.6f},nan"]
+
+
+def _summary(runs, name, **fields):
+    doc = {"dataset": "d", "mode": "active", "force_single_prompt": False,
+           "meta_initialized": False, **fields}
+    (runs / f"{name}.summary.json").write_text(json.dumps(doc))
+
+
+def test_report_keeps_each_arm_in_its_own_row(tmp_path, capsys):
+    """A tuning head, an active head, a meta-initialised active head and a
+    forced single active prompt of one dataset: three rows, and the active
+    row from a random start sets its one prompt against its many."""
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    _summary(runs, "tuning", mode="tuning", test_top1=0.9)
+    _summary(runs, "active", test_top1=0.5)
+    _summary(runs, "meta", meta_initialized=True, test_top1=0.7)
+    _summary(runs, "single", force_single_prompt=True, test_top1=0.4)
+    capsys.readouterr()
+    assert cli.main(["report", "--runs", str(runs)]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "d,active,false,nan,0.400000,0.500000,10.000000",
+        "d,active,true,nan,nan,0.700000,nan",
+        "d,tuning,false,nan,nan,0.900000,nan"]
+    # a forced single prompt from the meta start is the vp column of the meta row
+    _summary(runs, "meta_single", meta_initialized=True, force_single_prompt=True,
+             test_top1=0.6)
+    assert cli.main(["report", "--runs", str(runs)]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[2] == "d,active,true,nan,0.600000,0.700000,10.000000"
 
 
 def test_report_leaves_runs_without_test_accuracy_out(pipeline, tmp_path, capsys):
@@ -286,20 +320,21 @@ def test_report_leaves_runs_without_test_accuracy_out(pipeline, tmp_path, capsys
     capsys.readouterr()
     assert cli.main(["report", "--runs", str(runs)]) == 0
     rows = capsys.readouterr().out.splitlines()
-    assert rows[1:] == [f"{summary['dataset']},nan,nan,nan,nan"]
-    # next to a run with a test accuracy, the mean is that run's accuracy
+    assert rows[1:] == [f"{summary['dataset']},active,false,nan,nan,nan,nan"]
+    # next to a run of its arm with a test accuracy, the mean is that run's accuracy
     vp_summary = pipeline["vp_bundle"][: -len(".dampb")] + ".summary.json"
     shutil.copy(vp_summary, runs / "vp.summary.json")
     assert cli.main(["report", "--runs", str(runs)]) == 0
     vp = json.load(open(vp_summary))["test_top1"]
     rows = capsys.readouterr().out.splitlines()
-    assert rows[1:] == [f"{summary['dataset']},nan,{vp:.6f},nan,nan"]
+    assert rows[1:] == [f"{summary['dataset']},active,false,nan,{vp:.6f},nan,nan"]
 
 
 def test_report_manifest_lists_every_file_it_read(pipeline, tmp_path):
+    """report reads the summaries and the diversity csvs, and no other file
+    under --runs, such as an adapt run's metrics csv."""
     manifest = json.load(open(pipeline["report_csv"] + ".manifest.json"))
-    read = ["dam.metrics.csv", "dam.summary.json", "down.diversity.csv",
-            "vp.metrics.csv", "vp.summary.json"]
+    read = ["dam.summary.json", "down.diversity.csv", "vp.summary.json"]
     assert manifest["inputs"] == _hashed(*(pipeline["runs"] / name for name in read))
     # a file in a subdirectory is keyed by the path report opened
     runs = tmp_path / "runs"
@@ -313,8 +348,8 @@ def test_report_manifest_lists_every_file_it_read(pipeline, tmp_path):
 
 def test_report_over_its_stale_output_lists_the_bytes_it_read(pipeline, tmp_path,
                                                               monkeypatch):
-    """report reads every csv under --runs, its own earlier output included;
-    the manifest records the bytes it read, not the ones it wrote over them."""
+    """report does not read its own earlier output under --runs; the manifest
+    lists only the summary it read, and the output it wrote over the stale one."""
     monkeypatch.chdir(tmp_path)
     os.mkdir("runs")
     shutil.copy(pipeline["runs"] / "vp.summary.json", "runs")
@@ -324,10 +359,25 @@ def test_report_over_its_stale_output_lists_the_bytes_it_read(pipeline, tmp_path
     assert cli.main(["report", "--runs", "runs", "--out", "runs/report.csv"]) == 0
     manifest = json.load(open("runs/report.csv.manifest.json"))
     assert manifest["inputs"] == [
-        [os.path.join("runs", "report.csv"), hashlib.sha256(stale).hexdigest()],
         [os.path.join("runs", "vp.summary.json"), _sha256("runs/vp.summary.json")]]
     assert manifest["outputs"] == {"report.csv": _sha256("runs/report.csv")}
     assert _sha256("runs/report.csv") != hashlib.sha256(stale).hexdigest()
+
+
+def test_manifest_inputs_resolve_against_its_cwd(pipeline, tmp_path, monkeypatch):
+    """Relative --data and --config are keyed as opened; joined to the
+    manifest's cwd, each names the file whose bytes it records."""
+    monkeypatch.chdir(tmp_path)
+    shutil.copy(pipeline["down"], "down.json")
+    shutil.copy(pipeline["config"], "config.json")
+    assert cli.main(["diversity", "--data", "down.json", "--space", "pixel_l2",
+                     "--out", "d.diversity.csv", "--config", "config.json"]) == 0
+    monkeypatch.chdir(pipeline["root"])
+    manifest = json.load(open(tmp_path / "d.diversity.csv.manifest.json"))
+    assert os.path.samefile(manifest["cwd"], tmp_path)
+    assert [p for p, _ in manifest["inputs"]] == ["config.json", "down.json"]
+    for path, sha in manifest["inputs"]:
+        assert _sha256(os.path.join(manifest["cwd"], path)) == sha
 
 
 def test_adapt_over_idx_lists_every_file_it_read(pipeline, tmp_path):
@@ -369,11 +419,20 @@ def test_report_on_a_missing_runs_directory_exits_2(tmp_path, capsys):
 def test_report_refuses_malformed_summaries(tmp_path, capsys):
     texts = ["{", "[1]", json.dumps({"mode": "active", "test_top1": 0.5}),
              json.dumps({"dataset": "d", "test_top1": "high"})]
+    # a mode, force_single_prompt or meta_initialized missing or mistyped
+    arm = {"dataset": "d", "mode": "active", "force_single_prompt": False,
+           "meta_initialized": False, "test_top1": 0.5}
+    for key, bad in (("mode", None), ("mode", 1), ("force_single_prompt", None),
+                     ("force_single_prompt", 0), ("meta_initialized", "false")):
+        texts.append(json.dumps({k: v for k, v in arm.items() if k != key}
+                                if bad is None else {**arm, key: bad}))
     files = [("run.summary.json", text) for text in texts]
-    # diversity csvs whose score is not a number or whose row is cut short
+    # diversity csvs whose score is not a number, whose row is cut short, or
+    # that are not a diversity csv
     for row in ("d,feature_l2,10,0,abc,0", "d,feature_l2"):
         files.append(("d.diversity.csv", "dataset,metric,pairs,seed,score,score_std\n"
                                          + row + "\n"))
+    files += [("d.diversity.csv", ""), ("d.diversity.csv", "dataset,diversity\nd,1\n")]
     for i, (name, text) in enumerate(files):
         runs = tmp_path / f"runs{i}"
         runs.mkdir()
@@ -634,8 +693,8 @@ def test_contract_violations_exit_2(pipeline, tmp_path, capsys):
     # a diversity csv under report --runs that is not UTF-8
     latin1_runs = tmp_path / "latin1_runs"
     latin1_runs.mkdir()
-    (latin1_runs / "d.csv").write_bytes(b"dataset,metric,pairs,seed,score,score_std\n"
-                                        b"caf\xe9,feature_l2,10,0,1.0,0.0\n")
+    (latin1_runs / "d.diversity.csv").write_bytes(b"dataset,metric,pairs,seed,score,score_std\n"
+                                                  b"caf\xe9,feature_l2,10,0,1.0,0.0\n")
     assert cli.main(["report", "--runs", str(latin1_runs)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: FormatError:"), err

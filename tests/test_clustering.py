@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from _helpers import oracle_agglomerate, rescan_agglomerate
+from _helpers import oracle_agglomerate, oracle_cut, rescan_agglomerate
 from frameprompt import clustering as C
 from frameprompt.errors import DataError, ShapeError
 
@@ -147,6 +147,29 @@ def test_cut_stops_at_first_gap_then_caps():
     tiny = C.cut(dend, 1e-9)
     assert tiny.n_clusters == len(feats)
     assert C.cut(dend, 5.0, max_clusters=10).n_clusters == 4  # cap not binding
+
+
+def test_cut_matches_the_one_merge_at_a_time_oracle():
+    """The merge count, worked out at once, labels as the oracle that merges
+    one at a time does: on dendrograms with tied linkages (integer grids),
+    at tau equal to a merge's linkage and between linkages, with no cap and
+    caps of 1, 2, n and more than n."""
+    rng = np.random.default_rng(26)
+    for trial in range(60):
+        n = int(rng.integers(1, 25))
+        if trial % 2:
+            x = rng.integers(0, 3, (n, 2)).astype(np.float64)
+        else:
+            x = rng.standard_normal((n, 3))
+        dend = C.agglomerate(x)
+        dists = [m[2] for m in dend.merges]
+        taus = [1e-9, 1e9, float(rng.uniform(0.1, 3))] + [d for d in dists[::3] if d > 0]
+        for tau in taus:
+            for cap in (None, 1, 2, n, n + 3):
+                got = C.cut(dend, tau, max_clusters=cap)
+                want = oracle_cut(n, dend.merges, tau, cap)
+                assert np.array_equal(got.labels, want), (trial, tau, cap)
+                assert got.n_clusters == len(np.unique(want))
 
 
 def test_cut_rejects_bad_tau():

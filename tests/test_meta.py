@@ -3,7 +3,7 @@ import pytest
 
 import _helpers as H
 from _helpers import make_modemix
-from frameprompt import meta as M
+from frameprompt import clustering, meta as M
 from frameprompt.adapt import build_head, prompt_step
 from frameprompt.config import RunConfig
 from frameprompt.errors import DataError, ShapeError
@@ -58,14 +58,19 @@ def test_meta_update_validation():
 def test_build_groups_partitions_each_dataset(tiny_encoder, meta_sets):
     enc, _ = tiny_encoder
     groups = M.build_groups(meta_sets, enc, tau=0.5, probe_size=1000, seed=0)
-    assert [g.gid for g in groups] == list(range(len(groups)))
+    # datasets in order, and within each its clusters in prototype order
+    assert [di for di, _, _ in groups] == sorted(di for di, _, _ in groups)
     for di, ds in enumerate(meta_sets):
-        mine = [g for g in groups if g.dataset_index == di]
-        assert mine and all(g.dataset_index == di for g in mine)
-        members = np.concatenate([g.member_ids for g in mine])
+        mine = [(members, head) for i, members, head in groups if i == di]
+        _, assign = clustering.fit_prototypes(enc.forward_features(ds.images), 0.5,
+                                              ds.class_count, 1000, [0, M._GROUP, di])
+        assert len(mine) == assign.max() + 1
+        for t, (members, _) in enumerate(mine):
+            H.same_bits(members, np.flatnonzero(assign == t))
+        members = np.concatenate([m for m, _ in mine])
         assert np.array_equal(np.sort(members), np.arange(len(ds)))
         # all groups of one dataset share that dataset's head
-        assert len({id(g.head) for g in mine}) == 1
+        assert len({id(head) for _, head in mine}) == 1
 
 
 def test_build_groups_probes_the_noise_once(monkeypatch, tiny_encoder):
@@ -87,9 +92,9 @@ def test_build_groups_probes_the_noise_once(monkeypatch, tiny_encoder):
     monkeypatch.setattr(type(enc), "probe_channel_variance", counted)
     groups = M.build_groups(sets, enc, tau=0.5, probe_size=1000, seed=0)
     assert calls == [(256, 0)]
-    assert {g.dataset_index for g in groups} == {0, 1}
-    for g in groups:
-        H.same_bits(g.head.indices, alone[g.dataset_index])
+    assert {di for di, _, _ in groups} == {0, 1}
+    for di, _, head in groups:
+        H.same_bits(head.indices, alone[di])
 
 
 def test_build_groups_rejects_empty(tiny_encoder, meta_sets):
@@ -100,26 +105,27 @@ def test_build_groups_rejects_empty(tiny_encoder, meta_sets):
 
 # ------------------------------------------------------------------ sampling
 
-def _stub_group(gid, members):
-    return M.MetaTaskGroup(gid, 0, np.asarray(members, dtype=np.int64), head=None)
+def _stub_group(members):
+    return (0, np.asarray(members, dtype=np.int64), None)
 
 
 def test_sample_meta_batch_deterministic_and_sorted():
-    groups = [_stub_group(1, [5, 6, 7, 8]), _stub_group(0, [0, 1, 2])]
+    groups = [_stub_group([5, 6, 7, 8]), _stub_group([0, 1, 2])]
     out1 = M.sample_meta_batch(groups, 2, seed=3)
     out2 = M.sample_meta_batch(groups, 2, seed=3)
-    assert [g.gid for g, _ in out1] == [0, 1]
-    for (_, p1), (_, p2) in zip(out1, out2):
+    assert len(out1) == 2
+    for (_, members, _), p1, p2 in zip(groups, out1, out2):
         assert np.array_equal(p1, p2)
         assert np.array_equal(p1, np.sort(p1))
         assert len(p1) == 2 and len(np.unique(p1)) == 2
+        assert np.isin(p1, members).all()  # each batch is its own group's, in list order
     big = M.sample_meta_batch(groups, 100, seed=0)
-    assert [len(p) for _, p in big] == [3, 4]  # capped at group size
+    assert [len(p) for p in big] == [4, 3]  # capped at group size
 
 
 def test_sample_meta_batch_refuses_batch_size_zero():
     with pytest.raises(DataError):
-        M.sample_meta_batch([_stub_group(0, [1, 2])], 0, seed=0)
+        M.sample_meta_batch([_stub_group([1, 2])], 0, seed=0)
 
 
 # -------------------------------------------------------------- inner update
@@ -194,7 +200,6 @@ def test_meta_train_reduces_inner_loss(tiny_encoder, meta_sets):
     res = M.meta_train(meta_sets, enc, meta_cfg(meta_epochs=6, eta=0.2), seed=0)
     assert res.epoch_losses[-1] < res.epoch_losses[0]
     assert len(res.update_norms) == 6
-    assert res.dataset_ids == [ds.id for ds in meta_sets]
     inv = ~res.prompt.spec.mask().astype(bool)
     assert np.all(res.prompt.values[inv] == 0)
 
