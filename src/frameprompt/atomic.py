@@ -5,7 +5,7 @@ failed run never leaves a half-written file, and the file gets the mode that
 open(path, "wb") would give it (0666 less the umask). Every file it reads
 goes through read_bytes: both binary loaders (.damw weights, .dampb bundles)
 parse through Reader, so a file that ends early raises TruncatedFileError
-and one with trailing bytes FormatError; json sidecars and run summaries
+and one with trailing bytes FormatError; .calib.json sidecars and run summaries
 through read_json_object, FormatError for anything but a json object; text
 inputs (descriptors, configs, report's csv files) through read_text, the
 caller's error type for bytes that are not UTF-8. Inside recording(),

@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 usage error, 2 data or contract violation, a
 path that cannot be read or written, or an array too large for memory. Every
-hyperparameter lives in the config file; flags carry only paths, the seed and
-the head mode; adapt and meta-train resolve tau "calibrate" from the encoder's
+hyperparameter lives in the config file; flags carry only paths, the seed (an
+integer in [0, 2**64)) and the head mode; the encoder is its one .damw file;
+adapt and meta-train resolve tau "calibrate" from the encoder's
 calibration sidecar. A command that writes artifacts writes a manifest of
 what it read and wrote (atomic.recording): its working directory, [path as
 opened, sha256] of each file read, in read order, and the sha256 of each
@@ -310,14 +311,21 @@ def _read_summary(path: str) -> dict:
     return doc
 
 
+def _seed(text: str) -> int:
+    """A --seed value, which the encoder file keeps in a u64 field."""
+    seed = int(text)  # a ValueError becomes argparse's "invalid _seed value"
+    if not 0 <= seed < 2 ** 64:
+        raise argparse.ArgumentTypeError(f"seed must be in [0, 2**64), got {seed}")
+    return seed
+
+
 def build_parser() -> _Parser:
     p = _Parser(prog="frameprompt", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, config=True):
-        sp.add_argument("--seed", type=int, default=0)
-        if config:
-            sp.add_argument("--config", default=None)
+    def common(sp):
+        sp.add_argument("--seed", type=_seed, default=0)
+        sp.add_argument("--config", default=None)
 
     sp = sub.add_parser("pretrain", help="train and freeze the encoder")
     sp.add_argument("--data", required=True)

@@ -33,16 +33,19 @@ prompted to score it; FrozenEncoder.conv1 lets the meta inner loop hand its
 images' conv1 to every step. (Evaluation with a single prototype routes
 every image to it without any prompt-free pass, see adapt.evaluate.)
 
-Weights live in an ordered dict of read-only float64 arrays. The on-disk
-format is magic "DAMW", u32 version, u32 record count, then per array a u32
-rank, rank u32 extents and the raw little-endian float64 payload, finished
-by a u64 fingerprint of the record bytes and nothing else.
+Weights live in an ordered dict of read-only float64 arrays; an encoder's
+fingerprint is the digest of their records alone. The on-disk format is one
+file: magic "DAMW", u32 version (2), u32 record count, then per array a u32
+rank, rank u32 extents and the raw little-endian float64 payload; then u32
+in_channels, height and width, f64 train accuracy, u64 seed, the pretraining
+dataset id as a u32 length and its UTF-8 bytes, and the feature_dim f64 of
+f0 (the zero-input response the weights must give); finished by a u64
+digest of everything after the record count, and nothing else.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import struct
 from dataclasses import dataclass, field
@@ -50,12 +53,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import clustering, tensor as T
-from .atomic import Reader, read_json_object, write_atomic
+from .atomic import Reader, write_atomic
 from .errors import (BadMagicError, DataError, FingerprintMismatchError,
                      FormatError, ShapeError)
 
 MAGIC = b"DAMW"
-VERSION = 1
+VERSION = 2
 
 # Images per forward_features chunk. 64 holds half the transient memory of
 # 128 (a traced peak of 26.7 against 53.1 MiB on 320 32px images) and runs
@@ -230,30 +233,20 @@ class FrozenEncoder:
     # ---- persistence ----
 
     def save(self, path: str):
-        body = _records_bytes(self.weights)
-        blob = MAGIC + struct.pack("<II", VERSION, len(PARAM_ORDER)) + body
-        blob += struct.pack("<Q", self.fingerprint)
-        write_atomic(path, blob)
-        meta = {
-            "in_channels": self.spec.in_channels, "height": self.spec.height,
-            "width": self.spec.width, "feature_dim": self.spec.feature_dim,
-            "head_dim": self.spec.head_dim,
-            "pretrain_dataset_id": self.pretrain_dataset_id,
-            "train_accuracy": self.train_accuracy,
-            "fingerprint": int(self.fingerprint),
-            "seed": self.seed,
-            "f0": [float(v) for v in self.f0],
-        }
-        write_atomic(meta_path(path),
-                     json.dumps(meta, indent=1, sort_keys=True).encode("utf-8"))
+        s = self.spec
+        ident = self.pretrain_dataset_id.encode("utf-8")
+        body = (_records_bytes(self.weights)
+                + struct.pack("<3IdQI", s.in_channels, s.height, s.width,
+                              self.train_accuracy, self.seed, len(ident))
+                + ident + self.f0.astype("<f8").tobytes())
+        write_atomic(path, MAGIC + struct.pack("<II", VERSION, len(PARAM_ORDER)) + body
+                     + struct.pack("<Q", _digest64(body)))
 
 
-def meta_path(weights_path: str) -> str:
-    return str(weights_path) + ".meta.json"
-
-
-def load_weights(path: str) -> tuple[dict, int]:
-    """Parse a DAMW file; returns (weights dict, fingerprint)."""
+def load_encoder(path: str) -> FrozenEncoder:
+    """The encoder in a DAMW file. The digest is checked before any field is
+    used, so an edited pretraining dataset id, which adapt and meta-train
+    refuse to adapt to, does not load."""
     r = Reader(path)
     if r.take(4) != MAGIC:
         raise BadMagicError(f"bad magic in {path}")
@@ -270,36 +263,24 @@ def load_weights(path: str) -> tuple[dict, int]:
         if rank > 8:
             raise FormatError(f"{name}: implausible rank {rank}")
         extents = r.unpack(f"{rank}I")
-        n = int(np.prod(extents, dtype=np.int64)) if rank else 1
-        payload = r.take(8 * n)
+        payload = r.take(8 * math.prod(extents))  # exact: np.prod wraps past 2**63
         weights[name] = np.frombuffer(payload, dtype="<f8").reshape(extents).copy()
+    in_channels, height, width, accuracy, seed, id_len = r.unpack("3IdQI")
+    ident = r.take(id_len)
+    golden = np.frombuffer(r.take(8 * weights["fc_b"].size), dtype="<f8")
     actual = _digest64(r.blob[body_start:r.pos])
     (stored,) = r.unpack("Q")
     r.end()
     if stored != actual:
         raise FingerprintMismatchError(
-            f"fingerprint mismatch: stored {stored:#x}, computed {actual:#x}")
-    return weights, stored
-
-
-def load_encoder(path: str) -> FrozenEncoder:
-    """The weights at path with their sidecar (meta_path), which is required:
-    it holds the pretraining dataset id and the f0 the weights must give."""
-    weights, fp = load_weights(path)
-    meta = read_json_object(meta_path(path), "encoder metadata")
+            f"{path}: digest mismatch: stored {stored:#x}, computed {actual:#x}")
     try:
-        spec = EncoderSpec(in_channels=int(meta["in_channels"]), height=int(meta["height"]),
-                           width=int(meta["width"]))
-        extras = {"pretrain_dataset_id": str(meta["pretrain_dataset_id"]),
-                  "train_accuracy": float(meta["train_accuracy"]),
-                  "seed": int(meta["seed"])}
-        golden = np.asarray(meta["f0"], dtype=np.float64)
-    except (KeyError, TypeError, ValueError) as e:
-        raise FormatError(f"{meta_path(path)}: encoder metadata field missing or "
-                          f"mistyped: {e!r}") from None
-    enc = FrozenEncoder(spec, weights, **extras)
-    if enc.fingerprint != fp:
-        raise FingerprintMismatchError("weights changed between parse and construction")
+        ident = ident.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path}: pretraining dataset id is not UTF-8 "
+                          f"({e.reason})") from None
+    enc = FrozenEncoder(EncoderSpec(in_channels, height, width), weights,
+                        pretrain_dataset_id=ident, train_accuracy=accuracy, seed=seed)
     if not np.array_equal(golden, enc.f0):
         raise FingerprintMismatchError("stored zero-input response differs from "
                                        "recomputed one")

@@ -1,5 +1,6 @@
 """Shared test utilities: finite-difference oracle and tiny builders."""
 
+import hashlib
 import struct
 
 import numpy as np
@@ -303,3 +304,59 @@ def routed_bundle(enc, ds, count, seed=0):
         rows.append(int(np.argmax(dist)))
     head = build_head(enc, "tuning", ds.class_count, 256, seed)
     return PromptBundle(prompts, feats[rows], head, enc.fingerprint, "{}")
+
+
+def damw_fields(enc):
+    """{name: (start, end)} of each field of enc's weight file, in file order,
+    laid out from the format's description rather than by its writer."""
+    sizes = [("magic", 4), ("version", 4), ("count", 4)]
+    for name, arr in enc.weights.items():
+        sizes += [(f"{name}.rank", 4), (f"{name}.extents", 4 * arr.ndim),
+                  (f"{name}.payload", 8 * arr.size)]
+    sizes += [("in_channels", 4), ("height", 4), ("width", 4), ("train_accuracy", 8),
+              ("seed", 8), ("id_length", 4),
+              ("id", len(enc.pretrain_dataset_id.encode("utf-8"))),
+              ("f0", 8 * enc.f0.size), ("digest", 8)]
+    fields, pos = {}, 0
+    for name, size in sizes:
+        fields[name] = (pos, pos + size)
+        pos += size
+    return fields
+
+
+def damw_digest(body):
+    """The u64 a weight file keeps for body: sha256's first 8 bytes, little-endian."""
+    return struct.unpack("<Q", hashlib.sha256(body).digest()[:8])[0]
+
+
+def corrupt_damw(enc, blob):
+    """(case, bytes, error type name) for each way a weight file of enc
+    (blob, as saved) goes bad: one byte flipped in each region the digest
+    covers or in the digest itself, a cut at each field boundary, extents
+    too large for any array, trailing bytes, a version 1 header, and a
+    non-UTF-8 id under a valid digest."""
+    fields = damw_fields(enc)
+    assert fields["digest"][1] == len(blob)
+    cases = []
+    for region in ("conv1_w.payload", "head_b.payload", "in_channels", "height", "width",
+                   "train_accuracy", "seed", "id", "f0", "digest"):
+        start, end = fields[region]
+        for at in (start, end - 1):
+            flipped = bytearray(blob)
+            flipped[at] ^= 0xFF
+            cases.append((f"flip {region}[{at - start}]", bytes(flipped),
+                          "FingerprintMismatchError"))
+    for start, _ in fields.values():
+        cases.append((f"cut at {start}", blob[:start], "TruncatedFileError"))
+    cases.append(("cut before the last byte", blob[:-1], "TruncatedFileError"))
+    # extents whose product no int64 holds: np.prod would wrap it negative
+    start, end = fields["conv1_w.extents"]
+    cases.append(("extents past any array", blob[:start] + b"\xff" * (end - start) + blob[end:],
+                  "TruncatedFileError"))
+    cases.append(("trailing bytes", blob + b"\x00\x01", "FormatError"))
+    cases.append(("version 1", blob[:4] + struct.pack("<I", 1) + blob[8:], "FormatError"))
+    start, end = fields["id"]
+    body = blob[12:start] + b"\xff" * (end - start) + blob[end:-8]
+    cases.append(("non-UTF-8 id", blob[:12] + body + struct.pack("<Q", damw_digest(body)),
+                  "FormatError"))
+    return cases

@@ -12,7 +12,7 @@ import pytest
 from frameprompt import atomic, cli, encoder as E
 from frameprompt.prompt import HeadState, load_bundle, save_bundle
 
-from _helpers import idx_bytes
+from _helpers import corrupt_damw, damw_fields, idx_bytes
 
 CONFIG = {"pretrain_epochs": 2, "epochs": 2, "batch_size": 16, "lr": 0.05,
           "warmup_epochs": 1, "probe_size": 128, "pairs": 200,
@@ -81,14 +81,15 @@ def pipeline(tmp_path_factory):
     return p
 
 
-def test_pretrain_writes_weights_sidecar_and_manifest(pipeline):
-    assert os.path.exists(pipeline["enc"])
-    meta = json.load(open(pipeline["enc"] + ".meta.json"))
-    assert meta["pretrain_dataset_id"].startswith("modemix-m2c2n12")
+def test_pretrain_writes_weights_and_manifest(pipeline):
+    """The encoder is one file: its pretraining dataset id is inside it."""
+    assert sorted(n for n in os.listdir(pipeline["root"]) if n.startswith("enc.damw")) == [
+        "enc.damw", "enc.damw.manifest.json"]
+    assert E.load_encoder(pipeline["enc"]).pretrain_dataset_id.startswith("modemix-m2c2n12")
     manifest = json.load(open(pipeline["enc"] + ".manifest.json"))
     assert manifest["command"] == "pretrain"
     assert manifest["inputs"] == _hashed(pipeline["config"], pipeline["pre"])
-    assert set(manifest["outputs"]) == {"enc.damw", "enc.damw.meta.json"}
+    assert set(manifest["outputs"]) == {"enc.damw"}
     assert len(manifest["outputs_hash"]) == 64
 
 
@@ -96,8 +97,7 @@ def test_calibrate_writes_threshold(pipeline):
     doc = json.load(open(pipeline["calib"]))
     assert doc["tau_star"] > 0
     assert doc["probe_size"] == 128
-    meta = json.load(open(pipeline["enc"] + ".meta.json"))
-    assert doc["encoder_fingerprint"] == meta["fingerprint"]
+    assert doc["encoder_fingerprint"] == E.load_encoder(pipeline["enc"]).fingerprint
 
 
 def test_diversity_csv_shape(pipeline):
@@ -146,16 +146,11 @@ def _hashed(*paths):
     return [[str(p), _sha256(p)] for p in paths]
 
 
-def _encoder_files(enc):
-    return enc, enc + ".meta.json"
-
-
 def _encoder_copy(pipeline, d, calib=None):
-    """The pipeline's encoder and its metadata in directory d, with calib as
-    its enc.calib.json sidecar unless calib is None."""
+    """The pipeline's encoder in directory d, with calib as its
+    enc.calib.json sidecar unless calib is None."""
     d.mkdir()
     shutil.copy(pipeline["enc"], d / "enc.damw")
-    shutil.copy(pipeline["enc"] + ".meta.json", d / "enc.damw.meta.json")
     if calib is not None:
         (d / "enc.calib.json").write_text(json.dumps(calib))
     return str(d / "enc.damw")
@@ -178,7 +173,7 @@ def test_clustered_runs_record_the_calibrated_threshold(pipeline):
     snapshot = json.loads(load_bundle(pipeline["meta_bundle"]).config_snapshot)
     assert snapshot["config"]["tau"] == tau
     vp = json.load(open(pipeline["vp_bundle"][: -len(".dampb")] + ".manifest.json"))
-    assert vp["inputs"] == _hashed(pipeline["vp_config"], *_encoder_files(pipeline["enc"]),
+    assert vp["inputs"] == _hashed(pipeline["vp_config"], pipeline["enc"],
                                    pipeline["down"])
     assert vp["config"]["tau"] == "calibrate"
     assert json.loads(load_bundle(pipeline["vp_bundle"]).config_snapshot)["tau"] == "calibrate"
@@ -189,7 +184,7 @@ def test_meta_train_manifest_lists_every_descriptor(pipeline, tmp_path):
     datasets and so decides the groups: reversed, both the inputs and the
     outputs differ."""
     inputs = json.load(open(pipeline["meta_bundle"] + ".manifest.json"))["inputs"]
-    assert inputs == _hashed(pipeline["config"], *_encoder_files(pipeline["enc"]),
+    assert inputs == _hashed(pipeline["config"], pipeline["enc"],
                              pipeline["calib"], pipeline["meta1"], pipeline["meta2"])
     out = str(tmp_path / "meta.dampb")
     assert cli.main(["meta-train", "--datasets", f"{pipeline['meta2']},{pipeline['meta1']}",
@@ -245,7 +240,7 @@ def test_force_single_prompt_runs_without_a_sidecar(pipeline, tmp_path):
                      "--config", str(pipeline["vp_config"])]) == 0
     assert json.loads(load_bundle(str(out)).config_snapshot)["tau"] == "calibrate"
     manifest = json.load(open(tmp_path / "vp.manifest.json"))
-    assert manifest["inputs"] == _hashed(pipeline["vp_config"], *_encoder_files(enc),
+    assert manifest["inputs"] == _hashed(pipeline["vp_config"], enc,
                                          pipeline["down"])
     # the same bundle as the pipeline's, whose encoder had a sidecar beside it
     assert out.read_bytes() == open(pipeline["vp_bundle"], "rb").read()
@@ -382,8 +377,7 @@ def test_manifest_inputs_resolve_against_its_cwd(pipeline, tmp_path, monkeypatch
 
 def test_adapt_over_idx_lists_every_file_it_read(pipeline, tmp_path):
     """The files a loader opens under a flag are inputs too: the IDX pair an
-    idx descriptor points at and the encoder's metadata, whose pretraining
-    id decides whether the task is disjoint from it."""
+    idx descriptor points at and the encoder's calibration sidecar."""
     rng = np.random.default_rng(0)
     images, labels = str(tmp_path / "img.idx"), str(tmp_path / "lab.idx")
     with open(images, "wb") as fh:
@@ -398,7 +392,7 @@ def test_adapt_over_idx_lists_every_file_it_read(pipeline, tmp_path):
                      "--mode", "active", "--out", str(out), "--seed", "1",
                      "--config", str(pipeline["config"])]) == 0
     manifest = json.load(open(tmp_path / "digits.manifest.json"))
-    assert manifest["inputs"] == _hashed(pipeline["config"], *_encoder_files(pipeline["enc"]),
+    assert manifest["inputs"] == _hashed(pipeline["config"], pipeline["enc"],
                                          pipeline["calib"], desc, images, labels)
     assert set(manifest["outputs"]) == {"digits.dampb", "digits.metrics.csv",
                                         "digits.summary.json"}
@@ -645,7 +639,6 @@ def test_contract_violations_exit_2(pipeline, tmp_path, capsys):
     shutil.copy(pipeline["enc"], padded)
     with open(padded, "ab") as fh:
         fh.write(b"\x00\x01")
-    shutil.copy(pipeline["enc"] + ".meta.json", str(padded) + ".meta.json")
     rc = cli.main(["eval", "--data", pipeline["down"], "--bundle", pipeline["dam_bundle"],
                    "--encoder", str(padded), "--out", str(tmp_path / "padded.json"),
                    "--config", str(pipeline["config"])])
@@ -698,35 +691,83 @@ def test_contract_violations_exit_2(pipeline, tmp_path, capsys):
     assert cli.main(["report", "--runs", str(latin1_runs)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: FormatError:"), err
-    # unreadable, incomplete or missing json sidecars next to a good weight
-    # file; without its metadata an encoder would not know its pretraining set
-    meta = json.load(open(pipeline["enc"] + ".meta.json"))
-    without = {key: json.dumps({k: v for k, v in meta.items() if k != key})
-               for key in ("f0", "pretrain_dataset_id")}
-    calib = {"encoder_fingerprint": meta["fingerprint"]}
-    sidecars = [("enc.calib.json", "[1]"), ("enc.calib.json", "{"),
-                ("enc.calib.json", json.dumps(calib)),
-                *(("enc.calib.json", json.dumps({**calib, "tau_star": tau}))
-                  for tau in (float("nan"), float("inf"), 0.0)),
-                ("enc.damw.meta.json", "{"), ("enc.damw.meta.json", "{}"),
-                ("enc.damw.meta.json", without["f0"]),
-                ("enc.damw.meta.json", without["pretrain_dataset_id"]),
-                ("enc.damw.meta.json", None)]
-    for i, (name, text) in enumerate(sidecars):
+    # unreadable or incomplete calibration sidecars next to a good weight file
+    calib = {"encoder_fingerprint": E.load_encoder(pipeline["enc"]).fingerprint}
+    sidecars = ["[1]", "{", json.dumps(calib),
+                *(json.dumps({**calib, "tau_star": tau})
+                  for tau in (float("nan"), float("inf"), 0.0))]
+    for i, text in enumerate(sidecars):
         d = tmp_path / f"sidecar{i}"
         _encoder_copy(pipeline, d)
-        if text is None:
-            (d / name).unlink()
-        else:
-            (d / name).write_text(text)
+        (d / "enc.calib.json").write_text(text)
         rc = cli.main(["adapt", "--data", pipeline["down"], "--encoder", str(d / "enc.damw"),
                        "--mode", "active", "--out", str(d / "run.dampb"),
                        "--config", str(pipeline["config"])])
-        assert rc == 2, (name, text)
+        assert rc == 2, text
         err = capsys.readouterr().err
-        prefix = "error: FileNotFoundError:" if text is None else "error: FormatError:"
-        assert err.count("\n") == 1 and err.startswith(prefix), err
+        assert err.count("\n") == 1 and err.startswith("error: FormatError:"), err
         assert not os.path.exists(d / "run.dampb")
+
+
+def test_corrupt_encoder_files_exit_2(pipeline, tmp_path, capsys):
+    """A flipped byte in any region of the weight file, a cut at any field
+    boundary, trailing bytes, a version 1 file and a non-UTF-8 id each end
+    as one typed error line, exit 2 and no output."""
+    enc = E.load_encoder(pipeline["enc"])
+    bad, out = tmp_path / "enc.damw", tmp_path / "run.dampb"
+    for case, blob, kind in corrupt_damw(enc, open(pipeline["enc"], "rb").read()):
+        bad.write_bytes(blob)
+        capsys.readouterr()
+        rc = cli.main(["adapt", "--data", pipeline["down"], "--encoder", str(bad),
+                       "--mode", "active", "--out", str(out),
+                       "--config", str(pipeline["config"])])
+        assert rc == 2, case
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: {kind}:"), (case, err)
+        assert sorted(os.listdir(tmp_path)) == ["enc.damw"], case
+
+
+def test_an_edited_pretraining_id_is_refused(pipeline, tmp_path, capsys):
+    """Renaming the pretraining dataset inside the encoder file would lift
+    the refusal to adapt to it; the digest over the id refuses the file."""
+    blob = open(pipeline["enc"], "rb").read()
+    start, end = damw_fields(E.load_encoder(pipeline["enc"]))["id"]
+    edited = tmp_path / "enc.damw"
+    edited.write_bytes(blob[:start] + b"X" * (end - start) + blob[end:])
+    out = tmp_path / "pre.dampb"
+    capsys.readouterr()
+    rc = cli.main(["adapt", "--data", pipeline["pre"], "--encoder", str(edited),
+                   "--mode", "active", "--out", str(out), "--config", str(pipeline["config"])])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: FingerprintMismatchError:"), err
+    assert not out.exists()
+
+
+def test_seed_outside_u64_is_a_usage_error(pipeline, tmp_path, capsys):
+    """--seed is an integer in [0, 2**64) on every command that takes it."""
+    out = str(tmp_path / "out")
+    commands = [["pretrain", "--data", pipeline["pre"]],
+                ["calibrate", "--encoder", pipeline["enc"], "--reference", pipeline["ref"]],
+                ["diversity", "--data", pipeline["down"], "--encoder", pipeline["enc"]],
+                ["meta-train", "--datasets", pipeline["meta1"], "--encoder", pipeline["enc"]],
+                ["adapt", "--data", pipeline["down"], "--encoder", pipeline["enc"],
+                 "--mode", "active"],
+                ["eval", "--data", pipeline["down"], "--bundle", pipeline["dam_bundle"],
+                 "--encoder", pipeline["enc"]]]
+    for argv in commands:
+        for seed in ("-1", str(2 ** 64), "1.5"):
+            capsys.readouterr()
+            rc = cli.main(argv + ["--out", out, "--seed", seed,
+                                  "--config", str(pipeline["config"])])
+            assert rc == 1, (argv[0], seed)
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            err = captured.err
+            assert err.count("\n") == 1 and err.startswith("usage error:"), err
+            assert os.listdir(tmp_path) == []
+    assert cli.build_parser().parse_args(commands[0] + ["--out", out, "--seed",
+                                                        str(2 ** 64 - 1)]).seed == 2 ** 64 - 1
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",

@@ -1,3 +1,6 @@
+import os
+import struct
+
 import numpy as np
 import pytest
 
@@ -199,35 +202,102 @@ def test_load_distinguishes_failure_modes(tmp_path, tiny_encoder):
     bad_magic = tmp_path / "bad_magic.damw"
     bad_magic.write_bytes(b"XXXX" + blob[4:])
     with pytest.raises(BadMagicError):
-        E.load_weights(str(bad_magic))
+        E.load_encoder(str(bad_magic))
 
     truncated = tmp_path / "short.damw"
     truncated.write_bytes(blob[: len(blob) // 2])
     with pytest.raises(TruncatedFileError):
-        E.load_weights(str(truncated))
+        E.load_encoder(str(truncated))
 
     corrupt = bytearray(blob)
     corrupt[100] ^= 0xFF  # flip a payload byte
     flipped = tmp_path / "flip.damw"
     flipped.write_bytes(bytes(corrupt))
     with pytest.raises(FingerprintMismatchError):
-        E.load_weights(str(flipped))
+        E.load_encoder(str(flipped))
 
     trailing = tmp_path / "trailing.damw"
     trailing.write_bytes(blob + b"\x00\x01")
     with pytest.raises(FormatError) as info:
-        E.load_weights(str(trailing))
+        E.load_encoder(str(trailing))
     assert type(info.value) is FormatError and "2 trailing bytes" in str(info.value)
 
 
-def test_load_without_sidecar_raises(tmp_path, tiny_encoder):
-    # the sidecar names the pretraining dataset that adapt must refuse
+def test_weight_file_is_the_whole_encoder(tmp_path, tiny_encoder):
+    """One file, laid out as the format says: its metadata fields read back
+    as written, the digest covers them, and the fingerprint is still the
+    digest of the records alone."""
     enc, _ = tiny_encoder
-    path = str(tmp_path / "enc.damw")
-    enc.save(path)
-    (tmp_path / "enc.damw.meta.json").unlink()
-    with pytest.raises(FileNotFoundError):
-        E.load_encoder(path)
+    path = tmp_path / "enc.damw"
+    enc.save(str(path))
+    assert os.listdir(tmp_path) == ["enc.damw"]
+    blob = path.read_bytes()
+    f = H.damw_fields(enc)
+    field = lambda name: blob[slice(*f[name])]
+    assert struct.unpack("<II", blob[4:12]) == (2, 8)
+    assert struct.unpack("<3I", blob[f["in_channels"][0]:f["width"][1]]) == (3, 16, 16)
+    assert struct.unpack("<d", field("train_accuracy"))[0] == enc.train_accuracy
+    assert struct.unpack("<Q", field("seed"))[0] == enc.seed == 7
+    assert field("id").decode("utf-8") == enc.pretrain_dataset_id
+    assert struct.unpack("<I", field("id_length"))[0] == len(field("id"))
+    assert field("f0") == enc.f0.astype("<f8").tobytes()
+    assert struct.unpack("<Q", field("digest"))[0] == H.damw_digest(blob[12:-8])
+    assert enc.fingerprint == H.damw_digest(blob[12:f["in_channels"][0]])
+
+
+def test_every_corruption_of_the_weight_file_is_refused(tmp_path, tiny_encoder):
+    """A flipped byte in each region the digest covers (or in the digest),
+    a cut at each field boundary, trailing bytes, a version 1 header and a
+    non-UTF-8 id under a valid digest each raise their own FormatError."""
+    enc, _ = tiny_encoder
+    path = tmp_path / "enc.damw"
+    enc.save(str(path))
+    for case, blob, kind in H.corrupt_damw(enc, path.read_bytes()):
+        bad = tmp_path / "bad.damw"
+        bad.write_bytes(blob)
+        with pytest.raises(FormatError) as info:
+            E.load_encoder(str(bad))
+        assert type(info.value).__name__ == kind, case
+        if case == "version 1":
+            assert "unsupported weight file version 1" in str(info.value)
+        if case == "non-UTF-8 id":
+            assert "UTF-8" in str(info.value)
+
+
+def test_any_one_byte_edit_is_refused(tmp_path, tiny_encoder):
+    """Every byte outside the weight payloads, and every 997th byte inside
+    them, flipped: each file is refused with a FormatError."""
+    enc, _ = tiny_encoder
+    path = tmp_path / "enc.damw"
+    enc.save(str(path))
+    blob = path.read_bytes()
+    payloads = [range(*span) for name, span in H.damw_fields(enc).items()
+                if name.endswith(".payload")]
+    bad = tmp_path / "bad.damw"
+    for at in range(len(blob)):
+        if any(at in p for p in payloads) and at % 997:
+            continue
+        flipped = bytearray(blob)
+        flipped[at] ^= 0xFF
+        bad.write_bytes(bytes(flipped))
+        with pytest.raises(FormatError):
+            E.load_encoder(str(bad))
+
+
+def test_edited_pretraining_id_is_refused(tmp_path, tiny_encoder):
+    """The id names the pretraining dataset that adapt and meta-train refuse
+    to adapt to: editing it, to the same or another length, breaks the digest."""
+    enc, _ = tiny_encoder
+    path = tmp_path / "enc.damw"
+    enc.save(str(path))
+    blob = path.read_bytes()
+    start, end = H.damw_fields(enc)["id"]
+    ident = blob[start:end]
+    for edited in (b"X" + ident[1:], b"other"):
+        path.write_bytes(blob[:start - 4] + struct.pack("<I", len(edited)) + edited
+                         + blob[end:])
+        with pytest.raises(FingerprintMismatchError):
+            E.load_encoder(str(path))
 
 
 def test_pretrain_validates_inputs(tiny_encoder):
