@@ -83,13 +83,11 @@ def head_logits(head: HeadState, feats):
 
 
 def prompt_step(images: np.ndarray, stack: np.ndarray, route: np.ndarray,
-                labels: np.ndarray, encoder, head: HeadState, conv1=None):
+                labels: np.ndarray, encoder, head: HeadState):
     """One forward and backward pass of images + stack[route] against the
     frozen encoder, the taped (T, C, H, W) prompt stack its leaf; the step
     that adaptation and the meta inner loop share. Per-sample weights 1/n_t
-    make the loss the sum of each prompt's mean cross entropy. conv1 is None
-    or encoder.conv1(images), for a caller that steps on the same images
-    again (see FrozenEncoder.features_var).
+    make the loss the sum of each prompt's mean cross entropy.
 
     Returns (loss, logits, prompt gradients (T, C, H, W), head gradients as
     (weight, bias) or None for an untrained head). A non-finite loss or
@@ -99,7 +97,7 @@ def prompt_step(images: np.ndarray, stack: np.ndarray, route: np.ndarray,
     if head.trainable:
         head = replace(head, weight=tape.var(head.weight, requires_grad=True),
                        bias=tape.var(head.bias, requires_grad=True))
-    logits = head_logits(head, encoder.features_var(images, sv, route, conv1))
+    logits = head_logits(head, encoder.features_var(images, sv, route))
     loss = T.cross_entropy(logits, labels, 1.0 / np.bincount(route)[route])
     T.backward(loss)
     head_grads = (head.weight.grad, head.bias.grad) if head.trainable else None

@@ -29,9 +29,8 @@ conv1 of the images is computed once per use, because the weights are
 frozen: a first stage given conv1 of its images reads it and leaves it
 unwritten. forward_features, given prototypes, encodes each chunk's conv1
 once and continues from it twice, prompt-free to route the chunk and
-prompted to score it; FrozenEncoder.conv1 lets the meta inner loop hand its
-images' conv1 to every step. (Evaluation with a single prototype routes
-every image to it without any prompt-free pass, see adapt.evaluate.)
+prompted to score it. (Evaluation with a single prototype routes every
+image to it without any prompt-free pass, see adapt.evaluate.)
 
 Weights live in an ordered dict of read-only float64 arrays; an encoder's
 fingerprint is the digest of their records alone. The on-disk format is one
@@ -198,19 +197,11 @@ class FrozenEncoder:
                          None if route is None else route[i:i + CHUNK]) for i in chunks]
         return np.concatenate(parts) if len(parts) > 1 else parts[0]
 
-    def conv1(self, images: np.ndarray) -> np.ndarray:
-        """conv1 (unbiased) of a (B, C, H, W) batch, for a caller that encodes
-        the same images more than once: features_var continues from it."""
-        return T.conv2d(images, self.weights["conv1_w"])
-
-    def features_var(self, images: np.ndarray, x_var: T.Var, route: np.ndarray,
-                     conv1: np.ndarray | None = None) -> T.Var:
+    def features_var(self, images: np.ndarray, x_var: T.Var, route: np.ndarray) -> T.Var:
         """Features of images + x_var[route] for a taped (T, C, H, W) prompt
         stack x_var, bit for bit forward_features(images, x_var.value, route);
-        the gradient flows to x_var only. conv1 is None or self.conv1(images),
-        which is then read and not recomputed."""
-        return _encode(images, self.weights, T.conv2d(x_var, self.weights["conv1_w"]), route,
-                       conv1)
+        the gradient flows to x_var only."""
+        return _encode(images, self.weights, T.conv2d(x_var, self.weights["conv1_w"]), route)
 
     def probe_channel_variance(self, count: int, seed: int) -> np.ndarray:
         """Unbiased per-channel feature variance over count standard-normal

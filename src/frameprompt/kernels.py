@@ -60,7 +60,11 @@ Lanes. Importing this module pins numpy's bundled OpenBLAS to one thread
 openblas_set_num_threads) and starts a ThreadPoolExecutor: LANES is the
 number of CPUs this process may run on (os.sched_getaffinity), and a call
 runs lane 0 itself and the other lanes on the pool. If no setter is found,
-LANES is 1 and every kernel runs in its caller. Three rules hold:
+LANES is 1 and every kernel runs in its caller. map_lanes deals whole
+items of work out over the same lanes. While a thread runs items, every
+kernel it calls and every nested map_lanes runs on one lane, in that
+thread (_lanes), so no item waits on the pool that runs it, and the bits
+are those of any other lane count. Three rules hold for the kernels' lanes:
 
 - Lanes allocate nothing large. The caller allocates every array a lane
   writes: the output, the padded input, _correlate's (LANES, k·widest·n)
@@ -80,6 +84,14 @@ LANES is 1 and every kernel runs in its caller. Three rules hold:
   reproduce bit for bit wherever numpy and its BLAS are the same, whatever
   the CPU count (tests/test_cli.py checks it across processes).
 
+map_lanes keeps neither of the first two: its items are code outside the
+kernels, and each allocates its own arrays, the tapes of meta-train's
+inner loops among them, in its worker's malloc arena (meta-train's peak
+grew by 4.9 MiB, to 74.1, when its groups ran two at a time; 67.1 both
+ways under MALLOC_MMAP_THRESHOLD_=131072). A tracer then sees
+two threads' calls interleave in its one span stack; its call counts stay
+right, but the self seconds of the spans open at once mix.
+
 All functions are vectorized. This is the only kernel set; BACKEND names it
 in run manifests.
 """
@@ -87,6 +99,7 @@ in run manifests.
 import ctypes
 import glob
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -114,6 +127,39 @@ def _pin_blas() -> bool:
 # one lane per CPU this process may run on, once BLAS no longer threads itself
 LANES = len(os.sched_getaffinity(0)) if _pin_blas() else 1
 _POOL = ThreadPoolExecutor(LANES - 1) if LANES > 1 else None
+_ITEMS = threading.local()  # .running is set while this thread runs map_lanes items
+
+
+def _lanes():
+    """LANES, or 1 in a thread that runs map_lanes items."""
+    return 1 if getattr(_ITEMS, "running", False) else LANES
+
+
+def map_lanes(fn, items):
+    """[fn(x) for x in items], item i on lane i % lanes, lane 0 in the
+    caller. Inside an item every kernel and every nested map_lanes runs in
+    the item's own thread. Once every lane has finished, the exception of
+    the lowest-index failing item is raised, the one a serial loop raises:
+    each lane runs its items in order and stops at its first failure."""
+    items = list(items)
+    lanes = max(1, min(_lanes(), len(items)))
+    results, failed = [None] * len(items), {}
+
+    def lane(j):
+        outer = getattr(_ITEMS, "running", False)
+        _ITEMS.running = True
+        try:
+            for i in range(j, len(items), lanes):
+                results[i] = fn(items[i])
+        except Exception as e:
+            failed[i] = e
+        finally:
+            _ITEMS.running = outer
+
+    _run_lanes(lane, lanes)
+    if failed:
+        raise failed[min(failed)]
+    return results
 
 
 def _run_lanes(lane, lanes):
@@ -134,7 +180,7 @@ def _split(b, parts):
 
 def _slice_lanes(lane, b):
     """lane(lo, hi) over LANES contiguous slices of a batch of b."""
-    lanes = min(LANES, b) or 1
+    lanes = min(_lanes(), b) or 1
     ends = _split(b, lanes)
     _run_lanes(lambda j: lane(ends[j], ends[j + 1]), lanes)
 
@@ -198,7 +244,7 @@ def _correlate(x, w, pad):
     out = np.empty((o, b * n))
     fewest = _fewest(o * k * n)
     ends = _blocks(b, max(1, BLOCK_BYTES // max(1, k * n * 8)), fewest)
-    lanes = min(LANES, len(ends) - 1)
+    lanes = min(_lanes(), len(ends) - 1)
     widest = max(hi - lo for lo, hi in zip(ends, ends[1:]))
     cols = np.empty((lanes, k * n * widest))
 
@@ -253,7 +299,7 @@ def conv2d_backward_weight(x, dy, k):
     # block is narrower than about twice dy's rows
     fewest = max(2 * o, _fewest(o * m))
     ends = _blocks(n, fewest, fewest)
-    lanes = min(LANES, len(ends) - 1)
+    lanes = min(_lanes(), len(ends) - 1)
 
     def multiply(j):
         for lo, hi in zip(ends[j::lanes], ends[j + 1::lanes]):

@@ -3,6 +3,8 @@ to float64 working precision, and the discrete pooling choices must match
 exactly."""
 
 import sys
+import threading
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -350,3 +352,108 @@ def test_default_backend_exported():
     have = {"conv2d_forward", "conv2d_backward_input", "conv2d_backward_weight",
             "maxpool2_forward", "maxpool2_backward"}
     assert have <= set(dir(kernels))
+
+
+# ----------------------------------------------------------------- map_lanes
+
+class _CountingPool:
+    """A thread pool that records the thread each submit comes from."""
+
+    def __init__(self, pool):
+        self.pool, self.submitters = pool, []
+
+    def submit(self, fn, *args):
+        self.submitters.append(threading.get_ident())
+        return self.pool.submit(fn, *args)
+
+
+@pytest.fixture
+def lane_counts(monkeypatch):
+    """Yields (lanes, pool) for one, two and five lanes, with kernels'
+    LANES and _POOL patched to them."""
+    def counts():
+        with ThreadPoolExecutor(4) as pool:
+            for lanes in (1, 2, 5):
+                counting = _CountingPool(pool)
+                monkeypatch.setattr(kernels, "LANES", lanes)
+                monkeypatch.setattr(kernels, "_POOL", counting)
+                yield lanes, counting
+    return counts
+
+
+def test_map_lanes_keeps_item_order_and_lanes(lane_counts):
+    """[fn(x) for x in items] for 0, 1, LANES and 2·LANES + 1 items, and
+    for 200 with threads switching as often as the interpreter can; item i
+    runs on lane i % lanes, lane 0 in the caller, and map_lanes submits
+    one job per other lane."""
+    caller = threading.get_ident()
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for lanes, pool in lane_counts():
+            for n in (0, 1, lanes, 2 * lanes + 1, 200):
+                del pool.submitters[:]
+                threads = {}
+
+                def fn(i):
+                    threads[i] = threading.get_ident()
+                    return 10 * i
+
+                assert kernels.map_lanes(fn, iter(range(n))) == [10 * i for i in range(n)]
+                used = max(1, min(lanes, n))
+                assert pool.submitters == [caller] * (used - 1)
+                for i in range(n):
+                    assert threads[i] == threads[i % used]
+                    assert (threads[i] == caller) == (i % used == 0) or used == 1
+    finally:
+        sys.setswitchinterval(switch)
+
+
+def test_map_lanes_items_run_kernels_and_nested_maps_inline(lane_counts):
+    """A kernel called inside an item never submits to the pool, and a
+    nested map_lanes runs every item in the outer item's thread. The
+    kernels' bits are those of a plain call."""
+    rng = np.random.default_rng(49)
+    xs = [rng.standard_normal((16, 3, 32, 32)) for _ in range(3)]
+    w = rng.standard_normal((16, 3, 3, 3))
+    bias = rng.standard_normal(16)
+    want = [kernels.maxpool2_forward(kernels.conv2d_forward(x, w), bias) for x in xs]
+
+    def item(x):
+        outer = threading.get_ident()
+        inner = kernels.map_lanes(lambda _: threading.get_ident(), range(4))
+        assert inner == [outer] * 4
+        return kernels.maxpool2_forward(kernels.conv2d_forward(x, w), bias)
+
+    for lanes, pool in lane_counts():
+        del pool.submitters[:]
+        got = kernels.map_lanes(item, xs)
+        assert len(pool.submitters) == min(lanes, len(xs)) - 1
+        for (y, idx), (y0, idx0) in zip(got, want):
+            H.same_bits(y, y0)
+            H.same_bits(idx, idx0)
+        # outside map_lanes the kernels use every lane again
+        del pool.submitters[:]
+        kernels.conv2d_forward(xs[0], w)
+        assert bool(pool.submitters) == (lanes > 1)
+
+
+def test_map_lanes_raises_the_lowest_failing_item(lane_counts):
+    """Items 2, 3 and 6 fail: map_lanes raises item 2's error, the one a
+    serial loop raises, at every lane count, and only after every lane has
+    finished, the slow item 1 included."""
+    for lanes, _ in lane_counts():
+        done = []
+
+        def fn(i):
+            if i == 1:
+                time.sleep(0.05)
+                done.append(i)
+            if i in (2, 3, 6):
+                raise ValueError(i)
+            return i
+
+        with pytest.raises(ValueError) as e:
+            kernels.map_lanes(fn, range(8))
+        assert e.value.args == (2,)
+        assert done == [1]

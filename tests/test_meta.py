@@ -1,11 +1,14 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 import _helpers as H
 from _helpers import make_modemix
-from frameprompt import clustering, meta as M
+from frameprompt import clustering, kernels, meta as M
 from frameprompt.adapt import build_head, prompt_step
 from frameprompt.config import RunConfig
+from frameprompt.data import ImageDataset
 from frameprompt.errors import DataError, ShapeError
 from frameprompt.optim import Sgd
 from frameprompt.prompt import FrameSpec, PromptFrame
@@ -162,9 +165,9 @@ def test_inner_update_descends_and_keeps_interior_zero(tiny_encoder, meta_sets):
 
 
 def test_inner_update_matches_per_step_recompute(tiny_encoder, meta_sets):
-    """inner_update encodes conv1 of its images once for all its steps; the
-    snapshot and first loss equal, bit for bit, those of the loop that
-    encodes the images afresh at every step."""
+    """inner_update's snapshot and first loss equal, bit for bit, those of
+    a plain loop of prompt_step and grad_step, which encodes the images
+    afresh at every step."""
     enc, _ = tiny_encoder
     ds = meta_sets[0]
     images, labels = ds.images[:16], ds.labels[:16]
@@ -221,3 +224,74 @@ def test_meta_train_input_validation(tiny_encoder, meta_sets):
         M.meta_train(mixed, enc, meta_cfg(), seed=0)
     with pytest.raises(DataError):
         M.meta_train([meta_sets[0], meta_sets[0]], enc, meta_cfg(), seed=0)
+
+
+def test_meta_train_rejects_no_data_before_the_shape_check(tiny_encoder):
+    """No dataset, or only empty ones, is named as such, not as a
+    disagreement on image shape."""
+    enc, _ = tiny_encoder
+    with pytest.raises(DataError, match="at least one dataset"):
+        M.meta_train([], enc, meta_cfg(), seed=0)
+    empty = [ImageDataset(name, np.zeros((0, 3, 16, 16)), np.zeros(0, np.int64), 2)
+             for name in ("a", "b")]
+    with pytest.raises(DataError, match="meta dataset a is empty"):
+        M.meta_train(empty, enc, meta_cfg(), seed=0)
+
+
+def test_meta_train_bits_ignore_the_lane_count(monkeypatch, tiny_encoder, meta_sets):
+    """The groups of an epoch run one per lane; the prompt, epoch losses and
+    update norms are the same bits at one, two and five lanes, on the plain
+    average and on Adam."""
+    enc, _ = tiny_encoder
+    for cfg in (meta_cfg(), meta_cfg(meta_use_adam=True, meta_epochs=2)):
+        runs = []
+        with ThreadPoolExecutor(4) as pool:
+            monkeypatch.setattr(kernels, "_POOL", pool)
+            for lanes in (1, 2, 5):
+                monkeypatch.setattr(kernels, "LANES", lanes)
+                r = M.meta_train(meta_sets, enc, cfg, seed=3)
+                runs.append((r.prompt.values.tobytes(),
+                             np.array(r.epoch_losses).tobytes(),
+                             np.array(r.update_norms).tobytes()))
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+def test_meta_train_is_batched_reptile(monkeypatch, tiny_encoder, meta_sets):
+    """Every group of an epoch starts from the epoch's meta prompt: each
+    snapshot equals inner_update(pm, ...) run alone, and the plain average
+    moves pm to meta_update(pm, snapshots, gamma), masked, bit for bit."""
+    enc, _ = tiny_encoder
+    cfg = meta_cfg(meta_use_adam=False)
+    calls = []
+    inner = M.inner_update
+
+    def recorded(prompt, *args):
+        snap, loss = inner(prompt, *args)
+        calls.append((prompt.values.tobytes(), snap.values.tobytes()))
+        return snap, loss
+
+    monkeypatch.setattr(M, "inner_update", recorded)
+    res = M.meta_train(meta_sets, enc, cfg, seed=2)
+    monkeypatch.undo()
+
+    groups = M.build_groups(meta_sets, enc, cfg.tau, cfg.probe_size, 2)
+    spec = FrameSpec.for_input(3, 16, 16)
+    pm, want, losses, norms = PromptFrame(spec), [], [], []
+    for epoch in range(cfg.meta_epochs):
+        batches = M.sample_meta_batch(groups, cfg.meta_batch_size, [2, M._BATCH, epoch])
+        snaps, firsts = [], []
+        for (di, _, head), picked in zip(groups, batches):
+            ds = meta_sets[di]
+            snap, l0 = M.inner_update(pm, ds.images[picked], ds.labels[picked], enc, head,
+                                      cfg.eta, cfg.inner_steps)
+            want.append((pm.values.tobytes(), snap.values.tobytes()))
+            snaps.append(snap.values)
+            firsts.append(l0)
+        new = PromptFrame(spec, M.meta_update(pm.values, snaps, cfg.gamma) * spec.mask())
+        norms.append(float(np.linalg.norm(new.values - pm.values)))
+        losses.append(float(np.mean(firsts)))
+        pm = new
+    assert sorted(calls) == sorted(want)
+    assert len(groups) > 1 and len(calls) == cfg.meta_epochs * len(groups)
+    assert res.prompt.values.tobytes() == pm.values.tobytes()
+    assert res.epoch_losses == losses and res.update_norms == norms

@@ -110,8 +110,8 @@ def test_tracer_counts_conv1_once_per_image_chunk(tiny_encoder):
     """evaluate of 150 images runs conv1 once per 64-image chunk, for its
     routing and its scoring both, and once on the prompt stack; with one
     prototype, or given the routes of an earlier result, it runs no routing
-    pass at all. inner_update runs conv1 once on its images however many
-    steps it takes, and once per step on the prompt."""
+    pass at all. inner_update encodes its images afresh at every step: one
+    conv1 on the images and one on the prompt per step."""
     enc, _ = tiny_encoder
     ds = make_modemix(3, 2, 25, 0.08, seed=9, size=16)
     bundle = routed_bundle(enc, ds, 3)
@@ -152,6 +152,6 @@ def test_tracer_counts_conv1_once_per_image_chunk(tiny_encoder):
         M.inner_update(start, ds.images[:16], ds.labels[:16], enc, head, eta=0.05, steps=4)
     finally:
         tracer.restore()
-    # one 16-image call and four 1-prompt calls
-    assert tracer.value("kernels.conv1.fwd.calls") == 1 + 4
-    assert tracer.value("kernels.conv1.fwd.mean_batch") == (16 + 4) / 5
+    # four 16-image calls and four 1-prompt calls
+    assert tracer.value("kernels.conv1.fwd.calls") == 4 + 4
+    assert tracer.value("kernels.conv1.fwd.mean_batch") == (4 * 16 + 4) / 8
