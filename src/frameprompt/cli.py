@@ -12,7 +12,7 @@ opened, sha256] of each file read, in read order, and the sha256 of each
 summary json, which the hash leaves out, so a rerun on the same inputs
 writes the same bytes and hashes. report reads the *.summary.json and
 *.diversity.csv files under --runs, one row per (dataset, mode,
-meta_initialized) arm.
+meta_initialized) arm, with the feature_l2 diversity of its dataset.
 """
 
 from __future__ import annotations
@@ -271,7 +271,10 @@ def cmd_report(args) -> int:
                     if len(cells) < 5:
                         raise FormatError(f"{path}: diversity row {line!r} has "
                                           f"{len(cells)} cells, not 5 or more")
-                    div_by_dataset[cells[0]] = _score(path, cells[4])
+                    score = _score(path, cells[4])
+                    # DAM-VP measures diversity in the frozen encoder's feature space
+                    if cells[1] == "feature_l2":
+                        div_by_dataset[cells[0]] = score
     lines = ["dataset,mode,meta_initialized,diversity,vp_accuracy,damvp_accuracy,gain"]
     for (ds, mode, meta), slot in sorted(by_arm.items()):
         # slot[True] holds the forced single prompts, slot[False] the rest

@@ -26,11 +26,11 @@ sums each prompt's samples, so conv1's backward-input runs at batch T on a
 minibatch that spans T prompts.
 
 conv1 of the images is computed once per use, because the weights are
-frozen: a first stage given conv1 of its images reads it and leaves it
-unwritten. forward_features, given prototypes, encodes each chunk's conv1
-once and continues from it twice, prompt-free to route the chunk and
-prompted to score it. (Evaluation with a single prototype routes every
-image to it without any prompt-free pass, see adapt.evaluate.)
+frozen. forward_features, given prototypes, encodes each chunk's conv1
+once and continues from it twice: prompt-free to route the chunk, which
+only reads it, then prompted to score it, which adds each image's map into
+it. (Evaluation with a single prototype routes every image to it without
+any prompt-free pass, see adapt.evaluate.)
 
 Weights live in an ordered dict of read-only float64 arrays; an encoder's
 fingerprint is the digest of their records alone. The on-disk format is one
@@ -129,8 +129,8 @@ def _encode(x, params: dict, maps=None, route=None, conv1=None):
     conv1 (unbiased) of a (T, C, H, W) prompt stack, and (B,) indices into
     it. x, params and maps may be plain ndarrays (nothing is taped) or Vars
     on one tape (gradients reach trainable Vars). conv1 is None or the plain
-    conv1 (unbiased) of x itself, computed already: the first stage reads it
-    and leaves it unwritten, so one conv1 serves every pass over x."""
+    conv1 (unbiased) of x itself, computed already, which the first stage
+    owns as its conv output (see tensor.conv_block)."""
     # conv1(x + p) = conv1(x) + conv1(p): each sample's prompt map is added
     # to its conv1 output, and the maps' gradient is the per-prompt sum
     y = T.conv_block(x, params["conv1_w"], params["conv1_b"], maps, route, conv1)
@@ -142,7 +142,9 @@ def _routed(x, params: dict, maps, protos) -> tuple:
     """(features, routes) of a plain chunk routed by its own prompt-free
     features to the nearest of protos, then prompted by maps[routes]. Both
     passes continue from one conv1 of x, which is freed on return, before
-    the next chunk's is made."""
+    the next chunk's is made. The routing pass only reads it, as
+    FrozenEncoder's weights are finite (see tensor.conv_block); the scoring
+    pass then adds each image's map into it in place."""
     conv1 = T.conv2d(x, params["conv1_w"])
     route = clustering.route_features(_encode(x, params, conv1=conv1), protos)
     return _encode(x, params, maps, route, conv1), route
@@ -160,6 +162,8 @@ class FrozenEncoder:
             if tuple(weights[name].shape) != shapes[name]:
                 raise ShapeError(f"{name}: stored {tuple(weights[name].shape)} "
                                  f"vs spec {shapes[name]}")
+            if not np.isfinite(weights[name]).all():
+                raise FormatError(f"{name}: non-finite weights")
         self.spec = spec
         self.weights = _freeze_arrays(weights)
         self.fingerprint = fingerprint_of(self.weights)

@@ -42,41 +42,43 @@ the batch; test_kernels checks conv1 and conv2 bit for bit.
 
 The pool forward is the whole rest of an encoder stage after its conv, in
 one lane pass: each image's prompt map and the bias are added in place into
-the conv output (or, when other passes share that output, into a fresh
-array that the first add writes), then 2x2 max pooling, then relu. The pool
-works on the four strided views x[:, :, i::2, j::2] of its input, one per
-window offset n = 2i + j, with no reshaped copy: it takes their elementwise
-max in place and finds each window's offset by equality tests in offset
-order, so ties go to the lowest offset by construction. idx records where
-relu zeroed y as offset + 4, so the backward applies relu's mask and the
-pool's scatter from one int8 array: it writes dy's bits, masked to zero
-where relu zeroed y or another offset won, into the view of each offset.
-Untaped, the forward computes no offsets and adds the bias after the max,
-an exact reordering (see maxpool2_forward). Both pools, and
-backward-weight's column copy, cut the batch into LANES contiguous slices.
+the conv output, which the stage owns whether it ran that conv or was
+handed it, then 2x2 max pooling, then relu. The pool works on the four
+strided views x[:, :, i::2, j::2] of its input, one per window offset
+n = 2i + j, with no reshaped copy: it takes their elementwise max in place
+and finds each window's offset by equality tests in offset order, so ties
+go to the lowest offset by construction. idx records where relu zeroed y
+as offset + 4, so the backward applies relu's mask and the pool's scatter
+from one int8 array: it writes dy's bits, masked to zero where relu zeroed
+y or another offset won, into the view of each offset. Untaped, the
+forward computes no offsets and adds a finite bias after the max, an exact
+reordering (see maxpool2_forward). Both pools, and backward-weight's
+column copy, cut the batch into LANES contiguous slices.
 
 Lanes. Importing this module pins numpy's bundled OpenBLAS to one thread
 (through ctypes, as scipy_openblas_set_num_threads64_ or
 openblas_set_num_threads) and starts a ThreadPoolExecutor: LANES is the
-number of CPUs this process may run on (os.sched_getaffinity), and a call
-runs lane 0 itself and the other lanes on the pool. If no setter is found,
-LANES is 1 and every kernel runs in its caller. map_lanes deals whole
-items of work out over the same lanes. While a thread runs items, every
-kernel it calls and every nested map_lanes runs on one lane, in that
-thread (_lanes), so no item waits on the pool that runs it, and the bits
-are those of any other lane count. Three rules hold for the kernels' lanes:
+number of CPUs this process may run on (os.sched_getaffinity). If no
+setter is found, LANES is 1 and every kernel runs in its caller. map_lanes
+is the one runner, item i on lane i % lanes, lane 0 in the caller: a
+kernel maps over its lanes (a conv's scratch rows, a pool's slices) or
+its blocks (backward-weight's multiply), and callers map whole items of
+work. While a thread runs items, every kernel it calls and every nested
+map_lanes runs on one lane, in that thread (_lanes), so no item waits on
+the pool that runs it, and the bits are those of any other lane count.
+Three rules hold for the kernels' lanes:
 
 - Lanes allocate nothing large. The caller allocates every array a lane
   writes: the output, the padded input, _correlate's (LANES, k·widest·n)
   column scratch, backward-weight's (Cin·k·k, B·H·W) columns, the pools'
   y, idx, flag, g, offset and mask arrays, and the pool epilogue's
-  per-image views and its fresh array for a shared conv output.
+  per-image views.
   A worker thread that allocated its own column blocks would get its own
   malloc arena and keep its freed pages there: the adapt-8mode chain
   (adapt, then eval in one process) peaked at 236 MiB that way, against
   219 MiB with caller-owned scratch.
-- Workers call nothing outside this module's private helpers. A tracer
-  that wraps the public kernels (perfbench's spans.Tracer keeps one span
+- Kernel lanes call nothing outside this module's private helpers and
+  map_lanes, which no tracer wraps. A tracer that wraps the public kernels (perfbench's spans.Tracer keeps one span
   stack for all threads) sees each kernel as one call from its caller's
   thread, so the threading stays inside the wrapped kernels.
 - Every output element comes from the same GEMM row on the same columns,
@@ -84,13 +86,13 @@ are those of any other lane count. Three rules hold for the kernels' lanes:
   reproduce bit for bit wherever numpy and its BLAS are the same, whatever
   the CPU count (tests/test_cli.py checks it across processes).
 
-map_lanes keeps neither of the first two: its items are code outside the
-kernels, and each allocates its own arrays, the tapes of meta-train's
-inner loops among them, in its worker's malloc arena (meta-train's peak
-grew by 4.9 MiB, to 74.1, when its groups ran two at a time; 67.1 both
-ways under MALLOC_MMAP_THRESHOLD_=131072). A tracer then sees
-two threads' calls interleave in its one span stack; its call counts stay
-right, but the self seconds of the spans open at once mix.
+Items mapped from outside the kernels keep neither of the first two: they
+are code outside the kernels, and each allocates its own arrays, the tapes
+of meta-train's inner loops among them, in its worker's malloc arena
+(meta-train's peak grew by 4.9 MiB, to 74.1, when its groups ran two at a
+time; 67.1 both ways under MALLOC_MMAP_THRESHOLD_=131072). A tracer then
+sees two threads' calls interleave in its one span stack; its call counts
+stay right, but the self seconds of the spans open at once mix.
 
 All functions are vectorized. This is the only kernel set; BACKEND names it
 in run manifests.
@@ -137,10 +139,11 @@ def _lanes():
 
 def map_lanes(fn, items):
     """[fn(x) for x in items], item i on lane i % lanes, lane 0 in the
-    caller. Inside an item every kernel and every nested map_lanes runs in
-    the item's own thread. Once every lane has finished, the exception of
-    the lowest-index failing item is raised, the one a serial loop raises:
-    each lane runs its items in order and stops at its first failure."""
+    caller and the rest on the pool. Inside an item every kernel and every
+    nested map_lanes runs in the item's own thread. Only once every lane
+    has finished is the exception of the lowest-index failing item raised,
+    the one a serial loop raises: each lane runs its items in order and
+    stops at its first failure (lane 0 at once on a KeyboardInterrupt)."""
     items = list(items)
     lanes = max(1, min(_lanes(), len(items)))
     results, failed = [None] * len(items), {}
@@ -156,21 +159,15 @@ def map_lanes(fn, items):
         finally:
             _ITEMS.running = outer
 
-    _run_lanes(lane, lanes)
-    if failed:
-        raise failed[min(failed)]
-    return results
-
-
-def _run_lanes(lane, lanes):
-    """lane(0), ..., lane(lanes - 1): lane 0 in the caller, the rest on the
-    pool; returns once all have finished."""
     futures = [_POOL.submit(lane, j) for j in range(1, lanes)]
     try:
         lane(0)
     finally:
         for f in futures:
             f.result()
+    if failed:
+        raise failed[min(failed)]
+    return results
 
 
 def _split(b, parts):
@@ -180,9 +177,8 @@ def _split(b, parts):
 
 def _slice_lanes(lane, b):
     """lane(lo, hi) over LANES contiguous slices of a batch of b."""
-    lanes = min(_lanes(), b) or 1
-    ends = _split(b, lanes)
-    _run_lanes(lambda j: lane(ends[j], ends[j + 1]), lanes)
+    ends = _split(b, min(_lanes(), b) or 1)
+    map_lanes(lambda j: lane(ends[j], ends[j + 1]), range(len(ends) - 1))
 
 
 def _pad_into(dst, src, pad):
@@ -257,7 +253,7 @@ def _correlate(x, w, pad):
             block[...] = win[:, :, :, lo:hi]
             np.matmul(rows, block.reshape(k, (hi - lo) * n), out=out[:, lo * n:hi * n])
 
-    _run_lanes(lane, lanes)
+    map_lanes(lane, range(lanes))
     return out.reshape(o, b, ho, wo).transpose(1, 0, 2, 3)
 
 
@@ -299,13 +295,9 @@ def conv2d_backward_weight(x, dy, k):
     # block is narrower than about twice dy's rows
     fewest = max(2 * o, _fewest(o * m))
     ends = _blocks(n, fewest, fewest)
-    lanes = min(_lanes(), len(ends) - 1)
-
-    def multiply(j):
-        for lo, hi in zip(ends[j::lanes], ends[j + 1::lanes]):
-            np.matmul(rows, cols[lo:hi].T, out=out[:, lo:hi])
-
-    _run_lanes(multiply, lanes)
+    # block i on lane i % lanes: the multiply needs no scratch of its own
+    map_lanes(lambda j: np.matmul(rows, cols[ends[j]:ends[j + 1]].T,
+                                  out=out[:, ends[j]:ends[j + 1]]), range(len(ends) - 1))
     return out.reshape(o, c, k, k)
 
 
@@ -316,22 +308,19 @@ def _windows(x):
             x[:, :, 1::2, 0::2], x[:, :, 1::2, 1::2])
 
 
-def maxpool2_forward(x, bias, *, maps=None, route=None, index=True, shared=False):
+def maxpool2_forward(x, bias, *, maps=None, route=None, index=True):
     """The rest of an encoder stage after its conv: prompt maps, bias, 2x2
     stride-2 max pool and relu over a (B, C, H, W) conv output, H and W
     even. Returns (y, idx): y (B, C, H/2, W/2) float64, C-contiguous, and
     idx int8, the row-major offset in each window that the max came from,
     lowest offset on ties, plus 4 where relu zeroed y.
 
-    Given (T, C, H, W) maps and (B,) routes into them, each lane adds
-    maps[route] and then the (C,) bias in place into its slice of x, which
-    the caller must own (the stage's fresh conv output); it pools, and sets
-    y to np.where(y > 0, y, 0.0) bit for bit: +0.0 for -0.0 and for NaN.
-    With shared true, x is a conv output that other passes read too, and it
-    stays unwritten: the first add reads x and writes a fresh array, and the
-    later adds go in place into that one, the same ufuncs on the same
-    operands. Untaped with a finite bias and no maps, nothing is added
-    before the max, so no fresh array is made.
+    The stage owns x, whether it ran that conv or was handed it: given
+    (T, C, H, W) maps and (B,) routes into them, each lane adds maps[route]
+    and then the (C,) bias, where it goes before the max, in place into its
+    slice of x; it pools, and sets y to np.where(y > 0, y, 0.0) bit for
+    bit: +0.0 for -0.0 and for NaN. Untaped with a finite bias and no maps,
+    nothing is added before the max, so x is only read.
 
     With index False (inference, no tape) idx is empty, and a finite bias
     is added after the max rather than before. The values are the same:
@@ -353,22 +342,18 @@ def maxpool2_forward(x, bias, *, maps=None, route=None, index=True, shared=False
     flag = np.empty(y.shape, bool)
     col = bias[:, None, None]
     late = not index and bool(np.isfinite(bias).all())
-    # z takes the adds and is pooled: x itself unless x is shared and
-    # something is added before the max
-    z = np.empty(x.shape) if shared and (maps is not None or not late) else x
-    src = x if maps is None else z  # what the bias add reads
-    # each image's (conv output, map, destination) views, made here: views
-    # that a lane makes are small allocations in its worker's own malloc
-    # arena, and with them the vp-8mode chain peaked 1 MiB higher (212.1
-    # against 211.1 MiB)
-    views = [] if maps is None else [(x[i], maps[r], z[i]) for i, r in enumerate(route)]
+    # each image's (conv output, map) views, made here: views that a lane
+    # makes are small allocations in its worker's own malloc arena, and with
+    # them the vp-8mode chain peaked 1 MiB higher (212.1 against 211.1 MiB)
+    views = [] if maps is None else [(x[i], maps[r]) for i, r in enumerate(route)]
 
     def lane(lo, hi):
-        for xi, mi, zi in views[lo:hi]:
-            np.add(xi, mi, out=zi)
+        xl = x[lo:hi]
+        for xi, mi in views[lo:hi]:
+            xi += mi
         if not late:
-            np.add(src[lo:hi], col, out=z[lo:hi])
-        a, b, c, d = _windows(z[lo:hi])
+            xl += col
+        a, b, c, d = _windows(xl)
         yl, il, fl = y[lo:hi], idx[lo:hi], flag[lo:hi]
         np.maximum(b, a, out=yl)
         np.maximum(c, yl, out=yl)

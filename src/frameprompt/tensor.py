@@ -145,14 +145,14 @@ def conv_block(x, w, b, maps=None, route=None, conv=None) -> Var:
     + maps[route] + b)), the bias per channel. maps is None or a
     (T, Cout, H, W) stack of prompt maps with (B,) routes into it; an index
     may repeat, and its gradients then add up. The conv output's height and
-    width must be even. conv is None or conv2d(x, w) computed already, as a
-    plain array that other passes over x share: the stage reads it in place
-    of the conv and leaves it unwritten.
+    width must be even. conv is None or conv2d(x, w) computed already, a
+    plain array the stage then owns as if it had run that conv: it adds the
+    maps, and a bias that goes before the max, into it in place. Untaped,
+    with no maps and a finite bias, the stage only reads it.
 
     kernels.maxpool2_forward runs the epilogue on the kernel lanes, in place
-    in the fresh conv output, or from a shared one into a fresh array of its
-    own; untaped, it computes no argmax and adds the bias after the max (the
-    same values, see there). The rule turns the
+    in the conv output; untaped, it computes no argmax and adds a finite
+    bias after the max (the same values, see there). The rule turns the
     output gradient into the pre-pool gradient once per backward, at the
     first requires_grad operand's turn, and lets it go at the last one's:
     backward-input, backward-weight, the bias sum and the per-prompt sum
@@ -185,7 +185,7 @@ def conv_block(x, w, b, maps=None, route=None, conv=None) -> Var:
     tape = _tape_of(x, w, b, maps)
     y, idx = kernels.maxpool2_forward(
         kernels.conv2d_forward(xv, wv) if conv is None else conv, bv, maps=mv,
-        route=route, index=tape is not None, shared=conv is not None)
+        route=route, index=tape is not None)
     operands = (x, w, b, maps)
     wanted = [i for i, p in enumerate(operands) if isinstance(p, Var) and p.requires_grad]
     held = []

@@ -334,7 +334,7 @@ def corrupt_damw(enc, blob):
     (blob, as saved) goes bad: one byte flipped in each region the digest
     covers or in the digest itself, a cut at each field boundary, extents
     too large for any array, trailing bytes, a version 1 header, and a
-    non-UTF-8 id under a valid digest."""
+    non-UTF-8 id, +inf in conv1_b or NaN in fc_w under a valid digest."""
     fields = damw_fields(enc)
     assert fields["digest"][1] == len(blob)
     cases = []
@@ -355,8 +355,19 @@ def corrupt_damw(enc, blob):
                   "TruncatedFileError"))
     cases.append(("trailing bytes", blob + b"\x00\x01", "FormatError"))
     cases.append(("version 1", blob[:4] + struct.pack("<I", 1) + blob[8:], "FormatError"))
+
+    def redigested(start, end, new):
+        body = blob[12:start] + new + blob[end:-8]
+        return blob[:12] + body + struct.pack("<Q", damw_digest(body))
+
     start, end = fields["id"]
-    body = blob[12:start] + b"\xff" * (end - start) + blob[end:-8]
-    cases.append(("non-UTF-8 id", blob[:12] + body + struct.pack("<Q", damw_digest(body)),
+    cases.append(("non-UTF-8 id", redigested(start, end, b"\xff" * (end - start)),
                   "FormatError"))
+    # a non-finite weight: relu turns the NaNs an infinite bias makes into
+    # zeros, so the stored f0 alone would not refuse it
+    for case, name, value in (("+inf in conv1_b", "conv1_b", np.inf),
+                              ("NaN in fc_w", "fc_w", np.nan)):
+        start = fields[f"{name}.payload"][0]
+        cases.append((case, redigested(start, start + 8, struct.pack("<d", value)),
+                      "FormatError"))
     return cases

@@ -5,7 +5,7 @@ import stat
 
 import pytest
 
-from frameprompt import atomic
+from frameprompt import atomic, kernels
 from frameprompt.atomic import Reader, write_atomic, write_json
 from frameprompt.errors import FormatError, TruncatedFileError
 
@@ -97,13 +97,21 @@ def test_canonical_bytes_drop_only_top_level_seconds():
     assert atomic.canonical_bytes("l.json", b"[1,  2]") == b"[1, 2]"
 
 
+def _tree(path):
+    with open(path) as fh:
+        return ast.parse(fh.read())
+
+
+def _calls(tree, name):
+    """Line numbers of the name(...) and <expr>.name(...) calls in a tree."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and (isinstance(node.func, ast.Name) and node.func.id == name
+                 or isinstance(node.func, ast.Attribute) and node.func.attr == name)]
+
+
 def _opens(path):
     """Line numbers of the open(...) and <module>.open(...) calls in a file."""
-    with open(path) as fh:
-        tree = ast.parse(fh.read())
-    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
-            and (isinstance(node.func, ast.Name) and node.func.id == "open"
-                 or isinstance(node.func, ast.Attribute) and node.func.attr == "open")]
+    return _calls(_tree(path), "open")
 
 
 def test_only_atomic_opens_files():
@@ -115,3 +123,16 @@ def test_only_atomic_opens_files():
              if name.endswith(".py") and name != "atomic.py"}
     assert "cli.py" in found
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_only_map_lanes_submits_to_the_pool():
+    """kernels.map_lanes is the one lane runner: no other code in the
+    package submits work to a thread pool."""
+    pkg = os.path.dirname(atomic.__file__)
+    runner, = [node for node in ast.walk(_tree(kernels.__file__))
+               if isinstance(node, ast.FunctionDef) and node.name == "map_lanes"]
+    assert _calls(runner, "submit")  # the scan sees the calls it looks for
+    found = {name: _calls(_tree(os.path.join(pkg, name)), "submit")
+             for name in sorted(os.listdir(pkg)) if name.endswith(".py")}
+    assert {name: lines for name, lines in found.items() if lines} == {
+        "kernels.py": _calls(runner, "submit")}

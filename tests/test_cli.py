@@ -301,6 +301,25 @@ def test_report_keeps_each_arm_in_its_own_row(tmp_path, capsys):
     assert rows[2] == "d,active,true,nan,0.600000,0.700000,10.000000"
 
 
+def test_report_joins_only_feature_space_diversity(tmp_path, capsys):
+    """DAM-VP measures diversity in the frozen encoder's feature space, so a
+    dataset's pixel_l2 score never replaces its feature_l2 one, whichever
+    file sorts last, and alone it leaves the diversity column nan."""
+    header = "dataset,metric,pairs,seed,score,score_std\n"
+    for feature, pixel in (("a", "b"), ("b", "a"), (None, "a")):
+        runs = tmp_path / f"runs_{feature}_{pixel}"
+        runs.mkdir()
+        _summary(runs, "active", test_top1=0.5)
+        if feature:
+            (runs / f"{feature}.diversity.csv").write_text(header + "d,feature_l2,10,0,12.0,1\n")
+        (runs / f"{pixel}.diversity.csv").write_text(header + "d,pixel_l2,10,0,999.0,1\n")
+        capsys.readouterr()
+        assert cli.main(["report", "--runs", str(runs)]) == 0
+        div = "12.000000" if feature else "nan"
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            f"d,active,false,{div},nan,0.500000,nan"]
+
+
 def test_report_leaves_runs_without_test_accuracy_out(pipeline, tmp_path, capsys):
     # an empty test split makes adapt write "test_top1": null
     no_test = tmp_path / "no_test.json"
@@ -711,8 +730,9 @@ def test_contract_violations_exit_2(pipeline, tmp_path, capsys):
 
 def test_corrupt_encoder_files_exit_2(pipeline, tmp_path, capsys):
     """A flipped byte in any region of the weight file, a cut at any field
-    boundary, trailing bytes, a version 1 file and a non-UTF-8 id each end
-    as one typed error line, exit 2 and no output."""
+    boundary, trailing bytes, a version 1 file, and a non-UTF-8 id or a
+    non-finite weight under a valid digest each end as one typed error
+    line, exit 2 and no output."""
     enc = E.load_encoder(pipeline["enc"])
     bad, out = tmp_path / "enc.damw", tmp_path / "run.dampb"
     for case, blob, kind in corrupt_damw(enc, open(pipeline["enc"], "rb").read()):

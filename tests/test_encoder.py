@@ -95,13 +95,15 @@ def test_var_path_matches_pure_path(tiny_encoder):
     assert not np.array_equal(pure, enc.forward_features(x))
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered")
-def test_shared_conv1_is_never_written(tiny_encoder):
+def test_conv1_is_only_read_by_the_routing_pass(tiny_encoder):
     """The prompt-free and the prompted continuation from one conv1 output
-    leave it unwritten (it is read-only here, so a write would raise) and
-    give the bits of an encode that runs its own conv1. That holds with a
-    non-finite conv1 bias too, which the pool adds before the max rather
-    than after."""
+    give the bits of an encode that runs its own conv1. The prompt-free
+    pass, which routes a chunk, leaves it unwritten (it is read-only here,
+    so a write would raise): an encoder's weights are finite, so its bias
+    goes after the max. The prompted pass, which scores the chunk, adds
+    each image's map into the conv1 it is handed (a writable copy here).
+    Non-finite weights are refused before any pass, see
+    test_non_finite_weights_are_refused_before_any_forward_pass."""
     from frameprompt import tensor as T
     from _helpers import same_bits
     enc, ds = tiny_encoder
@@ -111,13 +113,31 @@ def test_shared_conv1_is_never_written(tiny_encoder):
     conv1 = T.conv2d(x, enc.weights["conv1_w"])
     conv1.setflags(write=False)
     before = conv1.copy()
-    bias = enc.weights["conv1_b"].copy()
-    bias[[1, 5]] = np.inf, np.nan
-    for params in (enc.weights, {**enc.weights, "conv1_b": bias}):
-        maps = T.conv2d(stack, params["conv1_w"])
-        for m, r in ((None, None), (maps, route)):
-            same_bits(E._encode(x, params, m, r, conv1), E._encode(x, params, m, r))
-        same_bits(conv1, before)
+    same_bits(E._encode(x, enc.weights, conv1=conv1), E._encode(x, enc.weights))
+    same_bits(conv1, before)
+    maps = T.conv2d(stack, enc.weights["conv1_w"])
+    handed = conv1.copy()
+    same_bits(E._encode(x, enc.weights, maps, route, handed),
+              E._encode(x, enc.weights, maps, route))
+    same_bits(handed, before + maps[route])
+
+
+def test_non_finite_weights_are_refused_before_any_forward_pass(monkeypatch, tiny_encoder):
+    """+inf, -inf or NaN in any weight array is a FormatError naming it,
+    raised before the encoder computes f0: relu would turn the NaNs such a
+    bias makes into zeros, so f0 alone does not show it."""
+    enc, _ = tiny_encoder
+
+    def forward(*args, **kwargs):
+        raise AssertionError("forward pass before the weights were checked")
+
+    monkeypatch.setattr(E.FrozenEncoder, "forward_features", forward)
+    for name, value in (("conv1_b", np.inf), ("conv2_w", -np.inf), ("fc_w", np.nan),
+                        ("head_b", np.nan)):
+        weights = {k: v.copy() for k, v in enc.weights.items()}
+        weights[name].flat[1] = value
+        with pytest.raises(FormatError, match=f"{name}: non-finite weights"):
+            E.FrozenEncoder(enc.spec, weights)
 
 
 def test_weights_are_frozen(tiny_encoder):
@@ -245,7 +265,8 @@ def test_weight_file_is_the_whole_encoder(tmp_path, tiny_encoder):
 def test_every_corruption_of_the_weight_file_is_refused(tmp_path, tiny_encoder):
     """A flipped byte in each region the digest covers (or in the digest),
     a cut at each field boundary, trailing bytes, a version 1 header and a
-    non-UTF-8 id under a valid digest each raise their own FormatError."""
+    non-UTF-8 id or a non-finite weight under a valid digest each raise
+    their own FormatError."""
     enc, _ = tiny_encoder
     path = tmp_path / "enc.damw"
     enc.save(str(path))
@@ -259,6 +280,8 @@ def test_every_corruption_of_the_weight_file_is_refused(tmp_path, tiny_encoder):
             assert "unsupported weight file version 1" in str(info.value)
         if case == "non-UTF-8 id":
             assert "UTF-8" in str(info.value)
+        if case.endswith(("in conv1_b", "in fc_w")):
+            assert "non-finite weights" in str(info.value)
 
 
 def test_any_one_byte_edit_is_refused(tmp_path, tiny_encoder):

@@ -457,3 +457,21 @@ def test_map_lanes_raises_the_lowest_failing_item(lane_counts):
             kernels.map_lanes(fn, range(8))
         assert e.value.args == (2,)
         assert done == [1]
+
+
+def test_map_lanes_waits_for_every_lane_before_it_raises(lane_counts):
+    """Item 0, on lane 0 in the caller, raises a KeyboardInterrupt, which
+    the lanes do not catch: it reaches the caller only once the other
+    lanes' items have finished, each after a sleep."""
+    for lanes, _ in lane_counts():
+        done = []
+
+        def fn(i):
+            if i == 0:
+                raise KeyboardInterrupt
+            time.sleep(0.05)
+            done.append(i)
+
+        with pytest.raises(KeyboardInterrupt):
+            kernels.map_lanes(fn, range(2 * lanes))
+        assert sorted(done) == [i for i in range(2 * lanes) if i % lanes]

@@ -447,13 +447,14 @@ def test_conv_block_matches_composed_oracles_bit_for_bit(monkeypatch):
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
-def test_conv_block_leaves_a_shared_conv_unwritten(monkeypatch):
-    """Given conv2d(x, w) as conv, a stage reads it and writes nothing into
-    it (it is read-only here, so a write would raise), and its value, taped
-    or not, and its maps gradient equal those of the stage that runs its
-    own conv, bit for bit, at 1, 2 and 5 lanes: without maps and with, with
-    a finite bias and with a non-finite one, which is added before the max
-    rather than after."""
+def test_conv_block_owns_a_handed_conv(monkeypatch):
+    """Given conv2d(x, w) as conv, a stage's value, taped or not, and its
+    maps gradient equal those of the stage that runs its own conv, bit for
+    bit, at 1, 2 and 5 lanes: without maps and with, with a finite bias and
+    with a non-finite one, which is added before the max rather than after.
+    The stage adds the maps, and a bias that goes before the max, into the
+    conv it is handed (a writable copy there); untaped with no maps and a
+    finite bias it only reads it (read-only here, so a write would raise)."""
     rng = np.random.default_rng(29)
     x, w, maps = (rng.standard_normal(s) for s in ((6, 4, 8, 10), (5, 4, 3, 3), (3, 5, 8, 10)))
     route = rng.integers(0, 3, size=6)
@@ -467,10 +468,16 @@ def test_conv_block_leaves_a_shared_conv_unwritten(monkeypatch):
             monkeypatch.setattr(kernels, "LANES", lanes)
             for b in (rng.standard_normal(5), np.array([0.5, np.inf, -1.0, np.nan, 2.0])):
                 for m, r in ((None, None), (maps, route)):
-                    H.same_bits(T.conv_block(x, w, b, m, r, conv), T.conv_block(x, w, b, m, r))
-                got, want = (_maps_grad(x, w, b, maps, route, dy, c) for c in (conv, None))
+                    late = np.isfinite(b).all()
+                    handed = conv if m is None and late else conv.copy()
+                    H.same_bits(T.conv_block(x, w, b, m, r, handed), T.conv_block(x, w, b, m, r))
+                    written = before if m is None else before + m[r]
+                    H.same_bits(handed, written if late else written + b[:, None, None])
+                handed = conv.copy()
+                got, want = (_maps_grad(x, w, b, maps, route, dy, c) for c in (handed, None))
                 for g, r in zip(got, want):
                     H.same_bits(g, r)
+                H.same_bits(handed, before + maps[route] + b[:, None, None])
                 H.same_bits(conv, before)
 
 
