@@ -3,15 +3,20 @@
 Every file the package writes goes through write_atomic, so a crash or a
 failed run never leaves a half-written file, and the file gets the mode that
 open(path, "wb") would give it (0666 less the umask). Every file it reads
-goes through read_bytes: both binary loaders (.damw weights, .dampb bundles)
-parse through Reader, so a file that ends early raises TruncatedFileError
-and one with trailing bytes FormatError; .calib.json sidecars and run summaries
-through read_json_object, FormatError for anything but a json object; text
-inputs (descriptors, configs, report's csv files) through read_text, the
-caller's error type for bytes that are not UTF-8. Inside recording(),
-read_bytes notes the sha256 of each path's bytes at its first read and
-write_atomic that of each blob's canonical_bytes, so a command's manifest
-lists what it read (in read order) and wrote, whichever loader opened it."""
+goes through read_bytes: .calib.json sidecars and run summaries through
+read_json_object, FormatError for anything but a json object; text inputs
+(descriptors, configs, report's csv files) through read_text, the caller's
+error type for bytes that are not UTF-8. Both binary formats (.damw weights,
+.dampb bundles) are one container: seal writes a 4-byte magic, a u32
+version, the format's body and a u64 digest64 of the body, little-endian;
+open_sealed checks the magic (BadMagicError), the version (FormatError) and
+the digest (FingerprintMismatchError) before it hands the loader a Reader
+over the body, so a cut, extended or edited file is refused before any
+field is parsed (under 16 bytes, with TruncatedFileError).
+Inside recording(), read_bytes notes the sha256 of each path's bytes at its
+first read and write_atomic that of each blob's canonical_bytes, so a
+command's manifest lists what it read (in read order) and wrote, whichever
+loader opened it."""
 
 import contextlib
 import contextvars
@@ -20,7 +25,7 @@ import json
 import os
 import struct
 
-from .errors import FormatError, TruncatedFileError
+from .errors import BadMagicError, FingerprintMismatchError, FormatError, TruncatedFileError
 
 _record = contextvars.ContextVar("atomic.recording() scope")  # (inputs, outputs)
 
@@ -101,26 +106,59 @@ def read_text(path: str, error: type) -> str:
         raise error(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
 
 
+def digest64(body) -> int:
+    """The first 8 bytes of body's sha256 as a little-endian u64."""
+    return int.from_bytes(hashlib.sha256(body).digest()[:8], "little")
+
+
+def seal(magic: bytes, version: int, body: bytes) -> bytes:
+    return magic + struct.pack("<I", version) + body + struct.pack("<Q", digest64(body))
+
+
 class Reader:
-    """Cursor over a whole artifact; every value is little-endian."""
+    """Cursor over a sealed body; every value is little-endian."""
 
-    def __init__(self, path: str):
-        self.blob = read_bytes(path)
-        self.path = path
-        self.pos = 0
+    def __init__(self, path: str, body: memoryview):
+        self.path, self.body, self.pos = path, body, 0
 
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.blob):
-            raise TruncatedFileError(f"{self.path}: ends at byte {len(self.blob)}, "
+    def take(self, n: int) -> memoryview:
+        if self.pos + n > len(self.body):
+            raise TruncatedFileError(f"{self.path}: body ends at byte {len(self.body)}, "
                                      f"needed {self.pos + n}")
-        out = self.blob[self.pos:self.pos + n]
         self.pos += n
-        return out
+        return self.body[self.pos - n:self.pos]
 
     def unpack(self, fmt: str) -> tuple:
         fmt = "<" + fmt
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
+    def text(self, what: str) -> str:
+        """A u32 length and that many bytes of UTF-8; what names the field."""
+        (n,) = self.unpack("I")
+        try:
+            return str(self.take(n), "utf-8")
+        except UnicodeDecodeError as e:
+            raise FormatError(f"{self.path}: {what} is not UTF-8 ({e.reason})") from None
+
     def end(self):
-        if self.pos != len(self.blob):
-            raise FormatError(f"{self.path}: {len(self.blob) - self.pos} trailing bytes")
+        if self.pos != len(self.body):
+            raise FormatError(f"{self.path}: {len(self.body) - self.pos} trailing bytes")
+
+
+def open_sealed(path: str, magic: bytes, version: int, what: str) -> Reader:
+    """A Reader over the body of the sealed file at path; what names the
+    format in a version error."""
+    blob = memoryview(read_bytes(path))
+    if len(blob) < 16:
+        raise TruncatedFileError(f"{path}: ends at byte {len(blob)}, needed 16")
+    if blob[:4] != magic:
+        raise BadMagicError(f"{path}: bad magic")
+    (found,) = struct.unpack_from("<I", blob, 4)
+    if found != version:
+        raise FormatError(f"{path}: unsupported {what} version {found}")
+    body = blob[8:-8]  # a view: the digest reads the file's own bytes
+    (stored,) = struct.unpack_from("<Q", blob, len(blob) - 8)
+    if stored != (actual := digest64(body)):
+        raise FingerprintMismatchError(
+            f"{path}: digest mismatch: stored {stored:#x}, computed {actual:#x}")
+    return Reader(path, body)

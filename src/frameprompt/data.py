@@ -254,7 +254,8 @@ _DESCRIPTOR_FIELDS = {
 
 def load_descriptor(path: str) -> ImageDataset:
     """Dataset descriptor json: {"kind": "synthetic"|"idx", ...}. DataError
-    unless it is an object with every required field, each of its type."""
+    unless it is an object with every required field, each of its type, and
+    every string field UTF-8 text."""
     text = read_text(path, DataError)
     try:
         desc = json.loads(text)
@@ -273,6 +274,12 @@ def load_descriptor(path: str) -> ImageDataset:
                               or not isinstance(fields[key], types)):
             raise DataError(f"{path}: {kind} descriptor field {key!r} has the "
                             f"wrong type: {fields[key]!r}")
+        if isinstance(fields.get(key), str):
+            try:  # json reads "\ud800" as a lone surrogate, which no file name or id holds
+                fields[key].encode("utf-8")
+            except UnicodeEncodeError as e:
+                raise DataError(f"{path}: {kind} descriptor field {key!r} is not UTF-8 "
+                                f"text ({e.reason}): {fields[key]!r}") from None
     if kind == "synthetic":
         return generate_modemix(SyntheticSpec(**fields))
     return load_idx(fields["images"], fields["labels"], fields["id"])

@@ -33,18 +33,17 @@ it. (Evaluation with a single prototype routes every image to it without
 any prompt-free pass, see adapt.evaluate.)
 
 Weights live in an ordered dict of read-only float64 arrays; an encoder's
-fingerprint is the digest of their records alone. The on-disk format is one
-file: magic "DAMW", u32 version (2), u32 record count, then per array a u32
-rank, rank u32 extents and the raw little-endian float64 payload; then u32
-in_channels, height and width, f64 train accuracy, u64 seed, the pretraining
-dataset id as a u32 length and its UTF-8 bytes, and the feature_dim f64 of
-f0 (the zero-input response the weights must give); finished by a u64
-digest of everything after the record count, and nothing else.
+fingerprint is the digest64 of their records (per array in PARAM_ORDER a
+u32 rank, its u32 extents and its f64 payload). The encoder file is one
+atomic.seal container, magic "DAMW", version 3, whose body is u32
+in_channels, height and width, each PARAM_ORDER array's raw f64 payload in
+the shape EncoderSpec.param_shapes gives, f64 train accuracy, u64 seed, the
+pretraining dataset id as a u32 length and its UTF-8 bytes, and the
+feature_dim f64 of f0 (the zero-input response the weights must give).
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 import struct
 from dataclasses import dataclass, field
@@ -52,12 +51,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import clustering, tensor as T
-from .atomic import Reader, write_atomic
-from .errors import (BadMagicError, DataError, FingerprintMismatchError,
-                     FormatError, ShapeError)
+from .atomic import digest64, open_sealed, seal, write_atomic
+from .errors import DataError, FingerprintMismatchError, FormatError, ShapeError
 
 MAGIC = b"DAMW"
-VERSION = 2
+VERSION = 3
 
 # Images per forward_features chunk. 64 holds half the transient memory of
 # 128 (a traced peak of 26.7 against 53.1 MiB on 320 32px images) and runs
@@ -97,22 +95,12 @@ class EncoderSpec:
         }
 
 
-def _records_bytes(weights: dict) -> bytes:
-    chunks = []
-    for name in PARAM_ORDER:
-        arr = np.ascontiguousarray(weights[name], dtype=np.float64)
-        chunks.append(struct.pack("<I", arr.ndim))
-        chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        chunks.append(arr.astype("<f8").tobytes())
-    return b"".join(chunks)
-
-
-def _digest64(body: bytes) -> int:
-    return struct.unpack("<Q", hashlib.sha256(body).digest()[:8])[0]
-
-
 def fingerprint_of(weights: dict) -> int:
-    return _digest64(_records_bytes(weights))
+    records = []
+    for name in PARAM_ORDER:
+        arr = np.asarray(weights[name], dtype="<f8")
+        records += [struct.pack(f"<{arr.ndim + 1}I", arr.ndim, *arr.shape), arr.tobytes()]
+    return digest64(b"".join(records))
 
 
 def _freeze_arrays(weights: dict) -> dict:
@@ -230,52 +218,29 @@ class FrozenEncoder:
     def save(self, path: str):
         s = self.spec
         ident = self.pretrain_dataset_id.encode("utf-8")
-        body = (_records_bytes(self.weights)
-                + struct.pack("<3IdQI", s.in_channels, s.height, s.width,
-                              self.train_accuracy, self.seed, len(ident))
-                + ident + self.f0.astype("<f8").tobytes())
-        write_atomic(path, MAGIC + struct.pack("<II", VERSION, len(PARAM_ORDER)) + body
-                     + struct.pack("<Q", _digest64(body)))
+        body = b"".join([struct.pack("<3I", s.in_channels, s.height, s.width),
+                         *(self.weights[name].astype("<f8").tobytes() for name in PARAM_ORDER),
+                         struct.pack("<dQI", self.train_accuracy, self.seed, len(ident)),
+                         ident, self.f0.astype("<f8").tobytes()])
+        write_atomic(path, seal(MAGIC, VERSION, body))
 
 
 def load_encoder(path: str) -> FrozenEncoder:
-    """The encoder in a DAMW file. The digest is checked before any field is
-    used, so an edited pretraining dataset id, which adapt and meta-train
-    refuse to adapt to, does not load."""
-    r = Reader(path)
-    if r.take(4) != MAGIC:
-        raise BadMagicError(f"bad magic in {path}")
-    (version,) = r.unpack("I")
-    if version != VERSION:
-        raise FormatError(f"unsupported weight file version {version}")
-    (count,) = r.unpack("I")
-    if count != len(PARAM_ORDER):
-        raise FormatError(f"expected {len(PARAM_ORDER)} arrays, file has {count}")
-    body_start = r.pos
-    weights = {}
+    """The encoder in a DAMW file. open_sealed checks the digest before any
+    field is used, so an edited pretraining dataset id, which adapt and
+    meta-train refuse to adapt to, does not load."""
+    r = open_sealed(path, MAGIC, VERSION, "weight file")
+    spec = EncoderSpec(*r.unpack("3I"))
+    shapes, weights = spec.param_shapes(), {}
     for name in PARAM_ORDER:
-        (rank,) = r.unpack("I")
-        if rank > 8:
-            raise FormatError(f"{name}: implausible rank {rank}")
-        extents = r.unpack(f"{rank}I")
-        payload = r.take(8 * math.prod(extents))  # exact: np.prod wraps past 2**63
-        weights[name] = np.frombuffer(payload, dtype="<f8").reshape(extents).copy()
-    in_channels, height, width, accuracy, seed, id_len = r.unpack("3IdQI")
-    ident = r.take(id_len)
-    golden = np.frombuffer(r.take(8 * weights["fc_b"].size), dtype="<f8")
-    actual = _digest64(r.blob[body_start:r.pos])
-    (stored,) = r.unpack("Q")
+        payload = r.take(8 * math.prod(shapes[name]))  # exact: np.prod wraps past 2**63
+        weights[name] = np.frombuffer(payload, dtype="<f8").reshape(shapes[name]).copy()
+    accuracy, seed = r.unpack("dQ")
+    ident = r.text("pretraining dataset id")
+    golden = np.frombuffer(r.take(8 * spec.feature_dim), dtype="<f8")
     r.end()
-    if stored != actual:
-        raise FingerprintMismatchError(
-            f"{path}: digest mismatch: stored {stored:#x}, computed {actual:#x}")
-    try:
-        ident = ident.decode("utf-8")
-    except UnicodeDecodeError as e:
-        raise FormatError(f"{path}: pretraining dataset id is not UTF-8 "
-                          f"({e.reason})") from None
-    enc = FrozenEncoder(EncoderSpec(in_channels, height, width), weights,
-                        pretrain_dataset_id=ident, train_accuracy=accuracy, seed=seed)
+    enc = FrozenEncoder(spec, weights, pretrain_dataset_id=ident,
+                        train_accuracy=accuracy, seed=seed)
     if not np.array_equal(golden, enc.f0):
         raise FingerprintMismatchError("stored zero-input response differs from "
                                        "recomputed one")

@@ -9,9 +9,9 @@ with an optimizer: adaptation passes its configured one, the meta inner loop a
 momentum-free Sgd. A step that leaves any value beyond PROMPT_BOUND in
 magnitude raises DataError, so a diverged run writes nothing.
 
-Bundle format "DAMP" v1, all integers little-endian:
-  magic, u32 version, u32 prompt count N,
-  5x u32 frame spec (channels, height, width, border, reserved=0),
+A bundle is one atomic.seal container, magic "DAMP", version 2, whose body
+is, all integers little-endian:
+  u32 prompt count N, 4x u32 frame spec (channels, height, width, border),
   u32 feature dim d, N*d f64 prototypes,
   u8 head tag (the kind's index in HEAD_KINDS: 0 tuning / 1 freezing /
   2 hardcoded / 3 active),
@@ -27,11 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atomic import Reader, write_atomic
-from .errors import BadMagicError, DataError, FormatError, ShapeError
+from .atomic import open_sealed, seal, write_atomic
+from .errors import DataError, FormatError, ShapeError
 
 MAGIC = b"DAMP"
-VERSION = 1
+VERSION = 2
 
 # Images are standardised per channel, and trained prompt values stay within
 # a few units of zero: at most about 14 over the test suite and 3.4 over the
@@ -70,10 +70,14 @@ class FrameSpec:
         hole = (self.height - 2 * self.border) * (self.width - 2 * self.border)
         return self.channels * (self.height * self.width - hole)
 
+    @property
+    def interior(self) -> tuple:
+        b = self.border
+        return (slice(None), slice(b, self.height - b), slice(b, self.width - b))
+
     def mask(self) -> np.ndarray:
         m = np.ones((self.channels, self.height, self.width))
-        b = self.border
-        m[:, b:self.height - b, b:self.width - b] = 0.0
+        m[self.interior] = 0.0
         return m
 
 
@@ -89,8 +93,9 @@ class PromptFrame:
             values = np.ascontiguousarray(values, dtype=np.float64)
             if values.shape != (spec.channels, spec.height, spec.width):
                 raise ShapeError(f"prompt values {values.shape} vs spec {spec}")
-            interior = values * (1.0 - self._mask)
-            if np.any(interior != 0.0):
+            if not np.isfinite(values).all():
+                raise DataError("prompt values are not all finite")
+            if np.any(values[spec.interior] != 0.0):
                 raise ShapeError("prompt interior carries nonzero values")
             self.values = values.copy()
 
@@ -177,39 +182,28 @@ def save_bundle(path: str, bundle: PromptBundle):
     protos = bundle.prototypes
     if protos.shape[0] != bundle.n:
         raise ShapeError(f"{bundle.n} prompts vs {protos.shape[0]} prototypes")
-    out = [MAGIC, struct.pack("<II", VERSION, bundle.n)]
-    out.append(struct.pack("<5I", spec.channels, spec.height, spec.width, spec.border, 0))
-    out.append(struct.pack("<I", protos.shape[1]))
-    out.append(np.ascontiguousarray(protos).astype("<f8").tobytes())
-    flags = 1 if bundle.meta_initialized else 0
     tag = HEAD_KINDS.index(bundle.head.kind)
     payload = _head_payload(bundle.head, tag)  # checks the arrays k is read off
-    out += [struct.pack("<BBI", tag, flags, bundle.head.k), payload]
-    out.append(struct.pack("<Q", bundle.encoder_fingerprint))
-    for p in bundle.prompts:
-        if p.spec != spec:
-            raise ShapeError("all prompts in a bundle share one frame spec")
-        out.append(p.values.astype("<f8").tobytes())
+    if any(p.spec != spec for p in bundle.prompts):
+        raise ShapeError("all prompts in a bundle share one frame spec")
     snap = bundle.config_snapshot.encode("utf-8")
-    out.append(struct.pack("<I", len(snap)))
-    out.append(snap)
-    write_atomic(path, b"".join(out))
+    body = b"".join([
+        struct.pack("<6I", bundle.n, spec.channels, spec.height, spec.width, spec.border,
+                    protos.shape[1]),
+        np.ascontiguousarray(protos).astype("<f8").tobytes(),
+        struct.pack("<BBI", tag, int(bundle.meta_initialized), bundle.head.k), payload,
+        struct.pack("<Q", bundle.encoder_fingerprint),
+        *(p.values.astype("<f8").tobytes() for p in bundle.prompts),
+        struct.pack("<I", len(snap)), snap])
+    write_atomic(path, seal(MAGIC, VERSION, body))
 
 
 def load_bundle(path: str) -> PromptBundle:
-    r = Reader(path)
-    if r.take(4) != MAGIC:
-        raise BadMagicError(f"{path}: bad magic")
-    version, n = r.unpack("II")
-    if version != VERSION:
-        raise FormatError(f"{path}: unsupported bundle version {version}")
+    r = open_sealed(path, MAGIC, VERSION, "bundle")
+    n, c, h, w, border, d = r.unpack("6I")
     if n < 1:
         raise FormatError(f"{path}: empty bundle")
-    c, h, w, border, reserved = r.unpack("5I")
-    if reserved != 0:
-        raise FormatError(f"{path}: reserved field is {reserved}, expected 0")
     spec = FrameSpec(c, h, w, border)
-    (d,) = r.unpack("I")
     cents = np.frombuffer(r.take(8 * n * d), dtype="<f8").reshape(n, d).copy()
     tag, flags, k = r.unpack("BBI")
     if tag >= len(HEAD_KINDS):
@@ -225,14 +219,9 @@ def load_bundle(path: str) -> PromptBundle:
         idx = np.frombuffer(r.take(8 * k), dtype="<i8").astype(np.int64)
         head = HeadState(HEAD_KINDS[tag], indices=idx)
     (fp,) = r.unpack("Q")
-    prompts = []
-    for _ in range(n):
-        vals = np.frombuffer(r.take(8 * c * h * w), dtype="<f8").reshape(c, h, w).copy()
-        prompts.append(PromptFrame(spec, vals))
-    (snap_len,) = r.unpack("I")
-    try:
-        snap = r.take(snap_len).decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: config snapshot is not UTF-8 ({exc.reason})") from None
+    # PromptFrame keeps a copy of each payload view
+    prompts = [PromptFrame(spec, np.frombuffer(r.take(8 * c * h * w), dtype="<f8")
+                           .reshape(c, h, w)) for _ in range(n)]
+    snap = r.text("config snapshot")
     r.end()
     return PromptBundle(prompts, cents, head, fp, snap, bool(flags & 1))

@@ -306,17 +306,8 @@ def routed_bundle(enc, ds, count, seed=0):
     return PromptBundle(prompts, feats[rows], head, enc.fingerprint, "{}")
 
 
-def damw_fields(enc):
-    """{name: (start, end)} of each field of enc's weight file, in file order,
-    laid out from the format's description rather than by its writer."""
-    sizes = [("magic", 4), ("version", 4), ("count", 4)]
-    for name, arr in enc.weights.items():
-        sizes += [(f"{name}.rank", 4), (f"{name}.extents", 4 * arr.ndim),
-                  (f"{name}.payload", 8 * arr.size)]
-    sizes += [("in_channels", 4), ("height", 4), ("width", 4), ("train_accuracy", 8),
-              ("seed", 8), ("id_length", 4),
-              ("id", len(enc.pretrain_dataset_id.encode("utf-8"))),
-              ("f0", 8 * enc.f0.size), ("digest", 8)]
+def _layout(sizes):
+    """{name: (start, end)} of consecutive fields of the given sizes."""
     fields, pos = {}, 0
     for name, size in sizes:
         fields[name] = (pos, pos + size)
@@ -324,50 +315,116 @@ def damw_fields(enc):
     return fields
 
 
-def damw_digest(body):
-    """The u64 a weight file keeps for body: sha256's first 8 bytes, little-endian."""
+def damw_fields(enc):
+    """{name: (start, end)} of each field of enc's weight file, in file order,
+    laid out from the format's description rather than by its writer."""
+    sizes = [("magic", 4), ("version", 4), ("in_channels", 4), ("height", 4), ("width", 4)]
+    sizes += [(f"{name}.payload", 8 * arr.size) for name, arr in enc.weights.items()]
+    sizes += [("train_accuracy", 8), ("seed", 8), ("id_length", 4),
+              ("id", len(enc.pretrain_dataset_id.encode("utf-8"))),
+              ("f0", 8 * enc.f0.size), ("digest", 8)]
+    return _layout(sizes)
+
+
+def damp_fields(bundle):
+    """{name: (start, end)} of each field of bundle's file, in file order,
+    laid out from the format's description rather than by its writer."""
+    p = bundle.prompts[0].values
+    sizes = [("magic", 4), ("version", 4), ("count", 4), ("channels", 4), ("height", 4),
+             ("width", 4), ("border", 4), ("feature_dim", 4),
+             ("prototypes", 8 * bundle.prototypes.size), ("head_tag", 1), ("flags", 1),
+             ("k", 4)]
+    if bundle.head.indices is None:
+        sizes += [("head_rows", 4), ("head_weight", 8 * bundle.head.weight.size),
+                  ("head_bias", 8 * bundle.head.bias.size)]
+    else:
+        sizes += [("head_indices", 8 * bundle.head.indices.size)]
+    sizes += [("fingerprint", 8)] + [(f"prompt{t}", 8 * p.size) for t in range(bundle.n)]
+    sizes += [("snapshot_length", 4), ("snapshot", len(bundle.config_snapshot.encode("utf-8"))),
+              ("digest", 8)]
+    return _layout(sizes)
+
+
+def sealed_digest(body):
+    """The u64 a sealed file keeps for body: sha256's first 8 bytes, little-endian."""
     return struct.unpack("<Q", hashlib.sha256(body).digest()[:8])[0]
+
+
+def resealed(blob, start, end, new):
+    """The sealed file blob with bytes [start, end) replaced by new, under the
+    digest of its new body, so that the edit reaches the loader's own checks."""
+    body = blob[8:start] + new + blob[end:-8]
+    return blob[:8] + body + struct.pack("<Q", sealed_digest(body))
+
+
+def _sealed_damage(fields, blob):
+    """(case, bytes, error type name) for the damage any sealed file can
+    take: one byte flipped at each end of every field, a cut at each field
+    boundary, trailing bytes, and version headers of 1 up to its own. Under
+    16 bytes a file is truncated; past that, a cut or an extension fails the
+    digest, as does any flip but one of the magic or the version."""
+    assert fields["digest"][1] == len(blob)
+    kinds = {"magic": "BadMagicError", "version": "FormatError"}
+    cases = []
+    for region, (start, end) in fields.items():
+        for at in sorted({start, end - 1} & set(range(start, end))):
+            flipped = bytearray(blob)
+            flipped[at] ^= 0xFF
+            cases.append((f"flip {region}[{at - start}]", bytes(flipped),
+                          kinds.get(region, "FingerprintMismatchError")))
+    for start, _ in fields.values():
+        cases.append((f"cut at {start}", blob[:start],
+                      "TruncatedFileError" if start < 16 else "FingerprintMismatchError"))
+    cases.append(("cut before the last byte", blob[:-1], "FingerprintMismatchError"))
+    cases.append(("trailing bytes", blob + b"\x00\x01", "FingerprintMismatchError"))
+    for version in range(1, struct.unpack("<I", blob[4:8])[0]):
+        cases.append((f"version {version}", blob[:4] + struct.pack("<I", version) + blob[8:],
+                      "FormatError"))
+    return cases
 
 
 def corrupt_damw(enc, blob):
     """(case, bytes, error type name) for each way a weight file of enc
-    (blob, as saved) goes bad: one byte flipped in each region the digest
-    covers or in the digest itself, a cut at each field boundary, extents
-    too large for any array, trailing bytes, a version 1 header, and a
-    non-UTF-8 id, +inf in conv1_b or NaN in fc_w under a valid digest."""
+    (blob, as saved) goes bad: the damage any sealed file can take, then
+    under a valid digest a spec whose arrays no int64 can size, a non-UTF-8
+    id, and +inf in conv1_b or NaN in fc_w."""
     fields = damw_fields(enc)
-    assert fields["digest"][1] == len(blob)
-    cases = []
-    for region in ("conv1_w.payload", "head_b.payload", "in_channels", "height", "width",
-                   "train_accuracy", "seed", "id", "f0", "digest"):
-        start, end = fields[region]
-        for at in (start, end - 1):
-            flipped = bytearray(blob)
-            flipped[at] ^= 0xFF
-            cases.append((f"flip {region}[{at - start}]", bytes(flipped),
-                          "FingerprintMismatchError"))
-    for start, _ in fields.values():
-        cases.append((f"cut at {start}", blob[:start], "TruncatedFileError"))
-    cases.append(("cut before the last byte", blob[:-1], "TruncatedFileError"))
-    # extents whose product no int64 holds: np.prod would wrap it negative
-    start, end = fields["conv1_w.extents"]
-    cases.append(("extents past any array", blob[:start] + b"\xff" * (end - start) + blob[end:],
+    cases = _sealed_damage(fields, blob)
+    # fc_w of a 0xfffffffc-square input holds more than 2**63 floats
+    start, end = fields["height"][0], fields["width"][1]
+    cases.append(("spec past any array", resealed(blob, start, end, b"\xfc" + b"\xff" * 3
+                                                  + b"\xfc" + b"\xff" * 3),
                   "TruncatedFileError"))
-    cases.append(("trailing bytes", blob + b"\x00\x01", "FormatError"))
-    cases.append(("version 1", blob[:4] + struct.pack("<I", 1) + blob[8:], "FormatError"))
-
-    def redigested(start, end, new):
-        body = blob[12:start] + new + blob[end:-8]
-        return blob[:12] + body + struct.pack("<Q", damw_digest(body))
-
     start, end = fields["id"]
-    cases.append(("non-UTF-8 id", redigested(start, end, b"\xff" * (end - start)),
+    cases.append(("non-UTF-8 id", resealed(blob, start, end, b"\xff" * (end - start)),
                   "FormatError"))
     # a non-finite weight: relu turns the NaNs an infinite bias makes into
     # zeros, so the stored f0 alone would not refuse it
     for case, name, value in (("+inf in conv1_b", "conv1_b", np.inf),
                               ("NaN in fc_w", "fc_w", np.nan)):
         start = fields[f"{name}.payload"][0]
-        cases.append((case, redigested(start, start + 8, struct.pack("<d", value)),
+        cases.append((case, resealed(blob, start, start + 8, struct.pack("<d", value)),
                       "FormatError"))
+    return cases
+
+
+def corrupt_damp(bundle, blob):
+    """(case, bytes, error type name) for each way the file of bundle (blob,
+    as saved) goes bad: the damage any sealed file can take, then under a
+    valid digest a non-UTF-8 snapshot, an unknown head tag, unknown flag
+    bits, and a nonzero value inside the first prompt's frame."""
+    fields = damp_fields(bundle)
+    cases = _sealed_damage(fields, blob)
+    start, end = fields["snapshot_length"][0], fields["snapshot"][1]
+    cases.append(("non-UTF-8 snapshot", resealed(blob, start, end, struct.pack("<I", 1) + b"\xff"),
+                  "FormatError"))
+    start, end = fields["head_tag"]
+    cases.append(("unknown head tag", resealed(blob, start, end, b"\x04"), "FormatError"))
+    start, end = fields["flags"]
+    cases.append(("unknown flag bits", resealed(blob, start, end, bytes([blob[start] | 2])),
+                  "FormatError"))
+    c, h, w = bundle.prompts[0].values.shape
+    at = fields["prompt0"][0] + 8 * (h // 2 * w + w // 2)  # channel 0, mid-image
+    cases.append(("nonzero prompt interior", resealed(blob, at, at + 8, struct.pack("<d", 0.5)),
+                  "ShapeError"))
     return cases

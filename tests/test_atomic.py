@@ -2,12 +2,14 @@ import ast
 import hashlib
 import os
 import stat
+import struct
 
 import pytest
 
-from frameprompt import atomic, kernels
-from frameprompt.atomic import Reader, write_atomic, write_json
-from frameprompt.errors import FormatError, TruncatedFileError
+from frameprompt import atomic, encoder, kernels, prompt
+from frameprompt.atomic import open_sealed, seal, write_atomic, write_json
+from frameprompt.errors import (BadMagicError, FingerprintMismatchError, FormatError,
+                                TruncatedFileError)
 
 
 @pytest.fixture
@@ -48,8 +50,9 @@ def test_failed_write_keeps_old_file_and_leaves_no_temp(tmp_path, monkeypatch):
 
 def test_reader_takes_unpacks_and_checks_the_end(tmp_path):
     path = tmp_path / "blob.bin"
-    path.write_bytes(b"MAGC" + (7).to_bytes(4, "little") + b"\x01\x02" + b"xy")
-    r = Reader(str(path))
+    body = b"MAGC" + (7).to_bytes(4, "little") + b"\x01\x02" + b"xy"
+    write_atomic(str(path), seal(b"TEST", 1, body))
+    r = open_sealed(str(path), b"TEST", 1, "test file")
     assert r.take(4) == b"MAGC"
     assert r.unpack("IBB") == (7, 1, 2)
     with pytest.raises(FormatError, match="2 trailing bytes"):
@@ -58,6 +61,34 @@ def test_reader_takes_unpacks_and_checks_the_end(tmp_path):
         r.take(3)
     assert r.take(2) == b"xy"
     r.end()
+
+
+def test_a_sealed_file_is_checked_before_its_body_is_read(tmp_path):
+    """seal lays out magic, u32 version, body, then the digest of the body;
+    open_sealed refuses a short file, then a bad magic, then another
+    version, then a body its digest does not match."""
+    body = bytes(range(40))
+    blob = seal(b"TEST", 3, body)
+    digest = int.from_bytes(hashlib.sha256(body).digest()[:8], "little")
+    assert blob == b"TEST" + struct.pack("<I", 3) + body + struct.pack("<Q", digest)
+    assert atomic.digest64(body) == digest
+    path = tmp_path / "f.bin"
+    for bad, error, message in (
+            (blob[:15], TruncatedFileError, "ends at byte 15"),
+            (b"NOPE" + blob[4:], BadMagicError, "bad magic"),
+            (blob[:4] + struct.pack("<I", 2) + blob[8:], FormatError,
+             "unsupported test file version 2"),
+            (blob[:20] + b"\xff" + blob[21:], FingerprintMismatchError, "digest mismatch"),
+            (blob[:-1], FingerprintMismatchError, "digest mismatch"),
+            (blob + b"\x00", FingerprintMismatchError, "digest mismatch")):
+        path.write_bytes(bad)
+        with pytest.raises(error, match=message):
+            open_sealed(str(path), b"TEST", 3, "test file")
+    path.write_bytes(blob)
+    assert bytes(open_sealed(str(path), b"TEST", 3, "test file").take(40)) == body
+    # an empty body seals to the 16 bytes of header and digest
+    path.write_bytes(seal(b"TEST", 3, b""))
+    open_sealed(str(path), b"TEST", 3, "test file").end()
 
 
 def _sha(blob):
@@ -76,7 +107,8 @@ def test_recording_keeps_first_reads_and_canonical_writes(tmp_path):
     with atomic.recording():
         atomic.read_bytes(src)
         write_atomic(src, b"overwritten")
-        Reader(src)
+        with pytest.raises(TruncatedFileError):  # a loader's read is one more read
+            open_sealed(src, b"TEST", 1, "test file")
         write_json(out, {"a": 1, "seconds": [0.5]})
         inputs, outputs = atomic.recorded()
     # the bytes first read, though the run then wrote over them
@@ -136,3 +168,28 @@ def test_only_map_lanes_submits_to_the_pool():
              for name in sorted(os.listdir(pkg)) if name.endswith(".py")}
     assert {name: lines for name, lines in found.items() if lines} == {
         "kernels.py": _calls(runner, "submit")}
+
+
+def _names(tree):
+    """Every name a tree reads, and every module it imports."""
+    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            | {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names}
+            | {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)})
+
+
+def test_only_open_sealed_makes_a_reader():
+    """Both binary formats are one container: atomic.open_sealed is the one
+    place a Reader is made, once magic, version and digest hold, and
+    neither format module digests anything itself."""
+    pkg = os.path.dirname(atomic.__file__)
+    opener, = [node for node in ast.walk(_tree(atomic.__file__))
+               if isinstance(node, ast.FunctionDef) and node.name == "open_sealed"]
+    assert _calls(opener, "Reader")  # the scan sees the calls it looks for
+    found = {name: _calls(_tree(os.path.join(pkg, name)), "Reader")
+             for name in sorted(os.listdir(pkg)) if name.endswith(".py")}
+    assert {name: lines for name, lines in found.items() if lines} == {
+        "atomic.py": _calls(opener, "Reader")}
+    assert "hashlib" in _names(_tree(atomic.__file__))
+    for module in (encoder, prompt):
+        assert "hashlib" not in _names(_tree(module.__file__)), module.__name__

@@ -12,7 +12,7 @@ import pytest
 from frameprompt import atomic, cli, encoder as E
 from frameprompt.prompt import HeadState, load_bundle, save_bundle
 
-from _helpers import corrupt_damw, damw_fields, idx_bytes
+from _helpers import corrupt_damp, corrupt_damw, damp_fields, damw_fields, idx_bytes, resealed
 
 CONFIG = {"pretrain_epochs": 2, "epochs": 2, "batch_size": 16, "lr": 0.05,
           "warmup_epochs": 1, "probe_size": 128, "pairs": 200,
@@ -653,7 +653,7 @@ def test_contract_violations_exit_2(pipeline, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ShapeError:"), err
     assert not os.path.exists(tmp_path / "px16.json")
-    # a weight file with bytes after its fingerprint is refused
+    # a weight file with bytes after its digest is refused: they move the digest
     padded = tmp_path / "padded.damw"
     shutil.copy(pipeline["enc"], padded)
     with open(padded, "ab") as fh:
@@ -663,13 +663,14 @@ def test_contract_violations_exit_2(pipeline, tmp_path, capsys):
                    "--config", str(pipeline["config"])])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("error: FormatError:")
-    assert "trailing bytes" in err
+    assert err.count("\n") == 1 and err.startswith("error: FingerprintMismatchError:")
+    assert "digest mismatch" in err
     assert not os.path.exists(tmp_path / "padded.json")
-    # a bundle whose config snapshot is not UTF-8 is refused
+    # a bundle whose config snapshot is not UTF-8, under a valid digest, is refused
     blob = open(pipeline["dam_bundle"], "rb").read()
+    end = damp_fields(load_bundle(pipeline["dam_bundle"]))["snapshot"][1]
     garbled = tmp_path / "garbled.dampb"
-    garbled.write_bytes(blob[:-1] + b"\xff")
+    garbled.write_bytes(resealed(blob, end - 1, end, b"\xff"))
     rc = cli.main(["eval", "--data", pipeline["down"], "--bundle", str(garbled),
                    "--encoder", pipeline["enc"], "--out", str(tmp_path / "garbled.json"),
                    "--config", str(pipeline["config"])])
@@ -729,10 +730,10 @@ def test_contract_violations_exit_2(pipeline, tmp_path, capsys):
 
 
 def test_corrupt_encoder_files_exit_2(pipeline, tmp_path, capsys):
-    """A flipped byte in any region of the weight file, a cut at any field
-    boundary, trailing bytes, a version 1 file, and a non-UTF-8 id or a
-    non-finite weight under a valid digest each end as one typed error
-    line, exit 2 and no output."""
+    """A flipped byte at either end of any field of the weight file, a cut
+    at any field boundary, trailing bytes, a version 1 or 2 file, and a spec
+    no array fits, a non-UTF-8 id or a non-finite weight under a valid
+    digest each end as one typed error line, exit 2 and no output."""
     enc = E.load_encoder(pipeline["enc"])
     bad, out = tmp_path / "enc.damw", tmp_path / "run.dampb"
     for case, blob, kind in corrupt_damw(enc, open(pipeline["enc"], "rb").read()):
@@ -745,6 +746,35 @@ def test_corrupt_encoder_files_exit_2(pipeline, tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith(f"error: {kind}:"), (case, err)
         assert sorted(os.listdir(tmp_path)) == ["enc.damw"], case
+
+
+def test_corrupt_bundles_exit_2(pipeline, tmp_path, capsys):
+    """Every corrupt_damp case of the adapted bundle under eval --bundle and
+    of the meta bundle under adapt --meta, and on eval a sound bundle of
+    another encoder, each end as one typed error line, exit 2 and no output."""
+    common = ["--data", pipeline["down"], "--encoder", pipeline["enc"],
+              "--config", str(pipeline["config"])]
+    bad = tmp_path / "bad.dampb"
+    other = load_bundle(pipeline["dam_bundle"])
+    other.encoder_fingerprint ^= 1
+    save_bundle(str(bad), other)
+    foreign = [("another encoder's bundle", bad.read_bytes(), "FrozenViolationError")]
+    runs = [(pipeline["dam_bundle"], ["eval", "--bundle", str(bad),
+                                      "--out", str(tmp_path / "eval.json")], foreign),
+            (pipeline["meta_bundle"], ["adapt", "--meta", str(bad), "--mode", "active",
+                                       "--out", str(tmp_path / "run.dampb")], [])]
+    for source, argv, extra in runs:
+        blob = open(source, "rb").read()
+        for case, damaged, kind in corrupt_damp(load_bundle(source), blob) + extra:
+            bad.write_bytes(damaged)
+            capsys.readouterr()
+            rc = cli.main(argv + common)
+            assert rc == 2, (argv[0], case)
+            captured = capsys.readouterr()
+            assert captured.err.count("\n") == 1, (argv[0], case, captured.err)
+            assert captured.err.startswith(f"error: {kind}:"), (argv[0], case, captured.err)
+            assert "Traceback" not in captured.out + captured.err
+            assert sorted(os.listdir(tmp_path)) == ["bad.dampb"], (argv[0], case)
 
 
 def test_an_edited_pretraining_id_is_refused(pipeline, tmp_path, capsys):
@@ -762,6 +792,29 @@ def test_an_edited_pretraining_id_is_refused(pipeline, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: FingerprintMismatchError:"), err
     assert not out.exists()
+
+
+def test_descriptor_strings_that_are_not_utf8_exit_2(pipeline, tmp_path, capsys):
+    """json reads "\\ud800" as a lone surrogate, which no id or file name
+    can hold: the descriptor is refused before any work, so neither a full
+    pretraining run nor the pixel diversity score reaches the write."""
+    synthetic = tmp_path / "synthetic.json"
+    synthetic.write_text('{"kind": "synthetic", "modes": 2, "classes_per_mode": 2, '
+                         '"samples_per_class": 6, "size": 16, "id": "bad\\ud800"}')
+    idx = tmp_path / "idx.json"
+    idx.write_text('{"kind": "idx", "images": "im\\ud800.idx", "labels": "lb.idx", '
+                   '"id": "idx"}')
+    out = str(tmp_path / "out")
+    runs = [["pretrain", "--data", str(synthetic), "--out", out],
+            ["diversity", "--data", str(synthetic), "--space", "pixel_l2", "--out", out],
+            ["pretrain", "--data", str(idx), "--out", out]]
+    for argv in runs:
+        capsys.readouterr()
+        assert cli.main(argv + ["--config", str(pipeline["config"])]) == 2, argv
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: DataError:"), err
+        assert "not UTF-8" in err
+        assert sorted(os.listdir(tmp_path)) == ["idx.json", "synthetic.json"]
 
 
 def test_seed_outside_u64_is_a_usage_error(pipeline, tmp_path, capsys):

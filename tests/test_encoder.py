@@ -211,6 +211,9 @@ def test_save_load_roundtrip(tmp_path, tiny_encoder):
 
 
 def test_load_distinguishes_failure_modes(tmp_path, tiny_encoder):
+    """Bad magic, a file cut inside its header, a flipped payload byte and
+    bytes after the digest each raise their own error. A cut past the
+    header or trailing bytes move the digest, so both are a digest mismatch."""
     enc, _ = tiny_encoder
     path = str(tmp_path / "enc.damw")
     enc.save(path)
@@ -222,8 +225,11 @@ def test_load_distinguishes_failure_modes(tmp_path, tiny_encoder):
         E.load_encoder(str(bad_magic))
 
     truncated = tmp_path / "short.damw"
-    truncated.write_bytes(blob[: len(blob) // 2])
+    truncated.write_bytes(blob[:12])
     with pytest.raises(TruncatedFileError):
+        E.load_encoder(str(truncated))
+    truncated.write_bytes(blob[: len(blob) // 2])
+    with pytest.raises(FingerprintMismatchError):
         E.load_encoder(str(truncated))
 
     corrupt = bytearray(blob)
@@ -235,15 +241,14 @@ def test_load_distinguishes_failure_modes(tmp_path, tiny_encoder):
 
     trailing = tmp_path / "trailing.damw"
     trailing.write_bytes(blob + b"\x00\x01")
-    with pytest.raises(FormatError) as info:
+    with pytest.raises(FingerprintMismatchError, match="digest mismatch"):
         E.load_encoder(str(trailing))
-    assert type(info.value) is FormatError and "2 trailing bytes" in str(info.value)
 
 
 def test_weight_file_is_the_whole_encoder(tmp_path, tiny_encoder):
-    """One file, laid out as the format says: its metadata fields read back
-    as written, the digest covers them, and the fingerprint is still the
-    digest of the records alone."""
+    """One file, laid out as the format says: its metadata fields and
+    payloads read back as written, the digest covers the whole body, and
+    the fingerprint is still the digest of the records alone."""
     enc, _ = tiny_encoder
     path = tmp_path / "enc.damw"
     enc.save(str(path))
@@ -251,22 +256,27 @@ def test_weight_file_is_the_whole_encoder(tmp_path, tiny_encoder):
     blob = path.read_bytes()
     f = H.damw_fields(enc)
     field = lambda name: blob[slice(*f[name])]
-    assert struct.unpack("<II", blob[4:12]) == (2, 8)
+    assert field("magic") == b"DAMW" and struct.unpack("<I", field("version")) == (3,)
     assert struct.unpack("<3I", blob[f["in_channels"][0]:f["width"][1]]) == (3, 16, 16)
     assert struct.unpack("<d", field("train_accuracy"))[0] == enc.train_accuracy
     assert struct.unpack("<Q", field("seed"))[0] == enc.seed == 7
     assert field("id").decode("utf-8") == enc.pretrain_dataset_id
     assert struct.unpack("<I", field("id_length"))[0] == len(field("id"))
     assert field("f0") == enc.f0.astype("<f8").tobytes()
-    assert struct.unpack("<Q", field("digest"))[0] == H.damw_digest(blob[12:-8])
-    assert enc.fingerprint == H.damw_digest(blob[12:f["in_channels"][0]])
+    assert struct.unpack("<Q", field("digest"))[0] == H.sealed_digest(blob[8:-8])
+    records = b""
+    for name, arr in enc.weights.items():
+        assert field(f"{name}.payload") == arr.astype("<f8").tobytes()
+        records += struct.pack(f"<{arr.ndim + 1}I", arr.ndim, *arr.shape)
+        records += field(f"{name}.payload")
+    assert enc.fingerprint == H.sealed_digest(records)
 
 
 def test_every_corruption_of_the_weight_file_is_refused(tmp_path, tiny_encoder):
-    """A flipped byte in each region the digest covers (or in the digest),
-    a cut at each field boundary, trailing bytes, a version 1 header and a
-    non-UTF-8 id or a non-finite weight under a valid digest each raise
-    their own FormatError."""
+    """A flipped byte at each end of every field, a cut at each field
+    boundary, trailing bytes, a version 1 or 2 header, and a spec no array
+    fits, a non-UTF-8 id or a non-finite weight under a valid digest each
+    raise their own FormatError."""
     enc, _ = tiny_encoder
     path = tmp_path / "enc.damw"
     enc.save(str(path))
@@ -276,8 +286,8 @@ def test_every_corruption_of_the_weight_file_is_refused(tmp_path, tiny_encoder):
         with pytest.raises(FormatError) as info:
             E.load_encoder(str(bad))
         assert type(info.value).__name__ == kind, case
-        if case == "version 1":
-            assert "unsupported weight file version 1" in str(info.value)
+        if case.startswith("version "):
+            assert f"unsupported weight file {case}" in str(info.value)
         if case == "non-UTF-8 id":
             assert "UTF-8" in str(info.value)
         if case.endswith(("in conv1_b", "in fc_w")):

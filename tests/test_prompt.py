@@ -1,9 +1,13 @@
+import struct
+import warnings
+
 import numpy as np
 import pytest
 
+import _helpers as H
 from frameprompt import prompt as P
-from frameprompt.errors import (BadMagicError, DataError, FormatError,
-                                ShapeError, TruncatedFileError)
+from frameprompt.errors import (BadMagicError, DataError, FingerprintMismatchError,
+                                FormatError, ShapeError, TruncatedFileError)
 from frameprompt.optim import Adam, Sgd
 
 
@@ -50,8 +54,18 @@ def test_constructor_rejects_interior_payload():
     spec = P.FrameSpec(1, 8, 8, 1)
     vals = np.zeros((1, 8, 8))
     vals[0, 4, 4] = 1e-9
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match="interior"):
         P.PromptFrame(spec, vals)
+    # a non-finite value is refused as such, in the band or inside it, and
+    # no arithmetic on it warns
+    for at in ((0, 0, 3), (0, 4, 4)):
+        for value in (np.nan, np.inf, -np.inf):
+            vals = np.zeros((1, 8, 8))
+            vals[at] = value
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DataError, match="not all finite"):
+                    P.PromptFrame(spec, vals)
 
 
 def test_masked_steps_keep_interior_zero():
@@ -111,17 +125,12 @@ def _bundle(n=3, meta=False, kind="active"):
                           '{"lr": 0.1}', meta_initialized=meta)
 
 
-def _tag_offset(bundle):
-    # header 12 + spec 20 + d-field 4 + prototypes
-    return 12 + 20 + 4 + 8 * bundle.prototypes.size
-
-
 @pytest.mark.parametrize("tag", sorted(TAGS))
 def test_bundle_roundtrip_bit_exact(tmp_path, tag):
     bundle = _bundle(kind=TAGS[tag])
     path = str(tmp_path / "run.dampb")
     P.save_bundle(path, bundle)
-    assert (tmp_path / "run.dampb").read_bytes()[_tag_offset(bundle)] == tag
+    assert (tmp_path / "run.dampb").read_bytes()[H.damp_fields(bundle)["head_tag"][0]] == tag
     loaded = P.load_bundle(path)
     assert loaded.n == bundle.n
     assert loaded.head.kind == TAGS[tag] and loaded.head.k == 5
@@ -150,31 +159,42 @@ def test_meta_flag_roundtrip(tmp_path):
 
 
 def test_bundle_error_taxonomy(tmp_path):
+    bundle = _bundle()
     path = str(tmp_path / "run.dampb")
-    P.save_bundle(path, _bundle())
+    P.save_bundle(path, bundle)
     blob = open(path, "rb").read()
+    fields = H.damp_fields(bundle)
 
     (tmp_path / "magic.dampb").write_bytes(b"NOPE" + blob[4:])
     with pytest.raises(BadMagicError):
         P.load_bundle(str(tmp_path / "magic.dampb"))
 
-    (tmp_path / "short.dampb").write_bytes(blob[:30])
+    # cut inside the header, then past it: the latter moves the digest
+    (tmp_path / "short.dampb").write_bytes(blob[:12])
     with pytest.raises(TruncatedFileError):
+        P.load_bundle(str(tmp_path / "short.dampb"))
+    (tmp_path / "short.dampb").write_bytes(blob[:30])
+    with pytest.raises(FingerprintMismatchError):
         P.load_bundle(str(tmp_path / "short.dampb"))
 
     (tmp_path / "trail.dampb").write_bytes(blob + b"\x00")
-    with pytest.raises(FormatError):
+    with pytest.raises(FingerprintMismatchError):
         P.load_bundle(str(tmp_path / "trail.dampb"))
 
-    bad_reserved = bytearray(blob)
-    bad_reserved[12 + 16] = 1  # reserved u32 of the frame spec
-    (tmp_path / "reserved.dampb").write_bytes(bytes(bad_reserved))
-    with pytest.raises(FormatError):
-        P.load_bundle(str(tmp_path / "reserved.dampb"))
+    # v2 has no reserved field: an edit to the frame spec is an edit like any other
+    edited_spec = bytearray(blob)
+    edited_spec[fields["border"][0]] ^= 1
+    (tmp_path / "spec.dampb").write_bytes(bytes(edited_spec))
+    with pytest.raises(FingerprintMismatchError):
+        P.load_bundle(str(tmp_path / "spec.dampb"))
 
-    bad_tag = bytearray(blob)
-    bad_tag[_tag_offset(_bundle())] = len(P.HEAD_KINDS)
-    (tmp_path / "tag.dampb").write_bytes(bytes(bad_tag))
+    (tmp_path / "v1.dampb").write_bytes(blob[:4] + struct.pack("<I", 1) + blob[8:])
+    with pytest.raises(FormatError, match="unsupported bundle version 1"):
+        P.load_bundle(str(tmp_path / "v1.dampb"))
+
+    start, end = fields["head_tag"]
+    (tmp_path / "tag.dampb").write_bytes(
+        H.resealed(blob, start, end, bytes([len(P.HEAD_KINDS)])))
     with pytest.raises(FormatError, match="head tag"):
         P.load_bundle(str(tmp_path / "tag.dampb"))
 
@@ -185,7 +205,8 @@ def test_bundle_error_taxonomy(tmp_path):
         P.save_bundle(str(tmp_path / "mismatched.dampb"), mismatched)
 
     # the config snapshot is the last field; 0xFF never occurs in UTF-8
-    (tmp_path / "snap.dampb").write_bytes(blob[:-1] + b"\xff")
+    end = fields["snapshot"][1]
+    (tmp_path / "snap.dampb").write_bytes(H.resealed(blob, end - 1, end, b"\xff"))
     with pytest.raises(FormatError, match="UTF-8"):
         P.load_bundle(str(tmp_path / "snap.dampb"))
 
@@ -194,13 +215,51 @@ def test_interior_enforced_through_deserialization(tmp_path):
     path = str(tmp_path / "run.dampb")
     bundle = _bundle(n=1)
     P.save_bundle(path, bundle)
-    blob = bytearray(open(path, "rb").read())
-    # prompt payload begins after: header 12 + spec 20 + d-field 4 + protos
-    # 1*64*8 + head 6 + 5*8 indices + fingerprint 8
-    start = 12 + 20 + 4 + 512 + 6 + 40 + 8
-    centre = start + 8 * ((16 * 8 + 8) * 3 // 2)  # a mid-image coordinate
-    import struct
-    blob[centre:centre + 8] = struct.pack("<d", 0.5)
-    (tmp_path / "dirty.dampb").write_bytes(bytes(blob))
+    blob = open(path, "rb").read()
+    # a mid-image coordinate of the first prompt, under a fresh digest so the
+    # edit reaches PromptFrame's own check
+    centre = H.damp_fields(bundle)["prompt0"][0] + 8 * ((16 * 8 + 8) * 3 // 2)
+    (tmp_path / "dirty.dampb").write_bytes(
+        H.resealed(blob, centre, centre + 8, struct.pack("<d", 0.5)))
     with pytest.raises(ShapeError):
         P.load_bundle(str(tmp_path / "dirty.dampb"))
+
+
+@pytest.mark.parametrize("kind", ["tuning", "active"])
+def test_every_corruption_of_a_bundle_is_refused(tmp_path, kind):
+    """A flipped byte at each end of every field, a cut at each field
+    boundary, trailing bytes, a version 1 header, and a non-UTF-8 snapshot,
+    an unknown head tag, unknown flag bits or a nonzero prompt interior
+    under a valid digest each raise their own typed error."""
+    bundle = _bundle(kind=kind)
+    path = tmp_path / "run.dampb"
+    P.save_bundle(str(path), bundle)
+    bad = tmp_path / "bad.dampb"
+    for case, blob, name in H.corrupt_damp(bundle, path.read_bytes()):
+        bad.write_bytes(blob)
+        with pytest.raises((FormatError, ShapeError)) as info:
+            P.load_bundle(str(bad))
+        assert type(info.value).__name__ == name, case
+        if case == "version 1":
+            assert "unsupported bundle version 1" in str(info.value)
+
+
+def test_any_one_byte_edit_of_a_bundle_is_refused(tmp_path):
+    """Every byte outside the array payloads, and every 97th byte inside
+    them, flipped: each file is refused with a FormatError."""
+    bundle = _bundle(kind="tuning")
+    path = tmp_path / "run.dampb"
+    P.save_bundle(str(path), bundle)
+    blob = path.read_bytes()
+    payloads = [range(*span) for name, span in H.damp_fields(bundle).items()
+                if name in ("prototypes", "head_weight", "head_bias")
+                or name.startswith("prompt")]
+    bad = tmp_path / "bad.dampb"
+    for at in range(len(blob)):
+        if any(at in p for p in payloads) and at % 97:
+            continue
+        flipped = bytearray(blob)
+        flipped[at] ^= 0xFF
+        bad.write_bytes(bytes(flipped))
+        with pytest.raises(FormatError):
+            P.load_bundle(str(bad))
