@@ -3,10 +3,10 @@
 Every file the package writes goes through write_atomic, so a crash or a
 failed run never leaves a half-written file, and the file gets the mode that
 open(path, "wb") would give it (0666 less the umask). Every file it reads
-goes through read_bytes: .calib.json sidecars and run summaries through
-read_json_object, FormatError for anything but a json object; text inputs
-(descriptors, configs, report's csv files) through read_text, the caller's
-error type for bytes that are not UTF-8. Both binary formats (.damw weights,
+goes through read_bytes: .calib.json sidecars, run summaries and diversity
+records through read_json_object, FormatError for anything but a json object;
+text inputs (descriptors, configs) through read_text, the caller's error type
+for bytes that are not UTF-8. Both binary formats (.damw weights,
 .dampb bundles) are one container: seal writes a 4-byte magic, a u32
 version, the format's body and a u64 digest64 of the body, little-endian;
 open_sealed checks the magic (BadMagicError), the version (FormatError) and

@@ -11,14 +11,16 @@ opened, sha256] of each file read, in read order, and the sha256 of each
 (canonicalized) output; timings live only under the seconds key of adapt's
 summary json, which the hash leaves out, so a rerun on the same inputs
 writes the same bytes and hashes. report reads the *.summary.json and
-*.diversity.csv files under --runs, one row per (dataset, mode,
-meta_initialized) arm, with the feature_l2 diversity of its dataset.
+*.diversity.json records under --runs and writes one csv row per (dataset,
+mode, meta_initialized) arm, with the diversity of its dataset.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import io
 import json
 import os
 import sys
@@ -29,7 +31,7 @@ import numpy as np
 from . import __version__, kernels
 from . import adapt as adapt_mod
 from . import clustering, data, diversity, encoder as encoder_mod, meta as meta_mod
-from .atomic import read_json_object, read_text, recorded, recording, write_atomic, write_json
+from .atomic import read_json_object, recorded, recording, write_atomic, write_json
 from .config import RunConfig, load_config
 from .errors import ConfigError, DataError, FormatError, FramePromptError
 from .prompt import HEAD_KINDS, HeadState, PromptBundle, load_bundle, save_bundle
@@ -62,9 +64,6 @@ def write_manifest(out_path: str, command: str, seed: int, cfg: RunConfig | None
         "outputs_hash": hashlib.sha256(joined.encode("utf-8")).hexdigest(),
     }
     write_json(out_path, manifest)
-
-
-_DIVERSITY_HEADER = "dataset,metric,pairs,seed,score,score_std"
 
 
 def _load_cfg(args) -> RunConfig:
@@ -126,15 +125,13 @@ def cmd_calibrate(args) -> int:
 def cmd_diversity(args) -> int:
     cfg = _load_cfg(args)
     ds = data.load_descriptor(args.data)
-    enc = encoder_mod.load_encoder(args.encoder) if args.encoder else None
-    res = diversity.diversity_score(ds, enc, pairs=cfg.pairs, seed=args.seed,
-                                    metric=args.space)
-    row = (f"{_base_id(ds.id)},{res.metric},{res.pairs},{args.seed},"
-           f"{res.score:.6f},{res.spread:.6f}")
-    blob = _DIVERSITY_HEADER + "\n" + row + "\n"
-    write_atomic(args.out, blob.encode("utf-8"))
+    enc = encoder_mod.load_encoder(args.encoder)
+    res = diversity.diversity_score(ds, enc, pairs=cfg.pairs, seed=args.seed)
+    write_json(args.out, {"dataset": _base_id(ds.id), "pairs": res.pairs, "seed": args.seed,
+                          "score": res.score, "score_std": res.spread})
     write_manifest(args.out + ".manifest.json", "diversity", args.seed, cfg)
-    print(row)
+    print(f"diversity of {ds.id}: score={res.score:.6f} score_std={res.spread:.6f} "
+          f"over {res.pairs} pairs -> {args.out}")
     return 0
 
 
@@ -262,27 +259,21 @@ def cmd_report(args) -> int:
                 # a run without a test accuracy (an empty test split) stays out
                 if s["test_top1"] is not None:
                     slot[s["force_single_prompt"]].append(s["test_top1"])
-            elif name.endswith(".diversity.csv"):
-                lines = read_text(path, FormatError).splitlines()
-                if lines[:1] != [_DIVERSITY_HEADER]:
-                    raise FormatError(f"{path}: not a diversity csv")
-                for line in filter(None, lines[1:]):
-                    cells = line.split(",")
-                    if len(cells) < 5:
-                        raise FormatError(f"{path}: diversity row {line!r} has "
-                                          f"{len(cells)} cells, not 5 or more")
-                    score = _score(path, cells[4])
-                    # DAM-VP measures diversity in the frozen encoder's feature space
-                    if cells[1] == "feature_l2":
-                        div_by_dataset[cells[0]] = score
-    lines = ["dataset,mode,meta_initialized,diversity,vp_accuracy,damvp_accuracy,gain"]
+            elif name.endswith(".diversity.json"):
+                record = _read_diversity(path)
+                div_by_dataset[record["dataset"]] = record["score"]
+    out = io.StringIO()
+    rows = csv.writer(out, lineterminator="\n")
+    rows.writerow(["dataset", "mode", "meta_initialized", "diversity", "vp_accuracy",
+                   "damvp_accuracy", "gain"])
     for (ds, mode, meta), slot in sorted(by_arm.items()):
         # slot[True] holds the forced single prompts, slot[False] the rest
         vp, dam = (np.mean(slot[k]) if slot[k] else float("nan") for k in (True, False))
         gain = (dam - vp) * 100.0
         div = div_by_dataset.get(ds, float("nan"))
-        lines.append(f"{ds},{mode},{str(meta).lower()},{div:.6f},{vp:.6f},{dam:.6f},{gain:.6f}")
-    blob = "\n".join(lines) + "\n"
+        rows.writerow([ds, mode, str(meta).lower(),
+                       *(f"{v:.6f}" for v in (div, vp, dam, gain))])
+    blob = out.getvalue()
     if args.out:
         write_atomic(args.out, blob.encode("utf-8"))
         write_manifest(args.out + ".manifest.json", "report", 0, None)
@@ -292,13 +283,6 @@ def cmd_report(args) -> int:
 
 def _raise(error: OSError):
     raise error
-
-
-def _score(path: str, cell: str) -> float:
-    try:
-        return float(cell)
-    except ValueError:
-        raise FormatError(f"{path}: diversity score {cell!r} is not a number") from None
 
 
 def _read_summary(path: str) -> dict:
@@ -311,6 +295,18 @@ def _read_summary(path: str) -> dict:
         raise FormatError(f"{path}: run summary needs string dataset and mode, "
                           f"boolean force_single_prompt and meta_initialized, and a "
                           f"numeric or null test_top1")
+    return doc
+
+
+def _read_diversity(path: str) -> dict:
+    doc = read_json_object(path, "diversity record")
+    score = doc.get("score")
+    # exact comparisons: json's NaN and Infinity fail them, and so does an
+    # integer past any float, which float() would overflow on
+    if not (isinstance(doc.get("dataset"), str) and _is_number(score)
+            and abs(score) <= sys.float_info.max):
+        raise FormatError(f"{path}: diversity record needs a string dataset and a "
+                          f"finite numeric score")
     return doc
 
 
@@ -345,9 +341,7 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("diversity", help="dataset diversity score")
     sp.add_argument("--data", required=True)
-    sp.add_argument("--encoder", default=None)
-    sp.add_argument("--space", choices=("feature_l2", "pixel_l2"),
-                    default="feature_l2")
+    sp.add_argument("--encoder", required=True)
     sp.add_argument("--out", required=True)
     common(sp)
     sp.set_defaults(fn=cmd_diversity)

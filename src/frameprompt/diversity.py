@@ -1,9 +1,9 @@
 """Dataset diversity: mean pairwise distance over random image pairs.
 
 Pairs are drawn with replacement across pairs but the two members of a pair
-are always distinct. Distance is the L2 norm between encoder features
-(metric "feature_l2") or between flattened pixels ("pixel_l2"); the reported
-score is the mean scaled by 100, with the sample std alongside.
+are always distinct. Distance is the L2 norm between the frozen encoder's
+features, the space in which DAM-VP measures diversity; the reported score is
+the mean scaled by 100, with the sample std alongside.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ class DiversityResult:
     score: float       # mean distance x 100
     spread: float      # sample std of the distances x 100
     pairs: int
-    metric: str
 
 
 def sample_pairs(n: int, pairs: int, seed) -> tuple[np.ndarray, np.ndarray]:
@@ -39,21 +38,13 @@ def sample_pairs(n: int, pairs: int, seed) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def diversity_score(dataset, encoder=None, pairs: int = 10000, seed: int = 0,
-                    metric: str = "feature_l2") -> DiversityResult:
-    if metric not in ("feature_l2", "pixel_l2"):
-        raise DataError(f"unknown diversity metric {metric!r}")
-    if metric == "feature_l2" and encoder is None:
-        raise DataError("feature_l2 diversity needs an encoder")
+def diversity_score(dataset, encoder, pairs: int = 10000, seed: int = 0) -> DiversityResult:
     a, b = sample_pairs(len(dataset), pairs, [seed, _PAIRS])
-    if metric == "feature_l2":
-        # embed each image once, then index the pair lists
-        src = encoder.forward_features(dataset.images)
-    else:
-        src = dataset.images.reshape(len(dataset), -1)
+    # embed each image once, then index the pair lists
+    src = encoder.forward_features(dataset.images)
     d = np.empty(pairs)
     for s in range(0, pairs, 2048):
         sl = slice(s, s + 2048)
         d[sl] = np.linalg.norm(src[a[sl]] - src[b[sl]], axis=1)
     spread = d.std(ddof=1) if pairs > 1 else 0.0
-    return DiversityResult(float(d.mean() * 100), float(spread * 100), pairs, metric)
+    return DiversityResult(float(d.mean() * 100), float(spread * 100), pairs)

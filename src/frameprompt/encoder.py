@@ -242,8 +242,8 @@ def load_encoder(path: str) -> FrozenEncoder:
     enc = FrozenEncoder(spec, weights, pretrain_dataset_id=ident,
                         train_accuracy=accuracy, seed=seed)
     if not np.array_equal(golden, enc.f0):
-        raise FingerprintMismatchError("stored zero-input response differs from "
-                                       "recomputed one")
+        raise FingerprintMismatchError(f"{path}: stored zero-input response differs "
+                                       f"from recomputed one")
     return enc
 
 

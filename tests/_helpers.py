@@ -387,7 +387,8 @@ def corrupt_damw(enc, blob):
     """(case, bytes, error type name) for each way a weight file of enc
     (blob, as saved) goes bad: the damage any sealed file can take, then
     under a valid digest a spec whose arrays no int64 can size, a non-UTF-8
-    id, and +inf in conv1_b or NaN in fc_w."""
+    id, +inf in conv1_b or NaN in fc_w, and a stored f0 that is not the
+    weights' zero-input response."""
     fields = damw_fields(enc)
     cases = _sealed_damage(fields, blob)
     # fc_w of a 0xfffffffc-square input holds more than 2**63 floats
@@ -405,6 +406,9 @@ def corrupt_damw(enc, blob):
         start = fields[f"{name}.payload"][0]
         cases.append((case, resealed(blob, start, start + 8, struct.pack("<d", value)),
                       "FormatError"))
+    start = fields["f0"][0]
+    cases.append(("edited f0", resealed(blob, start, start + 1, bytes([blob[start] ^ 1])),
+                  "FingerprintMismatchError"))
     return cases
 
 

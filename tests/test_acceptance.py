@@ -379,7 +379,7 @@ def test_frozen_bytes_roundtrips_and_reproducible_manifests(desk, tmp_path):
                        "--config", str(cfg_path),
                        "--out", str(d / "run.dampb")])
         assert rc == 0
-        hashes.append(json.load(open(d / "run.manifest.json"))["outputs_hash"])
+        hashes.append(json.loads((d / "run.manifest.json").read_text())["outputs_hash"])
     assert hashes[0] == hashes[1], "manifest hashes differ across identical runs"
     elapsed = time.perf_counter() - t0
     assert elapsed < 60, f"format guarantees took {elapsed:.1f}s"

@@ -5,6 +5,7 @@ import json
 import os
 import shlex
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,7 +51,7 @@ def pipeline(tmp_path_factory):
         "meta_bundle": str(root / "meta.dampb"),
         "dam_bundle": str(runs / "dam.dampb"),
         "vp_bundle": str(runs / "vp.dampb"),
-        "div_csv": str(runs / "down.diversity.csv"),
+        "div_json": str(runs / "down.diversity.json"),
         "eval_json": str(runs / "eval.json"),
         "report_csv": str(root / "report.csv"),
     }
@@ -62,7 +63,7 @@ def pipeline(tmp_path_factory):
         ["calibrate", "--encoder", p["enc"], "--reference", p["ref"],
          "--out", p["calib"]] + cfg,
         ["diversity", "--data", p["down"], "--encoder", p["enc"],
-         "--space", "feature_l2", "--out", p["div_csv"]] + cfg,
+         "--out", p["div_json"]] + cfg,
         ["meta-train", "--datasets", f"{p['meta1']},{p['meta2']}",
          "--encoder", p["enc"], "--out", p["meta_bundle"]] + cfg,
         ["adapt", "--data", p["down"], "--encoder", p["enc"], "--meta",
@@ -86,7 +87,7 @@ def test_pretrain_writes_weights_and_manifest(pipeline):
     assert sorted(n for n in os.listdir(pipeline["root"]) if n.startswith("enc.damw")) == [
         "enc.damw", "enc.damw.manifest.json"]
     assert E.load_encoder(pipeline["enc"]).pretrain_dataset_id.startswith("modemix-m2c2n12")
-    manifest = json.load(open(pipeline["enc"] + ".manifest.json"))
+    manifest = _json(pipeline["enc"] + ".manifest.json")
     assert manifest["command"] == "pretrain"
     assert manifest["inputs"] == _hashed(pipeline["config"], pipeline["pre"])
     assert set(manifest["outputs"]) == {"enc.damw"}
@@ -94,18 +95,18 @@ def test_pretrain_writes_weights_and_manifest(pipeline):
 
 
 def test_calibrate_writes_threshold(pipeline):
-    doc = json.load(open(pipeline["calib"]))
+    doc = _json(pipeline["calib"])
     assert doc["tau_star"] > 0
     assert doc["probe_size"] == 128
     assert doc["encoder_fingerprint"] == E.load_encoder(pipeline["enc"]).fingerprint
 
 
-def test_diversity_csv_shape(pipeline):
-    lines = open(pipeline["div_csv"]).read().splitlines()
-    assert lines[0] == "dataset,metric,pairs,seed,score,score_std"
-    cells = lines[1].split(",")
-    assert cells[1] == "feature_l2" and int(cells[2]) == 200
-    assert float(cells[4]) > 0
+def test_diversity_record_shape(pipeline):
+    doc = _json(pipeline["div_json"])
+    assert sorted(doc) == ["dataset", "pairs", "score", "score_std", "seed"]
+    assert doc["dataset"] == _json(pipeline["eval_json"])["dataset"]
+    assert doc["pairs"] == 200 and doc["seed"] == 0
+    assert doc["score"] > 0 and doc["score_std"] > 0
 
 
 def test_meta_bundle_flag_round_trips(pipeline):
@@ -118,26 +119,29 @@ def test_meta_bundle_flag_round_trips(pipeline):
 
 def test_adapt_artifacts(pipeline):
     stem = pipeline["dam_bundle"][: -len(".dampb")]
-    summary = json.load(open(stem + ".summary.json"))
+    summary = _json(stem + ".summary.json")
     assert summary["mode"] == "active" and summary["meta_initialized"]
     assert summary["n_clusters"] >= 1
     assert 0 <= summary["test_top1"] <= 1
-    lines = open(stem + ".metrics.csv").read().splitlines()
+    lines = Path(stem + ".metrics.csv").read_text().splitlines()
     assert lines[0] == "epoch,split,loss,top1"
     # 2 epochs x (train+val) + test
     assert len(lines) == 1 + 2 * 2 + 1
     assert [len(summary["seconds"][k]) for k in ("train", "val", "test")] == [2, 2, 1]
     assert all(t >= 0 for ts in summary["seconds"].values() for t in ts)
     # the rows hold no timing, so the manifest hashes the csv as written
-    csv = open(stem + ".metrics.csv", "rb").read()
+    csv = Path(stem + ".metrics.csv").read_bytes()
     assert atomic.canonical_bytes(stem + ".metrics.csv", csv) == csv
-    vp_summary = json.load(open(pipeline["vp_bundle"][: -len(".dampb")]
-                                + ".summary.json"))
+    vp_summary = _json(pipeline["vp_bundle"][: -len(".dampb")] + ".summary.json")
     assert vp_summary["force_single_prompt"] and vp_summary["n_clusters"] == 1
 
 
+def _json(path):
+    return json.loads(Path(path).read_text())
+
+
 def _sha256(path):
-    return hashlib.sha256(open(path, "rb").read()).hexdigest()
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def _hashed(*paths):
@@ -161,18 +165,18 @@ def test_clustered_runs_record_the_calibrated_threshold(pipeline):
     the manifest lists the sidecar and both the manifest's config and the
     bundle's snapshot hold the number. The forced single prompt reads no
     sidecar and keeps the string."""
-    tau = json.load(open(pipeline["calib"]))["tau_star"]
+    tau = _json(pipeline["calib"])["tau_star"]
     calib = _sha256(pipeline["calib"])
-    dam = json.load(open(pipeline["dam_bundle"][: -len(".dampb")] + ".manifest.json"))
+    dam = _json(pipeline["dam_bundle"][: -len(".dampb")] + ".manifest.json")
     assert dict(dam["inputs"])[pipeline["calib"]] == calib
     assert dam["config"]["tau"] == tau
     assert json.loads(load_bundle(pipeline["dam_bundle"]).config_snapshot)["tau"] == tau
-    meta = json.load(open(pipeline["meta_bundle"] + ".manifest.json"))
+    meta = _json(pipeline["meta_bundle"] + ".manifest.json")
     assert dict(meta["inputs"])[pipeline["calib"]] == calib
     assert meta["config"]["tau"] == tau
     snapshot = json.loads(load_bundle(pipeline["meta_bundle"]).config_snapshot)
     assert snapshot["config"]["tau"] == tau
-    vp = json.load(open(pipeline["vp_bundle"][: -len(".dampb")] + ".manifest.json"))
+    vp = _json(pipeline["vp_bundle"][: -len(".dampb")] + ".manifest.json")
     assert vp["inputs"] == _hashed(pipeline["vp_config"], pipeline["enc"],
                                    pipeline["down"])
     assert vp["config"]["tau"] == "calibrate"
@@ -183,28 +187,28 @@ def test_meta_train_manifest_lists_every_descriptor(pipeline, tmp_path):
     """The descriptors are listed in --datasets order, which numbers the
     datasets and so decides the groups: reversed, both the inputs and the
     outputs differ."""
-    inputs = json.load(open(pipeline["meta_bundle"] + ".manifest.json"))["inputs"]
+    inputs = _json(pipeline["meta_bundle"] + ".manifest.json")["inputs"]
     assert inputs == _hashed(pipeline["config"], pipeline["enc"],
                              pipeline["calib"], pipeline["meta1"], pipeline["meta2"])
     out = str(tmp_path / "meta.dampb")
     assert cli.main(["meta-train", "--datasets", f"{pipeline['meta2']},{pipeline['meta1']}",
                      "--encoder", pipeline["enc"], "--out", out,
                      "--config", str(pipeline["config"])]) == 0
-    reversed_ = json.load(open(out + ".manifest.json"))
+    reversed_ = _json(out + ".manifest.json")
     assert reversed_["inputs"] == inputs[:-2] + inputs[:-3:-1]
-    forward = json.load(open(pipeline["meta_bundle"] + ".manifest.json"))
+    forward = _json(pipeline["meta_bundle"] + ".manifest.json")
     assert reversed_["outputs_hash"] != forward["outputs_hash"]
 
 
 def test_editing_the_sidecar_moves_its_hash_and_the_snapshot(pipeline, tmp_path):
-    doc = json.load(open(pipeline["calib"]))
+    doc = _json(pipeline["calib"])
     doc["tau_star"] *= 2
     enc = _encoder_copy(pipeline, tmp_path / "enc", doc)
     out = tmp_path / "run.dampb"
     assert cli.main(["adapt", "--data", pipeline["down"], "--encoder", enc,
                      "--mode", "active", "--out", str(out), "--seed", "1",
                      "--config", str(pipeline["config"])]) == 0
-    inputs = dict(json.load(open(tmp_path / "run.manifest.json"))["inputs"])
+    inputs = dict(_json(tmp_path / "run.manifest.json")["inputs"])
     calib = str(tmp_path / "enc" / "enc.calib.json")
     assert inputs[calib] == _sha256(calib)
     assert inputs[calib] != _sha256(pipeline["calib"])
@@ -214,7 +218,7 @@ def test_editing_the_sidecar_moves_its_hash_and_the_snapshot(pipeline, tmp_path)
 def test_a_missing_or_stale_calibration_exits_2(pipeline, tmp_path, capsys):
     """A sidecar for another encoder is refused, not skipped; a clustered
     run without a sidecar names the path it looked for."""
-    stale = {**json.load(open(pipeline["calib"])), "encoder_fingerprint": 12345}
+    stale = {**_json(pipeline["calib"]), "encoder_fingerprint": 12345}
     cases = [(_encoder_copy(pipeline, tmp_path / "stale", stale), "error: DataError:"),
              (_encoder_copy(pipeline, tmp_path / "none"), "error: ConfigError:")]
     for enc, prefix in cases:
@@ -239,15 +243,15 @@ def test_force_single_prompt_runs_without_a_sidecar(pipeline, tmp_path):
                      "--mode", "active", "--out", str(out), "--seed", "1",
                      "--config", str(pipeline["vp_config"])]) == 0
     assert json.loads(load_bundle(str(out)).config_snapshot)["tau"] == "calibrate"
-    manifest = json.load(open(tmp_path / "vp.manifest.json"))
+    manifest = _json(tmp_path / "vp.manifest.json")
     assert manifest["inputs"] == _hashed(pipeline["vp_config"], enc,
                                          pipeline["down"])
     # the same bundle as the pipeline's, whose encoder had a sidecar beside it
-    assert out.read_bytes() == open(pipeline["vp_bundle"], "rb").read()
+    assert out.read_bytes() == Path(pipeline["vp_bundle"]).read_bytes()
 
 
 def test_eval_histogram_covers_test_split(pipeline):
-    doc = json.load(open(pipeline["eval_json"]))
+    doc = _json(pipeline["eval_json"])
     assert doc["split"] == "test"
     bundle = load_bundle(pipeline["dam_bundle"])
     assert len(doc["routing_histogram"]) == bundle.n
@@ -259,13 +263,13 @@ def test_report_aggregates_both_arms(pipeline):
     """The pipeline's two adapt runs are two arms of one (dataset, mode):
     the meta-initialised multi-prompt run and the forced single prompt from a
     random start. Each gets its own row, so neither column mixes them."""
-    lines = open(pipeline["report_csv"]).read().splitlines()
+    lines = Path(pipeline["report_csv"]).read_text().splitlines()
     assert lines[0] == ("dataset,mode,meta_initialized,diversity,vp_accuracy,"
                         "damvp_accuracy,gain")
     stem = lambda bundle: bundle[: -len(".dampb")] + ".summary.json"
-    dam = json.load(open(stem(pipeline["dam_bundle"])))
-    vp = json.load(open(stem(pipeline["vp_bundle"])))
-    div = float(open(pipeline["div_csv"]).read().splitlines()[1].split(",")[4])
+    dam = _json(stem(pipeline["dam_bundle"]))
+    vp = _json(stem(pipeline["vp_bundle"]))
+    div = _json(pipeline["div_json"])["score"]
     ds = dam["dataset"]
     assert lines[1:] == [f"{ds},active,false,{div:.6f},{vp['test_top1']:.6f},nan,nan",
                          f"{ds},active,true,{div:.6f},nan,{dam['test_top1']:.6f},nan"]
@@ -301,23 +305,30 @@ def test_report_keeps_each_arm_in_its_own_row(tmp_path, capsys):
     assert rows[2] == "d,active,true,nan,0.600000,0.700000,10.000000"
 
 
-def test_report_joins_only_feature_space_diversity(tmp_path, capsys):
-    """DAM-VP measures diversity in the frozen encoder's feature space, so a
-    dataset's pixel_l2 score never replaces its feature_l2 one, whichever
-    file sorts last, and alone it leaves the diversity column nan."""
-    header = "dataset,metric,pairs,seed,score,score_std\n"
-    for feature, pixel in (("a", "b"), ("b", "a"), (None, "a")):
-        runs = tmp_path / f"runs_{feature}_{pixel}"
-        runs.mkdir()
-        _summary(runs, "active", test_top1=0.5)
-        if feature:
-            (runs / f"{feature}.diversity.csv").write_text(header + "d,feature_l2,10,0,12.0,1\n")
-        (runs / f"{pixel}.diversity.csv").write_text(header + "d,pixel_l2,10,0,999.0,1\n")
-        capsys.readouterr()
-        assert cli.main(["report", "--runs", str(runs)]) == 0
-        div = "12.000000" if feature else "nan"
-        assert capsys.readouterr().out.splitlines()[1:] == [
-            f"d,active,false,{div},nan,0.500000,nan"]
+def test_report_keeps_a_dataset_name_with_commas_and_quotes_in_one_cell(
+        pipeline, tmp_path, capsys):
+    """A dataset id holding a comma and a double quote goes through diversity
+    and report as one quoted cell, so its row keeps seven cells and the
+    record's score."""
+    import csv
+
+    name = 'a,"b'
+    desc = _descriptor(tmp_path / "odd.json", modes=2, samples_per_class=3, seed=5, id=name)
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    assert cli.main(["diversity", "--data", desc, "--encoder", pipeline["enc"],
+                     "--out", str(runs / "odd.diversity.json"),
+                     "--config", str(pipeline["config"])]) == 0
+    record = _json(runs / "odd.diversity.json")
+    assert record["dataset"] == name
+    _summary(runs, "odd", dataset=name, test_top1=0.5)
+    out = tmp_path / "report.csv"
+    capsys.readouterr()
+    assert cli.main(["report", "--runs", str(runs), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == out.read_text()
+    rows = list(csv.reader(out.read_text().splitlines()))
+    assert rows[1:] == [[name, "active", "false", f"{record['score']:.6f}", "nan",
+                         "0.500000", "nan"]]
 
 
 def test_report_leaves_runs_without_test_accuracy_out(pipeline, tmp_path, capsys):
@@ -329,7 +340,7 @@ def test_report_leaves_runs_without_test_accuracy_out(pipeline, tmp_path, capsys
     assert cli.main(["adapt", "--data", pipeline["down"], "--encoder", pipeline["enc"],
                      "--mode", "active", "--out", str(runs / "no_test.dampb"), "--seed", "1",
                      "--config", str(no_test)]) == 0
-    summary = json.load(open(runs / "no_test.summary.json"))
+    summary = _json(runs / "no_test.summary.json")
     assert summary["test_top1"] is None and not summary["force_single_prompt"]
     capsys.readouterr()
     assert cli.main(["report", "--runs", str(runs)]) == 0
@@ -339,16 +350,16 @@ def test_report_leaves_runs_without_test_accuracy_out(pipeline, tmp_path, capsys
     vp_summary = pipeline["vp_bundle"][: -len(".dampb")] + ".summary.json"
     shutil.copy(vp_summary, runs / "vp.summary.json")
     assert cli.main(["report", "--runs", str(runs)]) == 0
-    vp = json.load(open(vp_summary))["test_top1"]
+    vp = _json(vp_summary)["test_top1"]
     rows = capsys.readouterr().out.splitlines()
     assert rows[1:] == [f"{summary['dataset']},active,false,nan,{vp:.6f},nan,nan"]
 
 
 def test_report_manifest_lists_every_file_it_read(pipeline, tmp_path):
-    """report reads the summaries and the diversity csvs, and no other file
-    under --runs, such as an adapt run's metrics csv."""
-    manifest = json.load(open(pipeline["report_csv"] + ".manifest.json"))
-    read = ["dam.summary.json", "down.diversity.csv", "vp.summary.json"]
+    """report reads the summaries and the diversity records, and no other
+    file under --runs, such as an adapt run's metrics csv."""
+    manifest = _json(pipeline["report_csv"] + ".manifest.json")
+    read = ["dam.summary.json", "down.diversity.json", "vp.summary.json"]
     assert manifest["inputs"] == _hashed(*(pipeline["runs"] / name for name in read))
     # a file in a subdirectory is keyed by the path report opened
     runs = tmp_path / "runs"
@@ -356,7 +367,7 @@ def test_report_manifest_lists_every_file_it_read(pipeline, tmp_path):
     shutil.copy(pipeline["runs"] / "vp.summary.json", runs / "sub")
     out = str(tmp_path / "report.csv")
     assert cli.main(["report", "--runs", str(runs), "--out", out]) == 0
-    inputs = json.load(open(out + ".manifest.json"))["inputs"]
+    inputs = _json(out + ".manifest.json")["inputs"]
     assert [p for p, _ in inputs] == [os.path.join(str(runs), "sub", "vp.summary.json")]
 
 
@@ -371,7 +382,7 @@ def test_report_over_its_stale_output_lists_the_bytes_it_read(pipeline, tmp_path
     with open("runs/report.csv", "wb") as fh:
         fh.write(stale)
     assert cli.main(["report", "--runs", "runs", "--out", "runs/report.csv"]) == 0
-    manifest = json.load(open("runs/report.csv.manifest.json"))
+    manifest = _json("runs/report.csv.manifest.json")
     assert manifest["inputs"] == [
         [os.path.join("runs", "vp.summary.json"), _sha256("runs/vp.summary.json")]]
     assert manifest["outputs"] == {"report.csv": _sha256("runs/report.csv")}
@@ -384,12 +395,13 @@ def test_manifest_inputs_resolve_against_its_cwd(pipeline, tmp_path, monkeypatch
     monkeypatch.chdir(tmp_path)
     shutil.copy(pipeline["down"], "down.json")
     shutil.copy(pipeline["config"], "config.json")
-    assert cli.main(["diversity", "--data", "down.json", "--space", "pixel_l2",
-                     "--out", "d.diversity.csv", "--config", "config.json"]) == 0
+    shutil.copy(pipeline["enc"], "enc.damw")
+    assert cli.main(["diversity", "--data", "down.json", "--encoder", "enc.damw",
+                     "--out", "d.diversity.json", "--config", "config.json"]) == 0
     monkeypatch.chdir(pipeline["root"])
-    manifest = json.load(open(tmp_path / "d.diversity.csv.manifest.json"))
+    manifest = _json(tmp_path / "d.diversity.json.manifest.json")
     assert os.path.samefile(manifest["cwd"], tmp_path)
-    assert [p for p, _ in manifest["inputs"]] == ["config.json", "down.json"]
+    assert [p for p, _ in manifest["inputs"]] == ["config.json", "down.json", "enc.damw"]
     for path, sha in manifest["inputs"]:
         assert _sha256(os.path.join(manifest["cwd"], path)) == sha
 
@@ -410,7 +422,7 @@ def test_adapt_over_idx_lists_every_file_it_read(pipeline, tmp_path):
     assert cli.main(["adapt", "--data", str(desc), "--encoder", pipeline["enc"],
                      "--mode", "active", "--out", str(out), "--seed", "1",
                      "--config", str(pipeline["config"])]) == 0
-    manifest = json.load(open(tmp_path / "digits.manifest.json"))
+    manifest = _json(tmp_path / "digits.manifest.json")
     assert manifest["inputs"] == _hashed(pipeline["config"], pipeline["enc"],
                                          pipeline["calib"], desc, images, labels)
     assert set(manifest["outputs"]) == {"digits.dampb", "digits.metrics.csv",
@@ -440,12 +452,18 @@ def test_report_refuses_malformed_summaries(tmp_path, capsys):
         texts.append(json.dumps({k: v for k, v in arm.items() if k != key}
                                 if bad is None else {**arm, key: bad}))
     files = [("run.summary.json", text) for text in texts]
-    # diversity csvs whose score is not a number, whose row is cut short, or
-    # that are not a diversity csv
-    for row in ("d,feature_l2,10,0,abc,0", "d,feature_l2"):
-        files.append(("d.diversity.csv", "dataset,metric,pairs,seed,score,score_std\n"
-                                         + row + "\n"))
-    files += [("d.diversity.csv", ""), ("d.diversity.csv", "dataset,diversity\nd,1\n")]
+    # diversity records whose score is not a number, is not finite or is a
+    # boolean, whose score or dataset is missing, whose dataset is not a
+    # string, and files that are no diversity record
+    record = {"dataset": "d", "pairs": 10, "seed": 0, "score": 1.0, "score_std": 0.0}
+    for key, bad in (("score", "abc"), ("score", float("nan")), ("score", float("inf")),
+                     ("score", -float("inf")), ("score", 10 ** 400), ("score", True),
+                     ("score", None), ("dataset", None), ("dataset", 7)):
+        files.append(("d.diversity.json", json.dumps(
+            {k: v for k, v in record.items() if k != key} if bad is None
+            else {**record, key: bad})))
+    files += [("d.diversity.json", ""), ("d.diversity.json", json.dumps({"tau_star": 1.0})),
+              ("d.diversity.json", json.dumps([record]))]
     for i, (name, text) in enumerate(files):
         runs = tmp_path / f"runs{i}"
         runs.mkdir()
@@ -486,7 +504,7 @@ def test_manifest_hash_reproducible(pipeline, tmp_path):
         d.mkdir()
         out = str(d / "run.dampb")
         assert cli.main(argv + ["--out", out]) == 0
-        outs.append(json.load(open(str(d / "run.manifest.json"))))
+        outs.append(_json(d / "run.manifest.json"))
     assert outs[0]["outputs_hash"] == outs[1]["outputs_hash"]
     assert outs[0]["outputs"] == outs[1]["outputs"]
     # the bundle and the metrics csv are the same bytes, not only the same hash
@@ -566,9 +584,9 @@ def test_outputs_hash_independent_of_blas_threads(tmp_path):
                              env=env, capture_output=True, text=True, timeout=120,
                              preexec_fn=preexec)
         assert run.returncode == 0, run.stderr
-        hashes = {name: json.load(open(root / name))["outputs_hash"]
+        hashes = {name: _json(root / name)["outputs_hash"]
                   for name in sorted(os.listdir(root)) if name.endswith(".manifest.json")}
-        runs.append((hashes, json.load(open(root / "lanes.json"))))
+        runs.append((hashes, _json(root / "lanes.json")))
     assert len(runs[0][0]) == 5, runs[0][0]
     assert [lanes["lanes"] for _, lanes in runs] == [kernels.LANES, kernels.LANES, 1]
     assert runs[0][0] == runs[1][0] == runs[2][0]
@@ -578,7 +596,7 @@ def test_outputs_hash_independent_of_blas_threads(tmp_path):
 def test_readme_command_lines_parse():
     """Each example in README's "Command line" block, continuation lines
     joined, parses with the command's own parser."""
-    readme = open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")).read()
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("```", 2)[1]
     examples = block.replace("\\\n", " ").split("\n")
     commands = [shlex.split(line) for line in examples if line.strip()]
@@ -594,6 +612,12 @@ def test_usage_errors_exit_1(capsys):
     assert cli.main(["adapt"]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("usage error:")
+    # diversity is scored in an encoder's feature space, and has no --space
+    assert cli.main(["diversity", "--data", "d.json", "--out", "d.diversity.json"]) == 1
+    assert "--encoder" in capsys.readouterr().err
+    assert cli.main(["diversity", "--data", "d.json", "--encoder", "enc.damw",
+                     "--space", "pixel_l2", "--out", "d.diversity.json"]) == 1
+    assert "--space" in capsys.readouterr().err
     assert cli.main(["no-such-command"]) == 1
     assert cli.main([]) == 1
 
@@ -667,7 +691,7 @@ def test_contract_violations_exit_2(pipeline, tmp_path, capsys):
     assert "digest mismatch" in err
     assert not os.path.exists(tmp_path / "padded.json")
     # a bundle whose config snapshot is not UTF-8, under a valid digest, is refused
-    blob = open(pipeline["dam_bundle"], "rb").read()
+    blob = Path(pipeline["dam_bundle"]).read_bytes()
     end = damp_fields(load_bundle(pipeline["dam_bundle"]))["snapshot"][1]
     garbled = tmp_path / "garbled.dampb"
     garbled.write_bytes(resealed(blob, end - 1, end, b"\xff"))
@@ -703,11 +727,10 @@ def test_contract_violations_exit_2(pipeline, tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith(prefix), err
         assert not os.path.exists(out)
-    # a diversity csv under report --runs that is not UTF-8
+    # a diversity record under report --runs that is not UTF-8
     latin1_runs = tmp_path / "latin1_runs"
     latin1_runs.mkdir()
-    (latin1_runs / "d.diversity.csv").write_bytes(b"dataset,metric,pairs,seed,score,score_std\n"
-                                                  b"caf\xe9,feature_l2,10,0,1.0,0.0\n")
+    (latin1_runs / "d.diversity.json").write_bytes(b'{"dataset": "caf\xe9", "score": 1.0}')
     assert cli.main(["report", "--runs", str(latin1_runs)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: FormatError:"), err
@@ -732,11 +755,11 @@ def test_contract_violations_exit_2(pipeline, tmp_path, capsys):
 def test_corrupt_encoder_files_exit_2(pipeline, tmp_path, capsys):
     """A flipped byte at either end of any field of the weight file, a cut
     at any field boundary, trailing bytes, a version 1 or 2 file, and a spec
-    no array fits, a non-UTF-8 id or a non-finite weight under a valid
-    digest each end as one typed error line, exit 2 and no output."""
+    no array fits, a non-UTF-8 id, a non-finite weight or an edited f0 under
+    a valid digest each end as one typed error line, exit 2 and no output."""
     enc = E.load_encoder(pipeline["enc"])
     bad, out = tmp_path / "enc.damw", tmp_path / "run.dampb"
-    for case, blob, kind in corrupt_damw(enc, open(pipeline["enc"], "rb").read()):
+    for case, blob, kind in corrupt_damw(enc, Path(pipeline["enc"]).read_bytes()):
         bad.write_bytes(blob)
         capsys.readouterr()
         rc = cli.main(["adapt", "--data", pipeline["down"], "--encoder", str(bad),
@@ -764,7 +787,7 @@ def test_corrupt_bundles_exit_2(pipeline, tmp_path, capsys):
             (pipeline["meta_bundle"], ["adapt", "--meta", str(bad), "--mode", "active",
                                        "--out", str(tmp_path / "run.dampb")], [])]
     for source, argv, extra in runs:
-        blob = open(source, "rb").read()
+        blob = Path(source).read_bytes()
         for case, damaged, kind in corrupt_damp(load_bundle(source), blob) + extra:
             bad.write_bytes(damaged)
             capsys.readouterr()
@@ -780,7 +803,7 @@ def test_corrupt_bundles_exit_2(pipeline, tmp_path, capsys):
 def test_an_edited_pretraining_id_is_refused(pipeline, tmp_path, capsys):
     """Renaming the pretraining dataset inside the encoder file would lift
     the refusal to adapt to it; the digest over the id refuses the file."""
-    blob = open(pipeline["enc"], "rb").read()
+    blob = Path(pipeline["enc"]).read_bytes()
     start, end = damw_fields(E.load_encoder(pipeline["enc"]))["id"]
     edited = tmp_path / "enc.damw"
     edited.write_bytes(blob[:start] + b"X" * (end - start) + blob[end:])
@@ -797,7 +820,7 @@ def test_an_edited_pretraining_id_is_refused(pipeline, tmp_path, capsys):
 def test_descriptor_strings_that_are_not_utf8_exit_2(pipeline, tmp_path, capsys):
     """json reads "\\ud800" as a lone surrogate, which no id or file name
     can hold: the descriptor is refused before any work, so neither a full
-    pretraining run nor the pixel diversity score reaches the write."""
+    pretraining run nor the diversity score reaches the write."""
     synthetic = tmp_path / "synthetic.json"
     synthetic.write_text('{"kind": "synthetic", "modes": 2, "classes_per_mode": 2, '
                          '"samples_per_class": 6, "size": 16, "id": "bad\\ud800"}')
@@ -806,7 +829,8 @@ def test_descriptor_strings_that_are_not_utf8_exit_2(pipeline, tmp_path, capsys)
                    '"id": "idx"}')
     out = str(tmp_path / "out")
     runs = [["pretrain", "--data", str(synthetic), "--out", out],
-            ["diversity", "--data", str(synthetic), "--space", "pixel_l2", "--out", out],
+            ["diversity", "--data", str(synthetic), "--encoder", pipeline["enc"],
+             "--out", out],
             ["pretrain", "--data", str(idx), "--out", out]]
     for argv in runs:
         capsys.readouterr()
@@ -883,7 +907,7 @@ def test_extents_no_array_can_hold_exit_2(tmp_path, pipeline, capsys):
     out = str(tmp_path / "out")
     huge = _descriptor(tmp_path / "huge.json", modes=2, samples_per_class=3,
                        size=10 ** 20)
-    assert cli.main(["diversity", "--data", huge, "--space", "pixel_l2",
+    assert cli.main(["diversity", "--data", huge, "--encoder", pipeline["enc"],
                      "--out", out]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: DataError:"), err
@@ -902,13 +926,11 @@ def test_extents_no_array_can_hold_exit_2(tmp_path, pipeline, capsys):
     assert err.count("\n") == 1 and err.startswith("error: DataError:"), err
     assert "noise images" in err
     cfg.write_text(json.dumps({**CONFIG, "pairs": 2 ** 62}))
-    for space in ("feature_l2", "pixel_l2"):
-        assert cli.main(["diversity", "--data", pipeline["down"], "--encoder",
-                         pipeline["enc"], "--space", space, "--out", out,
-                         "--config", str(cfg)]) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("error: DataError:"), err
-        assert "pairs" in err
+    assert cli.main(["diversity", "--data", pipeline["down"], "--encoder", pipeline["enc"],
+                     "--out", out, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: DataError:"), err
+    assert "pairs" in err
     assert sorted(os.listdir(tmp_path)) == ["cfg.json", "huge.json"]
 
 
@@ -931,7 +953,7 @@ def test_array_past_memory_exits_2(tmp_path, pipeline):
     run = subprocess.run(
         [sys.executable, "-c", "import sys; from frameprompt import cli; "
          "sys.exit(cli.main(sys.argv[1:]))", "diversity", "--data", pipeline["down"],
-         "--space", "pixel_l2", "--out", str(tmp_path / "d.csv"), "--config", str(cfg)],
+         "--encoder", pipeline["enc"], "--out", str(tmp_path / "d.json"), "--config", str(cfg)],
         env=env, capture_output=True, text=True, timeout=120,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, hard)))
     assert run.returncode == 2, run.stderr
@@ -962,21 +984,21 @@ def test_eval_refuses_prototype_width_of_one_prototype_bundle(tmp_path, pipeline
 def test_descriptor_parse_error_exits_2(tmp_path, pipeline, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    rc = cli.main(["diversity", "--data", str(bad), "--space", "pixel_l2",
-                   "--out", str(tmp_path / "d.csv")])
+    rc = cli.main(["diversity", "--data", str(bad), "--encoder", pipeline["enc"],
+                   "--out", str(tmp_path / "d.json")])
     assert rc == 2
     assert "line" in capsys.readouterr().err
     bad.write_bytes(b'{"kind": "synthetic", "id": "caf\xe9"}')
-    rc = cli.main(["diversity", "--data", str(bad), "--space", "pixel_l2",
-                   "--out", str(tmp_path / "d.csv")])
+    rc = cli.main(["diversity", "--data", str(bad), "--encoder", pipeline["enc"],
+                   "--out", str(tmp_path / "d.json")])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: DataError:"), err
     assert "UTF-8" in err
     # an integer literal longer than Python parses (4300 digits)
     bad.write_text('{"kind": "synthetic", "size": 1%s}' % ("0" * 5000))
-    rc = cli.main(["diversity", "--data", str(bad), "--space", "pixel_l2",
-                   "--out", str(tmp_path / "d.csv")])
+    rc = cli.main(["diversity", "--data", str(bad), "--encoder", pipeline["enc"],
+                   "--out", str(tmp_path / "d.json")])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: DataError:"), err

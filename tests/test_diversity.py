@@ -32,28 +32,22 @@ def test_sample_pairs_validation():
         D.sample_pairs(5, 0, seed=0)
 
 
-def test_two_point_dataset_scores_exact_distance():
-    ds = make_modemix(1, 2, 3, 0.0, seed=1, size=16)
+def test_two_point_dataset_scores_exact_distance(tiny_encoder):
+    enc, ds = tiny_encoder
     two = dataclasses.replace(ds, images=ds.images[:2], labels=ds.labels[:2])
-    gap = float(np.linalg.norm((two.images[0] - two.images[1]).reshape(-1)))
-    res = D.diversity_score(two, pairs=64, metric="pixel_l2")
+    feats = enc.forward_features(two.images)
+    gap = float(np.linalg.norm(feats[0] - feats[1]))
+    assert gap > 0
+    res = D.diversity_score(two, enc, pairs=64)
     assert res.score == pytest.approx(100.0 * gap, rel=1e-12)
     assert res.spread == pytest.approx(0.0, abs=1e-9)
-    assert res.pairs == 64 and res.metric == "pixel_l2"
+    assert res.pairs == 64
 
 
-def test_single_pair_has_zero_spread():
-    ds = make_modemix(1, 2, 3, 0.05, seed=1, size=16)
-    res = D.diversity_score(ds, pairs=1, metric="pixel_l2")
-    assert res.spread == 0.0
-
-
-def test_feature_metric_needs_encoder_and_validates_name():
-    ds = make_modemix(1, 2, 3, 0.05, seed=1, size=16)
-    with pytest.raises(DataError):
-        D.diversity_score(ds, None, pairs=4, metric="feature_l2")
-    with pytest.raises(DataError):
-        D.diversity_score(ds, None, pairs=4, metric="cosine")
+def test_single_pair_has_zero_spread(tiny_encoder):
+    enc, ds = tiny_encoder
+    res = D.diversity_score(ds, enc, pairs=1)
+    assert res.spread == 0.0 and res.score > 0
 
 
 def test_deterministic_and_seed_sensitive(tiny_encoder):
@@ -70,10 +64,9 @@ def test_more_modes_score_higher(tiny_encoder):
     for seed in (1, 2, 3):
         lo = make_modemix(1, 2, 20, 0.05, seed=seed, size=16)
         hi = make_modemix(8, 2, 5, 0.05, seed=seed, size=16)
-        for metric, e in (("pixel_l2", None), ("feature_l2", enc)):
-            s_lo = D.diversity_score(lo, e, pairs=2000, seed=seed, metric=metric)
-            s_hi = D.diversity_score(hi, e, pairs=2000, seed=seed, metric=metric)
-            assert s_hi.score > s_lo.score, (metric, seed)
+        s_lo = D.diversity_score(lo, enc, pairs=2000, seed=seed)
+        s_hi = D.diversity_score(hi, enc, pairs=2000, seed=seed)
+        assert s_hi.score > s_lo.score, seed
 
 
 def test_chunking_invariant(tiny_encoder):

@@ -1,5 +1,6 @@
 import os
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -217,7 +218,7 @@ def test_load_distinguishes_failure_modes(tmp_path, tiny_encoder):
     enc, _ = tiny_encoder
     path = str(tmp_path / "enc.damw")
     enc.save(path)
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
 
     bad_magic = tmp_path / "bad_magic.damw"
     bad_magic.write_bytes(b"XXXX" + blob[4:])
@@ -275,8 +276,8 @@ def test_weight_file_is_the_whole_encoder(tmp_path, tiny_encoder):
 def test_every_corruption_of_the_weight_file_is_refused(tmp_path, tiny_encoder):
     """A flipped byte at each end of every field, a cut at each field
     boundary, trailing bytes, a version 1 or 2 header, and a spec no array
-    fits, a non-UTF-8 id or a non-finite weight under a valid digest each
-    raise their own FormatError."""
+    fits, a non-UTF-8 id, a non-finite weight or an edited f0 under a valid
+    digest each raise their own FormatError."""
     enc, _ = tiny_encoder
     path = tmp_path / "enc.damw"
     enc.save(str(path))
@@ -292,6 +293,8 @@ def test_every_corruption_of_the_weight_file_is_refused(tmp_path, tiny_encoder):
             assert "UTF-8" in str(info.value)
         if case.endswith(("in conv1_b", "in fc_w")):
             assert "non-finite weights" in str(info.value)
+        if case == "edited f0":
+            assert str(info.value).startswith(f"{bad}: stored zero-input response")
 
 
 def test_any_one_byte_edit_is_refused(tmp_path, tiny_encoder):

@@ -1,5 +1,6 @@
 import struct
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -162,7 +163,7 @@ def test_bundle_error_taxonomy(tmp_path):
     bundle = _bundle()
     path = str(tmp_path / "run.dampb")
     P.save_bundle(path, bundle)
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     fields = H.damp_fields(bundle)
 
     (tmp_path / "magic.dampb").write_bytes(b"NOPE" + blob[4:])
@@ -215,7 +216,7 @@ def test_interior_enforced_through_deserialization(tmp_path):
     path = str(tmp_path / "run.dampb")
     bundle = _bundle(n=1)
     P.save_bundle(path, bundle)
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     # a mid-image coordinate of the first prompt, under a fresh digest so the
     # edit reaches PromptFrame's own check
     centre = H.damp_fields(bundle)["prompt0"][0] + 8 * ((16 * 8 + 8) * 3 // 2)
