@@ -3,11 +3,11 @@
 Every file the package writes goes through write_atomic, so a crash or a
 failed run never leaves a half-written file, and the file gets the mode that
 open(path, "wb") would give it (0666 less the umask). Every file it reads
-goes through read_bytes: .calib.json sidecars, run summaries and diversity
-records through read_json_object, FormatError for anything but a json object;
-text inputs (descriptors, configs) through read_text, the caller's error type
-for bytes that are not UTF-8. Both binary formats (.damw weights,
-.dampb bundles) are one container: seal writes a 4-byte magic, a u32
+goes through read_bytes, and json is parsed only here: each json input is
+UTF-8 text holding one object with no repeated key (parse_json_object,
+read_json_object), or the caller's error type, and is_int, is_finite and
+is_text are the field checks its readers share. Both binary formats (.damw
+weights, .dampb bundles) are one container: seal writes a 4-byte magic, a u32
 version, the format's body and a u64 digest64 of the body, little-endian;
 open_sealed checks the magic (BadMagicError), the version (FormatError) and
 the digest (FingerprintMismatchError) before it hands the loader a Reader
@@ -24,6 +24,7 @@ import hashlib
 import json
 import os
 import struct
+import sys
 
 from .errors import BadMagicError, FingerprintMismatchError, FormatError, TruncatedFileError
 
@@ -86,15 +87,32 @@ def write_json(path: str, doc):
     write_atomic(path, (json.dumps(doc, indent=1, sort_keys=True) + "\n").encode("utf-8"))
 
 
-def read_json_object(path: str, what: str) -> dict:
-    """The json object stored at path; what names the file in the error."""
+def parse_json_object(text: str, where: str, what: str, error: type) -> dict:
+    """The json object in text; error (a FramePromptError type) for invalid
+    json, a repeated key, nesting past the recursion limit or any other
+    value. where and what name the input in the message."""
+    def unique(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise error(f"{where}: duplicate key {key!r} in {what}")
+            seen.add(key)
+        return dict(pairs)
+
     try:
-        doc = json.loads(read_bytes(path))
-    except ValueError as e:  # invalid json or invalid utf-8
-        raise FormatError(f"{path}: {what} is not valid json: {e}") from None
+        doc = json.loads(text, object_pairs_hook=unique)
+    except ValueError as e:  # bad syntax, a BOM, or an integer over 4300 digits
+        raise error(f"{where}: {what} is not valid json: {e}") from None
+    except RecursionError:
+        raise error(f"{where}: {what} nests too deeply") from None
     if not isinstance(doc, dict):
-        raise FormatError(f"{path}: {what} is not a json object")
+        raise error(f"{where}: {what} is not a json object")
     return doc
+
+
+def read_json_object(path: str, what: str, error: type = FormatError) -> dict:
+    """The json object stored as UTF-8 text at path; what names the file."""
+    return parse_json_object(read_text(path, error), path, what, error)
 
 
 def read_text(path: str, error: type) -> str:
@@ -104,6 +122,23 @@ def read_text(path: str, error: type) -> str:
         return read_bytes(path).decode("utf-8")
     except UnicodeDecodeError as e:
         raise error(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
+
+
+def is_int(value) -> bool:
+    """An int, not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_finite(value) -> bool:
+    """An int or float, not a bool, within float range: the comparison is exact,
+    so NaN, the infinities and an integer that float() overflows on fail it."""
+    return (is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
+
+
+def is_text(value) -> bool:
+    """A str that encodes as UTF-8: one without the lone surrogates that json
+    reads from escapes such as "\\ud800", which no file name or id holds."""
+    return isinstance(value, str) and not any("\ud800" <= c <= "\udfff" for c in value)
 
 
 def digest64(body) -> int:

@@ -24,14 +24,15 @@ import io
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
 from . import __version__, kernels
 from . import adapt as adapt_mod
 from . import clustering, data, diversity, encoder as encoder_mod, meta as meta_mod
-from .atomic import read_json_object, recorded, recording, write_atomic, write_json
+from .atomic import (is_finite, is_text, parse_json_object, read_json_object, recorded,
+                     recording, write_atomic, write_json)
 from .config import RunConfig, load_config
 from .errors import ConfigError, DataError, FormatError, FramePromptError
 from .prompt import HEAD_KINDS, HeadState, PromptBundle, load_bundle, save_bundle
@@ -56,7 +57,7 @@ def write_manifest(out_path: str, command: str, seed: int, cfg: RunConfig | None
         "command": command,
         "cwd": os.getcwd(),
         "seed": seed,
-        "config": json.loads(cfg.snapshot()) if cfg is not None else None,
+        "config": asdict(cfg) if cfg is not None else None,
         "backend": kernels.BACKEND,
         "version": __version__,
         "inputs": [[p, sha] for p, sha in inputs.items()],
@@ -74,10 +75,6 @@ def _base_id(dataset_id: str) -> str:
     return dataset_id.split("/")[0]
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _calibrated(cfg: RunConfig, enc, encoder_path: str) -> RunConfig:
     """cfg with tau set to the tau_star that calibrate wrote beside enc's weights."""
     path = os.path.splitext(encoder_path)[0] + ".calib.json"
@@ -87,7 +84,7 @@ def _calibrated(cfg: RunConfig, enc, encoder_path: str) -> RunConfig:
     if doc.get("encoder_fingerprint") != enc.fingerprint:
         raise DataError(f"{path}: calibrated for another encoder than {enc.fingerprint:#x}")
     tau = doc.get("tau_star")
-    if not (_is_number(tau) and 0 < tau <= sys.float_info.max):
+    if not (is_finite(tau) and tau > 0):
         raise FormatError(f"{path}: calibration needs a finite positive "
                           f"tau_star, got {tau!r}")
     return replace(cfg, tau=float(tau))
@@ -152,7 +149,7 @@ def cmd_meta_train(args) -> int:
     protos = np.zeros((1, enc.spec.feature_dim))
     head = HeadState("hardcoded", indices=np.zeros(1, np.int64))
     snapshot = json.dumps({"meta_dataset_ids": [ds.id for ds in datasets],
-                           "config": json.loads(cfg.snapshot()),
+                           "config": asdict(cfg),
                            "epoch_losses": result.epoch_losses,
                            "update_norms": result.update_norms}, sort_keys=True)
     bundle = PromptBundle([result.prompt], protos, head, enc.fingerprint,
@@ -172,14 +169,12 @@ def _load_meta_prompt(path: str, enc):
     if bundle.encoder_fingerprint != enc.fingerprint:
         raise DataError(f"meta bundle encoder {bundle.encoder_fingerprint:#x} "
                         f"vs {enc.fingerprint:#x}")
-    try:
-        doc = json.loads(bundle.config_snapshot)
-    except ValueError as e:
-        raise FormatError(f"{path}: meta bundle snapshot is not valid json: {e}") from None
-    ids = doc.get("meta_dataset_ids") if isinstance(doc, dict) else None
-    if not (isinstance(ids, list) and all(isinstance(i, str) for i in ids)):
-        raise FormatError(f"{path}: meta bundle snapshot needs a json object whose "
-                          f"meta_dataset_ids is a list of strings")
+    doc = parse_json_object(bundle.config_snapshot, path, "meta bundle snapshot",
+                            FormatError)
+    ids = doc.get("meta_dataset_ids")
+    if not (isinstance(ids, list) and all(is_text(i) for i in ids)):
+        raise FormatError(f"{path}: meta bundle snapshot needs a meta_dataset_ids "
+                          f"list of UTF-8 strings")
     return bundle.prompts[0], set(ids)
 
 
@@ -288,25 +283,21 @@ def _raise(error: OSError):
 def _read_summary(path: str) -> dict:
     doc = read_json_object(path, "run summary")
     top1 = doc.get("test_top1")
-    if not (isinstance(doc.get("dataset"), str) and isinstance(doc.get("mode"), str)
+    if not (is_text(doc.get("dataset")) and is_text(doc.get("mode"))
             and isinstance(doc.get("force_single_prompt"), bool)
             and isinstance(doc.get("meta_initialized"), bool)
-            and (top1 is None or _is_number(top1))):
-        raise FormatError(f"{path}: run summary needs string dataset and mode, "
+            and (top1 is None or is_finite(top1))):
+        raise FormatError(f"{path}: run summary needs UTF-8 text dataset and mode, "
                           f"boolean force_single_prompt and meta_initialized, and a "
-                          f"numeric or null test_top1")
+                          f"finite or null test_top1")
     return doc
 
 
 def _read_diversity(path: str) -> dict:
     doc = read_json_object(path, "diversity record")
-    score = doc.get("score")
-    # exact comparisons: json's NaN and Infinity fail them, and so does an
-    # integer past any float, which float() would overflow on
-    if not (isinstance(doc.get("dataset"), str) and _is_number(score)
-            and abs(score) <= sys.float_info.max):
-        raise FormatError(f"{path}: diversity record needs a string dataset and a "
-                          f"finite numeric score")
+    if not (is_text(doc.get("dataset")) and is_finite(doc.get("score"))):
+        raise FormatError(f"{path}: diversity record needs a UTF-8 text dataset and a "
+                          f"finite score")
     return doc
 
 

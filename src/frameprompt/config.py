@@ -1,7 +1,8 @@
 """Flat json run configuration.
 
 Unknown keys, duplicate keys, numbers that are not finite and constraint
-violations are hard errors; an empty file means all defaults. The command
+violations are hard errors; an empty file means all defaults. The file is
+parsed, like every json input, only in atomic. The command
 line resolves tau "calibrate" to a number before the library reads it, so
 the snapshot that rides along in prompt bundles reproduces the run.
 """
@@ -9,11 +10,10 @@ the snapshot that rides along in prompt bundles reproduces the run.
 from __future__ import annotations
 
 import json
-import math
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 
-from .atomic import read_text
+from .atomic import is_finite, is_int, is_text, parse_json_object, read_text
 from .errors import ConfigError
 
 
@@ -49,9 +49,7 @@ class RunConfig:
     split_fractions: tuple = (0.7, 0.15, 0.15)
 
     def snapshot(self) -> str:
-        d = asdict(self)
-        d["split_fractions"] = list(d["split_fractions"])
-        return json.dumps(d, sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 _DEFAULTS = RunConfig()
@@ -60,23 +58,9 @@ _DEFAULTS = RunConfig()
 _TYPES = {f.name: type(getattr(_DEFAULTS, f.name)) for f in fields(RunConfig)}
 
 
-def _reject_duplicates(pairs):
-    seen = set()
-    for key, _ in pairs:
-        if key in seen:
-            raise ConfigError(f"duplicate config key {key!r}")
-        seen.add(key)
-    return dict(pairs)
-
-
 def _finite(key: str, value) -> float:
-    """value as a finite float: not a boolean, NaN, an infinity, or an integer
-    too large for a float."""
-    try:
-        if not isinstance(value, bool) and math.isfinite(value):
-            return float(value)
-    except (TypeError, OverflowError):
-        pass
+    if is_finite(value):
+        return float(value)
     raise ConfigError(f"{key} must be a finite number, got {value!r}")
 
 
@@ -93,7 +77,7 @@ def _coerce(key: str, value):
             raise ConfigError(f"tau must be a number or \"calibrate\", got {value!r}")
         return _finite(key, value)
     if want is int:
-        if isinstance(value, bool) or not isinstance(value, int):
+        if not is_int(value):
             raise ConfigError(f"{key} must be an integer, got {value!r}")
         return value
     if want is float:
@@ -103,13 +87,11 @@ def _coerce(key: str, value):
             raise ConfigError(f"{key} must be true or false, got {value!r}")
         return value
     if want is str:
-        if not isinstance(value, str):
-            raise ConfigError(f"{key} must be a string, got {value!r}")
+        if not is_text(value):
+            raise ConfigError(f"{key} must be UTF-8 text, got {value!r}")
         return value
     # optional int
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, int):
+    if value is not None and not is_int(value):
         raise ConfigError(f"{key} must be an integer or null, got {value!r}")
     return value
 
@@ -161,10 +143,4 @@ def load_config(path: str) -> RunConfig:
     text = read_text(path, ConfigError)
     if not text.strip():
         return RunConfig()
-    try:
-        raw = json.loads(text, object_pairs_hook=_reject_duplicates)
-    except ValueError as e:  # bad syntax, or an integer literal over 4300 digits
-        raise ConfigError(f"{path}: json parse error: {e}") from None
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: config must be a json object")
-    return from_dict(raw)
+    return from_dict(parse_json_object(text, path, "config", ConfigError))

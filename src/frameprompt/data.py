@@ -6,19 +6,19 @@ std) shifts them in place to zero mean and unit std per channel; the caller
 chooses the statistics (channel_stats of the same data, or of the train
 split for all three parts) and nothing about them is kept on the dataset.
 split_dataset consumes its input: the parts it returns are row-slices of the
-input's own buffer, reordered and standardized in place.
+input's own buffer, reordered and standardized in place. A descriptor is
+parsed, like every json input, only in atomic.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .atomic import read_bytes, read_text
+from .atomic import is_finite, is_int, is_text, read_bytes, read_json_object
 from .errors import BadMagicError, DataError, FormatError, TruncatedFileError
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -243,43 +243,31 @@ def _reorder_rows(dataset: ImageDataset, order: np.ndarray) -> None:
     dataset.labels[:] = dataset.labels[order]
 
 
-# descriptor fields by kind: name -> (accepted types, required)
+# descriptor fields by kind: name -> (check, required)
 _DESCRIPTOR_FIELDS = {
-    "synthetic": {"modes": (int, True), "classes_per_mode": (int, True),
-                  "samples_per_class": (int, True), "jitter": ((int, float), False),
-                  "seed": (int, False), "size": (int, False), "id": (str, False)},
-    "idx": {"images": (str, True), "labels": (str, True), "id": (str, True)},
+    "synthetic": {"modes": (is_int, True), "classes_per_mode": (is_int, True),
+                  "samples_per_class": (is_int, True), "jitter": (is_finite, False),
+                  "seed": (is_int, False), "size": (is_int, False), "id": (is_text, False)},
+    "idx": {"images": (is_text, True), "labels": (is_text, True), "id": (is_text, True)},
 }
+_WANT = {is_int: "an integer", is_finite: "a finite number", is_text: "UTF-8 text"}
 
 
 def load_descriptor(path: str) -> ImageDataset:
     """Dataset descriptor json: {"kind": "synthetic"|"idx", ...}. DataError
-    unless it is an object with every required field, each of its type, and
-    every string field UTF-8 text."""
-    text = read_text(path, DataError)
-    try:
-        desc = json.loads(text)
-    except ValueError as e:  # bad syntax, or an integer literal over 4300 digits
-        raise DataError(f"{path}: invalid json: {e}") from None
-    if not isinstance(desc, dict):
-        raise DataError(f"{path}: descriptor must be a json object")
+    unless it is an object with every required field, each passing its
+    check."""
+    desc = read_json_object(path, "descriptor", DataError)
     kind = desc.get("kind")
     if not isinstance(kind, str) or kind not in _DESCRIPTOR_FIELDS:
         raise DataError(f"{path}: unknown dataset kind {kind!r}")
     fields = {k: desc[k] for k in _DESCRIPTOR_FIELDS[kind] if k in desc}
-    for key, (types, required) in _DESCRIPTOR_FIELDS[kind].items():
+    for key, (check, required) in _DESCRIPTOR_FIELDS[kind].items():
         if required and key not in fields:
             raise DataError(f"{path}: {kind} descriptor missing {key!r}")
-        if key in fields and (isinstance(fields[key], bool)
-                              or not isinstance(fields[key], types)):
-            raise DataError(f"{path}: {kind} descriptor field {key!r} has the "
-                            f"wrong type: {fields[key]!r}")
-        if isinstance(fields.get(key), str):
-            try:  # json reads "\ud800" as a lone surrogate, which no file name or id holds
-                fields[key].encode("utf-8")
-            except UnicodeEncodeError as e:
-                raise DataError(f"{path}: {kind} descriptor field {key!r} is not UTF-8 "
-                                f"text ({e.reason}): {fields[key]!r}") from None
+        if key in fields and not check(fields[key]):
+            raise DataError(f"{path}: {kind} descriptor field {key!r} is not "
+                            f"{_WANT[check]}: {fields[key]!r}")
     if kind == "synthetic":
         return generate_modemix(SyntheticSpec(**fields))
     return load_idx(fields["images"], fields["labels"], fields["id"])

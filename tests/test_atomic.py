@@ -157,6 +157,18 @@ def test_only_atomic_opens_files():
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
+def test_only_atomic_parses_json():
+    """Every json input is parsed by atomic.parse_json_object, so each shares
+    its rules: UTF-8 text, one object, no repeated key."""
+    pkg = os.path.dirname(atomic.__file__)
+    assert _calls(_tree(atomic.__file__), "loads")  # the scan sees the calls it looks for
+    trees = {name: _tree(os.path.join(pkg, name)) for name in sorted(os.listdir(pkg))
+             if name.endswith(".py") and name != "atomic.py"}
+    assert "cli.py" in trees
+    found = {name: _calls(tree, "loads") + _calls(tree, "load") for name, tree in trees.items()}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
 def test_only_map_lanes_submits_to_the_pool():
     """kernels.map_lanes is the one lane runner: no other code in the
     package submits work to a thread pool."""

@@ -451,23 +451,37 @@ def test_report_refuses_malformed_summaries(tmp_path, capsys):
                      ("force_single_prompt", 0), ("meta_initialized", "false")):
         texts.append(json.dumps({k: v for k, v in arm.items() if k != key}
                                 if bad is None else {**arm, key: bad}))
+    # a test_top1 that is not finite, a dataset or mode that is not UTF-8
+    # text (json's "\ud800" is a lone surrogate), a repeated key whose values
+    # are both valid, a file that is UTF-16 or starts with a BOM, and nesting
+    # past the recursion limit
+    for key, bad in (("test_top1", float("nan")), ("test_top1", float("inf")),
+                     ("test_top1", -float("inf")), ("test_top1", 10 ** 400),
+                     ("dataset", "\ud800"), ("mode", "\ud800")):
+        texts.append(json.dumps({**arm, key: bad}))
+    texts += [json.dumps(arm).replace("0.5", "1e400"),
+              '{"dataset": "e", ' + json.dumps(arm)[1:],
+              json.dumps(arm).encode("utf-16"), b"\xef\xbb\xbf" + json.dumps(arm).encode(),
+              "[" * 100000 + "]" * 100000]
     files = [("run.summary.json", text) for text in texts]
     # diversity records whose score is not a number, is not finite or is a
-    # boolean, whose score or dataset is missing, whose dataset is not a
-    # string, and files that are no diversity record
+    # boolean, whose score or dataset is missing, whose dataset is not UTF-8
+    # text, files that are no diversity record, and a score given twice
     record = {"dataset": "d", "pairs": 10, "seed": 0, "score": 1.0, "score_std": 0.0}
     for key, bad in (("score", "abc"), ("score", float("nan")), ("score", float("inf")),
                      ("score", -float("inf")), ("score", 10 ** 400), ("score", True),
-                     ("score", None), ("dataset", None), ("dataset", 7)):
+                     ("score", None), ("dataset", None), ("dataset", 7),
+                     ("dataset", "\ud800")):
         files.append(("d.diversity.json", json.dumps(
             {k: v for k, v in record.items() if k != key} if bad is None
             else {**record, key: bad})))
     files += [("d.diversity.json", ""), ("d.diversity.json", json.dumps({"tau_star": 1.0})),
-              ("d.diversity.json", json.dumps([record]))]
+              ("d.diversity.json", json.dumps([record])),
+              ("d.diversity.json", '{"score": 2.0, ' + json.dumps(record)[1:])]
     for i, (name, text) in enumerate(files):
         runs = tmp_path / f"runs{i}"
         runs.mkdir()
-        (runs / name).write_text(text)
+        (runs / name).write_bytes(text if isinstance(text, bytes) else text.encode())
         out = tmp_path / f"report{i}.csv"
         assert cli.main(["report", "--runs", str(runs), "--out", str(out)]) == 2, text
         err = capsys.readouterr().err
@@ -479,7 +493,11 @@ def test_meta_bundle_snapshot_must_list_dataset_ids(pipeline, tmp_path, capsys):
     # a snapshot that does not name the meta datasets would switch off the
     # check that adaptation data was not used for meta training
     bundle = load_bundle(pipeline["meta_bundle"])
-    for i, snapshot in enumerate(["[1]", json.dumps({"meta_dataset_ids": 5}), "{"]):
+    ids = json.dumps({"meta_dataset_ids": ["a"]})
+    snapshots = ["[1]", json.dumps({"meta_dataset_ids": 5}), "{",
+                 json.dumps({"meta_dataset_ids": ["\ud800"]}),
+                 '{"meta_dataset_ids": ["b"], ' + ids[1:], "[" * 100000 + "]" * 100000]
+    for i, snapshot in enumerate(snapshots):
         bundle.config_snapshot = snapshot
         meta = str(tmp_path / f"meta{i}.dampb")
         save_bundle(meta, bundle)
@@ -706,11 +724,16 @@ def test_contract_violations_exit_2(pipeline, tmp_path, capsys):
     good = {"kind": "synthetic", "modes": 2, "classes_per_mode": 2, "samples_per_class": 3}
     descriptors = {"no_fields": {"kind": "synthetic"}, "not_object": [1, 2],
                    "bad_type": {**good, "samples_per_class": "x"},
-                   "negative_seed": {**good, "seed": -1}, "zero_size": {**good, "size": 0}}
+                   "negative_seed": {**good, "seed": -1}, "zero_size": {**good, "size": 0},
+                   "huge_jitter": {**good, "jitter": 10 ** 400}}
+    deep = "[" * 100000 + "]" * 100000
+    texts = {name: json.dumps(doc) for name, doc in descriptors.items()}
+    # a repeated key whose last value is valid, and nesting past the recursion limit
+    texts.update(repeated_modes='{"modes": 9, ' + json.dumps(good)[1:], deep=deep)
     runs = []
-    for name, doc in descriptors.items():
+    for name, text in texts.items():
         path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(text)
         runs.append((str(path), str(pipeline["config"]), "error: DataError:"))
     runs.append((str(tmp_path / "absent.json"), str(pipeline["config"]), "error:"))
     runs.append((pipeline["pre"], str(tmp_path / "absent_config.json"), "error:"))
@@ -720,6 +743,9 @@ def test_contract_violations_exit_2(pipeline, tmp_path, capsys):
     nan_tau = tmp_path / "nan_tau.json"
     nan_tau.write_text('{"tau": NaN}')
     runs.append((pipeline["pre"], str(nan_tau), "error: ConfigError:"))
+    deep_config = tmp_path / "deep_config.json"
+    deep_config.write_text(deep)
+    runs.append((pipeline["pre"], str(deep_config), "error: ConfigError:"))
     for i, (desc, config, prefix) in enumerate(runs):
         out = tmp_path / f"bad{i}.damw"
         rc = cli.main(["pretrain", "--data", desc, "--out", str(out), "--config", config])
@@ -727,6 +753,20 @@ def test_contract_violations_exit_2(pipeline, tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith(prefix), err
         assert not os.path.exists(out)
+    # a jitter that is not finite would make every image NaN
+    for literal in ("nan", "inf"):
+        d = tmp_path / f"jitter_{literal}"
+        d.mkdir()
+        desc = _descriptor(d / "data.json", modes=2, samples_per_class=12, seed=5,
+                           jitter=float(literal))
+        for argv in (["adapt", "--mode", "active", "--out", str(d / "run.dampb")],
+                     ["diversity", "--out", str(d / "run.diversity.json")]):
+            rc = cli.main(argv + ["--data", desc, "--encoder", pipeline["enc"],
+                                  "--config", str(pipeline["config"])])
+            assert rc == 2, argv
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and err.startswith("error: DataError:"), err
+            assert os.listdir(d) == ["data.json"]
     # a diversity record under report --runs that is not UTF-8
     latin1_runs = tmp_path / "latin1_runs"
     latin1_runs.mkdir()
@@ -738,7 +778,8 @@ def test_contract_violations_exit_2(pipeline, tmp_path, capsys):
     calib = {"encoder_fingerprint": E.load_encoder(pipeline["enc"]).fingerprint}
     sidecars = ["[1]", "{", json.dumps(calib),
                 *(json.dumps({**calib, "tau_star": tau})
-                  for tau in (float("nan"), float("inf"), 0.0))]
+                  for tau in (float("nan"), float("inf"), 0.0)),
+                '{"tau_star": 2.0, ' + json.dumps({**calib, "tau_star": 1.0})[1:]]
     for i, text in enumerate(sidecars):
         d = tmp_path / f"sidecar{i}"
         _encoder_copy(pipeline, d)

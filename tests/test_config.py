@@ -55,6 +55,9 @@ def test_parse_error_reports_line(tmp_path):
     with pytest.raises(ConfigError) as e:
         load_config(str(p))
     assert "line 3" in str(e.value)
+    p.write_text("[" * 100000 + "]" * 100000)  # nesting past the recursion limit
+    with pytest.raises(ConfigError):
+        load_config(str(p))
 
 
 def test_gamma_domain_is_open_interval():
